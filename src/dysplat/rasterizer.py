@@ -13,6 +13,7 @@ fixed tile order so results are identical for any thread count.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .geometry import (
 from .primitives import (
     BlendContext,
     GaussianSet,
+    _velocity_frame_pairs,
     blend_backward,
     blend_bases,
     gate_backward,
@@ -153,14 +155,6 @@ def _max_eigenvalue_2x2(cov):
     return mid + dev
 
 
-def _velocity_pairs(t, n_frames):
-    if n_frames < 2:
-        return None, None
-    fwd = (t + 1, t) if t + 1 <= n_frames - 1 else (t, t - 1)
-    bwd = (t, t - 1) if t - 1 >= 0 else (t + 1, t)
-    return fwd, bwd
-
-
 def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> SplatBatch:
     """Project all populations at frame t into screen-space splats.
 
@@ -209,7 +203,7 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     if nr:
         r = gset.rigids
         sl = slice(row, row + nr)
-        fwd, bwd = _velocity_pairs(t, T)
+        fwd, bwd = _velocity_frame_pairs(t, T)
         frames = {t, t_corr}
         if fwd is not None:
             frames |= set(fwd) | set(bwd)
@@ -330,26 +324,82 @@ class _OrderedView:
         self.A, self.B, self.C = A[o], B[o], C[o]
 
 
-def _alphas(view: _OrderedView, local, px, py):
-    """Alpha matrix (n, P) of the selected ordered splats at pixel coords."""
-    m = view.mean[local]
-    A = view.A[local][:, None]
-    B = view.B[local][:, None]
-    C = view.C[local][:, None]
-    dx = px[None, :] - m[:, 0:1]
-    dy = py[None, :] - m[:, 1:2]
-    q = dx * (A * dx + 2.0 * B * dy) + C * dy * dy
-    g = np.exp(-0.5 * q)
-    alpha = np.minimum(view.opacity[local, None] * g, OPACITY_CLAMP)
-    return alpha, g, dx, dy, (A, B, C)
+class _Workspace:
+    """Flat float64 buffers that one tile worker reuses for its (splats, pixels)
+    arrays, so a tile allocates nothing of that size.
+
+    ``take(slot, n, P)`` returns an (n, P) view of buffer ``slot``; a buffer
+    grows only when a tile needs more than every earlier tile did. The views
+    are overwritten by the worker's next tile, so a tile returns none of them.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, slot, n, P):
+        if slot not in self._flat or self._flat[slot].size < n * P:
+            self._flat[slot] = None  # free the smaller buffer before allocating
+            self._flat[slot] = np.empty(n * P)
+        return self._flat[slot][:n * P].reshape(n, P)
 
 
-def _transmittance(alpha):
-    """Exclusive front-to-back transmittance, same shape as alpha."""
-    T = np.cumprod(1.0 - alpha, axis=0)
-    T = np.roll(T, 1, axis=0)
-    T[0] = 1.0
-    return T
+def _tile_center(y0, y1, x0, x1):
+    """Origin of a tile's local pixel coordinates. Centering keeps the
+    monomials small, so the expanded quadratics lose little to cancellation."""
+    return 0.5 * (x0 + x1 - 1), 0.5 * (y0 + y1 - 1)
+
+
+def _monomials(bounds):
+    """(6, P) pixel monomials [u^2, uv, v^2, u, v, 1] about the tile center."""
+    y0, y1, x0, x1 = bounds
+    cx, cy = _tile_center(*bounds)
+    u, v = np.meshgrid(np.arange(x0, x1) - cx, np.arange(y0, y1) - cy)
+    u, v = u.ravel(), v.ravel()
+    return np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
+
+
+def _tile_offsets(view: _OrderedView, local, bounds):
+    """Centers (a, b) of the selected splats relative to the tile center."""
+    cx, cy = _tile_center(*bounds)
+    return view.mean[local, 0] - cx, view.mean[local, 1] - cy
+
+
+def _alphas(view: _OrderedView, local, bounds, M, out):
+    """Alpha (n, P) of the selected ordered splats over one tile, written into out.
+
+    The exponent log(opacity) - q/2 is a quadratic in the pixel coordinates,
+    so one (n, 6) @ (6, P) product against the tile's monomials M gives it.
+    """
+    a, b = _tile_offsets(view, local, bounds)
+    A, B, C = view.A[local], view.B[local], view.C[local]
+    coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
+                     np.log(view.opacity[local])
+                     - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
+    np.matmul(coef, M, out=out)
+    np.exp(out, out=out)
+    if view.opacity[local].max() >= OPACITY_CLAMP:  # elsewhere alpha <= opacity
+        np.minimum(out, OPACITY_CLAMP, out=out)
+    return out
+
+
+def _transmittance(alpha, out):
+    """Exclusive front-to-back transmittance of alpha, written into out, and
+    zeroed where compositing has stopped (below TERMINATE_TRANSMITTANCE)."""
+    out[0] = 1.0
+    np.subtract(1.0, alpha[:-1], out=out[1:])
+    np.cumprod(out[1:], axis=0, out=out[1:])
+    # T never increases down a column, so the last row holds each pixel's minimum
+    if out[-1].min() < TERMINATE_TRANSMITTANCE:
+        out[out < TERMINATE_TRANSMITTANCE] = 0.0
+    return out
+
+
+def _weights(view: _OrderedView, local, bounds, ws: _Workspace):
+    """Compositing weights alpha * T (n, P) of the selected splats over one tile."""
+    M = _monomials(bounds)
+    n, P = local.size, M.shape[1]
+    alpha = _alphas(view, local, bounds, M, ws.take(0, n, P))
+    return np.multiply(alpha, _transmittance(alpha, ws.take(1, n, P)), out=alpha)
 
 
 def _tile_ranges(width, height):
@@ -380,48 +430,47 @@ def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderO
 
     view = _OrderedView(batch)
 
-    def run_tile(bounds):
+    def run_tile(bounds, ws):
         y0, y1, x0, x1 = bounds
-        local = _splats_in_tile(view, y0, y1, x0, x1)
+        local = _splats_in_tile(view, *bounds)
         if local.size == 0:
-            return bounds, None, None
-        gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
-                             np.arange(y0, y1, dtype=np.float64))
-        px, py = gx.ravel(), gy.ravel()
-        alpha, _, _, _, _ = _alphas(view, local, px, py)
-        T = _transmittance(alpha)
-        live = T >= TERMINATE_TRANSMITTANCE
-        w = alpha * T * live
-        tile_ch = w.T @ view.payload[local]
-        tile_alpha = np.sum(w, axis=0)
-        return bounds, tile_ch, tile_alpha
+            return
+        w = _weights(view, local, bounds, ws)
+        shape = (y1 - y0, x1 - x0)
+        channels[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS,))
+        alpha_out[y0:y1, x0:x1] = np.sum(w, axis=0).reshape(shape)
 
-    results = _map_tiles(run_tile, list(_tile_ranges(W, H)), threads)
-    for (y0, y1, x0, x1), tile_ch, tile_alpha in results:
-        if tile_ch is None:
-            continue
-        channels[y0:y1, x0:x1] = tile_ch.reshape(y1 - y0, x1 - x0, N_CHANNELS)
-        alpha_out[y0:y1, x0:x1] = tile_alpha.reshape(y1 - y0, x1 - x0)
+    _map_tiles(run_tile, list(_tile_ranges(W, H)), threads)
     return RenderOutputs.from_channels(channels, alpha_out)
 
 
 def _map_tiles(fn, tiles, threads):
-    """Apply fn to every tile, optionally on a thread pool.
+    """Apply fn(tile, workspace) to every tile, optionally on a thread pool.
 
-    Results are consumed in the fixed tile order regardless of thread count,
-    so accumulation is bit-reproducible.
+    Every worker owns one _Workspace: the serial path one, each pool thread
+    its own. Results are consumed in the fixed tile order regardless of
+    thread count, so accumulation is bit-reproducible.
     """
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        local = threading.local()
+
+        def run(tile):
+            if not hasattr(local, "ws"):
+                local.ws = _Workspace()
+            return fn(tile, local.ws)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tiles))
-    return [fn(t) for t in tiles]
+            return list(pool.map(run, tiles))
+    ws = _Workspace()
+    return [fn(t, ws) for t in tiles]
 
 
 def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
     """Brute-force oracle: full global sort, every splat at every pixel,
-    no tiling and no early termination."""
+    no tiling and no early termination; each Gaussian is evaluated directly
+    from its pixel offsets rather than through the tiles' monomial product."""
     H, W = batch.height, batch.width
     channels = np.zeros((H, W, N_CHANNELS))
     alpha_out = np.zeros((H, W))
@@ -430,9 +479,13 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
 
     view = _OrderedView(batch)
     gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    px, py = gx.ravel(), gy.ravel()
-    alpha, _, _, _, _ = _alphas(view, np.arange(len(batch)), px, py)
-    T = _transmittance(alpha)
+    dx = gx.ravel()[None, :] - view.mean[:, 0:1]
+    dy = gy.ravel()[None, :] - view.mean[:, 1:2]
+    q = dx * (view.A[:, None] * dx + 2.0 * view.B[:, None] * dy) + view.C[:, None] * dy * dy
+    alpha = np.minimum(view.opacity[:, None] * np.exp(-0.5 * q), OPACITY_CLAMP)
+    T = np.cumprod(1.0 - alpha, axis=0)
+    T = np.roll(T, 1, axis=0)
+    T[0] = 1.0
     w = alpha * T
     channels = (w.T @ view.payload).reshape(H, W, N_CHANNELS)
     alpha_out = np.sum(w, axis=0).reshape(H, W)
@@ -512,64 +565,67 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
     gch, galpha = _assemble_grad_channels(grad_outputs, H, W)
     view = _OrderedView(batch)
     order = view.order
-    inv_all = np.linalg.inv(batch.cov2d)[order]
 
     d_payload_o = np.zeros((n, N_CHANNELS))
     d_opacity_o = np.zeros(n)
     d_mean2d_o = np.zeros((n, 2))
-    d_cov2d_o = np.zeros((n, 2, 2))
+    d_conic_o = np.zeros((n, 3))  # per conic entry A, B (each off-diagonal), C
 
-    def run_tile(bounds):
+    def run_tile(bounds, ws):
         y0, y1, x0, x1 = bounds
-        local = _splats_in_tile(view, y0, y1, x0, x1)
+        local = _splats_in_tile(view, *bounds)
         if local.size == 0:
             return None
-        gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
-                             np.arange(y0, y1, dtype=np.float64))
-        px, py = gx.ravel(), gy.ravel()
-        alpha, g, dx, dy, (A, B, C) = _alphas(view, local, px, py)
-        T = _transmittance(alpha)
-        live = T >= TERMINATE_TRANSMITTANCE
-        w = alpha * T * live
+        M = _monomials(bounds)
+        n_loc, P = local.size, M.shape[1]
+        alpha = _alphas(view, local, bounds, M, ws.take(0, n_loc, P))
+        T = _transmittance(alpha, ws.take(1, n_loc, P))
+        w = np.multiply(alpha, T, out=ws.take(2, n_loc, P))
 
-        g_ch = gch[y0:y1, x0:x1].reshape(-1, N_CHANNELS)
-        g_al = galpha[y0:y1, x0:x1].reshape(-1)
-
+        g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS)
         d_payload = w @ g_ch
-        d_w = view.payload[local] @ g_ch.T + g_al[None, :]
-        m = d_w * w
-        suffix = np.flip(np.cumsum(np.flip(m, 0), 0), 0) - m
-        d_alpha = live * d_w * T - suffix / (1.0 - alpha)
+        # d_w = payload . g_ch + g_alpha; d_alpha = d_w T - behind / (1 - alpha),
+        # where behind sums d_w w over the splats composited after this one
+        d_alpha = np.matmul(view.payload[local], g_ch.T, out=ws.take(3, n_loc, P))
+        d_alpha += galpha[y0:y1, x0:x1].reshape(1, P)
+        w *= d_alpha
+        d_alpha *= T
+        # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
+        np.cumsum(w[::-1], axis=0, out=w[::-1])
+        behind = np.divide(w[1:], np.subtract(1.0, alpha[:-1], out=T[:-1]), out=T[:-1])
+        d_alpha[:-1] -= behind
+        if view.opacity[local].max() >= OPACITY_CLAMP:
+            d_alpha[alpha >= OPACITY_CLAMP] = 0.0
 
-        unclamped = (view.opacity[local, None] * g) < OPACITY_CLAMP
-        d_alpha = d_alpha * unclamped
-        d_opacity = np.sum(d_alpha * g, axis=1)
-        d_q = (-0.5) * g * (d_alpha * view.opacity[local, None])
-        d_dx = d_q * (2.0 * A * dx + 2.0 * B * dy)
-        d_dy = d_q * (2.0 * B * dx + 2.0 * C * dy)
-        d_mean = -np.stack([np.sum(d_dx, axis=1), np.sum(d_dy, axis=1)], axis=-1)
-        dA = np.sum(d_q * dx * dx, axis=1)
-        dB = np.sum(d_q * dx * dy, axis=1)  # per symmetric entry; the pair sums to the 2B dxdy term
-        dC = np.sum(d_q * dy * dy, axis=1)
-        # conic (A,B,C) corresponds to inv(cov) entries [[A, B], [B, C]]
-        d_conic = np.zeros((local.size, 2, 2))
-        d_conic[:, 0, 0] = dA
-        d_conic[:, 0, 1] = dB
-        d_conic[:, 1, 0] = dB
-        d_conic[:, 1, 1] = dC
-        inv = inv_all[local]
-        d_cov = -np.einsum("nij,njk,nkl->nil", inv, d_conic, inv)
-        return order[local], d_payload, d_opacity, d_mean, d_cov
+        # Where alpha is unclamped it equals opacity * g with g = exp(-q/2), so
+        # d_opacity and d_q = -d_alpha alpha / 2 need only the moments of
+        # r = d_alpha alpha against the pixel monomials [u^2, uv, v^2, u, v, 1].
+        d_alpha *= alpha
+        r_uu, r_uv, r_vv, r_u, r_v, r_1 = (d_alpha @ M.T).T
+        a, b = _tile_offsets(view, local, bounds)
+        s_x = r_u - a * r_1  # sum of r dx, with dx = u - a
+        s_y = r_v - b * r_1
+        A, B, C = view.A[local], view.B[local], view.C[local]
+        d_mean = np.stack([A * s_x + B * s_y, B * s_x + C * s_y], axis=1)
+        d_conic = -0.5 * np.stack([r_uu - a * (2.0 * r_u - a * r_1),
+                                   r_uv - b * r_u - a * r_v + a * b * r_1,
+                                   r_vv - b * (2.0 * r_v - b * r_1)], axis=1)
+        return order[local], d_payload, r_1 / view.opacity[local], d_mean, d_conic
 
-    results = _map_tiles(run_tile, list(_tile_ranges(W, H)), threads)
-    for res in results:
+    # order[local] holds each splat once per tile, so indexed += accumulates
+    for res in _map_tiles(run_tile, list(_tile_ranges(W, H)), threads):
         if res is None:
             continue
-        sub, d_payload, d_opacity, d_mean, d_cov = res
-        np.add.at(d_payload_o, sub, d_payload)
-        np.add.at(d_opacity_o, sub, d_opacity)
-        np.add.at(d_mean2d_o, sub, d_mean)
-        np.add.at(d_cov2d_o, sub, d_cov)
+        sub, d_payload, d_opacity, d_mean, d_conic = res
+        d_payload_o[sub] += d_payload
+        d_opacity_o[sub] += d_opacity
+        d_mean2d_o[sub] += d_mean
+        d_conic_o[sub] += d_conic
+
+    # the conic is inv(cov2d): d_cov = -inv d_conic inv
+    d_conic_m = d_conic_o[:, [0, 1, 1, 2]].reshape(n, 2, 2)
+    inv = np.linalg.inv(batch.cov2d)
+    d_cov2d_o = -np.einsum("nij,njk,nkl->nil", inv, d_conic_m, inv)
 
     _chain_to_parameters(batch, cam, gset, grads,
                          d_payload_o, d_opacity_o, d_mean2d_o, d_cov2d_o)

@@ -32,12 +32,11 @@ from .primitives import (
     logit,
 )
 from .rasterizer import (
-    TERMINATE_TRANSMITTANCE,
-    _alphas,
+    _map_tiles,
     _OrderedView,
     _splats_in_tile,
     _tile_ranges,
-    _transmittance,
+    _weights,
     prepare_splats,
     rasterize_forward,
 )
@@ -190,20 +189,19 @@ def _composite_owner(batch):
     if len(batch) == 0:
         return owner
     view = _OrderedView(batch)
-    for y0, y1, x0, x1 in _tile_ranges(W, H):
-        local = _splats_in_tile(view, y0, y1, x0, x1)
+
+    def run_tile(bounds, ws):
+        y0, y1, x0, x1 = bounds
+        local = _splats_in_tile(view, *bounds)
         if local.size == 0:
-            continue
-        gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
-                             np.arange(y0, y1, dtype=np.float64))
-        alpha, _, _, _, _ = _alphas(view, local, gx.ravel(), gy.ravel())
-        Tm = _transmittance(alpha)
-        w = alpha * Tm * (Tm >= TERMINATE_TRANSMITTANCE)
+            return
+        w = _weights(view, local, bounds, ws)
         best = np.argmax(w, axis=0)
         has = w[best, np.arange(w.shape[1])] > 0.0
         rows = view.order[local][best]
-        tile_owner = np.where(has, rows, -1)
-        owner[y0:y1, x0:x1] = tile_owner.reshape(y1 - y0, x1 - x0)
+        owner[y0:y1, x0:x1] = np.where(has, rows, -1).reshape(y1 - y0, x1 - x0)
+
+    _map_tiles(run_tile, list(_tile_ranges(W, H)), 1)
     return owner
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,6 +76,12 @@ DEFAULT_LEARNING_RATES = {
 }
 
 
+def _require_known_keys(d, cls, what):
+    require(isinstance(d, dict), f"{what} must be a JSON object")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass
 class TrainConfig:
     iters_total: int = 30000
@@ -108,8 +114,10 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d):
+        _require_known_keys(d, TrainConfig, "config")
         d = dict(d)
         if "loss_weights" in d:
+            _require_known_keys(d["loss_weights"], LossWeights, "loss_weights")
             d["loss_weights"] = LossWeights(**d["loss_weights"])
         return TrainConfig(**d)
 
@@ -666,65 +674,65 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
     nonfinite_run = 0
     rigid_init_failed = None
 
-    for it in range(config.iters_total):
-        if it == s1 and init_set is None:
-            # rigid warm-up begins: spawn rigid Gaussians and bases from tracks
+    try:
+        for it in range(config.iters_total):
+            if it == s1 and init_set is None:
+                # rigid warm-up begins: spawn rigid Gaussians and bases from tracks
+                try:
+                    rig, bases = init_rigid_from_tracks(
+                        ds.tracks, ds.depths, ds.cameras, sup.dyn_masks,
+                        config.n_bases, config.seed, images=ds.images)
+                    gset = GaussianSet(gset.statics, rig, gset.transients, bases,
+                                       gset.gate_sharpness)
+                    state.m["rigid"] = zeros_like_tree(gset)["rigid"]
+                    state.v["rigid"] = zeros_like_tree(gset)["rigid"]
+                    state.m["bases"] = zeros_like_tree(gset)["bases"]
+                    state.v["bases"] = zeros_like_tree(gset)["bases"]
+                    emit({"event": "rigid_init", "iter": it, "rigids": len(rig)})
+                except InsufficientTracks as exc:
+                    rigid_init_failed = str(exc)
+                    emit({"event": "rigid_init_skipped", "iter": it, "reason": str(exc)})
+            if it == s1 + s2:
+                do_transition(it)
+
+            stage = 1 if it < s1 else (2 if it < s1 + s2 else 3)
+            if stage == 3 and config.transition_check_every > 0 \
+                    and it > s1 + s2 and (it - s1 - s2) % config.transition_check_every == 0:
+                do_transition(it)
+
+            t = int(train_frames[rng.integers(0, len(train_frames))])
+            t_corr = _sample_t_corr(rng, t, T, config.track_window) if stage >= 2 else t
+
             try:
-                rig, bases = init_rigid_from_tracks(
-                    ds.tracks, ds.depths, ds.cameras, sup.dyn_masks,
-                    config.n_bases, config.seed, images=ds.images)
-                gset = GaussianSet(gset.statics, rig, gset.transients, bases,
-                                   gset.gate_sharpness)
-                state.m["rigid"] = zeros_like_tree(gset)["rigid"]
-                state.v["rigid"] = zeros_like_tree(gset)["rigid"]
-                state.m["bases"] = zeros_like_tree(gset)["bases"]
-                state.v["bases"] = zeros_like_tree(gset)["bases"]
-                emit({"event": "rigid_init", "iter": it, "rigids": len(rig)})
-            except InsufficientTracks as exc:
-                rigid_init_failed = str(exc)
-                emit({"event": "rigid_init_skipped", "iter": it, "reason": str(exc)})
-        if it == s1 + s2:
-            do_transition(it)
+                grads, report = train_iteration(gset, ds, sup, config, rng, t, t_corr, stage)
+            except DegenerateRotation6D:
+                emit({"event": "degenerate_blend", "iter": it, "frame": t})
+                continue
 
-        stage = 1 if it < s1 else (2 if it < s1 + s2 else 3)
-        if stage == 3 and config.transition_check_every > 0 \
-                and it > s1 + s2 and (it - s1 - s2) % config.transition_check_every == 0:
-            do_transition(it)
+            if not np.isfinite(report.total):
+                nonfinite_run += 1
+                if nonfinite_run >= 100:
+                    raise TrainingAborted("loss non-finite for 100 consecutive iterations")
+            else:
+                nonfinite_run = 0
 
-        t = int(train_frames[rng.integers(0, len(train_frames))])
-        t_corr = _sample_t_corr(rng, t, T, config.track_window) if stage >= 2 else t
+            active = {1: ("static",), 2: ("static", "rigid", "bases"),
+                      3: ("static", "rigid", "transient", "bases")}[stage]
+            adam_step(gset, grads, state, config.learning_rates, active=active)
 
-        try:
-            grads, report = train_iteration(gset, ds, sup, config, rng, t, t_corr, stage)
-        except DegenerateRotation6D:
-            emit({"event": "degenerate_blend", "iter": it, "frame": t})
-            continue
+            record = {"iter": it, "stage": stage, "frame": t,
+                      "total": report.total,
+                      "counts": [len(gset.statics), len(gset.rigids), len(gset.transients)]}
+            record.update({k: float(v) for k, v in report.terms.items()})
+            emit(record)
 
-        if not np.isfinite(report.total):
-            nonfinite_run += 1
-            if nonfinite_run >= 100:
-                if log_file is not None:
-                    log_file.close()
-                raise TrainingAborted("loss non-finite for 100 consecutive iterations")
-        else:
-            nonfinite_run = 0
+            if config.checkpoint_every > 0 and (it + 1) % config.checkpoint_every == 0:
+                checkpoint(f"ckpt_{it + 1:06d}.rigs")
 
-        active = {1: ("static",), 2: ("static", "rigid", "bases"),
-                  3: ("static", "rigid", "transient", "bases")}[stage]
-        adam_step(gset, grads, state, config.learning_rates, active=active)
-
-        record = {"iter": it, "stage": stage, "frame": t,
-                  "total": report.total,
-                  "counts": [len(gset.statics), len(gset.rigids), len(gset.transients)]}
-        record.update({k: float(v) for k, v in report.terms.items()})
-        emit(record)
-
-        if config.checkpoint_every > 0 and (it + 1) % config.checkpoint_every == 0:
-            checkpoint(f"ckpt_{it + 1:06d}.rigs")
-
-    checkpoint("final.rigs")
-    if log_file is not None:
-        log_file.close()
+        checkpoint("final.rigs")
+    finally:
+        if log_file is not None:
+            log_file.close()
     return gset, log
 
 

@@ -89,6 +89,14 @@ class TestTrainCommand:
         lines = [json.loads(l) for l in (out / "log.jsonl").read_text().splitlines()]
         assert any("total" in r for r in lines)
 
+    def test_unknown_config_key_exit_2(self, scene_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iters_total": 6, "bogus_key": 1}))
+        code = main(["train", "--dataset", str(scene_dir / "data"),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "bogus_key" in capsys.readouterr().err
+
 
 class TestRenderEvalHist:
     def test_render_channels(self, scene_dir, tmp_path):

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dysplat import rasterizer
 from dysplat.errors import MismatchedForward
 from dysplat.primitives import (
     GaussianSet,
@@ -10,9 +14,12 @@ from dysplat.primitives import (
     TransientGaussians,
     logit,
     parameter_tree,
+    zeros_like_tree,
 )
 from dysplat.rasterizer import (
     N_CHANNELS,
+    OPACITY_CLAMP,
+    TERMINATE_TRANSMITTANCE,
     prepare_splats,
     rasterize_backward,
     rasterize_forward,
@@ -294,3 +301,174 @@ class TestBackward:
                     if abs(fd - an) > tol:
                         failures.append((kind, name, i, an, fd))
         assert not failures, failures[:10]
+
+
+def random_grad_outputs(rng, H, W):
+    G = rng.normal(size=(H, W, N_CHANNELS))
+    return {
+        "color": G[..., 0:3], "dyn_mask": G[..., 3], "depth": G[..., 4],
+        "normal": G[..., 5:8], "v_fwd": G[..., 8:11], "v_bwd": G[..., 11:14],
+        "corr": G[..., 14:17], "alpha": rng.normal(size=(H, W)),
+    }
+
+
+def cam64():
+    return make_cam(fx=80.0, fy=80.0, cx=32.0, cy=32.0, width=64, height=64)
+
+
+def uneven_tile_set():
+    """Mixed scene over a 64x64 image: 40 statics crowd the top-left tile, so
+    the 16 tiles hold very different splat counts."""
+    gs = make_random_set(41, 160)
+    z = gs.statics.means[:40, 2:3]
+    gs.statics.means[:40, :2] = -0.3 * z
+    return gs
+
+
+def dense_set(n=400, seed=3):
+    """Statics that nearly all cover every tile of a 32x32 image."""
+    rng = np.random.default_rng(seed)
+    means = np.concatenate([rng.uniform(-1.05, 1.05, size=(n, 2)),
+                            rng.uniform(2.5, 4.0, size=(n, 1))], axis=1)
+    return set_of(statics=statics_at(means, rng.uniform(0, 1, size=(n, 3)),
+                                     rng.uniform(0.2, 0.9, size=n), log_scale=-2.0))
+
+
+def opaque_stack_set():
+    """Mixed random scene plus eight large, anisotropic statics of opacity
+    logit 9 stacked near the image center of cam32, each centered on a pixel:
+    their alphas clamp there, and the pixels behind the stack terminate
+    (T < 1e-4)."""
+    gs = make_random_set(31, 40)
+    k = 8
+    z = np.linspace(1.2, 1.9, k)
+    pixel = np.array([[16, 16], [17, 16], [16, 15], [15, 17],
+                      [16, 16], [18, 17], [14, 16], [17, 18]], dtype=np.float64)
+    gs.statics.means[:k] = np.concatenate([(pixel - 16.0) * z[:, None] / 40.0,
+                                           z[:, None]], axis=1)
+    gs.statics.log_scales[:k] = np.log([0.12, 0.06, 0.02])
+    gs.statics.opacity_logits[:k] = 9.0
+    return gs
+
+
+def seed_screen_adjoints(batch, grad_outputs):
+    """Per-pixel, per-splat transcription of the tile backward as it stood
+    before the moment reduction: adjoints of each splat's payload, opacity,
+    2D mean and 2D covariance, plus how often the clamp and termination
+    branches fired."""
+    H, W = batch.height, batch.width
+    gch, galpha = rasterizer._assemble_grad_channels(grad_outputs, H, W)
+    view = rasterizer._OrderedView(batch)
+    n = len(batch)
+    d_payload = np.zeros((n, N_CHANNELS))
+    d_opacity = np.zeros(n)
+    d_mean = np.zeros((n, 2))
+    d_conic = np.zeros((n, 2, 2))
+    fired = {"clamped": 0, "terminated": 0}
+    for y0, y1, x0, x1 in rasterizer._tile_ranges(W, H):
+        local = rasterizer._splats_in_tile(view, y0, y1, x0, x1)
+        for py in range(y0, y1):
+            for px in range(x0, x1):
+                g_ch = gch[py, px]
+                T = 1.0
+                front_to_back = []
+                for i in local:
+                    A, B, C = view.A[i], view.B[i], view.C[i]
+                    dx = px - view.mean[i, 0]
+                    dy = py - view.mean[i, 1]
+                    g = math.exp(-0.5 * (dx * (A * dx + 2.0 * B * dy) + C * dy * dy))
+                    alpha = min(view.opacity[i] * g, OPACITY_CLAMP)
+                    live = T >= TERMINATE_TRANSMITTANCE
+                    w = alpha * T if live else 0.0
+                    d_w = float(view.payload[i] @ g_ch) + galpha[py, px]
+                    front_to_back.append((i, dx, dy, g, alpha, T, live, w, d_w))
+                    T *= 1.0 - alpha
+                behind = 0.0
+                for i, dx, dy, g, alpha, T, live, w, d_w in reversed(front_to_back):
+                    j = view.order[i]
+                    A, B, C = view.A[i], view.B[i], view.C[i]
+                    d_payload[j] += w * g_ch
+                    d_alpha = (d_w * T if live else 0.0) - behind / (1.0 - alpha)
+                    behind += d_w * w
+                    fired["terminated"] += not live
+                    if view.opacity[i] * g >= OPACITY_CLAMP:
+                        fired["clamped"] += 1
+                        d_alpha = 0.0
+                    d_opacity[j] += d_alpha * g
+                    d_q = -0.5 * g * d_alpha * view.opacity[i]
+                    d_mean[j, 0] -= d_q * (2.0 * A * dx + 2.0 * B * dy)
+                    d_mean[j, 1] -= d_q * (2.0 * B * dx + 2.0 * C * dy)
+                    d_conic[j] += d_q * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
+    inv = np.linalg.inv(batch.cov2d)
+    d_cov = -np.einsum("nij,njk,nkl->nil", inv, d_conic, inv)
+    return (d_payload, d_opacity, d_mean, d_cov), fired
+
+
+def tile_buffer_bytes(batch):
+    """One (splats, pixels) float64 tile array at the busiest tile."""
+    view = rasterizer._OrderedView(batch)
+    tiles = rasterizer._tile_ranges(batch.width, batch.height)
+    return max(len(rasterizer._splats_in_tile(view, *b)) for b in tiles) * 256 * 8
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTileKernel:
+    def test_threaded_backward_identical_across_repeats(self):
+        cam = cam64()
+        gs = uneven_tile_set()
+        batch = prepare_splats(gs, cam, 2, 3)
+        view = rasterizer._OrderedView(batch)
+        counts = [len(rasterizer._splats_in_tile(view, *b))
+                  for b in rasterizer._tile_ranges(64, 64)]
+        assert max(counts) >= 3 * min(counts) and min(counts) > 0
+        out = rasterize_forward(batch, cam)
+        grad_outputs = random_grad_outputs(np.random.default_rng(5), 64, 64)
+        runs = [rasterize_backward(batch, cam, out, grad_outputs, gs, 2, 3, threads=threads)
+                for threads in (1, 4, 1, 4)]
+        for run in runs[1:]:
+            for kind, grp in runs[0].items():
+                for name, arr in grp.items():
+                    assert run[kind][name].tobytes() == arr.tobytes(), (kind, name)
+
+    def test_backward_matches_per_element_oracle_with_clamp_and_termination(self):
+        cam = cam32()
+        gs = opaque_stack_set()
+        t, tc = 2, 4
+        batch = prepare_splats(gs, cam, t, tc)
+        out = rasterize_forward(batch, cam)
+        grad_outputs = random_grad_outputs(np.random.default_rng(9), 32, 32)
+        grads = rasterize_backward(batch, cam, out, grad_outputs, gs, t, tc)
+
+        adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
+        assert fired["clamped"] > 0 and fired["terminated"] > 0
+        expected = zeros_like_tree(gs)
+        rasterizer._chain_to_parameters(batch, cam, gs, expected, *adjoints)
+        for kind, grp in expected.items():
+            for name, want in grp.items():
+                scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-12)
+                err = float(np.max(np.abs(grads[kind][name] - want), initial=0.0))
+                assert err <= 1e-9 * scale, (kind, name, err, scale)
+
+    def test_tile_arrays_are_not_reallocated_per_op(self):
+        # Peaks in units of one (splats, pixels) tile array at the busiest
+        # tile. The forward holds two such arrays per worker and the backward
+        # four; the rest is image- and splat-sized. Here they read 2.45 and
+        # 4.95; one more full-size temporary in a tile adds about 0.9.
+        cam = cam32()
+        gs = dense_set()
+        batch = prepare_splats(gs, cam, 0)
+        unit = tile_buffer_bytes(batch)
+        out = rasterize_forward(batch, cam)
+        grad_outputs = random_grad_outputs(np.random.default_rng(2), 32, 32)
+        forward = traced_peak(lambda: rasterize_forward(batch, cam)) / unit
+        backward = traced_peak(
+            lambda: rasterize_backward(batch, cam, out, grad_outputs, gs, 0)) / unit
+        assert forward <= 3.0 and backward <= 5.5, (forward, backward)

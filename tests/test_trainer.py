@@ -14,6 +14,7 @@ from dysplat.primitives import (
     parameter_tree,
     zeros_like_tree,
 )
+from dysplat import trainer
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from dysplat.trainer import (
     OptimState,
@@ -302,6 +303,34 @@ class TestTrainLoop:
             TrainConfig(iters_total=10, iters_static_warmup=20, iters_rigid_warmup=0)
         with pytest.raises(ValidationError):
             TrainConfig(learning_rates={"bogus": 0.1})
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValidationError, match="bogus_key"):
+            TrainConfig.from_dict({"bogus_key": 1})
+        with pytest.raises(ValidationError, match="lambda_bogus"):
+            TrainConfig.from_dict({"loss_weights": {"lambda_bogus": 1.0}})
+        with pytest.raises(ValidationError):
+            TrainConfig.from_dict({"loss_weights": [1.0]})
+
+    def test_log_closed_when_an_iteration_raises(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        def failing_iteration(*args, **kwargs):
+            raise RuntimeError("iteration failed")
+
+        monkeypatch.setattr(trainer, "open", recording_open, raising=False)
+        monkeypatch.setattr(trainer, "train_iteration", failing_iteration)
+        ds = generate_synthetic(flat_static_spec())
+        with pytest.raises(RuntimeError, match="iteration failed"):
+            train(ds, fixed_point_config(iters_total=2, iters_static_warmup=2,
+                                         n_static_init=20), out_dir=tmp_path / "run")
+        assert [f.name for f in opened] == [str(tmp_path / "run" / "log.jsonl")]
+        assert all(f.closed for f in opened)
 
     def test_config_json_round_trip(self):
         cfg = TrainConfig(iters_total=500, iters_static_warmup=100,
