@@ -60,11 +60,18 @@ def _cmd_masks(args):
     return 0
 
 
+def _read_json(path, what):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ValidationError(f"{what} {path}: {exc}") from None
+
+
 def _cmd_train(args):
     ds = load_dataset(args.dataset)
     cfg = {}
     if args.config:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = _read_json(args.config, "config")
     if args.seed is not None:
         cfg["seed"] = args.seed
     config = TrainConfig.from_dict(cfg)
@@ -85,7 +92,7 @@ def _default_camera():
 def _cmd_render(args):
     gset = load_checkpoint(args.ckpt)
     if args.cam:
-        cam = CameraFrame.from_dict(json.loads(Path(args.cam).read_text()))
+        cam = CameraFrame.from_dict(_read_json(args.cam, "camera"))
     elif args.dataset:
         ds = load_dataset(args.dataset)
         if not (0 <= args.frame < ds.n_frames):
@@ -178,7 +185,9 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--init-ckpt", default=None)
+    p.add_argument("--init-ckpt", default=None,
+                   help="start from this checkpoint; resume is not exact: Adam moments "
+                        "start from zero and parameters are rounded to float32")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("render", help="render one frame from a checkpoint")

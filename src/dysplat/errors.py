@@ -33,10 +33,6 @@ class MismatchedForward(DysplatError):
     """Backward pass received buffers that do not match the forward pass."""
 
 
-class NonFiniteGradient(DysplatError):
-    """A gradient buffer contains NaN or infinity."""
-
-
 class EmptyStaticRegion(ValidationError):
     """No static pixels available to initialize background Gaussians."""
 

@@ -55,7 +55,8 @@ class SceneReconstructor(ParamMixin):
     def __init__(self, iters_total=30000, iters_static_warmup=3000,
                  iters_rigid_warmup=12000, transition_threshold=2.0,
                  transition_check_every=500, n_bases=10, gate_sharpness=3.0,
-                 holdout_every=0, track_window=8, n_static_init=4000,
+                 holdout_every=0, checkpoint_every=1000, track_window=8,
+                 track_samples=64, n_static_init=4000, init_frames=4,
                  learning_rates=None, loss_weights=None, threads=1, seed=0):
         self.iters_total = iters_total
         self.iters_static_warmup = iters_static_warmup
@@ -65,30 +66,22 @@ class SceneReconstructor(ParamMixin):
         self.n_bases = n_bases
         self.gate_sharpness = gate_sharpness
         self.holdout_every = holdout_every
+        self.checkpoint_every = checkpoint_every
         self.track_window = track_window
+        self.track_samples = track_samples
         self.n_static_init = n_static_init
+        self.init_frames = init_frames
         self.learning_rates = learning_rates
         self.loss_weights = loss_weights
         self.threads = threads
         self.seed = seed
 
     def _config(self):
-        return TrainConfig(
-            iters_total=self.iters_total,
-            iters_static_warmup=self.iters_static_warmup,
-            iters_rigid_warmup=self.iters_rigid_warmup,
-            transition_threshold=self.transition_threshold,
-            transition_check_every=self.transition_check_every,
-            n_bases=self.n_bases,
-            gate_sharpness=self.gate_sharpness,
-            holdout_every=self.holdout_every,
-            track_window=self.track_window,
-            n_static_init=self.n_static_init,
-            learning_rates=self.learning_rates or {},
-            loss_weights=self.loss_weights or LossWeights(),
-            threads=self.threads,
-            seed=self.seed,
-        )
+        # the parameters are TrainConfig's fields, so they map over one to one
+        params = self.get_params()
+        params["learning_rates"] = params["learning_rates"] or {}
+        params["loss_weights"] = params["loss_weights"] or LossWeights()
+        return TrainConfig(**params)
 
     def fit(self, dataset: SceneDataset, init_set=None, out_dir=None):
         self.gaussians_, self.log_ = train(dataset, self._config(),

@@ -88,11 +88,14 @@ class CameraFrame:
 
     @staticmethod
     def from_dict(d):
-        intr = CameraIntrinsics(
-            fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
-            width=int(d["width"]), height=int(d["height"]),
-        )
-        w2c = as_array(d["w2c"], (16,), "w2c").reshape(4, 4)
+        try:
+            intr = CameraIntrinsics(
+                fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
+                width=int(d["width"]), height=int(d["height"]),
+            )
+            w2c = as_array(d["w2c"], (16,), "w2c").reshape(4, 4)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"camera: missing or malformed entry {exc}") from None
         if not np.allclose(w2c[3], [0.0, 0.0, 0.0, 1.0]):
             raise ValidationError("w2c last row must be 0 0 0 1")
         extr = CameraExtrinsics(rotation=w2c[:3, :3], translation=w2c[:3, 3])

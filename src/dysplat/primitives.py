@@ -15,13 +15,14 @@ builds a new set and must not run concurrently with renders.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import BadMagic, ShapeMismatch
-from .geometry import matrix_to_quat, matrix_to_rot6d, quat_to_matrix, quat_vjp, rot6d_to_matrix, rot6d_vjp
+from .geometry import matrix_to_quat, matrix_to_rot6d, quat_to_matrix, rot6d_to_matrix, rot6d_vjp
 from .validation import as_array, require
 
 CHECKPOINT_MAGIC = b"RIGS0001"
@@ -67,14 +68,6 @@ class GaussianGroup:
 
     def __len__(self):
         return self.means.shape[0]
-
-    @property
-    def opacities(self):
-        return sigmoid(self.opacity_logits)
-
-    @property
-    def scales(self):
-        return np.exp(self.log_scales)
 
     def copy(self):
         return replace(self, **{f.name: getattr(self, f.name).copy() for f in fields(self)})
@@ -169,11 +162,6 @@ class MotionBases:
             return rot6d_to_matrix(self.rot6d.reshape(-1, 6)).reshape(self.n_bases, self.n_frames, 3, 3)
         return rot6d_to_matrix(self.rot6d[:, t])
 
-    def transform(self, j, t):
-        from .geometry import SE3Transform
-
-        return SE3Transform(rot6d_to_matrix(self.rot6d[j, t]), self.trans[j, t].copy())
-
     def copy(self):
         return MotionBases(self.rot6d.copy(), self.trans.copy())
 
@@ -213,31 +201,31 @@ class GaussianSet:
 # covariance and gating
 
 
+def covariance(R, log_scales):
+    """(N, 3, 3) covariances R diag(exp(2 log_scales)) R^T from rotations R."""
+    s2 = np.exp(2.0 * log_scales)
+    return np.einsum("nij,nj,nkj->nik", R, s2, R)
+
+
 def covariance_from(log_scale, quat):
     """3x3 covariance R diag(exp(2 log_scale)) R^T for one Gaussian."""
     return covariance_batch(np.asarray(log_scale)[None], np.asarray(quat)[None])[0]
 
 
 def covariance_batch(log_scales, quats):
-    R = quat_to_matrix(quats)
-    s2 = np.exp(2.0 * log_scales)
-    return np.einsum("nij,nj,nkj->nik", R, s2, R)
+    return covariance(quat_to_matrix(quats), log_scales)
 
 
-def covariance_backward(grad_cov, log_scales, quats):
-    """Adjoint of covariance_batch -> (grad_log_scales, grad_quats, grad_R_extra_hook).
+def covariance_backward(grad_cov, R, log_scales):
+    """Adjoint of covariance -> (grad_R, grad_log_scales).
 
     grad_cov may be asymmetric; symmetrization happens through the M M^T
-    structure. Returns gradients plus the rotation matrices for reuse.
+    structure, M = R diag(exp(log_scales)).
     """
-    R = quat_to_matrix(quats)
     s = np.exp(log_scales)
     M = R * s[:, None, :]
     gM = np.einsum("nij,njk->nik", grad_cov + np.swapaxes(grad_cov, -1, -2), M)
-    gR = gM * s[:, None, :]
-    g_log_s = np.einsum("nik,nik->nk", gM, R) * s
-    g_quat = quat_vjp(quats, gR)
-    return g_log_s, g_quat, R
+    return gM * s[:, None, :], np.einsum("nik,nik->nk", gM, R) * s
 
 
 def gated_opacity(opacity, sharpness, duration, center, t):
@@ -302,9 +290,8 @@ def blend_backward(ctx: BlendContext, weights, bases: MotionBases,
 def rigid_pose_at(rigids: RigidGaussians, bases: MotionBases, t):
     """World (means (N,3), rotations (N,3,3)) of all rigid Gaussians at frame t."""
     ctx = blend_bases(rigids.weights, bases, t)
-    means = np.einsum("nij,nj->ni", ctx.A_rot, rigids.means) + ctx.A_tr
     rotations = np.einsum("nij,njk->nik", ctx.A_rot, quat_to_matrix(rigids.quats))
-    return means, rotations
+    return rigid_means_at(rigids, ctx), rotations
 
 
 def rigid_means_at(rigids: RigidGaussians, ctx: BlendContext):
@@ -471,24 +458,34 @@ def save_checkpoint(gset: GaussianSet, path):
 
 
 def load_checkpoint(path):
+    """Read a RIGS0001 file; a malformed file raises BadMagic or ShapeMismatch."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise BadMagic(f"{path}: expected {CHECKPOINT_MAGIC!r}, got {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        raw_len = fh.read(8)
+        if len(raw_len) != 8:
+            raise ShapeMismatch(f"{path}: file ends inside the header length")
+        (hlen,) = struct.unpack("<Q", raw_len)
+        if hlen > os.fstat(fh.fileno()).st_size - 16:
+            raise ShapeMismatch(f"{path}: header length {hlen} runs past the end of the file")
+        raw_header = fh.read(hlen)
         payload = fh.read()
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+        specs = [(str(e["population"]), str(e["name"]), tuple(int(v) for v in e["shape"]),
+                  int(e["offset"])) for e in header["fields"]]
+        K, T, gate_sharpness = int(header["K"]), int(header["T"]), float(header["alpha_gate"])
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise BadMagic(f"{path}: malformed checkpoint header ({exc!r})") from None
 
     arrays = {}
-    for spec_entry in header["fields"]:
-        shape = tuple(spec_entry["shape"])
+    for kind, name, shape, start in specs:
         n = int(np.prod(shape)) if shape else 1
-        start = spec_entry["offset"]
         raw = payload[start:start + 4 * n]
-        if len(raw) != 4 * n:
-            raise ShapeMismatch(f"{path}: truncated field {spec_entry['name']}")
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        arrays[(spec_entry["population"], spec_entry["name"])] = arr
+        if start < 0 or min(shape, default=0) < 0 or len(raw) != 4 * n:
+            raise ShapeMismatch(f"{path}: truncated field {name}")
+        arrays[(kind, name)] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
     def grab(kind, name):
         try:
@@ -506,6 +503,6 @@ def load_checkpoint(path):
                                     durations=grab("transient", "durations"),
                                     centers=grab("transient", "centers"))
     bases = MotionBases(grab("bases", "rot6d"), grab("bases", "trans"))
-    if bases.n_bases != header["K"] or bases.n_frames != header["T"]:
+    if bases.n_bases != K or bases.n_frames != T:
         raise ShapeMismatch(f"{path}: basis shape disagrees with header")
-    return GaussianSet(statics, rigids, transients, bases, float(header["alpha_gate"]))
+    return GaussianSet(statics, rigids, transients, bases, gate_sharpness)

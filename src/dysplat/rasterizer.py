@@ -28,14 +28,17 @@ from .geometry import (
     quat_vjp,
 )
 from .primitives import (
-    BlendContext,
     GaussianSet,
     _velocity_frame_pairs,
     blend_backward,
     blend_bases,
+    covariance,
+    covariance_backward,
     gate_backward,
     gate_value,
+    rigid_means_at,
     sigmoid,
+    transient_position_at,
     zeros_like_tree,
 )
 
@@ -122,6 +125,7 @@ class PrepareContext:
     J: np.ndarray
     cov3: np.ndarray
     R_world: np.ndarray
+    log_scales: np.ndarray
     axis: np.ndarray
     normal_sign: np.ndarray
     gate: np.ndarray
@@ -161,92 +165,60 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     Culls splats behind the camera, below the 1/255 opacity threshold, or with
     their 99%-mass ellipse fully outside the image. The correspondence payload
     carries each Gaussian's world position at ``t_corr`` (defaults to t).
+    Each (kind, index) pair appears at most once in the batch.
     """
     if t_corr is None:
         t_corr = t
-    T = gset.n_frames
-    ns, nr, nt = len(gset.statics), len(gset.rigids), len(gset.transients)
+    pops = (gset.statics, gset.rigids, gset.transients)
+    counts = tuple(len(p) for p in pops)
+    ns, nr, nt = counts
     n_all = ns + nr + nt
+    rigid_sl, transient_sl = slice(ns, ns + nr), slice(ns + nr, n_all)
 
+    kind = np.repeat(np.array([KIND_STATIC, KIND_RIGID, KIND_TRANSIENT], dtype=np.int8), counts)
+    index = np.concatenate([np.arange(n, dtype=np.int64) for n in counts])
+    log_scales = np.concatenate([p.log_scales for p in pops])
+    base_op = sigmoid(np.concatenate([p.opacity_logits for p in pops]))
+    gate = np.ones(n_all)
+    gate[ns:] = gate_value(gset.gate_sharpness,
+                           np.concatenate([gset.rigids.durations, gset.transients.durations]),
+                           np.concatenate([gset.rigids.centers, gset.transients.centers]),
+                           float(t))
+    o_eff = base_op * gate
+    channels = np.zeros((n_all, N_CHANNELS))
+    channels[:, C_COLOR] = np.concatenate([p.colors for p in pops])
+    channels[ns:, C_DYN] = 1.0
     mean_w = np.zeros((n_all, 3))
     R_w = np.zeros((n_all, 3, 3))
-    o_eff = np.zeros(n_all)
-    gate = np.ones(n_all)
-    base_op = np.zeros(n_all)
-    channels = np.zeros((n_all, N_CHANNELS))
-    kind = np.zeros(n_all, dtype=np.int8)
-    index = np.zeros(n_all, dtype=np.int64)
-    log_scales = np.zeros((n_all, 3))
+
+    mean_w[:ns] = channels[:ns, C_CORR] = gset.statics.means
+    R_w[:ns] = quat_to_matrix(gset.statics.quats)
 
     rigid_ctxs = {}
     rigid_frames = None
     rigid_Rq = None
-
-    row = 0
-    if ns:
-        s = gset.statics
-        sl = slice(row, row + ns)
-        mean_w[sl] = s.means
-        R_w[sl] = quat_to_matrix(s.quats)
-        base_op[sl] = sigmoid(s.opacity_logits)
-        o_eff[sl] = base_op[sl]
-        channels[sl, C_COLOR] = s.colors
-        channels[sl, C_DYN] = 0.0
-        channels[sl, C_VFWD] = 0.0
-        channels[sl, C_VBWD] = 0.0
-        channels[sl, C_CORR] = s.means
-        kind[sl] = KIND_STATIC
-        index[sl] = np.arange(ns)
-        log_scales[sl] = s.log_scales
-        row += ns
-
     if nr:
         r = gset.rigids
-        sl = slice(row, row + nr)
-        fwd, bwd = _velocity_frame_pairs(t, T)
+        fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
         frames = {t, t_corr}
         if fwd is not None:
             frames |= set(fwd) | set(bwd)
         rigid_ctxs = {f: blend_bases(r.weights, gset.bases, f) for f in sorted(frames)}
         rigid_frames = _RigidFrames(render=t, fwd=fwd, bwd=bwd, corr=t_corr)
-        means_at = {f: np.einsum("nij,nj->ni", c.A_rot, r.means) + c.A_tr
-                    for f, c in rigid_ctxs.items()}
+        means_at = {f: rigid_means_at(r, c) for f, c in rigid_ctxs.items()}
         rigid_Rq = quat_to_matrix(r.quats)
-        mean_w[sl] = means_at[t]
-        R_w[sl] = np.einsum("nij,njk->nik", rigid_ctxs[t].A_rot, rigid_Rq)
-        base_op[sl] = sigmoid(r.opacity_logits)
-        gate[sl] = gate_value(gset.gate_sharpness, r.durations, r.centers, float(t))
-        o_eff[sl] = base_op[sl] * gate[sl]
-        channels[sl, C_COLOR] = r.colors
-        channels[sl, C_DYN] = 1.0
+        mean_w[rigid_sl] = means_at[t]
+        R_w[rigid_sl] = np.einsum("nij,njk->nik", rigid_ctxs[t].A_rot, rigid_Rq)
         if fwd is not None:
-            channels[sl, C_VFWD] = means_at[fwd[0]] - means_at[fwd[1]]
-            channels[sl, C_VBWD] = means_at[bwd[0]] - means_at[bwd[1]]
-        channels[sl, C_CORR] = means_at[t_corr]
-        kind[sl] = KIND_RIGID
-        index[sl] = np.arange(nr)
-        log_scales[sl] = r.log_scales
-        row += nr
+            channels[rigid_sl, C_VFWD] = means_at[fwd[0]] - means_at[fwd[1]]
+            channels[rigid_sl, C_VBWD] = means_at[bwd[0]] - means_at[bwd[1]]
+        channels[rigid_sl, C_CORR] = means_at[t_corr]
 
-    if nt:
-        tr = gset.transients
-        sl = slice(row, row + nt)
-        dt = float(t) - tr.centers
-        mean_w[sl] = tr.means + tr.velocities * dt[:, None]
-        R_w[sl] = quat_to_matrix(tr.quats)
-        base_op[sl] = sigmoid(tr.opacity_logits)
-        gate[sl] = gate_value(gset.gate_sharpness, tr.durations, tr.centers, float(t))
-        o_eff[sl] = base_op[sl] * gate[sl]
-        channels[sl, C_COLOR] = tr.colors
-        channels[sl, C_DYN] = 1.0
-        channels[sl, C_VFWD] = tr.velocities
-        channels[sl, C_VBWD] = tr.velocities
-        dtc = float(t_corr) - tr.centers
-        channels[sl, C_CORR] = tr.means + tr.velocities * dtc[:, None]
-        kind[sl] = KIND_TRANSIENT
-        index[sl] = np.arange(nt)
-        log_scales[sl] = tr.log_scales
-        row += nt
+    tr = gset.transients
+    mean_w[transient_sl] = transient_position_at(tr, float(t))
+    R_w[transient_sl] = quat_to_matrix(tr.quats)
+    channels[transient_sl, C_VFWD] = channels[transient_sl, C_VBWD] = tr.velocities
+    channels[transient_sl, C_CORR] = transient_position_at(tr, float(t_corr))
 
     intr = cam.intrinsics
     R_w2c = cam.extrinsics.rotation
@@ -260,8 +232,7 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     pix = np.stack([intr.fx * mean_cam[:, 0] / zs + intr.cx,
                     intr.fy * mean_cam[:, 1] / zs + intr.cy], axis=-1)
 
-    s2 = np.exp(2.0 * log_scales)
-    cov3 = np.einsum("nij,nj,nkj->nik", R_w, s2, R_w)
+    cov3 = covariance(R_w, log_scales)
     safe_mean_cam = np.where(in_front[:, None], mean_cam, [0.0, 0.0, 1.0])
     cov2, J = ewa_project_covariance_batch(cov3, R_w2c, safe_mean_cam, intr.fx, intr.fy)
 
@@ -286,10 +257,11 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
                      * np.maximum(_max_eigenvalue_2x2(cov_sel), 1e-12))
 
     ctx = PrepareContext(
-        t=t, t_corr=t_corr, counts=(ns, nr, nt),
+        t=t, t_corr=t_corr, counts=counts,
         rigid_ctxs=rigid_ctxs, rigid_frames=rigid_frames, rigid_Rq=rigid_Rq,
         mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
-        axis=axis[sel], normal_sign=nsign[sel], gate=gate[sel], base_opacity=base_op[sel],
+        log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
+        gate=gate[sel], base_opacity=base_op[sel],
     )
     return SplatBatch(
         mean2d=pix[sel], cov2d=cov_sel, depth=z[sel], opacity_eff=o_sel,
@@ -314,6 +286,7 @@ class _OrderedView:
     """Depth-ordered per-splat arrays shared by every tile of one pass."""
 
     def __init__(self, batch):
+        self.width, self.height = batch.width, batch.height
         self.order = np.argsort(batch.depth, kind="stable")
         o = self.order
         self.mean = batch.mean2d[o]
@@ -416,55 +389,73 @@ def _splats_in_tile(view: _OrderedView, y0, y1, x0, x1):
     return np.nonzero(hit)[0]
 
 
+def _map_tiles(view: _OrderedView, fn, threads):
+    """The tile loop: apply fn(bounds, local, ws) to every tile that a splat
+    covers, where local lists the ordered splats covering the tile and ws is
+    the calling worker's _Workspace (the serial path has one, each pool thread
+    its own). Returns one result per tile in the fixed tile order, None for
+    empty tiles, regardless of thread count, so accumulation is
+    bit-reproducible.
+    """
+    def run(bounds, ws):
+        local = _splats_in_tile(view, *bounds)
+        return fn(bounds, local, ws) if local.size else None
+
+    tiles = list(_tile_ranges(view.width, view.height))
+    if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        per_thread = threading.local()
+
+        def run_threaded(bounds):
+            if not hasattr(per_thread, "ws"):
+                per_thread.ws = _Workspace()
+            return run(bounds, per_thread.ws)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run_threaded, tiles))
+    ws = _Workspace()
+    return [run(bounds, ws) for bounds in tiles]
+
+
+def _composite(batch: SplatBatch, threads=1, owner=False):
+    """Tiled compositing of every payload channel -> (RenderOutputs, owner).
+
+    With ``owner`` set, the same pass also yields the per-pixel batch row of
+    the largest compositing weight (-1 where nothing composites); otherwise
+    owner is None.
+    """
+    H, W = batch.height, batch.width
+    channels = np.zeros((H, W, N_CHANNELS))
+    alpha_out = np.zeros((H, W))
+    owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
+    if len(batch) == 0:
+        return RenderOutputs.from_channels(channels, alpha_out), owner_rows
+
+    view = _OrderedView(batch)
+
+    def run_tile(bounds, local, ws):
+        y0, y1, x0, x1 = bounds
+        w = _weights(view, local, bounds, ws)
+        shape = (y1 - y0, x1 - x0)
+        channels[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS,))
+        alpha_out[y0:y1, x0:x1] = np.sum(w, axis=0).reshape(shape)
+        if owner:
+            best = np.argmax(w, axis=0)
+            has = w[best, np.arange(w.shape[1])] > 0.0
+            owner_rows[y0:y1, x0:x1] = np.where(has, view.order[local][best], -1).reshape(shape)
+
+    _map_tiles(view, run_tile, threads)
+    return RenderOutputs.from_channels(channels, alpha_out), owner_rows
+
+
 def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderOutputs:
     """Tile-based alpha compositing of every payload channel.
 
     Splats composite in global depth order (ties broken by batch index);
     per-pixel compositing stops once transmittance drops below 1e-4.
     """
-    H, W = batch.height, batch.width
-    channels = np.zeros((H, W, N_CHANNELS))
-    alpha_out = np.zeros((H, W))
-    if len(batch) == 0:
-        return RenderOutputs.from_channels(channels, alpha_out)
-
-    view = _OrderedView(batch)
-
-    def run_tile(bounds, ws):
-        y0, y1, x0, x1 = bounds
-        local = _splats_in_tile(view, *bounds)
-        if local.size == 0:
-            return
-        w = _weights(view, local, bounds, ws)
-        shape = (y1 - y0, x1 - x0)
-        channels[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS,))
-        alpha_out[y0:y1, x0:x1] = np.sum(w, axis=0).reshape(shape)
-
-    _map_tiles(run_tile, list(_tile_ranges(W, H)), threads)
-    return RenderOutputs.from_channels(channels, alpha_out)
-
-
-def _map_tiles(fn, tiles, threads):
-    """Apply fn(tile, workspace) to every tile, optionally on a thread pool.
-
-    Every worker owns one _Workspace: the serial path one, each pool thread
-    its own. Results are consumed in the fixed tile order regardless of
-    thread count, so accumulation is bit-reproducible.
-    """
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        local = threading.local()
-
-        def run(tile):
-            if not hasattr(local, "ws"):
-                local.ws = _Workspace()
-            return fn(tile, local.ws)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, tiles))
-    ws = _Workspace()
-    return [fn(t, ws) for t in tiles]
+    return _composite(batch, threads)[0]
 
 
 def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
@@ -571,11 +562,8 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
     d_mean2d_o = np.zeros((n, 2))
     d_conic_o = np.zeros((n, 3))  # per conic entry A, B (each off-diagonal), C
 
-    def run_tile(bounds, ws):
+    def run_tile(bounds, local, ws):
         y0, y1, x0, x1 = bounds
-        local = _splats_in_tile(view, *bounds)
-        if local.size == 0:
-            return None
         M = _monomials(bounds)
         n_loc, P = local.size, M.shape[1]
         alpha = _alphas(view, local, bounds, M, ws.take(0, n_loc, P))
@@ -613,7 +601,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
         return order[local], d_payload, r_1 / view.opacity[local], d_mean, d_conic
 
     # order[local] holds each splat once per tile, so indexed += accumulates
-    for res in _map_tiles(run_tile, list(_tile_ranges(W, H)), threads):
+    for res in _map_tiles(view, run_tile, threads):
         if res is None:
             continue
         sub, d_payload, d_opacity, d_mean, d_conic = res
@@ -645,131 +633,94 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
                                                       intr.fx, intr.fy)
     d_mean_w = d_mean_cam @ R_w2c
 
-    # covariance -> world rotation and log scales
-    kinds = batch.kind
-    idx = batch.index
-    log_scales_all = np.zeros((len(batch), 3))
-    for code, pop in ((KIND_STATIC, gset.statics), (KIND_RIGID, gset.rigids),
-                      (KIND_TRANSIENT, gset.transients)):
-        m = kinds == code
-        if np.any(m):
-            log_scales_all[m] = pop.log_scales[idx[m]]
-    s = np.exp(log_scales_all)
-    M = ctx.R_world * s[:, None, :]
-    gsym = d_cov3 + np.swapaxes(d_cov3, -1, -2)
-    gM = np.einsum("nij,njk->nik", gsym, M)
-    d_R_w = gM * s[:, None, :]
-    d_log_s = np.einsum("nik,nik->nk", gM, ctx.R_world) * s
-
-    # normal payload -> world rotation column
+    # covariance -> world rotation and log scales; normal payload -> rotation column
+    d_R_w, d_log_s = covariance_backward(d_cov3, ctx.R_world, ctx.log_scales)
     d_normal = d_payload[:, C_NORMAL] * ctx.normal_sign[:, None]
-    cols = np.arange(len(batch))
-    d_R_w[cols, :, ctx.axis] += d_normal
+    d_R_w[np.arange(len(batch)), :, ctx.axis] += d_normal
 
     # gated opacity -> logits / durations / centers
     d_gate_eff = d_opacity * ctx.base_opacity
-    d_base = d_opacity * ctx.gate
-    d_logit = d_base * ctx.base_opacity * (1.0 - ctx.base_opacity)
+    d_logit = d_opacity * ctx.gate * ctx.base_opacity * (1.0 - ctx.base_opacity)
 
-    d_color = d_payload[:, C_COLOR]
-    d_vf = d_payload[:, C_VFWD]
-    d_vb = d_payload[:, C_VBWD]
     d_corr = d_payload[:, C_CORR]
-
-    # ----- statics
-    m = kinds == KIND_STATIC
-    if np.any(m):
-        rows = idx[m]
-        g = grads["static"]
-        np.add.at(g["means"], rows, d_mean_w[m] + d_corr[m])
-        np.add.at(g["colors"], rows, d_color[m])
-        np.add.at(g["opacity_logits"], rows, d_logit[m])
-        np.add.at(g["log_scales"], rows, d_log_s[m])
-        np.add.at(g["quats"], rows, quat_vjp(gset.statics.quats[rows], d_R_w[m]))
-
-    # ----- transients
-    m = kinds == KIND_TRANSIENT
-    if np.any(m):
-        rows = idx[m]
-        tr = gset.transients
-        g = grads["transient"]
-        t_now = float(ctx.t)
-        t_c = float(ctx.t_corr)
-        dt = t_now - tr.centers[rows]
-        dtc = t_c - tr.centers[rows]
-        d_mu = d_mean_w[m] + d_corr[m]
-        d_v = (d_mean_w[m] * dt[:, None] + d_corr[m] * dtc[:, None]
-               + d_vf[m] + d_vb[m])
-        d_cen = -(np.sum(d_mean_w[m] * tr.velocities[rows], axis=1)
-                  + np.sum(d_corr[m] * tr.velocities[rows], axis=1))
-        np.add.at(g["means"], rows, d_mu)
-        np.add.at(g["velocities"], rows, d_v)
-        np.add.at(g["centers"], rows, d_cen)
-        np.add.at(g["colors"], rows, d_color[m])
-        np.add.at(g["opacity_logits"], rows, d_logit[m])
-        np.add.at(g["log_scales"], rows, d_log_s[m])
-        np.add.at(g["quats"], rows, quat_vjp(tr.quats[rows], d_R_w[m]))
-        gd, gc = gate_backward(d_gate_eff[m], gset.gate_sharpness,
-                               tr.durations[rows], tr.centers[rows], t_now)
-        np.add.at(g["durations"], rows, gd)
-        np.add.at(g["centers"], rows, gc)
-
-    # ----- rigids
-    m = kinds == KIND_RIGID
-    if np.any(m):
-        rows = idx[m]
-        r = gset.rigids
-        nr = len(r)
-        g = grads["rigid"]
-        frames = ctx.rigid_frames
-
-        # scatter per-splat adjoints to full-population buffers
-        def scatter(src):
-            out = np.zeros((nr,) + src.shape[1:])
-            np.add.at(out, rows, src)
-            return out
-
-        d_mean_full = {frames.render: scatter(d_mean_w[m])}
-        d_corr_full = scatter(d_corr[m])
-        if frames.corr in d_mean_full:
-            d_mean_full[frames.corr] += d_corr_full
+    t_now = float(ctx.t)
+    # a batch holds each Gaussian at most once, so indexed += scatters exactly
+    for code, name, pop in ((KIND_STATIC, "static", gset.statics),
+                            (KIND_RIGID, "rigid", gset.rigids),
+                            (KIND_TRANSIENT, "transient", gset.transients)):
+        m = batch.kind == code
+        if not np.any(m):
+            continue
+        rows = batch.index[m]
+        g = grads[name]
+        g["colors"][rows] += d_payload[m, C_COLOR]
+        g["opacity_logits"][rows] += d_logit[m]
+        g["log_scales"][rows] += d_log_s[m]
+        if code != KIND_STATIC:
+            gd, gc = gate_backward(d_gate_eff[m], gset.gate_sharpness,
+                                   pop.durations[rows], pop.centers[rows], t_now)
+            g["durations"][rows] += gd
+            g["centers"][rows] += gc
+        if code == KIND_RIGID:
+            d_R = _chain_rigid(ctx, gset, grads, rows, d_mean_w[m], d_corr[m],
+                               d_payload[m, C_VFWD], d_payload[m, C_VBWD], d_R_w[m])
         else:
-            d_mean_full[frames.corr] = d_corr_full
-        if frames.fwd is not None:
-            for (hi, lo), dv in ((frames.fwd, scatter(d_vf[m])), (frames.bwd, scatter(d_vb[m]))):
-                d_mean_full[hi] = d_mean_full.get(hi, 0.0) + dv
-                d_mean_full[lo] = d_mean_full.get(lo, 0.0) - dv
+            d_R = d_R_w[m]
+            g["means"][rows] += d_mean_w[m] + d_corr[m]
+        if code == KIND_TRANSIENT:
+            # mean(t) = mu + v (t - center), likewise at t_corr
+            dt = t_now - pop.centers[rows]
+            dtc = float(ctx.t_corr) - pop.centers[rows]
+            v = pop.velocities[rows]
+            g["velocities"][rows] += (d_mean_w[m] * dt[:, None] + d_corr[m] * dtc[:, None]
+                                      + d_payload[m, C_VFWD] + d_payload[m, C_VBWD])
+            g["centers"][rows] -= np.sum(d_mean_w[m] * v, axis=1) + np.sum(d_corr[m] * v, axis=1)
+        g["quats"][rows] += quat_vjp(pop.quats[rows], d_R)
 
-        d_Rw_full = scatter(d_R_w[m])
-        Rq = ctx.rigid_Rq
-        ctx_t = ctx.rigid_ctxs[frames.render]
-        # R_world = A_rot(t) Rq
-        d_A_rot = {frames.render: np.einsum("nij,nkj->nik", d_Rw_full, Rq)}
-        d_Rq = np.einsum("nji,njk->nik", ctx_t.A_rot, d_Rw_full)
-        np.add.at(g["quats"], rows, quat_vjp(r.quats[rows], d_Rq[rows]))
 
-        # mean(f) = A_rot(f) mu + A_tr(f)
-        d_mu_total = np.zeros((nr, 3))
-        d_A_tr = {}
-        for f, dm in d_mean_full.items():
-            cf = ctx.rigid_ctxs[f]
-            d_A_rot[f] = d_A_rot.get(f, 0.0) + np.einsum("ni,nj->nij", dm, r.means)
-            d_mu_total += np.einsum("nji,nj->ni", cf.A_rot, dm)
-            d_A_tr[f] = d_A_tr.get(f, 0.0) + dm
-        g["means"] += d_mu_total
+def _chain_rigid(ctx, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
+    """Rigid adjoints of the world means and rotations, pulled back through
+    the basis blends into means, weights and bases. Returns the adjoint of
+    the canonical rotations of ``rows``."""
+    r = gset.rigids
+    nr = len(r)
+    g = grads["rigid"]
+    frames = ctx.rigid_frames
 
-        d_weights = np.zeros_like(r.weights)
-        for f in sorted(set(d_A_rot) | set(d_A_tr)):
-            cf = ctx.rigid_ctxs[f]
-            blend_backward(cf, r.weights, gset.bases,
-                           d_A_rot.get(f), d_A_tr.get(f),
-                           d_weights, grads["bases"]["rot6d"], grads["bases"]["trans"])
-        g["weights"] += d_weights
+    def scatter(src):
+        out = np.zeros((nr,) + src.shape[1:])
+        out[rows] += src
+        return out
 
-        np.add.at(g["colors"], rows, d_color[m])
-        np.add.at(g["opacity_logits"], rows, d_logit[m])
-        np.add.at(g["log_scales"], rows, d_log_s[m])
-        gd, gc = gate_backward(d_gate_eff[m], gset.gate_sharpness,
-                               r.durations[rows], r.centers[rows], float(ctx.t))
-        np.add.at(g["durations"], rows, gd)
-        np.add.at(g["centers"], rows, gc)
+    d_mean_full = {frames.render: scatter(d_mean_w)}
+    d_corr_full = scatter(d_corr)
+    if frames.corr in d_mean_full:
+        d_mean_full[frames.corr] += d_corr_full
+    else:
+        d_mean_full[frames.corr] = d_corr_full
+    if frames.fwd is not None:
+        for (hi, lo), dv in ((frames.fwd, scatter(d_vf)), (frames.bwd, scatter(d_vb))):
+            d_mean_full[hi] = d_mean_full.get(hi, 0.0) + dv
+            d_mean_full[lo] = d_mean_full.get(lo, 0.0) - dv
+
+    # R_world = A_rot(t) Rq
+    d_Rw_full = scatter(d_R_w)
+    d_A_rot = {frames.render: np.einsum("nij,nkj->nik", d_Rw_full, ctx.rigid_Rq)}
+    d_Rq = np.einsum("nji,njk->nik", ctx.rigid_ctxs[frames.render].A_rot, d_Rw_full)
+
+    # mean(f) = A_rot(f) mu + A_tr(f)
+    d_mu_total = np.zeros((nr, 3))
+    d_A_tr = {}
+    for f, dm in d_mean_full.items():
+        cf = ctx.rigid_ctxs[f]
+        d_A_rot[f] = d_A_rot.get(f, 0.0) + np.einsum("ni,nj->nij", dm, r.means)
+        d_mu_total += np.einsum("nji,nj->ni", cf.A_rot, dm)
+        d_A_tr[f] = d_A_tr.get(f, 0.0) + dm
+    g["means"] += d_mu_total
+
+    d_weights = np.zeros_like(r.weights)
+    for f in sorted(set(d_A_rot) | set(d_A_tr)):
+        blend_backward(ctx.rigid_ctxs[f], r.weights, gset.bases, d_A_rot.get(f), d_A_tr.get(f),
+                       d_weights, grads["bases"]["rot6d"], grads["bases"]["trans"])
+    g["weights"] += d_weights
+    return d_Rq[rows]

@@ -8,8 +8,6 @@ motion (up to interpolation error, which the validity mask excludes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import CameraFrame, unproject_grid, warp
@@ -17,13 +15,6 @@ from .validation import check_same_hw
 
 DEPTH_MIN = 1e-4
 DEPTH_MAX = 1e4
-
-
-@dataclass
-class SceneFlowFrame:
-    v_fwd: np.ndarray   # (H, W, 3) world displacement to t+1
-    v_bwd: np.ndarray   # (H, W, 3) world displacement from t-1
-    valid: np.ndarray   # (H, W) bool
 
 
 def depth_validity(depth):

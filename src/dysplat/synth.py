@@ -31,15 +31,7 @@ from .primitives import (
     TransientGaussians,
     logit,
 )
-from .rasterizer import (
-    _map_tiles,
-    _OrderedView,
-    _splats_in_tile,
-    _tile_ranges,
-    _weights,
-    prepare_splats,
-    rasterize_forward,
-)
+from .rasterizer import _composite, prepare_splats
 from .validation import require
 
 DEFAULT_OPACITY = 0.92
@@ -182,29 +174,6 @@ def _slab_displacements(slab: SlabSpec, n, T, rng):
     raise ValidationError(f"unknown motion kind {kind!r}")
 
 
-def _composite_owner(batch):
-    """Per-pixel argmax-contribution batch row (-1 where nothing composites)."""
-    H, W = batch.height, batch.width
-    owner = np.full((H, W), -1, dtype=np.int64)
-    if len(batch) == 0:
-        return owner
-    view = _OrderedView(batch)
-
-    def run_tile(bounds, ws):
-        y0, y1, x0, x1 = bounds
-        local = _splats_in_tile(view, *bounds)
-        if local.size == 0:
-            return
-        w = _weights(view, local, bounds, ws)
-        best = np.argmax(w, axis=0)
-        has = w[best, np.arange(w.shape[1])] > 0.0
-        rows = view.order[local][best]
-        owner[y0:y1, x0:x1] = np.where(has, rows, -1).reshape(y1 - y0, x1 - x0)
-
-    _map_tiles(run_tile, list(_tile_ranges(W, H)), 1)
-    return owner
-
-
 def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
     """Render the scene and derive exact depth, flow, ids, tracks and 3D flow."""
     rng = np.random.default_rng(spec.seed)
@@ -310,8 +279,9 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
             batch = prepare_splats(frame_set, cameras[t], 0)
             glob = batch.index.astype(np.int64)
 
-        images[t] = rasterize_forward(batch, cameras[t]).color
-        owner_rows = _composite_owner(batch)
+        # one compositing pass gives the image and each pixel's argmax-weight row
+        rendered, owner_rows = _composite(batch, owner=True)
+        images[t] = rendered.color
         has = owner_rows >= 0
         g = np.where(has, glob[np.clip(owner_rows, 0, None)], -1)
         owner_global[t] = g

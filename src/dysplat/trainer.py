@@ -245,12 +245,10 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
         sel_y = ys[picked]
         sel_x = xs[picked]
         depth = dataset.depths[t][sel_y, sel_x]
-        pix = np.stack([sel_x, sel_y], axis=-1).astype(np.float64)
         pts = unproject_grid(dataset.depths[t], cam)[sel_y, sel_x]
         means.append(pts)
         colors.append(dataset.images[t][sel_y, sel_x])
         scales.append(np.log(depth / cam.intrinsics.fx))
-        del pix
     if not means:
         raise EmptyStaticRegion("no static pixels available for initialization")
     means = np.concatenate(means)

@@ -22,12 +22,6 @@ def as_array(x, shape=None, name="array", dtype=np.float64):
     return arr
 
 
-def check_finite(x, name="array"):
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} contains non-finite values")
-    return x
-
-
 def check_same_hw(*arrays, names=None):
     """Require every array to share the leading H, W extents."""
     base = arrays[0].shape[:2]

@@ -9,6 +9,7 @@ from dysplat.primitives import save_checkpoint
 from dysplat.synth import generate_synthetic
 
 from test_dataset import tiny_spec
+from test_primitives import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,16 @@ class TestTrainCommand:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"iters_total": 6,', "\xff"],
+                             ids=["malformed-json", "not-utf8"])
+    def test_malformed_config_exit_2(self, scene_dir, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text.encode("latin-1"))
+        code = main(["train", "--dataset", str(scene_dir / "data"),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config" in capsys.readouterr().err
+
 
 class TestRenderEvalHist:
     def test_render_channels(self, scene_dir, tmp_path):
@@ -140,11 +151,21 @@ class TestRenderEvalHist:
         v = read_raw(out / "v_fwd_00000.f32")
         assert v.shape[-1] == 3
 
-    def test_bad_checkpoint_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_bad_checkpoint_exit_2(self, tmp_path, case):
         junk = tmp_path / "junk.rigs"
-        junk.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+        junk.write_bytes(malformed_checkpoint(case, tmp_path))
         assert main(["render", "--ckpt", str(junk), "--frame", "0",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", ['{"fx": 70', "[]", '{"fy": 70.0}'],
+                             ids=["malformed-json", "not-an-object", "missing-fx"])
+    def test_bad_camera_exit_2(self, scene_dir, tmp_path, capsys, text):
+        cam = tmp_path / "cam.json"
+        cam.write_text(text)
+        assert main(["render", "--ckpt", str(scene_dir / "gt.rigs"), "--frame", "0",
+                     "--cam", str(cam), "--out", str(tmp_path / "o")]) == 2
+        assert "camera" in capsys.readouterr().err
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2

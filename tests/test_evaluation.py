@@ -6,6 +6,7 @@ from dysplat.estimators import MotionMaskEstimator, SceneReconstructor
 from dysplat.evaluation import evaluate, mask_iou
 from dysplat.losses import LossWeights
 from dysplat.synth import generate_synthetic
+from dysplat.trainer import TrainConfig
 
 from test_dataset import tiny_spec
 
@@ -43,6 +44,12 @@ class TestSceneReconstructor:
         assert est.iters_total == 123
         with pytest.raises(ValidationError):
             est.set_params(bogus=1)
+
+    def test_params_are_train_config_fields(self):
+        # _config builds TrainConfig from get_params(), so the names must agree
+        assert set(SceneReconstructor().get_params()) == set(TrainConfig.__dataclass_fields__)
+        config = SceneReconstructor(track_samples=7, init_frames=2, checkpoint_every=0)._config()
+        assert (config.track_samples, config.init_frames, config.checkpoint_every) == (7, 2, 0)
 
     def test_not_fitted_raises(self):
         with pytest.raises(ValidationError):

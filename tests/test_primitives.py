@@ -1,16 +1,23 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dysplat.errors import BadMagic, ShapeMismatch
 from dysplat.geometry import quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
+    CHECKPOINT_MAGIC,
     GaussianSet,
     MotionBases,
     RigidGaussians,
     StaticGaussians,
     TransientGaussians,
     blend_bases,
+    covariance,
+    covariance_backward,
     covariance_batch,
     covariance_from,
     gate_value,
@@ -64,6 +71,30 @@ class TestCovariance:
         for c in covs:
             assert np.all(np.linalg.eigvalsh(c) >= -1e-12)
             assert np.allclose(c, c.T)
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(2)
+        R = rng.normal(size=(6, 3, 3))   # any matrix, not only rotations
+        log_s = rng.normal(scale=0.4, size=(6, 3))
+        G = rng.normal(size=(6, 3, 3))   # asymmetric cotangent
+        g_R, g_log_s = covariance_backward(G, R, log_s)
+        eps = 1e-6
+
+        def fd(R_p, R_m, s_p, s_m):
+            diff = covariance(R_p, s_p) - covariance(R_m, s_m)
+            return np.sum(G * diff, axis=(1, 2)) / (2 * eps)
+
+        for k in range(3):
+            d = np.zeros_like(log_s)
+            d[:, k] = eps
+            want = fd(R, R, log_s + d, log_s - d)
+            assert np.allclose(g_log_s[:, k], want, rtol=1e-6, atol=1e-8)
+        for i in range(3):
+            for j in range(3):
+                d = np.zeros_like(R)
+                d[:, i, j] = eps
+                want = fd(R + d, R - d, log_s, log_s)
+                assert np.allclose(g_R[:, i, j], want, rtol=1e-6, atol=1e-8)
 
 
 class TestGating:
@@ -260,6 +291,46 @@ class TestTransition:
         assert np.allclose(out.transients.means[0], gs.rigids.means[0] + [1.5, 0, 0])
 
 
+# malformed RIGS0001 files and the error each must raise
+MALFORMED_CHECKPOINTS = {
+    "not-magic": BadMagic,
+    "shorter-than-16-bytes": ShapeMismatch,
+    "truncated-json": BadMagic,
+    "not-utf8": BadMagic,
+    "not-an-object": BadMagic,
+    "no-fields": BadMagic,
+    "no-K": BadMagic,
+    "no-T": BadMagic,
+    "no-alpha_gate": BadMagic,
+    "length-past-end": ShapeMismatch,
+}
+
+
+def malformed_checkpoint(case, tmp_path):
+    """Bytes of the malformed checkpoint ``case``, cut from a valid file."""
+    p = tmp_path / "valid.rigs"
+    save_checkpoint(GaussianSet.empty(n_bases=2, n_frames=3), p)
+    valid = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", valid[8:16])
+    header, payload = json.loads(valid[16:16 + hlen]), valid[16 + hlen:]
+
+    def rigs(raw, hlen=None):
+        return CHECKPOINT_MAGIC + struct.pack("<Q", len(raw) if hlen is None else hlen) \
+            + raw + payload
+
+    if case.startswith("no-"):
+        del header[case[3:]]
+        return rigs(json.dumps(header).encode())
+    return {
+        "not-magic": b"NOTMAGIC" + b"\x00" * 64,
+        "shorter-than-16-bytes": valid[:12],
+        "truncated-json": rigs(valid[16:16 + hlen // 2]),
+        "not-utf8": rigs(b'{"K": "\xff\xfe"}'),
+        "not-an-object": rigs(b"[1, 2, 3]"),
+        "length-past-end": rigs(b"{}", hlen=10**12),
+    }[case]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -281,12 +352,11 @@ class TestCheckpoint:
         assert np.allclose(back.rigids.weights, gs.rigids.weights.astype(np.float32))
         assert back.bases.n_bases == 2 and back.bases.n_frames == 4
 
-    def test_bad_magic(self, tmp_path):
-        from dysplat.errors import BadMagic
-
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_bad_magic(self, tmp_path, case):
         p = tmp_path / "junk.rigs"
-        p.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(BadMagic):
+        p.write_bytes(malformed_checkpoint(case, tmp_path))
+        with pytest.raises(MALFORMED_CHECKPOINTS[case]):
             load_checkpoint(p)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -143,6 +143,15 @@ class TestCulling:
         gs = set_of(statics=statics_at([[50.0, 0.0, 1.0]], [[1.0, 0, 0]], [0.9]))
         assert len(prepare_splats(gs, cam32(), 0)) == 0
 
+    def test_each_gaussian_at_most_once(self):
+        # _chain_to_parameters scatters with indexed +=, which needs unique rows
+        gs = make_random_set(8, 60)
+        for t, tc in ((0, 0), (2, 4), (5, 1)):
+            batch = prepare_splats(gs, cam32(), t, tc)
+            pairs = set(zip(batch.kind.tolist(), batch.index.tolist()))
+            assert len(pairs) == len(batch) > 0
+            assert {k for k, _ in pairs} == {0, 1, 2}
+
 
 class TestOracleEquivalence:
     def test_random_scene_sweep(self):
