@@ -15,12 +15,14 @@ import numpy as np
 
 from .dataset import load_dataset, save_dataset, write_ppm, write_raw
 from .errors import DysplatError, ValidationError
+from .estimators import MotionMaskEstimator
 from .evaluation import evaluate, render_view
 from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics
 from .primitives import load_checkpoint
-from .sceneflow import backward_scene_flow, forward_scene_flow
 from .synth import SyntheticSceneSpec, generate_synthetic
-from .trainer import TrainConfig, duration_histogram, histogram_image, train
+from .trainer import (TrainConfig, duration_histogram, histogram_image, scene_flow_pairs,
+                      train)
+from .validation import read_json
 
 
 def _cmd_synth(args):
@@ -34,20 +36,14 @@ def _cmd_synth(args):
 
 
 def _cmd_masks(args):
-    from .dynmask import compose_dynamic_masks, compute_motion_scores
-
     ds = load_dataset(args.dataset)
-    eps_dyn = None if args.eps_dyn == "auto" else float(args.eps_dyn)
-    table = compute_motion_scores(
-        flows_fwd=list(ds.flows_fwd), flows_bwd=list(ds.flows_bwd),
-        uncertainties=None if ds.uncertainties is None else list(ds.uncertainties),
-        id_maps=list(ds.object_ids),
-        eps_temp=args.eps_temp, eps_dyn=eps_dyn, seed=args.seed)
-    masks = compose_dynamic_masks(table, list(ds.object_ids))
+    est = MotionMaskEstimator(eps_temp=args.eps_temp, eps_dyn=args.eps_dyn, seed=args.seed)
+    masks = est.fit_predict(ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t, m in enumerate(masks):
         write_raw(out / f"{t:05d}.u8", m.astype(np.uint8), "uint8")
+    table = est.table_
     report = {
         "object_scores": {str(k): v for k, v in table.object_scores.items()},
         "motion_frames": {str(k): v for k, v in table.motion_frames.items()},
@@ -60,18 +56,11 @@ def _cmd_masks(args):
     return 0
 
 
-def _read_json(path, what):
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise ValidationError(f"{what} {path}: {exc}") from None
-
-
 def _cmd_train(args):
     ds = load_dataset(args.dataset)
     cfg = {}
     if args.config:
-        cfg = _read_json(args.config, "config")
+        cfg = read_json(args.config, "config")
     if args.seed is not None:
         cfg["seed"] = args.seed
     config = TrainConfig.from_dict(cfg)
@@ -92,7 +81,7 @@ def _default_camera():
 def _cmd_render(args):
     gset = load_checkpoint(args.ckpt)
     if args.cam:
-        cam = CameraFrame.from_dict(_read_json(args.cam, "camera"))
+        cam = CameraFrame.from_dict(read_json(args.cam, "camera"))
     elif args.dataset:
         ds = load_dataset(args.dataset)
         if not (0 <= args.frame < ds.n_frames):
@@ -145,21 +134,18 @@ def _cmd_sceneflow(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     T = ds.n_frames
+    v = np.zeros((2, T) + ds.image_size + (3,))  # toward t + 1, from t - 1; 0 at the ends
+    for t, s, _, _, v_ts, _ in scene_flow_pairs(ds):
+        v[int(s < t), t] = v_ts
     for t in range(T):
-        if t + 1 < T:
-            v, _ = forward_scene_flow(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                      ds.cameras[t], ds.cameras[t + 1])
-        else:
-            v = np.zeros(ds.depths[t].shape + (3,))
-        write_raw(out / f"v_fwd_{t:05d}.f32", v, "float32")
-        if t - 1 >= 0:
-            v, _ = backward_scene_flow(ds.depths[t], ds.depths[t - 1], ds.flows_bwd[t],
-                                       ds.cameras[t], ds.cameras[t - 1])
-        else:
-            v = np.zeros(ds.depths[t].shape + (3,))
-        write_raw(out / f"v_bwd_{t:05d}.f32", v, "float32")
+        write_raw(out / f"v_fwd_{t:05d}.f32", v[0, t], "float32")
+        write_raw(out / f"v_bwd_{t:05d}.f32", v[1, t], "float32")
     print(json.dumps({"out": str(out), "frames": T}))
     return 0
+
+
+def _eps_dyn(text):
+    return None if text == "auto" else float(text)
 
 
 def build_parser():
@@ -175,7 +161,8 @@ def build_parser():
     p = sub.add_parser("masks", help="object-wise dynamic masks")
     p.add_argument("--dataset", required=True)
     p.add_argument("--eps-temp", type=float, default=1e-4)
-    p.add_argument("--eps-dyn", default="auto")
+    p.add_argument("--eps-dyn", default="auto", type=_eps_dyn,
+                   help="dynamic-score threshold, or 'auto' for max score / 4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_masks)

@@ -30,9 +30,22 @@ import numpy as np
 from .errors import MissingChannel, ShapeMismatch, ValidationError
 from .geometry import CameraFrame
 from .primitives import GaussianSet, load_checkpoint, save_checkpoint
+from .validation import read_json, require
 
 _DTYPES = {"float32": "<f4", "uint16": "<u2", "uint8": "<u1"}
 _SUFFIX = {"float32": ".f32", "uint16": ".u16", "uint8": ".u8"}
+_IN_MEMORY = {"float32": np.float64, "uint16": np.int64, "uint8": bool}
+# per-frame raw channels: (directory, SceneDataset field, file dtype, required)
+_RAW_CHANNELS = (
+    ("depth", "depths", "float32", True),
+    ("flow_fwd", "flows_fwd", "float32", True),
+    ("flow_bwd", "flows_bwd", "float32", True),
+    ("objects", "object_ids", "uint16", True),
+    ("uncert", "uncertainties", "float32", False),
+    ("dyn_mask", "dyn_masks", "uint8", False),
+    ("gt_flow3d_fwd", "gt_flow3d_fwd", "float32", False),
+    ("gt_flow3d_bwd", "gt_flow3d_bwd", "float32", False),
+)
 
 
 @dataclass
@@ -53,10 +66,12 @@ class SceneDataset:
 
     def __post_init__(self):
         T, H, W = self.images.shape[:3]
-        for name in ("depths", "flows_fwd", "flows_bwd", "object_ids"):
+        for name, extra in (("depths", ()), ("flows_fwd", (2,)), ("flows_bwd", (2,)),
+                            ("object_ids", ()), ("uncertainties", ()), ("dyn_masks", ()),
+                            ("gt_flow3d_fwd", (3,)), ("gt_flow3d_bwd", (3,))):
             arr = getattr(self, name)
-            if arr.shape[:3] != (T, H, W):
-                raise ShapeMismatch(f"{name}: expected leading shape {(T, H, W)}, got {arr.shape}")
+            if arr is not None and arr.shape != (T, H, W) + extra:
+                raise ShapeMismatch(f"{name}: expected shape {(T, H, W) + extra}, got {arr.shape}")
         if len(self.cameras) != T:
             raise ShapeMismatch(f"expected {T} cameras, got {len(self.cameras)}")
         if self.tracks.ndim != 3 or self.tracks.shape[1] != T or self.tracks.shape[2] != 3:
@@ -86,16 +101,24 @@ def write_raw(path, arr, dtype):
     path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True))
 
 
+def _json_counts(path, what, keys):
+    """Read a JSON object whose entries ``keys`` must be non-negative integers."""
+    meta = read_json(path, what)
+    require(isinstance(meta, dict), f"{what} {path}: expected a JSON object")
+    counts = [meta.get(k) for k in keys]
+    require(all(type(v) is int and v >= 0 for v in counts),
+            f"{what} {path}: {', '.join(keys)} must be non-negative integers")
+    return meta, counts
+
+
 def read_raw(path):
     path = Path(path)
     side = path.with_suffix(".json")
     if not path.exists() or not side.exists():
         raise MissingChannel(path.stem, path)
-    meta = json.loads(side.read_text())
-    dtype = meta["dtype"]
-    if dtype not in _DTYPES:
-        raise ValidationError(f"{side}: unknown dtype {dtype}")
-    W, H, C = int(meta["width"]), int(meta["height"]), int(meta["channels"])
+    meta, (W, H, C) = _json_counts(side, "sidecar", ("width", "height", "channels"))
+    dtype = meta.get("dtype")
+    require(isinstance(dtype, str) and dtype in _DTYPES, f"{side}: unknown dtype {dtype!r}")
     raw = path.read_bytes()
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
     if len(raw) != W * H * C * itemsize:
@@ -130,7 +153,11 @@ def read_ppm(path):
             tokens.append(tok)
     if tokens[0] != b"P6":
         raise ValidationError(f"{path}: not a binary PPM")
-    W, H, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        W, H, maxval = (int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise ValidationError(f"{path}: PPM size and maxval must be integers") from None
+    require(W >= 0 and H >= 0, f"{path}: negative PPM size {W} x {H}")
     if maxval != 255:
         raise ValidationError(f"{path}: only 8-bit PPM supported")
     start = pos + 1  # exactly one whitespace byte separates maxval from pixels
@@ -154,31 +181,15 @@ def save_dataset(ds: SceneDataset, out_dir):
     T = ds.n_frames
 
     (out / "frames").mkdir(exist_ok=True)
-    (out / "depth").mkdir(exist_ok=True)
-    (out / "flow_fwd").mkdir(exist_ok=True)
-    (out / "flow_bwd").mkdir(exist_ok=True)
-    (out / "objects").mkdir(exist_ok=True)
     for t in range(T):
         write_ppm(out / "frames" / _frame_name(t, ".ppm"), ds.images[t])
-        write_raw(out / "depth" / _frame_name(t, ".f32"), ds.depths[t], "float32")
-        write_raw(out / "flow_fwd" / _frame_name(t, ".f32"), ds.flows_fwd[t], "float32")
-        write_raw(out / "flow_bwd" / _frame_name(t, ".f32"), ds.flows_bwd[t], "float32")
-        write_raw(out / "objects" / _frame_name(t, ".u16"), ds.object_ids[t], "uint16")
-    if ds.uncertainties is not None:
-        (out / "uncert").mkdir(exist_ok=True)
+    for name, field, dtype, _ in _RAW_CHANNELS:
+        arr = getattr(ds, field)
+        if arr is None:
+            continue
+        (out / name).mkdir(exist_ok=True)
         for t in range(T):
-            write_raw(out / "uncert" / _frame_name(t, ".f32"), ds.uncertainties[t], "float32")
-    if ds.dyn_masks is not None:
-        (out / "dyn_mask").mkdir(exist_ok=True)
-        for t in range(T):
-            write_raw(out / "dyn_mask" / _frame_name(t, ".u8"),
-                      ds.dyn_masks[t].astype(np.uint8), "uint8")
-    if ds.gt_flow3d_fwd is not None:
-        (out / "gt_flow3d_fwd").mkdir(exist_ok=True)
-        (out / "gt_flow3d_bwd").mkdir(exist_ok=True)
-        for t in range(T):
-            write_raw(out / "gt_flow3d_fwd" / _frame_name(t, ".f32"), ds.gt_flow3d_fwd[t], "float32")
-            write_raw(out / "gt_flow3d_bwd" / _frame_name(t, ".f32"), ds.gt_flow3d_bwd[t], "float32")
+            write_raw(out / name / _frame_name(t, _SUFFIX[dtype]), arr[t], dtype)
 
     cams = [c.to_dict() for c in ds.cameras]
     (out / "cameras.json").write_text(json.dumps(cams, sort_keys=True))
@@ -201,6 +212,9 @@ def _load_frames(dirpath, suffix, T, reader, channel):
         if not p.exists():
             raise MissingChannel(channel, p)
         out.append(reader(p))
+    shapes = sorted({a.shape for a in out})
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"{channel}: frames differ in shape {shapes}")
     return np.stack(out, axis=0)
 
 
@@ -209,48 +223,39 @@ def load_dataset(dir_path) -> SceneDataset:
     cam_file = root / "cameras.json"
     if not cam_file.exists():
         raise MissingChannel("cameras", cam_file)
-    cameras = [CameraFrame.from_dict(d) for d in json.loads(cam_file.read_text())]
+    cams = read_json(cam_file, "cameras")
+    require(isinstance(cams, list) and cams, f"cameras {cam_file}: expected a non-empty list")
+    cameras = [CameraFrame.from_dict(d) for d in cams]
     T = len(cameras)
 
     images = _load_frames(root / "frames", ".ppm", T, read_ppm, "frames")
-    depths = _load_frames(root / "depth", ".f32", T, read_raw, "depth").astype(np.float64)
-    flows_fwd = _load_frames(root / "flow_fwd", ".f32", T, read_raw, "flow_fwd").astype(np.float64)
-    flows_bwd = _load_frames(root / "flow_bwd", ".f32", T, read_raw, "flow_bwd").astype(np.float64)
-    objects = _load_frames(root / "objects", ".u16", T, read_raw, "objects").astype(np.int64)
+    channels = {}
+    for name, field, dtype, required in _RAW_CHANNELS:
+        if required or (root / name).is_dir():
+            frames = _load_frames(root / name, _SUFFIX[dtype], T, read_raw, name)
+            channels[field] = frames.astype(_IN_MEMORY[dtype])
 
     tracks_file = root / "tracks.f32"
     meta_file = root / "tracks.json"
     if not tracks_file.exists() or not meta_file.exists():
         raise MissingChannel("tracks", tracks_file)
-    meta = json.loads(meta_file.read_text())
-    n, t_meta = int(meta["n"]), int(meta["t"])
+    _, (n, t_meta) = _json_counts(meta_file, "tracks", ("n", "t"))
     if t_meta != T:
         raise ShapeMismatch(f"tracks.json frame count {t_meta} != {T}")
-    raw = np.frombuffer(tracks_file.read_bytes(), dtype="<f4")
-    if raw.size != n * T * 3:
-        raise ShapeMismatch(f"tracks.f32 holds {raw.size} floats, expected {n * T * 3}")
-    tracks = raw.reshape(n, T, 3).astype(np.float64)
+    raw = tracks_file.read_bytes()
+    if len(raw) != n * T * 3 * 4:
+        raise ShapeMismatch(f"tracks.f32 holds {len(raw)} bytes, expected {n * T * 3 * 4}")
+    tracks = np.frombuffer(raw, dtype="<f4").reshape(n, T, 3).astype(np.float64)
 
-    uncert = None
-    if (root / "uncert").is_dir():
-        uncert = _load_frames(root / "uncert", ".f32", T, read_raw, "uncert").astype(np.float64)
-    dyn = None
-    if (root / "dyn_mask").is_dir():
-        dyn = _load_frames(root / "dyn_mask", ".u8", T, read_raw, "dyn_mask").astype(bool)
     gt_ids = None
     if (root / "gt_labels.json").exists():
-        gt_ids = json.loads((root / "gt_labels.json").read_text())["dynamic_ids"]
-    gt_f = gt_b = None
-    if (root / "gt_flow3d_fwd").is_dir():
-        gt_f = _load_frames(root / "gt_flow3d_fwd", ".f32", T, read_raw, "gt_flow3d_fwd").astype(np.float64)
-        gt_b = _load_frames(root / "gt_flow3d_bwd", ".f32", T, read_raw, "gt_flow3d_bwd").astype(np.float64)
+        labels = read_json(root / "gt_labels.json", "gt_labels")
+        gt_ids = labels.get("dynamic_ids") if isinstance(labels, dict) else None
+        require(isinstance(gt_ids, list) and all(type(i) is int for i in gt_ids),
+                "gt_labels.json: dynamic_ids must be a list of integers")
     gt_set = None
     if (root / "gt_set.rigs").exists():
         gt_set = load_checkpoint(root / "gt_set.rigs")
 
-    return SceneDataset(
-        images=images, cameras=cameras, depths=depths, flows_fwd=flows_fwd,
-        flows_bwd=flows_bwd, object_ids=objects, tracks=tracks,
-        uncertainties=uncert, dyn_masks=dyn, gt_dynamic_ids=gt_ids,
-        gt_flow3d_fwd=gt_f, gt_flow3d_bwd=gt_b, gt_set=gt_set,
-    )
+    return SceneDataset(images=images, cameras=cameras, tracks=tracks,
+                        gt_dynamic_ids=gt_ids, gt_set=gt_set, **channels)

@@ -191,19 +191,12 @@ class MotionScoreTable:
 
 def compose_dynamic_masks(table: MotionScoreTable, id_maps):
     """Union the masks of all objects whose score exceeds the dynamic threshold."""
-    dyn = set(table.dynamic_ids())
-    out = []
-    for ids in id_maps:
-        mask = np.zeros(ids.shape, dtype=bool)
-        for i in dyn:
-            mask |= ids == i
-        out.append(mask)
-    return out
+    dyn = table.dynamic_ids()
+    return [np.isin(ids, dyn) for ids in id_maps]
 
 
 def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps,
-                          eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None,
-                          trials=LMEDS_TRIALS, seed=0):
+                          eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None, seed=0):
     """Run the full per-object motion-scoring pipeline.
 
     flows_fwd[t] maps frame t to t+1 (defined for t in [0, T-2]);
@@ -230,8 +223,7 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps,
         good = ~occ.reshape(-1)
         if np.count_nonzero(good) < 8:
             continue  # frame unusable; every object scores 0 here
-        F = estimate_fundamental(pix[good], corr[good], trials=trials,
-                                 seed=seed + t, max_matches=MAX_MATCHES)
+        F = estimate_fundamental(pix[good], corr[good], seed=seed + t)
         errs = sampson_errors(pix, corr, F).reshape(H, W)
 
         ids_t = id_maps[t]

@@ -118,27 +118,22 @@ class MotionMaskEstimator(ParamMixin):
     predict() unions the masks of objects above the dynamic threshold.
     """
 
-    def __init__(self, eps_temp=1e-4, eps_dyn=None, trials=256, seed=0):
+    def __init__(self, eps_temp=1e-4, eps_dyn=None, seed=0):
         self.eps_temp = eps_temp
         self.eps_dyn = eps_dyn
-        self.trials = trials
         self.seed = seed
 
     def fit(self, dataset: SceneDataset):
         self.table_ = compute_motion_scores(
-            flows_fwd=list(dataset.flows_fwd), flows_bwd=list(dataset.flows_bwd),
-            uncertainties=None if dataset.uncertainties is None
-            else list(dataset.uncertainties),
-            id_maps=list(dataset.object_ids),
-            eps_temp=self.eps_temp, eps_dyn=self.eps_dyn,
-            trials=self.trials, seed=self.seed)
+            dataset.flows_fwd, dataset.flows_bwd, dataset.uncertainties, dataset.object_ids,
+            eps_temp=self.eps_temp, eps_dyn=self.eps_dyn, seed=self.seed)
         self.object_scores_ = dict(self.table_.object_scores)
         self.eps_dyn_ = self.table_.eps_dyn
         return self
 
     def predict(self, dataset: SceneDataset):
         self._check_fitted("table_")
-        return compose_dynamic_masks(self.table_, list(dataset.object_ids))
+        return compose_dynamic_masks(self.table_, dataset.object_ids)
 
     def fit_predict(self, dataset: SceneDataset):
         return self.fit(dataset).predict(dataset)

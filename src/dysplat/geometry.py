@@ -201,29 +201,22 @@ def unproject_grid(depth, cam: CameraFrame):
 # bilinear warping
 
 
-def warp(field, flow):
-    """Sample ``field`` at p + flow(p) with bilinear interpolation.
+def bilinear_sample(field, x, y):
+    """Sample ``field`` at continuous pixels (x, y) with bilinear interpolation.
 
-    field: (H, W) or (H, W, C); flow: (H, W, 2) pixel displacements (dx, dy).
-    Returns (warped, valid) where ``valid`` marks samples whose full bilinear
+    field: (H, W) or (H, W, C); x, y: equal-shape pixel coordinates. Points
+    outside the image read the clamped border, NaN coordinates read index 0.
+    Returns (values, valid) where ``valid`` marks points whose full bilinear
     support lies inside the image.
     """
     field = np.asarray(field, dtype=np.float64)
-    flow = np.asarray(flow, dtype=np.float64)
-    squeeze = field.ndim == 2
-    if squeeze:
-        field = field[..., None]
-    H, W, C = field.shape
-    if flow.shape != (H, W, 2):
-        raise ValidationError(f"flow shape {flow.shape} does not match field {(H, W)}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    H, W = field.shape[:2]
+    valid = (x >= 0.0) & (x <= W - 1.0) & (y >= 0.0) & (y <= H - 1.0)
 
-    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    sx = gx + flow[..., 0]
-    sy = gy + flow[..., 1]
-    valid = (sx >= 0.0) & (sx <= W - 1.0) & (sy >= 0.0) & (sy <= H - 1.0)
-
-    cx = np.clip(sx, 0.0, W - 1.0)
-    cy = np.clip(sy, 0.0, H - 1.0)
+    cx = np.clip(np.nan_to_num(x), 0.0, W - 1.0)
+    cy = np.clip(np.nan_to_num(y), 0.0, H - 1.0)
     x0 = np.floor(cx).astype(np.int64)
     y0 = np.floor(cy).astype(np.int64)
     x1 = np.minimum(x0 + 1, W - 1)
@@ -231,15 +224,27 @@ def warp(field, flow):
     wx = cx - x0
     wy = cy - y0
 
-    f00 = field[y0, x0]
-    f01 = field[y0, x1]
-    f10 = field[y1, x0]
-    f11 = field[y1, x1]
-    out = ((1 - wx) * (1 - wy))[..., None] * f00 + (wx * (1 - wy))[..., None] * f01 \
-        + ((1 - wx) * wy)[..., None] * f10 + (wx * wy)[..., None] * f11
-    if squeeze:
-        out = out[..., 0]
+    weights = [(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]
+    if field.ndim == 3:
+        weights = [w[..., None] for w in weights]
+    out = weights[0] * field[y0, x0] + weights[1] * field[y0, x1] \
+        + weights[2] * field[y1, x0] + weights[3] * field[y1, x1]
     return out, valid
+
+
+def warp(field, flow):
+    """Sample ``field`` at p + flow(p) with bilinear interpolation.
+
+    field: (H, W) or (H, W, C); flow: (H, W, 2) pixel displacements (dx, dy).
+    Returns (warped, valid) as ``bilinear_sample`` does.
+    """
+    field = np.asarray(field, dtype=np.float64)
+    flow = np.asarray(flow, dtype=np.float64)
+    H, W = field.shape[:2]
+    if flow.shape != (H, W, 2):
+        raise ValidationError(f"flow shape {flow.shape} does not match field {(H, W)}")
+    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    return bilinear_sample(field, gx + flow[..., 0], gy + flow[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +371,28 @@ def quat_vjp(q, grad_R):
 
 
 def matrix_to_quat(R):
-    """Convert (..., 3, 3) rotation matrices to (w, x, y, z) quaternions."""
+    """Convert (..., 3, 3) rotation matrices to (w, x, y, z) quaternions.
+
+    Each row takes the branch whose pivot (trace, or the largest diagonal
+    entry) is positive, so the divisor s stays away from zero.
+    """
     R = np.asarray(R, dtype=np.float64)
     single = R.ndim == 2
-    R = R.reshape(-1, 3, 3)
-    out = np.empty((R.shape[0], 4))
-    for k in range(R.shape[0]):
-        m = R[k]
-        tr = np.trace(m)
-        if tr > 0:
-            s = np.sqrt(tr + 1.0) * 2
-            out[k] = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-            out[k] = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        elif m[1, 1] > m[2, 2]:
-            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
-            out[k] = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        else:
-            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
-            out[k] = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+    m = R.reshape(-1, 3, 3)
+    m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    d21, d02, d10 = m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]
+    a01, a02, a12 = m[:, 0, 1] + m[:, 1, 0], m[:, 0, 2] + m[:, 2, 0], m[:, 1, 2] + m[:, 2, 1]
+    tr = m00 + m11 + m22
+    with np.errstate(invalid="ignore", divide="ignore"):  # rejected branches may be NaN
+        s = [np.sqrt(tr + 1.0) * 2, np.sqrt(1.0 + m00 - m11 - m22) * 2,
+             np.sqrt(1.0 + m11 - m00 - m22) * 2, np.sqrt(1.0 + m22 - m00 - m11) * 2]
+        rows = [[0.25 * s[0], d21 / s[0], d02 / s[0], d10 / s[0]],
+                [d21 / s[1], 0.25 * s[1], a01 / s[1], a02 / s[1]],
+                [d02 / s[2], a01 / s[2], 0.25 * s[2], a12 / s[2]],
+                [d10 / s[3], a02 / s[3], a12 / s[3], 0.25 * s[3]]]
+    rows = [np.stack(r, axis=-1) for r in rows]
+    first = (m00 > m11) & (m00 > m22)
+    out = np.select([tr[:, None] > 0, first[:, None], (m11 > m22)[:, None]], rows[:3], rows[3])
     out /= np.linalg.norm(out, axis=-1, keepdims=True)
     return out[0] if single else out
 

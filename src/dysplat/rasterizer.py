@@ -58,6 +58,9 @@ C_VFWD = slice(8, 11)
 C_VBWD = slice(11, 14)
 C_CORR = slice(14, 17)
 N_CHANNELS = 17
+# payload channel of each rasterize_backward cotangent (besides "alpha")
+GRAD_CHANNELS = {"color": C_COLOR, "dyn_mask": C_DYN, "depth": C_DEPTH, "normal": C_NORMAL,
+                 "v_fwd": C_VFWD, "v_bwd": C_VBWD, "corr": C_CORR}
 
 KIND_STATIC, KIND_RIGID, KIND_TRANSIENT = 0, 1, 2
 
@@ -488,46 +491,19 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
 
 
 def _assemble_grad_channels(grad_outputs, H, W):
-    gch = np.zeros((H, W, N_CHANNELS))
-    galpha = np.zeros((H, W))
-
-    def fetch(key, shape):
-        v = grad_outputs.get(key)
-        if v is None:
-            return None
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != shape:
-            raise MismatchedForward(f"grad_outputs[{key!r}]: expected {shape}, got {v.shape}")
-        return v
-
-    m = fetch("color", (H, W, 3))
-    if m is not None:
-        gch[..., C_COLOR] = m
-    m = fetch("dyn_mask", (H, W))
-    if m is not None:
-        gch[..., C_DYN] = m
-    m = fetch("depth", (H, W))
-    if m is not None:
-        gch[..., C_DEPTH] = m
-    m = fetch("normal", (H, W, 3))
-    if m is not None:
-        gch[..., C_NORMAL] = m
-    m = fetch("v_fwd", (H, W, 3))
-    if m is not None:
-        gch[..., C_VFWD] = m
-    m = fetch("v_bwd", (H, W, 3))
-    if m is not None:
-        gch[..., C_VBWD] = m
-    m = fetch("corr", (H, W, 3))
-    if m is not None:
-        gch[..., C_CORR] = m
-    m = fetch("alpha", (H, W))
-    if m is not None:
-        galpha = m
-    unknown = set(grad_outputs) - {"color", "dyn_mask", "depth", "normal",
-                                   "v_fwd", "v_bwd", "corr", "alpha"}
+    unknown = set(grad_outputs) - set(GRAD_CHANNELS) - {"alpha"}
     if unknown:
         raise MismatchedForward(f"unknown grad_outputs keys: {sorted(unknown)}")
+    gch = np.zeros((H, W, N_CHANNELS))
+    galpha = np.zeros((H, W))
+    for key, v in grad_outputs.items():
+        if v is None:
+            continue
+        target = galpha if key == "alpha" else gch[..., GRAD_CHANNELS[key]]
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != target.shape:
+            raise MismatchedForward(f"grad_outputs[{key!r}]: expected {target.shape}, got {v.shape}")
+        target[...] = v
     return gch, galpha
 
 

@@ -22,26 +22,27 @@ def depth_validity(depth):
     return np.isfinite(d) & (d > DEPTH_MIN) & (d < DEPTH_MAX)
 
 
-def _lifted_flow(depth_a, depth_b, flow, cam_a: CameraFrame, cam_b: CameraFrame):
-    """warp(unproject(depth_b), flow) - unproject(depth_a), with validity."""
-    depth_a = np.asarray(depth_a, dtype=np.float64)
-    depth_b = np.asarray(depth_b, dtype=np.float64)
-    flow = np.asarray(flow, dtype=np.float64)
-    check_same_hw(depth_a, depth_b, flow, names=["depth_a", "depth_b", "flow"])
-
-    pts_a = unproject_grid(depth_a, cam_a)
-    pts_b = unproject_grid(depth_b, cam_b)
-    warped, warp_ok = warp(pts_b, flow)
-    # a warped sample is trustworthy only if its whole bilinear support is valid
-    support_ok, _ = warp(depth_validity(depth_b).astype(np.float64), flow)
-    valid = warp_ok & (support_ok >= 1.0 - 1e-9) & depth_validity(depth_a)
-    v = warped - pts_a
-    return np.where(valid[..., None], v, 0.0), valid
+def _support_valid(depth_b, flow):
+    """Warp targets whose whole bilinear support lies on valid depth_b pixels."""
+    support, inside = warp(depth_validity(depth_b).astype(np.float64), flow)
+    return inside & (support >= 1.0 - 1e-9)
 
 
 def forward_scene_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next):
-    """World displacement of each pixel's surface point toward frame t+1."""
-    return _lifted_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next)
+    """World displacement of each pixel's surface point toward frame t+1:
+    warp(unproject(depth_next), flow_fwd) - unproject(depth_t), with validity."""
+    depth_t = np.asarray(depth_t, dtype=np.float64)
+    depth_next = np.asarray(depth_next, dtype=np.float64)
+    flow_fwd = np.asarray(flow_fwd, dtype=np.float64)
+    check_same_hw(depth_t, depth_next, flow_fwd, names=["depth_t", "depth_next", "flow_fwd"])
+
+    pts_t = unproject_grid(depth_t, cam_t)
+    pts_next = unproject_grid(depth_next, cam_next)
+    warped, _ = warp(pts_next, flow_fwd)
+    # a warped sample is trustworthy only if its whole bilinear support is valid
+    valid = _support_valid(depth_next, flow_fwd) & depth_validity(depth_t)
+    v = warped - pts_t
+    return np.where(valid[..., None], v, 0.0), valid
 
 
 def backward_scene_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev):
@@ -49,7 +50,7 @@ def backward_scene_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev):
 
     Mirrors the forward case: unproject(depth_t) - warp(unproject(depth_prev)).
     """
-    v, valid = _lifted_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev)
+    v, valid = forward_scene_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev)
     return -v, valid
 
 
@@ -67,10 +68,9 @@ def warped_depth_consistency(depth_a, depth_b, flow, cam_a: CameraFrame,
     H, W = depth_a.shape
     pts_a = unproject_grid(depth_a, cam_a)
     z_expected = cam_b.world_to_camera(pts_a.reshape(-1, 3))[:, 2].reshape(H, W)
-    sampled, warp_ok = warp(depth_b, flow)
-    support_ok, _ = warp(depth_validity(depth_b).astype(np.float64), flow)
+    sampled, _ = warp(depth_b, flow)
     close = np.abs(sampled - z_expected) <= atol + rtol * np.abs(z_expected)
-    return warp_ok & (support_ok >= 1.0 - 1e-9) & close & depth_validity(depth_a)
+    return _support_valid(depth_b, flow) & close & depth_validity(depth_a)
 
 
 def scene_flow_mask(dyn_mask, depth_valid, warped_depth_valid, flow_nonoccluded):

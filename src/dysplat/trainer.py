@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import unproject_grid
+from .geometry import bilinear_sample, matrix_to_rot6d, unproject, unproject_grid
 from .losses import (
     LossReport,
     LossWeights,
@@ -122,8 +122,7 @@ class TrainConfig:
         return TrainConfig(**d)
 
     def to_dict(self):
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +227,14 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
         ys, xs = np.nonzero(static)
         if ys.size == 0:
             continue
-        # stratify: group by coarse grid cell, deal samples round-robin
+        # stratify: shuffle within coarse grid cells, then deal the cells
+        # round-robin (every cell's first sample, then every cell's second, ...)
         cells = (ys // cell) * ((W + cell - 1) // cell) + (xs // cell)
         order = np.lexsort((rng.permutation(ys.size), cells))
-        by_cell = {}
-        for idx in order:
-            by_cell.setdefault(cells[idx], []).append(idx)
-        picked = []
-        queues = [list(v) for _, v in sorted(by_cell.items())]
-        while len(picked) < min(per_frame, ys.size) and queues:
-            queues = [q for q in queues if q]
-            for q in queues:
-                if len(picked) >= per_frame:
-                    break
-                picked.append(q.pop(0))
+        sorted_cells = cells[order]
+        starts = np.flatnonzero(np.r_[True, sorted_cells[1:] != sorted_cells[:-1]])
+        rank = np.arange(ys.size) - np.repeat(starts, np.diff(np.r_[starts, ys.size]))
+        picked = order[np.lexsort((sorted_cells, rank))][:per_frame]
         sel_y = ys[picked]
         sel_x = xs[picked]
         depth = dataset.depths[t][sel_y, sel_x]
@@ -291,27 +284,18 @@ def _procrustes(src, dst):
     return R, c_dst - R @ c_src
 
 
-def _bilinear_depth(depth, x, y):
-    """Bilinear depth sample at a continuous pixel; 0 outside the image."""
-    H, W = depth.shape
-    if not (0.0 <= x <= W - 1.0 and 0.0 <= y <= H - 1.0):
-        return 0.0
-    x0, y0 = int(np.floor(x)), int(np.floor(y))
-    x1, y1 = min(x0 + 1, W - 1), min(y0 + 1, H - 1)
-    wx, wy = x - x0, y - y0
-    return float((1 - wx) * (1 - wy) * depth[y0, x0] + wx * (1 - wy) * depth[y0, x1]
-                 + (1 - wx) * wy * depth[y1, x0] + wx * wy * depth[y1, x1])
-
-
 def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
                            images=None):
     """Lift 2D tracks to 3D trajectories, cluster them into shared SE(3)
     bases (per-frame Procrustes fits against frame 0), and spawn one rigid
     Gaussian per track anchored at its first visible frame."""
-    from .geometry import unproject
-
     T = len(cameras)
     H, W = depths[0].shape
+    # depth under every track point; 0 where its bilinear support leaves the image
+    track_depth = np.zeros(tracks.shape[:2])
+    for t in range(T):
+        d, inside = bilinear_sample(depths[t], tracks[:, t, 0], tracks[:, t, 1])
+        track_depth[:, t] = np.where(inside, d, 0.0)
     usable = []
     lifted = []
     for j in range(tracks.shape[0]):
@@ -327,7 +311,7 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
         seen = np.zeros(T, dtype=bool)
         for t in vis_frames:
             u_t, v_t = tracks[j, t, 0], tracks[j, t, 1]
-            d = _bilinear_depth(depths[t], u_t, v_t)
+            d = track_depth[j, t]
             if d <= 0:
                 continue
             traj[t] = unproject([u_t, v_t], d, cameras[t])
@@ -336,11 +320,9 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
             continue
         # hold the nearest lifted position across invisible frames
         seen_idx = np.nonzero(seen)[0]
-        for t in range(T):
-            if not seen[t]:
-                traj[t] = traj[seen_idx[np.argmin(np.abs(seen_idx - t))]]
+        nearest = np.argmin(np.abs(seen_idx[None, :] - np.arange(T)[:, None]), axis=1)
         usable.append(j)
-        lifted.append((traj, seen_idx))
+        lifted.append((traj[seen_idx[nearest]], seen_idx))
     if len(usable) < n_bases:
         raise InsufficientTracks(
             f"{len(usable)} usable tracks inside dynamic masks, need >= {n_bases}")
@@ -349,8 +331,6 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     assign = _kmeans(trajs.reshape(len(usable), -1), n_bases, seed)
 
     bases = MotionBases.identity(n_bases, T)
-    from .geometry import matrix_to_rot6d
-
     for jb in range(n_bases):
         members = trajs[assign == jb]
         if members.shape[0] == 0:
@@ -440,17 +420,36 @@ def normals_from_depth(depth, cam):
     return n, valid
 
 
+def scene_flow_pairs(ds: SceneDataset):
+    """Lift each frame's optical flow toward every neighbour it has.
+
+    Yields (t, s, flow, back, v, valid): frame t, its neighbour s (t + 1, then
+    t - 1), the flow t -> s and its return flow s -> t, and the scene flow
+    lifted from them (``forward_scene_flow`` toward t + 1,
+    ``backward_scene_flow`` from t - 1) with its validity mask.
+    """
+    T = ds.n_frames
+    for t in range(T):
+        for s in (t + 1, t - 1):
+            if not 0 <= s < T:
+                continue
+            if s > t:
+                flow, back, lift = ds.flows_fwd[t], ds.flows_bwd[s], forward_scene_flow
+            else:
+                flow, back, lift = ds.flows_bwd[t], ds.flows_fwd[s], backward_scene_flow
+            v, valid = lift(ds.depths[t], ds.depths[s], flow, ds.cameras[t], ds.cameras[s])
+            yield t, s, flow, back, v, valid
+
+
 def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
     T = ds.n_frames
     H, W = ds.image_size
     if ds.dyn_masks is not None:
         dyn = np.asarray(ds.dyn_masks, dtype=bool)
     else:
-        table = compute_motion_scores(
-            flows_fwd=list(ds.flows_fwd), flows_bwd=list(ds.flows_bwd),
-            uncertainties=None if ds.uncertainties is None else list(ds.uncertainties),
-            id_maps=list(ds.object_ids), seed=config.seed)
-        dyn = np.stack(compose_dynamic_masks(table, list(ds.object_ids)))
+        table = compute_motion_scores(ds.flows_fwd, ds.flows_bwd, ds.uncertainties,
+                                      ds.object_ids, seed=config.seed)
+        dyn = np.stack(compose_dynamic_masks(table, ds.object_ids))
 
     normals = np.zeros((T, H, W, 3))
     normals_valid = np.zeros((T, H, W), dtype=bool)
@@ -459,35 +458,16 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
         normals[t], normals_valid[t] = normals_from_depth(ds.depths[t], ds.cameras[t])
         static_valid[t] = ~_dilate(dyn[t], 1)
 
-    sf_fwd = np.zeros((T, H, W, 3))
-    sf_bwd = np.zeros((T, H, W, 3))
-    sf_mask = np.zeros((T, H, W), dtype=bool)
-    for t in range(T):
-        masks = []
-        if t + 1 < T:
-            v, ok = forward_scene_flow(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                       ds.cameras[t], ds.cameras[t + 1])
-            wd = warped_depth_consistency(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                          ds.cameras[t], ds.cameras[t + 1],
-                                          atol=1e-4, rtol=1e-3)
-            occ = occlusion_mask(ds.flows_fwd[t], ds.flows_bwd[t + 1])
-            sf_fwd[t] = v
-            masks.append(scene_flow_mask(dyn[t], ok, wd, ~occ))
-        if t - 1 >= 0:
-            v, ok = backward_scene_flow(ds.depths[t], ds.depths[t - 1], ds.flows_bwd[t],
-                                        ds.cameras[t], ds.cameras[t - 1])
-            wd = warped_depth_consistency(ds.depths[t], ds.depths[t - 1], ds.flows_bwd[t],
-                                          ds.cameras[t], ds.cameras[t - 1],
-                                          atol=1e-4, rtol=1e-3)
-            occ_b = occlusion_mask(ds.flows_bwd[t], ds.flows_fwd[t - 1])
-            sf_bwd[t] = v
-            masks.append(scene_flow_mask(dyn[t], ok, wd, ~occ_b))
-        if masks:
-            sf_mask[t] = masks[0]
-            for m in masks[1:]:
-                sf_mask[t] &= m
+    sf = np.zeros((2, T, H, W, 3))  # toward t + 1, from t - 1
+    # a frame's mask is the AND over its neighbours; a lone frame has none
+    sf_mask = np.full((T, H, W), T > 1)
+    for t, s, flow, back, v, valid in scene_flow_pairs(ds):
+        sf[int(s < t), t] = v
+        wd = warped_depth_consistency(ds.depths[t], ds.depths[s], flow, ds.cameras[t],
+                                      ds.cameras[s], atol=1e-4, rtol=1e-3)
+        sf_mask[t] &= scene_flow_mask(dyn[t], valid, wd, ~occlusion_mask(flow, back))
     return Supervision(dyn_masks=dyn, normals=normals, normals_valid=normals_valid,
-                       sf_fwd=sf_fwd, sf_bwd=sf_bwd, sf_mask=sf_mask,
+                       sf_fwd=sf[0], sf_bwd=sf[1], sf_mask=sf_mask,
                        static_valid=static_valid)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from .errors import ShapeMismatch, ValidationError
@@ -35,3 +38,11 @@ def check_same_hw(*arrays, names=None):
 def require(cond, message, exc=ValidationError):
     if not cond:
         raise exc(message)
+
+
+def read_json(path, what):
+    """Parse a JSON file; unreadable files and malformed JSON raise ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ValidationError(f"{what} {path}: {exc}") from None

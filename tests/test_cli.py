@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -74,6 +75,10 @@ class TestMasksCommand:
         assert main(["masks", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m")]) == 2
 
+    def test_bad_eps_dyn_exit_2(self, scene_dir, tmp_path):
+        assert main(["masks", "--dataset", str(scene_dir / "data"), "--eps-dyn", "high",
+                     "--out", str(tmp_path / "m")]) == 2
+
 
 class TestTrainCommand:
     def test_train_writes_log_and_checkpoint(self, scene_dir, tmp_path):
@@ -133,6 +138,14 @@ class TestRenderEvalHist:
         summary = json.loads(lines[-1])
         assert len(per_frame) == 2
         assert summary["mean_psnr"] >= 50.0
+
+    def test_eval_malformed_dataset_exit_2(self, scene_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(scene_dir / "data", data)
+        (data / "depth" / "00000.json").write_text("{}")
+        assert main(["eval", "--ckpt", str(scene_dir / "gt.rigs"),
+                     "--dataset", str(data)]) == 2
+        assert "sidecar" in capsys.readouterr().err
 
     def test_hist_json_and_image(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "hist.json"

@@ -1,7 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dysplat.dataset import (
     load_dataset,
@@ -11,7 +14,7 @@ from dysplat.dataset import (
     write_ppm,
     write_raw,
 )
-from dysplat.errors import MissingChannel, ShapeMismatch
+from dysplat.errors import DysplatError, MissingChannel, ShapeMismatch, ValidationError
 from dysplat.dynmask import occlusion_mask
 from dysplat.rasterizer import prepare_splats, rasterize_forward
 from dysplat.sceneflow import backward_scene_flow, forward_scene_flow, warped_depth_consistency
@@ -113,6 +116,107 @@ class TestDatasetRoundTrip:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def _write_text(rel, text):
+    return lambda root: (root / rel).write_text(text)
+
+
+def _resized_frame(root):
+    write_raw(root / "depth" / "00001.f32", np.ones((3, 5)), "float32")
+
+
+def _small_masks(root):
+    for t in range(6):
+        write_raw(root / "dyn_mask" / f"{t:05d}.u8", np.zeros((3, 5)), "uint8")
+
+
+def _ppm_header(size):
+    def corrupt(root):
+        p = root / "frames" / "00000.ppm"
+        body = p.read_bytes().split(b"\n", 3)[3]
+        p.write_bytes(b"P6\n" + size + b"\n255\n" + body)
+    return corrupt
+
+
+MALFORMED_DATASETS = {
+    "sidecar-truncated": _write_text("depth/00000.json", "{"),
+    "sidecar-empty-object": _write_text("depth/00000.json", "{}"),
+    "sidecar-list": _write_text("depth/00000.json", "[]"),
+    "sidecar-float-width": _write_text(
+        "depth/00000.json", '{"width": 48.5, "height": 40, "channels": 1, "dtype": "float32"}'),
+    "sidecar-negative-width": _write_text(
+        "depth/00000.json", '{"width": -48, "height": -40, "channels": 1, "dtype": "float32"}'),
+    "sidecar-list-dtype": _write_text(
+        "depth/00000.json", '{"width": 48, "height": 40, "channels": 1, "dtype": ["float32"]}'),
+    "cameras-bad-json": _write_text("cameras.json", "[{"),
+    "cameras-object": _write_text("cameras.json", "{}"),
+    "tracks-bad-json": _write_text("tracks.json", '{"n": '),
+    "tracks-missing-n": _write_text("tracks.json", '{"t": 6}'),
+    "tracks-missing-t": _write_text("tracks.json", '{"n": 12}'),
+    "tracks-partial-float": _write_text("tracks.f32", "abc"),
+    "labels-bad-json": _write_text("gt_labels.json", "{"),
+    "labels-missing-ids": _write_text("gt_labels.json", "{}"),
+    "frame-other-size": _resized_frame,
+    "masks-other-size": _small_masks,
+    "ppm-non-integer-size": _ppm_header(b"48 forty"),
+    "ppm-negative-width": _ppm_header(b"-48 -40"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny") / "d"
+    save_dataset(generate_synthetic(tiny_spec()), root)
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_malformed_dataset_raises_validation_error(saved_tiny, tmp_path, case):
+    root = tmp_path / "d"
+    shutil.copytree(saved_tiny, root)
+    load_dataset(root)  # the untouched copy loads
+    MALFORMED_DATASETS[case](root)
+    with pytest.raises(ValidationError):
+        load_dataset(root)
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                        st.floats(allow_nan=False), st.text(max_size=8),
+                        st.lists(st.integers(-1, 4), max_size=3),
+                        st.sampled_from(["float32", "uint16", "uint8"]))
+
+
+@FUZZ
+@given(sidecar=st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.sampled_from(["width", "height", "channels", "dtype"]), JSON_VALUES)
+    .map(lambda d: json.dumps(d).encode())), payload=st.binary(max_size=96))
+def test_read_raw_fuzz_raises_only_package_errors(tmp_path, sidecar, payload):
+    (tmp_path / "x.json").write_bytes(sidecar)
+    (tmp_path / "x.f32").write_bytes(payload)
+    try:
+        read_raw(tmp_path / "x.f32")
+    except DysplatError:
+        pass
+
+
+PPM_TOKENS = st.one_of(st.integers(-3, 6).map(str), st.sampled_from(["255", "#c\n", "x", "1.5"]))
+
+
+@FUZZ
+@given(raw=st.one_of(
+    st.binary(max_size=96),
+    st.tuples(st.lists(PPM_TOKENS, max_size=4), st.binary(max_size=96))
+    .map(lambda tb: ("P6 " + " ".join(tb[0]) + "\n").encode() + tb[1])))
+def test_read_ppm_fuzz_raises_only_package_errors(tmp_path, raw):
+    (tmp_path / "x.ppm").write_bytes(raw)
+    try:
+        read_ppm(tmp_path / "x.ppm")
+    except DysplatError:
+        pass
 
 
 class TestGeneratorGroundTruth:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dysplat.errors import DegenerateRotation6D, NonPositiveDepth, ValidationError
 from dysplat.geometry import (
     SE3Transform,
+    bilinear_sample,
     ewa_backward,
     ewa_project_covariance,
     ewa_project_covariance_batch,
@@ -115,6 +116,24 @@ class TestWarp:
         out, valid = warp(field, flow)
         assert np.isclose(out[0, 0], 0.25) and valid[0, 0]
 
+    def test_point_sampler_is_warp_at_points(self):
+        rng = np.random.default_rng(5)
+        field = rng.normal(size=(6, 9, 2))
+        flow = rng.uniform(-3.0, 3.0, size=(6, 9, 2))
+        out, valid = warp(field, flow)
+        gy, gx = np.mgrid[0:6, 0:9]
+        pts_out, pts_valid = bilinear_sample(field, gx + flow[..., 0], gy + flow[..., 1])
+        assert np.array_equal(out, pts_out) and np.array_equal(valid, pts_valid)
+        assert 0 < np.count_nonzero(valid) < valid.size
+
+    def test_point_sampler_outside_and_nan(self):
+        field = np.arange(12.0).reshape(3, 4)
+        out, valid = bilinear_sample(field, np.array([1.5, -1.0, 10.0, np.nan]),
+                                     np.array([0.5, 0.0, 2.0, 1.0]))
+        assert out[0] == 3.5  # mean of field[0:2, 1:3]
+        assert list(valid) == [True, False, False, False]
+        assert out[1] == field[0, 0] and out[2] == field[2, 3]  # clamped to the border
+
 
 class TestRot6d:
     def test_already_orthonormal(self):
@@ -156,7 +175,46 @@ class TestRot6d:
             assert np.allclose(an, fd, rtol=1e-5, atol=1e-7)
 
 
+def matrix_to_quat_loop(R):
+    """Row-by-row reference for the branch-selecting ``matrix_to_quat``."""
+    R = np.asarray(R, dtype=np.float64).reshape(-1, 3, 3)
+    out = np.empty((R.shape[0], 4))
+    for k, m in enumerate(R):
+        tr = np.trace(m)
+        if tr > 0:
+            s = np.sqrt(tr + 1.0) * 2
+            out[k] = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
+            out[k] = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+        elif m[1, 1] > m[2, 2]:
+            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
+            out[k] = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+        else:
+            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
+            out[k] = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
 class TestQuat:
+    def test_matches_row_loop_on_every_branch(self):
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(2000, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        # half turns about each axis and about diagonals have trace -1
+        axes = np.concatenate([np.eye(3), rng.normal(size=(5, 3))])
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        half_turns = 2 * np.einsum("ni,nj->nij", axes, axes) - np.eye(3)
+        R = np.concatenate([quat_to_matrix(q), half_turns, np.eye(3)[None]])
+        ref = matrix_to_quat_loop(R)
+        tr = np.trace(R, axis1=1, axis2=2)
+        d = np.diagonal(R, axis1=1, axis2=2)
+        branch = np.select([tr > 0, (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2]), d[:, 1] > d[:, 2]],
+                           [0, 1, 2], 3)
+        assert set(branch) == {0, 1, 2, 3}
+        assert np.array_equal(matrix_to_quat(R), ref)
+        assert np.array_equal(matrix_to_quat(R[-2]), ref[-2])
+
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(16, 4))

@@ -3,10 +3,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dysplat.errors import BadMagic, ShapeMismatch
+from dysplat.errors import BadMagic, DysplatError, ShapeMismatch
 from dysplat.geometry import quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
     CHECKPOINT_MAGIC,
@@ -365,6 +365,45 @@ class TestCheckpoint:
         save_checkpoint(gs, p1)
         save_checkpoint(gs, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+HEADER_VALUES = st.one_of(st.none(), st.integers(-3, 40), st.floats(allow_nan=False),
+                          st.text(max_size=6), st.lists(st.integers(-2, 5), max_size=3),
+                          st.sampled_from(["static", "rigid", "bases", "means", "rot6d"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_checkpoint_fuzz_raises_only_package_errors(tmp_path, data):
+    rng = np.random.default_rng(3)
+    gs = GaussianSet(StaticGaussians.empty(), make_rigid(rng.normal(size=(2, 3)),
+                                                         rng.normal(size=(2, 2))),
+                     TransientGaussians.empty(), MotionBases.identity(2, 3), 3.0)
+    p = tmp_path / "x.rigs"
+    save_checkpoint(gs, p)
+    valid = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", valid[8:16])
+    how = data.draw(st.sampled_from(["bytes", "splice", "header"]))
+    if how == "bytes":
+        raw = data.draw(st.binary(max_size=128))
+    elif how == "splice":
+        i = data.draw(st.integers(0, len(valid)))
+        junk = data.draw(st.binary(min_size=1, max_size=8))
+        raw = (valid[:i] + junk + valid[i + len(junk):])[:data.draw(st.integers(i, len(valid)))]
+    else:
+        header = json.loads(valid[16:16 + hlen])
+        target = header
+        if data.draw(st.booleans()):
+            target = header["fields"][data.draw(st.integers(0, len(header["fields"]) - 1))]
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(HEADER_VALUES)
+        text = json.dumps(header).encode()
+        raw = CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + valid[16 + hlen:]
+    p.write_bytes(raw)
+    try:
+        load_checkpoint(p)
+    except DysplatError:
+        pass
 
 
 def test_sigmoid_stable():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,29 @@ class TestHistogram:
         gs = self._set_with_durations([1.0], [])
         with pytest.raises(ValidationError):
             duration_histogram(gs, 1)
+
+
+def test_build_supervision_calls_each_layer_through_the_module(monkeypatch):
+    # perfbench times these layers by swapping the trainer module's attributes
+    counts = {}
+
+    def counting(name):
+        fn = getattr(trainer, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("compute_motion_scores", "forward_scene_flow", "backward_scene_flow",
+             "warped_depth_consistency")
+    for name in names:
+        monkeypatch.setattr(trainer, name, counting(name))
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.03, 0.0, 0.0]}, frames=4))
+    trainer.build_supervision(replace(ds, dyn_masks=None), TrainConfig())
+    T = ds.n_frames
+    assert [counts.get(n, 0) for n in names] == [1, T - 1, T - 1, 2 * (T - 1)]
 
 
 def fixed_point_config(**overrides):
