@@ -76,6 +76,10 @@ class SceneDataset:
             raise ShapeMismatch(f"expected {T} cameras, got {len(self.cameras)}")
         if self.tracks.ndim != 3 or self.tracks.shape[1] != T or self.tracks.shape[2] != 3:
             raise ShapeMismatch(f"tracks: expected (N, {T}, 3), got {self.tracks.shape}")
+        visibility = self.tracks[..., 2]
+        require(np.all(np.isfinite(visibility)), "tracks: non-finite visibility")
+        require(np.all(np.isfinite(self.tracks[visibility > 0.5, :2])),
+                "tracks: a visible track point has a non-finite coordinate")
 
     @property
     def n_frames(self):

@@ -49,7 +49,8 @@ class SceneReconstructor(ParamMixin):
     """Per-scene optimizer with a fit/predict surface.
 
     fit() runs the staged training loop on one dataset; predict() renders
-    novel (camera, time) pairs from the fitted Gaussian set.
+    novel (camera, time) pairs from the fitted Gaussian set. ``threads`` is
+    accepted and ignored, like ``TrainConfig.threads``.
     """
 
     def __init__(self, iters_total=30000, iters_static_warmup=3000,
@@ -90,7 +91,7 @@ class SceneReconstructor(ParamMixin):
 
     def render(self, camera, t):
         self._check_fitted("gaussians_")
-        return render_view(self.gaussians_, camera, t, threads=self.threads)
+        return render_view(self.gaussians_, camera, t)
 
     def predict(self, cameras, times):
         """Rendered images for parallel lists of cameras and frame times."""
@@ -103,12 +104,12 @@ class SceneReconstructor(ParamMixin):
     def score(self, dataset: SceneDataset, frames=None):
         """Mean held-out PSNR (higher is better)."""
         self._check_fitted("gaussians_")
-        report = evaluate(self.gaussians_, dataset, frames=frames, threads=self.threads)
+        report = evaluate(self.gaussians_, dataset, frames=frames)
         return report["mean_psnr"]
 
     def evaluate(self, dataset: SceneDataset, frames=None):
         self._check_fitted("gaussians_")
-        return evaluate(self.gaussians_, dataset, frames=frames, threads=self.threads)
+        return evaluate(self.gaussians_, dataset, frames=frames)
 
 
 class MotionMaskEstimator(ParamMixin):

@@ -19,9 +19,9 @@ def mask_iou(pred, gt):
     return float(np.count_nonzero(pred & gt) / union)
 
 
-def render_view(gset: GaussianSet, cam, t, threads=1):
+def render_view(gset: GaussianSet, cam, t):
     batch = prepare_splats(gset, cam, t)
-    return rasterize_forward(batch, cam, threads=threads)
+    return rasterize_forward(batch, cam)
 
 
 def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
@@ -29,12 +29,13 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
 
     Returns {"per_frame": [...], "mean_psnr", "mean_ssim", "mean_iou"} where
     IoU entries appear only when the dataset carries dynamic masks.
+    ``threads`` is accepted and ignored: rendering runs one serial tile loop.
     """
     if frames is None:
         frames = list(range(ds.n_frames))
     per_frame = []
     for t in frames:
-        out = render_view(gset, ds.cameras[t], t, threads=threads)
+        out = render_view(gset, ds.cameras[t], t)
         pred = np.clip(out.color, 0.0, 1.0)
         entry = {
             "frame": int(t),

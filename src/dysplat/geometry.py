@@ -173,17 +173,6 @@ def unproject(pixel, depth, cam: CameraFrame):
     return cam.camera_to_world(np.array([x, y, depth], dtype=np.float64))
 
 
-def project_points(points_world, cam: CameraFrame):
-    """Batched projection without raising: returns (pixels (N,2), z (N,), valid)."""
-    p_cam = cam.world_to_camera(points_world)
-    z = p_cam[:, 2]
-    valid = z > MIN_DEPTH
-    zs = np.where(valid, z, 1.0)
-    i = cam.intrinsics
-    pix = np.stack([i.fx * p_cam[:, 0] / zs + i.cx, i.fy * p_cam[:, 1] / zs + i.cy], axis=-1)
-    return pix, z, valid
-
-
 def unproject_grid(depth, cam: CameraFrame):
     """Unproject a full depth map to an (H, W, 3) world-point map."""
     H, W = depth.shape

@@ -1,7 +1,9 @@
 """Gaussian primitive populations, shared motion bases and temporal gating.
 
 Populations are stored struct-of-arrays (one ndarray per field, rows are
-Gaussians). Three kinds exist:
+Gaussians). FIELD_SHAPES is their one schema: validation, empty populations,
+row selection, concatenation and the checkpoint field order follow from it
+and the dataclass fields. Three kinds exist:
 
 * static     — time-invariant background.
 * rigid      — driven by a weighted blend of shared per-frame SE(3) bases,
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,9 +50,24 @@ def logit(p):
 # populations
 
 
+# Trailing shape of every population field; a field's leading axis is the
+# Gaussian (row). None marks the axis of the K shared motion bases.
+FIELD_SHAPES = {
+    "means": (3,),
+    "log_scales": (3,),
+    "quats": (4,),
+    "opacity_logits": (),
+    "colors": (3,),
+    "weights": (None,),     # ||w||_2 = 1 per row
+    "velocities": (3,),     # scene units / frame
+    "durations": (),        # frames, > 0
+    "centers": (),          # frames
+}
+
+
 @dataclass
 class GaussianGroup:
-    """Fields shared by every population; shapes are (N, ...)."""
+    """Fields shared by every population; FIELD_SHAPES gives their shapes."""
 
     means: np.ndarray
     log_scales: np.ndarray
@@ -59,74 +76,59 @@ class GaussianGroup:
     colors: np.ndarray
 
     def __post_init__(self):
-        n = self.means.shape[0] if np.ndim(self.means) else 0
-        self.means = as_array(self.means, (n, 3), "means")
-        self.log_scales = as_array(self.log_scales, (n, 3), "log_scales")
-        self.quats = as_array(self.quats, (n, 4), "quats")
-        self.opacity_logits = as_array(self.opacity_logits, (n,), "opacity_logits")
-        self.colors = as_array(self.colors, (n, 3), "colors")
+        n = None  # every field has the row count of the first
+        for name in self.field_names():
+            arr = as_array(getattr(self, name), (n,) + FIELD_SHAPES[name], name)
+            setattr(self, name, arr)
+            n = arr.shape[0]
+
+    @classmethod
+    def field_names(cls):
+        return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def empty(cls, n_bases=0):
+        """A population of no Gaussians (rigid weights are (0, n_bases))."""
+        return cls(**{name: np.zeros((0,) + tuple(n_bases if d is None else d
+                                                  for d in FIELD_SHAPES[name]))
+                      for name in cls.field_names()})
 
     def __len__(self):
         return self.means.shape[0]
 
+    def _with(self, fn):
+        """A population of the same kind whose field ``name`` is fn(name)."""
+        return type(self)(**{name: fn(name) for name in self.field_names()})
+
     def copy(self):
-        return replace(self, **{f.name: getattr(self, f.name).copy() for f in fields(self)})
+        return self._with(lambda name: getattr(self, name).copy())
+
+    def take(self, rows):
+        """The Gaussians at ``rows`` (indices, a mask or a slice)."""
+        return self._with(lambda name: getattr(self, name)[rows])
+
+    def concat(self, other):
+        """This population followed by the rows of ``other``."""
+        return self._with(lambda name: np.concatenate([getattr(self, name), getattr(other, name)]))
 
 
 @dataclass
 class StaticGaussians(GaussianGroup):
-    @staticmethod
-    def empty():
-        return StaticGaussians(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
-                               np.zeros(0), np.zeros((0, 3)))
+    pass
 
 
 @dataclass
 class RigidGaussians(GaussianGroup):
-    weights: np.ndarray = None    # (N, K), ||w||_2 = 1 per row
-    durations: np.ndarray = None  # (N,) frames, > 0
-    centers: np.ndarray = None    # (N,) frames
-
-    def __post_init__(self):
-        super().__post_init__()
-        n = len(self)
-        self.weights = as_array(self.weights, (n, None), "weights")
-        self.durations = as_array(self.durations, (n,), "durations")
-        self.centers = as_array(self.centers, (n,), "centers")
-
-    @staticmethod
-    def empty(n_bases):
-        return RigidGaussians(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
-                              np.zeros(0), np.zeros((0, 3)),
-                              weights=np.zeros((0, n_bases)), durations=np.zeros(0),
-                              centers=np.zeros(0))
+    weights: np.ndarray
+    durations: np.ndarray
+    centers: np.ndarray
 
 
 @dataclass
 class TransientGaussians(GaussianGroup):
-    velocities: np.ndarray = None  # (N, 3) scene units / frame
-    durations: np.ndarray = None
-    centers: np.ndarray = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        n = len(self)
-        self.velocities = as_array(self.velocities, (n, 3), "velocities")
-        self.durations = as_array(self.durations, (n,), "durations")
-        self.centers = as_array(self.centers, (n,), "centers")
-
-    @staticmethod
-    def empty():
-        return TransientGaussians(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
-                                  np.zeros(0), np.zeros((0, 3)),
-                                  velocities=np.zeros((0, 3)), durations=np.zeros(0),
-                                  centers=np.zeros(0))
-
-    def extend(self, other: "TransientGaussians"):
-        kw = {}
-        for f in fields(self):
-            kw[f.name] = np.concatenate([getattr(self, f.name), getattr(other, f.name)], axis=0)
-        return TransientGaussians(**kw)
+    velocities: np.ndarray
+    durations: np.ndarray
+    centers: np.ndarray
 
 
 @dataclass
@@ -205,15 +207,6 @@ def covariance(R, log_scales):
     """(N, 3, 3) covariances R diag(exp(2 log_scales)) R^T from rotations R."""
     s2 = np.exp(2.0 * log_scales)
     return np.einsum("nij,nj,nkj->nik", R, s2, R)
-
-
-def covariance_from(log_scale, quat):
-    """3x3 covariance R diag(exp(2 log_scale)) R^T for one Gaussian."""
-    return covariance_batch(np.asarray(log_scale)[None], np.asarray(quat)[None])[0]
-
-
-def covariance_batch(log_scales, quats):
-    return covariance(quat_to_matrix(quats), log_scales)
 
 
 def covariance_backward(grad_cov, R, log_scales):
@@ -311,24 +304,6 @@ def _velocity_frame_pairs(t, n_frames):
     return fwd, bwd
 
 
-def rigid_velocities_at(rigids: RigidGaussians, bases: MotionBases, t):
-    """Forward/backward finite-difference velocities of rigid means at frame t."""
-    fwd, bwd = _velocity_frame_pairs(t, bases.n_frames)
-    if fwd is None:
-        z = np.zeros_like(rigids.means)
-        return z, z.copy()
-    mean_at = {}
-    for f in set(fwd) | set(bwd):
-        mean_at[f] = rigid_means_at(rigids, blend_bases(rigids.weights, bases, f))
-    v_fwd = mean_at[fwd[0]] - mean_at[fwd[1]]
-    v_bwd = mean_at[bwd[0]] - mean_at[bwd[1]]
-    return v_fwd, v_bwd
-
-
-def transient_velocities_at(transients: TransientGaussians, t):
-    return transients.velocities.copy(), transients.velocities.copy()
-
-
 # ---------------------------------------------------------------------------
 # rigid -> transient transition
 
@@ -348,24 +323,14 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
         return gset, 0
 
     T = gset.n_frames
-    idx = np.nonzero(move)[0]
-    sub = RigidGaussians(
-        rigids.means[idx], rigids.log_scales[idx], rigids.quats[idx],
-        rigids.opacity_logits[idx], rigids.colors[idx],
-        weights=rigids.weights[idx], durations=rigids.durations[idx], centers=rigids.centers[idx],
-    )
+    sub = rigids.take(move)
     t_anchor = np.clip(np.round(sub.centers).astype(int), 0, T - 1)
 
     new_means = np.zeros((count, 3))
     new_quats = np.zeros((count, 4))
     new_vel = np.zeros((count, 3))
     for k in range(count):
-        row = RigidGaussians(
-            sub.means[k:k + 1], sub.log_scales[k:k + 1], sub.quats[k:k + 1],
-            sub.opacity_logits[k:k + 1], sub.colors[k:k + 1],
-            weights=sub.weights[k:k + 1], durations=sub.durations[k:k + 1],
-            centers=sub.centers[k:k + 1],
-        )
+        row = sub.take(slice(k, k + 1))
         ta = int(t_anchor[k])
         ctx = blend_bases(row.weights, gset.bases, ta)
         new_means[k] = rigid_means_at(row, ctx)[0]
@@ -376,19 +341,12 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
             m_lo = rigid_means_at(row, blend_bases(row.weights, gset.bases, lo))[0]
             new_vel[k] = (m_hi - m_lo) / (hi - lo)
 
-    converted = TransientGaussians(
-        new_means, sub.log_scales.copy(), new_quats,
-        sub.opacity_logits.copy(), sub.colors.copy(),
-        velocities=new_vel, durations=sub.durations.copy(), centers=sub.centers.copy(),
-    )
-    keep = ~move
-    remaining = RigidGaussians(
-        rigids.means[keep], rigids.log_scales[keep], rigids.quats[keep],
-        rigids.opacity_logits[keep], rigids.colors[keep],
-        weights=rigids.weights[keep], durations=rigids.durations[keep],
-        centers=rigids.centers[keep],
-    )
-    new_set = GaussianSet(gset.statics, remaining, gset.transients.extend(converted),
+    # appearance and temporal window carry over; the pose is frozen at the anchor
+    carried = {name: getattr(sub, name) for name in TransientGaussians.field_names()
+               if name in RigidGaussians.field_names()}
+    converted = TransientGaussians(**{**carried, "means": new_means, "quats": new_quats,
+                                      "velocities": new_vel})
+    new_set = GaussianSet(gset.statics, rigids.take(~move), gset.transients.concat(converted),
                           gset.bases, gset.gate_sharpness)
     return new_set, count
 
@@ -396,14 +354,11 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
 # ---------------------------------------------------------------------------
 # parameter trees (used by the optimizer and the gradient buffers)
 
-GROUP_FIELDS = {
-    "static": ("means", "log_scales", "quats", "opacity_logits", "colors"),
-    "rigid": ("means", "log_scales", "quats", "opacity_logits", "colors",
-              "weights", "durations", "centers"),
-    "transient": ("means", "log_scales", "quats", "opacity_logits", "colors",
-                  "velocities", "durations", "centers"),
-    "bases": ("rot6d", "trans"),
-}
+POPULATIONS = {"static": StaticGaussians, "rigid": RigidGaussians,
+               "transient": TransientGaussians}
+# the checkpoint writes its fields in this order
+GROUP_FIELDS = {kind: cls.field_names() for kind, cls in POPULATIONS.items()}
+GROUP_FIELDS["bases"] = tuple(f.name for f in fields(MotionBases))
 
 
 def population(gset: GaussianSet, kind):
@@ -441,8 +396,7 @@ def save_checkpoint(gset: GaussianSet, path):
             blobs.append(arr.tobytes())
             offset += len(blobs[-1])
     header = {
-        "counts": {"static": len(gset.statics), "rigid": len(gset.rigids),
-                   "transient": len(gset.transients)},
+        "counts": {kind: len(population(gset, kind)) for kind in POPULATIONS},
         "K": gset.bases.n_bases,
         "T": gset.bases.n_frames,
         "alpha_gate": gset.gate_sharpness,
@@ -493,16 +447,9 @@ def load_checkpoint(path):
         except KeyError:
             raise ShapeMismatch(f"{path}: missing field {kind}.{name}")
 
-    statics = StaticGaussians(*[grab("static", f) for f in GROUP_FIELDS["static"]])
-    rigids = RigidGaussians(*[grab("rigid", f) for f in GROUP_FIELDS["rigid"][:5]],
-                            weights=grab("rigid", "weights"),
-                            durations=grab("rigid", "durations"),
-                            centers=grab("rigid", "centers"))
-    transients = TransientGaussians(*[grab("transient", f) for f in GROUP_FIELDS["transient"][:5]],
-                                    velocities=grab("transient", "velocities"),
-                                    durations=grab("transient", "durations"),
-                                    centers=grab("transient", "centers"))
-    bases = MotionBases(grab("bases", "rot6d"), grab("bases", "trans"))
+    pops = {kind: cls(**{name: grab(kind, name) for name in GROUP_FIELDS[kind]})
+            for kind, cls in POPULATIONS.items()}
+    bases = MotionBases(**{name: grab("bases", name) for name in GROUP_FIELDS["bases"]})
     if bases.n_bases != K or bases.n_frames != T:
         raise ShapeMismatch(f"{path}: basis shape disagrees with header")
-    return GaussianSet(statics, rigids, transients, bases, gate_sharpness)
+    return GaussianSet(pops["static"], pops["rigid"], pops["transient"], bases, gate_sharpness)

@@ -7,13 +7,12 @@ produces exact adjoints for every optimizable parameter of the Gaussian set,
 chained through alpha compositing, the EWA projection, temporal gating, the
 shared-basis rigid transform and the transient linear motion.
 
-All heavy math is vectorized per 16x16 tile; gradient accumulation runs in a
-fixed tile order so results are identical for any thread count.
+All heavy math is vectorized per 16x16 tile; one serial loop visits the
+tiles in a fixed order, so gradient accumulation is bit-reproducible.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,40 +66,27 @@ KIND_STATIC, KIND_RIGID, KIND_TRANSIENT = 0, 1, 2
 
 @dataclass
 class RenderOutputs:
-    color: np.ndarray        # (H, W, 3)
-    alpha: np.ndarray        # (H, W)
-    depth: np.ndarray        # (H, W) expected depth, not alpha-normalized
-    normal: np.ndarray       # (H, W, 3)
-    dyn_mask: np.ndarray     # (H, W)
-    v_fwd: np.ndarray        # (H, W, 3)
-    v_bwd: np.ndarray        # (H, W, 3)
-    corr: np.ndarray         # (H, W, 3)
-    transmittance: np.ndarray  # (H, W)
+    """The composited payload channels and the accumulated alpha.
 
-    @staticmethod
-    def from_channels(channels, alpha):
-        return RenderOutputs(
-            color=channels[..., C_COLOR].copy(),
-            alpha=alpha,
-            depth=channels[..., C_DEPTH].copy(),
-            normal=channels[..., C_NORMAL].copy(),
-            dyn_mask=channels[..., C_DYN].copy(),
-            v_fwd=channels[..., C_VFWD].copy(),
-            v_bwd=channels[..., C_VBWD].copy(),
-            corr=channels[..., C_CORR].copy(),
-            transmittance=1.0 - alpha,
-        )
+    Each named plane (color, dyn_mask, depth, normal, v_fwd, v_bwd, corr) is
+    a view into ``channels`` at its GRAD_CHANNELS slot. Depth is the expected
+    depth, not alpha-normalized.
+    """
+
+    channels: np.ndarray     # (H, W, N_CHANNELS)
+    alpha: np.ndarray        # (H, W)
+
+    def __getattr__(self, name):
+        if name not in GRAD_CHANNELS:
+            raise AttributeError(name)
+        return self.channels[..., GRAD_CHANNELS[name]]
+
+    @property
+    def transmittance(self):
+        return 1.0 - self.alpha
 
     def channel_stack(self):
-        out = np.zeros(self.color.shape[:2] + (N_CHANNELS,))
-        out[..., C_COLOR] = self.color
-        out[..., C_DYN] = self.dyn_mask
-        out[..., C_DEPTH] = self.depth
-        out[..., C_NORMAL] = self.normal
-        out[..., C_VFWD] = self.v_fwd
-        out[..., C_VBWD] = self.v_bwd
-        out[..., C_CORR] = self.corr
-        return out
+        return self.channels
 
 
 @dataclass
@@ -301,12 +287,12 @@ class _OrderedView:
 
 
 class _Workspace:
-    """Flat float64 buffers that one tile worker reuses for its (splats, pixels)
-    arrays, so a tile allocates nothing of that size.
+    """Flat float64 buffers that the tile loop reuses for every tile's
+    (splats, pixels) arrays, so a tile allocates nothing of that size.
 
     ``take(slot, n, P)`` returns an (n, P) view of buffer ``slot``; a buffer
     grows only when a tile needs more than every earlier tile did. The views
-    are overwritten by the worker's next tile, so a tile returns none of them.
+    are overwritten by the next tile, so a tile keeps none of them.
     """
 
     def __init__(self):
@@ -392,36 +378,18 @@ def _splats_in_tile(view: _OrderedView, y0, y1, x0, x1):
     return np.nonzero(hit)[0]
 
 
-def _map_tiles(view: _OrderedView, fn, threads):
-    """The tile loop: apply fn(bounds, local, ws) to every tile that a splat
-    covers, where local lists the ordered splats covering the tile and ws is
-    the calling worker's _Workspace (the serial path has one, each pool thread
-    its own). Returns one result per tile in the fixed tile order, None for
-    empty tiles, regardless of thread count, so accumulation is
-    bit-reproducible.
-    """
-    def run(bounds, ws):
-        local = _splats_in_tile(view, *bounds)
-        return fn(bounds, local, ws) if local.size else None
-
-    tiles = list(_tile_ranges(view.width, view.height))
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        per_thread = threading.local()
-
-        def run_threaded(bounds):
-            if not hasattr(per_thread, "ws"):
-                per_thread.ws = _Workspace()
-            return run(bounds, per_thread.ws)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_threaded, tiles))
+def _map_tiles(view: _OrderedView, fn):
+    """The tile loop: call fn(bounds, local, ws) for every tile that a splat
+    covers, in the fixed tile order, where local lists the ordered splats
+    covering the tile and ws is the loop's one _Workspace."""
     ws = _Workspace()
-    return [run(bounds, ws) for bounds in tiles]
+    for bounds in _tile_ranges(view.width, view.height):
+        local = _splats_in_tile(view, *bounds)
+        if local.size:
+            fn(bounds, local, ws)
 
 
-def _composite(batch: SplatBatch, threads=1, owner=False):
+def _composite(batch: SplatBatch, owner=False):
     """Tiled compositing of every payload channel -> (RenderOutputs, owner).
 
     With ``owner`` set, the same pass also yields the per-pixel batch row of
@@ -432,9 +400,6 @@ def _composite(batch: SplatBatch, threads=1, owner=False):
     channels = np.zeros((H, W, N_CHANNELS))
     alpha_out = np.zeros((H, W))
     owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
-    if len(batch) == 0:
-        return RenderOutputs.from_channels(channels, alpha_out), owner_rows
-
     view = _OrderedView(batch)
 
     def run_tile(bounds, local, ws):
@@ -448,8 +413,8 @@ def _composite(batch: SplatBatch, threads=1, owner=False):
             has = w[best, np.arange(w.shape[1])] > 0.0
             owner_rows[y0:y1, x0:x1] = np.where(has, view.order[local][best], -1).reshape(shape)
 
-    _map_tiles(view, run_tile, threads)
-    return RenderOutputs.from_channels(channels, alpha_out), owner_rows
+    _map_tiles(view, run_tile)
+    return RenderOutputs(channels, alpha_out), owner_rows
 
 
 def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderOutputs:
@@ -457,8 +422,9 @@ def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderO
 
     Splats composite in global depth order (ties broken by batch index);
     per-pixel compositing stops once transmittance drops below 1e-4.
+    ``threads`` is accepted and ignored: the tile loop is serial.
     """
-    return _composite(batch, threads)[0]
+    return _composite(batch)[0]
 
 
 def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
@@ -469,7 +435,7 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
     channels = np.zeros((H, W, N_CHANNELS))
     alpha_out = np.zeros((H, W))
     if len(batch) == 0:
-        return RenderOutputs.from_channels(channels, alpha_out)
+        return RenderOutputs(channels, alpha_out)
 
     view = _OrderedView(batch)
     gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
@@ -483,7 +449,7 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
     w = alpha * T
     channels = (w.T @ view.payload).reshape(H, W, N_CHANNELS)
     alpha_out = np.sum(w, axis=0).reshape(H, W)
-    return RenderOutputs.from_channels(channels, alpha_out)
+    return RenderOutputs(channels, alpha_out)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +474,7 @@ def _assemble_grad_channels(grad_outputs, H, W):
 
 
 def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutputs,
-                       grad_outputs: dict, gset: GaussianSet, t, t_corr=None,
-                       threads=1):
+                       grad_outputs: dict, gset: GaussianSet, t, t_corr=None):
     """Exact adjoints of rasterize_forward for every optimizable parameter.
 
     ``grad_outputs`` maps channel names (color, dyn_mask, depth, normal,
@@ -574,17 +539,14 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
         d_conic = -0.5 * np.stack([r_uu - a * (2.0 * r_u - a * r_1),
                                    r_uv - b * r_u - a * r_v + a * b * r_1,
                                    r_vv - b * (2.0 * r_v - b * r_1)], axis=1)
-        return order[local], d_payload, r_1 / view.opacity[local], d_mean, d_conic
-
-    # order[local] holds each splat once per tile, so indexed += accumulates
-    for res in _map_tiles(view, run_tile, threads):
-        if res is None:
-            continue
-        sub, d_payload, d_opacity, d_mean, d_conic = res
+        # order[local] holds each splat once per tile, so indexed += accumulates
+        sub = order[local]
         d_payload_o[sub] += d_payload
-        d_opacity_o[sub] += d_opacity
+        d_opacity_o[sub] += r_1 / view.opacity[local]
         d_mean2d_o[sub] += d_mean
         d_conic_o[sub] += d_conic
+
+    _map_tiles(view, run_tile)
 
     # the conic is inv(cov2d): d_cov = -inv d_conic inv
     d_conic_m = d_conic_o[:, [0, 1, 1, 2]].reshape(n, 2, 2)

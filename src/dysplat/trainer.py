@@ -40,7 +40,6 @@ from .primitives import (
     MotionBases,
     RigidGaussians,
     StaticGaussians,
-    TransientGaussians,
     logit,
     parameter_tree,
     save_checkpoint,
@@ -84,6 +83,9 @@ def _require_known_keys(d, cls, what):
 
 @dataclass
 class TrainConfig:
+    """Training hyperparameters. ``threads`` is accepted and ignored: the tile
+    loop is serial."""
+
     iters_total: int = 30000
     iters_static_warmup: int = 3000
     iters_rigid_warmup: int = 12000
@@ -475,29 +477,16 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
 # training loop
 
 
-def _tree_select(state_tree, kind, keep=None, extend=0):
-    grp = state_tree[kind]
-    for name, arr in grp.items():
-        if keep is not None:
-            arr = arr[keep]
-        if extend:
-            pad = np.zeros((extend,) + arr.shape[1:])
-            arr = np.concatenate([arr, pad], axis=0)
-        grp[name] = arr
-    return grp
-
-
 def _migrate_state_after_transition(state: OptimState, keep_mask, n_new, gset):
     """Drop rigid rows that moved and append zero moments for new transients."""
     for tree in (state.m, state.v):
-        _tree_select(tree, "rigid", keep=keep_mask)
-        _tree_select(tree, "transient", extend=n_new)
+        tree["rigid"] = {name: arr[keep_mask] for name, arr in tree["rigid"].items()}
+        tree["transient"] = {name: np.concatenate([arr, np.zeros((n_new,) + arr.shape[1:])])
+                             for name, arr in tree["transient"].items()}
     fresh = zeros_like_tree(gset)
-    for tree in (state.m, state.v):
-        for kind in tree:
-            for name in tree[kind]:
-                if tree[kind][name].shape != fresh[kind][name].shape:
-                    raise AssertionError("optimizer state out of sync after transition")
+    if any(tree[kind][name].shape != arr.shape for tree in (state.m, state.v)
+           for kind, grp in fresh.items() for name, arr in grp.items()):
+        raise AssertionError("optimizer state out of sync after transition")
 
 
 def _sample_t_corr(rng, t, T, window):
@@ -539,7 +528,7 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
     w = config.loss_weights
     cam = ds.cameras[t]
     batch = prepare_splats(gset, cam, t, t_corr)
-    out = rasterize_forward(batch, cam, threads=config.threads)
+    out = rasterize_forward(batch, cam)
 
     terms = {}
     grad_outputs = {}
@@ -585,8 +574,7 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
         r_val, r_grads = reg_loss(gset, w)
         terms["reg"] = r_val
 
-    grads = rasterize_backward(batch, cam, out, grad_outputs, gset, t, t_corr,
-                               threads=config.threads)
+    grads = rasterize_backward(batch, cam, out, grad_outputs, gset, t, t_corr)
     if stage >= 2:
         for (kind, name), g in r_grads.items():
             grads[kind][name] += g
@@ -610,10 +598,8 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
     else:
         statics = init_static(ds, sup.dyn_masks, config.n_static_init,
                               config.init_frames, config.seed)
-        gset = GaussianSet(statics, RigidGaussians.empty(config.n_bases),
-                           TransientGaussians.empty(),
-                           MotionBases.identity(config.n_bases, T),
-                           config.gate_sharpness)
+        gset = replace(GaussianSet.empty(config.n_bases, T, config.gate_sharpness),
+                       statics=statics)
 
     state = OptimState.for_set(gset)
     log = []
@@ -662,10 +648,9 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
                         config.n_bases, config.seed, images=ds.images)
                     gset = GaussianSet(gset.statics, rig, gset.transients, bases,
                                        gset.gate_sharpness)
-                    state.m["rigid"] = zeros_like_tree(gset)["rigid"]
-                    state.v["rigid"] = zeros_like_tree(gset)["rigid"]
-                    state.m["bases"] = zeros_like_tree(gset)["bases"]
-                    state.v["bases"] = zeros_like_tree(gset)["bases"]
+                    for tree in (state.m, state.v):  # the new groups start from zero moments
+                        tree.update((kind, grp) for kind, grp in zeros_like_tree(gset).items()
+                                    if kind in ("rigid", "bases"))
                     emit({"event": "rigid_init", "iter": it, "rigids": len(rig)})
                 except InsufficientTracks as exc:
                     rigid_init_failed = str(exc)

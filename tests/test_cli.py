@@ -114,6 +114,18 @@ class TestTrainCommand:
         assert "config" in capsys.readouterr().err
 
 
+    def test_nan_visible_track_exit_2(self, scene_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(scene_dir / "data", data)
+        tracks = np.fromfile(data / "tracks.f32", dtype="<f4").reshape(-1, 5, 3)
+        j, t = np.argwhere(tracks[..., 2] > 0.5)[0]
+        tracks[j, t, 0] = np.nan
+        tracks.tofile(data / "tracks.f32")
+        code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "tracks" in capsys.readouterr().err
+
+
 class TestRenderEvalHist:
     def test_render_channels(self, scene_dir, tmp_path):
         out = tmp_path / "render"

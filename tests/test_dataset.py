@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ def _small_masks(root):
         write_raw(root / "dyn_mask" / f"{t:05d}.u8", np.zeros((3, 5)), "uint8")
 
 
+def _nan_visible_track(root):
+    """One track, visible in all six frames, whose u is NaN in frame 2."""
+    track = np.zeros((1, 6, 3), dtype="<f4")
+    track[0, :, 2] = 1.0
+    track[0, 2, 0] = np.nan
+    (root / "tracks.f32").write_bytes(track.tobytes())
+    (root / "tracks.json").write_text('{"n": 1, "t": 6}')
+
+
 def _ppm_header(size):
     def corrupt(root):
         p = root / "frames" / "00000.ppm"
@@ -155,6 +165,7 @@ MALFORMED_DATASETS = {
     "tracks-missing-n": _write_text("tracks.json", '{"t": 6}'),
     "tracks-missing-t": _write_text("tracks.json", '{"n": 12}'),
     "tracks-partial-float": _write_text("tracks.f32", "abc"),
+    "tracks-nan-visible": _nan_visible_track,
     "labels-bad-json": _write_text("gt_labels.json", "{"),
     "labels-missing-ids": _write_text("gt_labels.json", "{}"),
     "frame-other-size": _resized_frame,
@@ -162,6 +173,20 @@ MALFORMED_DATASETS = {
     "ppm-non-integer-size": _ppm_header(b"48 forty"),
     "ppm-negative-width": _ppm_header(b"-48 -40"),
 }
+
+
+def test_tracks_must_be_finite_where_they_are_read():
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.03, 0.0, 0.0]}))
+    j, t = np.argwhere(ds.tracks[..., 2] > 0.5)[0]
+    for channel, value in ((0, np.nan), (1, np.inf), (2, np.nan)):
+        bad = ds.tracks.copy()
+        bad[j, t, channel] = value
+        with pytest.raises(ValidationError):
+            replace(ds, tracks=bad)
+    hidden = ds.tracks.copy()
+    hidden[j, t] = [np.nan, np.nan, 0.0]
+    replace(ds, tracks=hidden)  # the coordinates of an invisible point are ignored
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +327,23 @@ class TestGeneratorGroundTruth:
                     total += 1
                     hits += ds.object_ids[t, int(round(v)), int(round(u))] == 1
         assert total > 0 and hits == total
+
+    def test_track_window_limits_each_track_to_its_window(self):
+        # one actor, so the window draws follow every draw the tracks depend on
+        # and the windowed scene shares the plain scene's track coordinates
+        motion = {"kind": "linear", "velocity": [0.03, 0.0, 0.0]}
+        T, w = 8, 3
+        plain = generate_synthetic(tiny_spec(actor_motion=motion, frames=T))
+        spec = tiny_spec(actor_motion=motion, frames=T)
+        spec.actors[0].track_window = w
+        windowed = generate_synthetic(spec)
+        assert np.array_equal(windowed.tracks[..., :2], plain.tracks[..., :2])
+        frames = np.arange(T)
+        for vis, unwindowed in zip(windowed.tracks[..., 2], plain.tracks[..., 2]):
+            assert any(np.array_equal(vis, unwindowed * ((t0 <= frames) & (frames < t0 + w)))
+                       for t0 in range(T - w + 1)), (vis, unwindowed)
+        assert windowed.tracks[..., 2].sum(axis=1).max() == w
+        assert plain.tracks[..., 2].sum(axis=1).max() > w
 
     def test_objects_cover_image(self):
         ds = generate_synthetic(tiny_spec())

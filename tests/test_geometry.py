@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from dysplat.geometry import (
     matrix_to_quat,
     matrix_to_rot6d,
     project,
-    project_points,
     projection_backward,
     quat_to_matrix,
     quat_vjp,
@@ -24,6 +25,9 @@ from dysplat.geometry import (
     unproject_grid,
     warp,
 )
+
+from dysplat.primitives import GaussianSet, StaticGaussians
+from dysplat.rasterizer import prepare_splats
 
 from conftest import central_diff, make_cam
 
@@ -70,13 +74,16 @@ class TestProject:
         assert worst <= 1e-9
 
     def test_batched_matches_scalar(self, simple_cam):
+        # the batched projection is the one prepare_splats renders with
         rng = np.random.default_rng(1)
-        pts = rng.uniform([-1, -1, 0.5], [1, 1, 5], size=(32, 3))
-        pix, z, valid = project_points(pts, simple_cam)
-        assert valid.all()
-        for k in range(32):
+        pts = rng.uniform([-0.4, -0.4, 1.0], [0.4, 0.4, 5.0], size=(32, 3))
+        statics = StaticGaussians(pts, np.full((32, 3), -3.0), np.tile([1.0, 0, 0, 0], (32, 1)),
+                                  np.zeros(32), np.full((32, 3), 0.5))
+        batch = prepare_splats(replace(GaussianSet.empty(1, 1), statics=statics), simple_cam, 0)
+        assert np.array_equal(np.sort(batch.index), np.arange(32))
+        for k, pix, z in zip(batch.index, batch.mean2d, batch.depth):
             p, d = project(pts[k], simple_cam)
-            assert np.allclose(pix[k], p) and np.isclose(z[k], d)
+            assert np.allclose(pix, p) and np.isclose(z, d)
 
     def test_unproject_grid(self, simple_cam):
         depth = np.full((4, 6), 2.5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -10,6 +11,8 @@ from dysplat.errors import BadMagic, DysplatError, ShapeMismatch
 from dysplat.geometry import quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
     CHECKPOINT_MAGIC,
+    FIELD_SHAPES,
+    GROUP_FIELDS,
     GaussianSet,
     MotionBases,
     RigidGaussians,
@@ -18,19 +21,18 @@ from dysplat.primitives import (
     blend_bases,
     covariance,
     covariance_backward,
-    covariance_batch,
-    covariance_from,
     gate_value,
     gated_opacity,
     load_checkpoint,
     rigid_pose_at,
-    rigid_velocities_at,
     save_checkpoint,
     sigmoid,
     transient_position_at,
-    transient_velocities_at,
     transition_rigid_to_transient,
 )
+from dysplat.rasterizer import C_VBWD, C_VFWD, KIND_RIGID, KIND_TRANSIENT, prepare_splats
+
+from conftest import make_cam
 
 
 def make_rigid(means, weights, durations=None, centers=None, quats=None):
@@ -47,13 +49,39 @@ def make_rigid(means, weights, durations=None, centers=None, quats=None):
     )
 
 
+def covariance_of(log_scales, quats):
+    return covariance(quat_to_matrix(np.asarray(quats, float)), np.asarray(log_scales, float))
+
+
+class TestPopulationSchema:
+    def test_empty_shapes_follow_the_table(self):
+        rig = RigidGaussians.empty(n_bases=3)
+        for name in GROUP_FIELDS["rigid"]:
+            want = (0,) + tuple(3 if d is None else d for d in FIELD_SHAPES[name])
+            assert getattr(rig, name).shape == want, name
+
+    def test_take_and_concat_keep_rows_together(self):
+        rng = np.random.default_rng(0)
+        full = make_rigid(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)),
+                          durations=rng.uniform(1, 5, size=4), centers=rng.normal(size=4))
+        both = full.take([2, 0]).concat(full.take(np.array([False, True, False, True])))
+        for name in GROUP_FIELDS["rigid"]:
+            assert np.array_equal(getattr(both, name), getattr(full, name)[[2, 0, 1, 3]])
+
+    def test_row_counts_must_agree(self):
+        fields = {name: np.zeros((2,) + FIELD_SHAPES[name]) for name in GROUP_FIELDS["static"]}
+        StaticGaussians(**fields)
+        with pytest.raises(ShapeMismatch):
+            StaticGaussians(**{**fields, "colors": np.zeros((3, 3))})
+
+
 class TestCovariance:
     def test_unit_isotropic(self):
-        cov = covariance_from(np.zeros(3), np.array([1.0, 0, 0, 0]))
+        cov = covariance_of([np.zeros(3)], [[1.0, 0, 0, 0]])[0]
         assert np.allclose(cov, np.eye(3))
 
     def test_log_scale(self):
-        cov = covariance_from(np.array([np.log(2.0), 0, 0]), np.array([1.0, 0, 0, 0]))
+        cov = covariance_of([[np.log(2.0), 0, 0]], [[1.0, 0, 0, 0]])[0]
         assert np.allclose(cov, np.diag([4.0, 1.0, 1.0]))
 
     def test_rotation_of_isotropic(self):
@@ -62,12 +90,12 @@ class TestCovariance:
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             s = rng.uniform(0.2, 2.0)
-            cov = covariance_from(np.full(3, np.log(s)), q)
+            cov = covariance_of([np.full(3, np.log(s))], [q])[0]
             assert np.allclose(cov, s * s * np.eye(3), atol=1e-12)
 
     def test_batch_psd(self):
         rng = np.random.default_rng(1)
-        covs = covariance_batch(rng.normal(size=(30, 3)), rng.normal(size=(30, 4)))
+        covs = covariance_of(rng.normal(size=(30, 3)), rng.normal(size=(30, 4)))
         for c in covs:
             assert np.all(np.linalg.eigvalsh(c) >= -1e-12)
             assert np.allclose(c, c.T)
@@ -213,31 +241,56 @@ class TestTransient:
         assert np.allclose(d, tr.velocities * (t2 - t1))
 
 
+def velocity_payload(gset, t, kind):
+    """The (forward, backward) velocity payload that prepare_splats builds at
+    frame t for every Gaussian of population ``kind``, in row order."""
+    cam = make_cam(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
+    batch = prepare_splats(gset, cam, t)
+    mine = batch.kind == kind
+    rows = batch.index[mine]
+    n = len(gset.rigids if kind == KIND_RIGID else gset.transients)
+    assert np.array_equal(np.sort(rows), np.arange(n)), "a Gaussian was culled"
+    payload = np.empty((n, batch.channels.shape[1]))
+    payload[rows] = batch.channels[mine]
+    return payload[:, C_VFWD], payload[:, C_VBWD]
+
+
 class TestVelocities:
     def test_transient_constant(self):
         tr = TransientGaussians(
-            np.zeros((1, 3)), np.zeros((1, 3)), np.array([[1.0, 0, 0, 0]]),
+            np.array([[0.0, 0.0, 2.0]]), np.full((1, 3), -2.5), np.array([[1.0, 0, 0, 0]]),
             np.zeros(1), np.full((1, 3), 0.5),
-            velocities=np.array([[1.0, 0, 0]]), durations=np.array([4.0]), centers=np.array([0.0]))
-        vf, vb = transient_velocities_at(tr, 3)
-        assert np.allclose(vf, [[1.0, 0, 0]]) and np.allclose(vb, [[1.0, 0, 0]])
+            velocities=np.array([[0.01, 0, 0]]), durations=np.array([4.0]),
+            centers=np.array([0.0]))
+        gs = GaussianSet(StaticGaussians.empty(), RigidGaussians.empty(1), tr,
+                         MotionBases.identity(1, 6), 3.0)
+        vf, vb = velocity_payload(gs, 3, KIND_TRANSIENT)
+        assert np.array_equal(vf, [[0.01, 0, 0]]) and np.array_equal(vb, [[0.01, 0, 0]])
+
+    @staticmethod
+    def _rigid_set(bases, n):
+        means = np.random.default_rng(7).uniform(-0.2, 0.2, size=(n, 3)) + [0.0, 0.0, 2.0]
+        rig = make_rigid(means, np.ones((n, 1)))
+        rig.log_scales[:] = -2.5
+        return GaussianSet(StaticGaussians.empty(), rig, TransientGaussians.empty(), bases, 3.0)
 
     def test_rigid_identity_zero(self):
-        rig = make_rigid(np.random.default_rng(7).normal(size=(3, 3)), np.ones((3, 1)))
-        bases = MotionBases.identity(1, 6)
-        vf, vb = rigid_velocities_at(rig, bases, 2)
+        gs = self._rigid_set(MotionBases.identity(1, 6), 3)
+        vf, vb = velocity_payload(gs, 2, KIND_RIGID)
         assert np.allclose(vf, 0) and np.allclose(vb, 0)
 
     def test_rigid_linear_translation(self):
-        rig = make_rigid([[0.0, 0, 0]], [[1.0]])
         T = 6
         bases = MotionBases.identity(1, T)
         for t in range(T):
-            bases.trans[0, t] = [0.0, float(t), 0.0]
+            bases.trans[0, t] = [0.0, 0.05 * t, 0.0]
+        gs = self._rigid_set(bases, 2)
+        # v_fwd = mean(t + 1) - mean(t) and v_bwd = mean(t) - mean(t - 1); the
+        # first and last frame use the one pair they have for both
         for t in range(T):
-            vf, vb = rigid_velocities_at(rig, bases, t)
-            assert np.allclose(vf, [[0.0, 1.0, 0.0]])
-            assert np.allclose(vb, [[0.0, 1.0, 0.0]])
+            vf, vb = velocity_payload(gs, t, KIND_RIGID)
+            assert np.allclose(vf, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
+            assert np.allclose(vb, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
 
 
 class TestTransition:
@@ -331,7 +384,38 @@ def malformed_checkpoint(case, tmp_path):
     }[case]
 
 
+def ramp(*shape, start=0):
+    """Exact multiples of 1/16, (start, start + 1, ...) / 16, in the given shape."""
+    return (start + np.arange(int(np.prod(shape)))).reshape(shape) / 16.0
+
+
+def pinned_set():
+    statics = StaticGaussians(ramp(3, 3), ramp(3, 3, start=-9), ramp(3, 4, start=1),
+                              ramp(3, start=-1), ramp(3, 3, start=2))
+    rigids = RigidGaussians(ramp(2, 3, start=5), ramp(2, 3, start=-4), ramp(2, 4),
+                            ramp(2), ramp(2, 3, start=7), weights=ramp(2, 2, start=1),
+                            durations=ramp(2, start=20), centers=ramp(2, start=8))
+    transients = TransientGaussians(ramp(1, 3, start=3), ramp(1, 3, start=-2),
+                                    ramp(1, 4, start=2), ramp(1, start=4),
+                                    ramp(1, 3, start=1), velocities=ramp(1, 3, start=-3),
+                                    durations=ramp(1, start=30), centers=ramp(1, start=16))
+    bases = MotionBases(ramp(2, 4, 6, start=1), ramp(2, 4, 3, start=-12))
+    return GaussianSet(statics, rigids, transients, bases, 2.5)
+
+
+# SHA-256 of save_checkpoint(pinned_set()): it fixes the file layout, whose
+# field order GROUP_FIELDS takes from the population dataclasses
+PINNED_SHA256 = "2b2a8822d3f00f21bea918a3f7296e0c5f428e6ca1736cbae9020166ee778fd1"
+
+
 class TestCheckpoint:
+    def test_pinned_bytes(self, tmp_path):
+        p = tmp_path / "pinned.rigs"
+        save_checkpoint(pinned_set(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_SHA256
+        save_checkpoint(load_checkpoint(p), p)  # multiples of 1/16 survive float32
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_SHA256
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         statics = StaticGaussians(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)),
