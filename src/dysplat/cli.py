@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .primitives import load_checkpoint
 from .synth import SyntheticSceneSpec, generate_synthetic
 from .trainer import (TrainConfig, duration_histogram, histogram_image, scene_flow_pairs,
                       train)
-from .validation import read_json
+from .validation import read_json, require
 
 
 def _cmd_synth(args):
@@ -57,13 +58,10 @@ def _cmd_masks(args):
 
 
 def _cmd_train(args):
-    ds = load_dataset(args.dataset)
-    cfg = {}
-    if args.config:
-        cfg = read_json(args.config, "config")
+    config = TrainConfig.from_dict(read_json(args.config, "config") if args.config else {})
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    config = TrainConfig.from_dict(cfg)
+        config = replace(config, seed=args.seed)
+    ds = load_dataset(args.dataset)
     init_set = None
     if args.init_ckpt:
         init_set = load_checkpoint(args.init_ckpt)
@@ -80,6 +78,8 @@ def _default_camera():
 
 def _cmd_render(args):
     gset = load_checkpoint(args.ckpt)
+    require(0 <= args.frame < gset.n_frames,
+            f"frame {args.frame} outside the checkpoint's frames [0, {gset.n_frames})")
     if args.cam:
         cam = CameraFrame.from_dict(read_json(args.cam, "camera"))
     elif args.dataset:
@@ -105,10 +105,7 @@ def _cmd_render(args):
 def _cmd_eval(args):
     gset = load_checkpoint(args.ckpt)
     ds = load_dataset(args.dataset)
-    frames = None
-    if args.frames:
-        frames = [int(v) for v in args.frames.split(",")]
-    report = evaluate(gset, ds, frames=frames)
+    report = evaluate(gset, ds, frames=args.frames)
     for entry in report["per_frame"]:
         print(json.dumps(entry, sort_keys=True))
     summary = {k: v for k, v in report.items() if k != "per_frame"}
@@ -146,6 +143,10 @@ def _cmd_sceneflow(args):
 
 def _eps_dyn(text):
     return None if text == "auto" else float(text)
+
+
+def _frame_list(text):
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser():
@@ -188,7 +189,8 @@ def build_parser():
     p = sub.add_parser("eval", help="PSNR/SSIM (and IoU) against a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--frames", default=None, help="comma-separated frame list")
+    p.add_argument("--frames", default=None, type=_frame_list,
+                   help="comma-separated frame list")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("hist", help="temporal-duration histogram")

@@ -58,28 +58,29 @@ def _homogenize(x):
     return x
 
 
-def sampson_error(x_l, x_r, F):
-    """Epipolar residual |x_l^T F x_r| / sqrt(|F x_l|^2 + |F x_r|^2)."""
-    xl = _homogenize(np.asarray(x_l, dtype=np.float64))
-    xr = _homogenize(np.asarray(x_r, dtype=np.float64))
-    F = np.asarray(F, dtype=np.float64)
-    Fl = F @ xl
-    Fr = F @ xr
-    nl = np.linalg.norm(Fl)
-    nr = np.linalg.norm(Fr)
-    if nl < 1e-12 and nr < 1e-12:
-        raise ZeroDenominator("both epipolar-line norms vanish")
-    return abs(xl @ F @ xr) / np.sqrt(nl * nl + nr * nr)
-
-
-def sampson_errors(xl, xr, F):
-    """Vectorized Sampson residuals; degenerate pairs score 0."""
+def _sampson_terms(xl, xr, F):
+    """Numerators |x_l^T F x_r| and denominators sqrt(|F x_l|^2 + |F x_r|^2)."""
     xl = _homogenize(xl)
     xr = _homogenize(xr)
     num = np.abs(np.einsum("ni,ij,nj->n", xl, F, xr))
     Fl = xl @ F.T
     Fr = xr @ F.T
-    denom = np.sqrt(np.einsum("ni,ni->n", Fl, Fl) + np.einsum("ni,ni->n", Fr, Fr))
+    return num, np.sqrt(np.einsum("ni,ni->n", Fl, Fl) + np.einsum("ni,ni->n", Fr, Fr))
+
+
+def sampson_error(x_l, x_r, F):
+    """Epipolar residual |x_l^T F x_r| / sqrt(|F x_l|^2 + |F x_r|^2) of one pair."""
+    num, denom = _sampson_terms(np.asarray(x_l, dtype=np.float64)[None],
+                                np.asarray(x_r, dtype=np.float64)[None],
+                                np.asarray(F, dtype=np.float64))
+    if not denom[0] > 1e-12:
+        raise ZeroDenominator("both epipolar-line norms vanish")
+    return float(num[0] / denom[0])
+
+
+def sampson_errors(xl, xr, F):
+    """Vectorized Sampson residuals; degenerate pairs score 0."""
+    num, denom = _sampson_terms(xl, xr, F)
     return np.where(denom > 1e-12, num / np.maximum(denom, 1e-300), 0.0)
 
 

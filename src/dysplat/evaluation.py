@@ -8,6 +8,7 @@ from .dataset import SceneDataset
 from .losses import psnr, ssim
 from .primitives import GaussianSet
 from .rasterizer import prepare_splats, rasterize_forward
+from .validation import require, require_int
 
 
 def mask_iou(pred, gt):
@@ -33,6 +34,9 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
     """
     if frames is None:
         frames = list(range(ds.n_frames))
+    for t in frames:
+        require(0 <= require_int(t, "frame") < ds.n_frames,
+                f"frame {t} outside the dataset's frames [0, {ds.n_frames})")
     per_frame = []
     for t in frames:
         out = render_view(gset, ds.cameras[t], t)

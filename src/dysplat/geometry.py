@@ -38,10 +38,15 @@ class CameraIntrinsics:
         require(0 <= self.cy < self.height, "cy outside image")
 
 
-@dataclass(frozen=True)
-class CameraExtrinsics:
-    """World-to-camera rigid transform: x_cam = rotation @ x_world + translation."""
+def _check_rotation(R, tol):
+    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+        raise ValidationError("rotation is not orthonormal")
+    if abs(np.linalg.det(R) - 1.0) > tol:
+        raise ValidationError("rotation determinant is not +1")
 
+
+@dataclass(frozen=True)
+class SE3Transform:
     rotation: np.ndarray
     translation: np.ndarray
 
@@ -51,6 +56,29 @@ class CameraExtrinsics:
         _check_rotation(R, tol=1e-9)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+
+    @staticmethod
+    def identity():
+        return SE3Transform(np.eye(3), np.zeros(3))
+
+    def apply(self, points):
+        pts = np.asarray(points, dtype=np.float64)
+        return pts @ self.rotation.T + self.translation
+
+    def compose(self, other):
+        """self ∘ other: apply ``other`` first."""
+        return SE3Transform(
+            self.rotation @ other.rotation,
+            self.rotation @ other.translation + self.translation,
+        )
+
+    def inverse(self):
+        return SE3Transform(self.rotation.T, -self.rotation.T @ self.translation)
+
+
+@dataclass(frozen=True)
+class CameraExtrinsics(SE3Transform):
+    """World-to-camera rigid transform: x_cam = rotation @ x_world + translation."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +96,7 @@ class CameraFrame:
 
     def world_to_camera(self, points):
         """Map (..., 3) world points into the camera frame."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.extrinsics.rotation.T + self.extrinsics.translation
+        return self.extrinsics.apply(points)
 
     def camera_to_world(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -110,79 +137,49 @@ class CameraFrame:
         }
 
 
-def _check_rotation(R, tol):
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        raise ValidationError("rotation is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
-        raise ValidationError("rotation determinant is not +1")
-
-
-@dataclass(frozen=True)
-class SE3Transform:
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = as_array(self.rotation, (3, 3), "rotation")
-        t = as_array(self.translation, (3,), "translation")
-        _check_rotation(R, tol=1e-9)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity():
-        return SE3Transform(np.eye(3), np.zeros(3))
-
-    def apply(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-    def compose(self, other):
-        """self ∘ other: apply ``other`` first."""
-        return SE3Transform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self):
-        return SE3Transform(self.rotation.T, -self.rotation.T @ self.translation)
-
-
 # ---------------------------------------------------------------------------
 # pinhole projection
 
 
+def pinhole_project(points_cam, intr: CameraIntrinsics):
+    """Pixels (..., 2) of camera-frame points (..., 3); depths must be positive."""
+    p = np.asarray(points_cam, dtype=np.float64)
+    z = p[..., 2]
+    return np.stack([intr.fx * p[..., 0] / z + intr.cx, intr.fy * p[..., 1] / z + intr.cy],
+                    axis=-1)
+
+
+def _backproject(pixels, depth, intr: CameraIntrinsics):
+    """Camera-frame points (..., 3) of pixels (..., 2) at depths (...)."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    depth = np.asarray(depth, dtype=np.float64)
+    x = (pixels[..., 0] - intr.cx) * depth / intr.fx
+    y = (pixels[..., 1] - intr.cy) * depth / intr.fy
+    return np.stack([x, y, depth], axis=-1)
+
+
 def project(point, cam: CameraFrame):
     """Project one world point; returns (pixel (2,), depth)."""
-    p_cam = cam.world_to_camera(np.asarray(point, dtype=np.float64))
+    p_cam = cam.world_to_camera(point)
     z = float(p_cam[2])
     if z <= MIN_DEPTH:
         raise NonPositiveDepth(f"camera-frame depth {z} <= {MIN_DEPTH}")
-    i = cam.intrinsics
-    pixel = np.array([i.fx * p_cam[0] / z + i.cx, i.fy * p_cam[1] / z + i.cy])
-    return pixel, z
+    return pinhole_project(p_cam, cam.intrinsics), z
 
 
-def unproject(pixel, depth, cam: CameraFrame):
-    """Lift one pixel at ``depth`` back to a world point."""
-    if depth <= 0:
-        raise NonPositiveDepth(f"depth {depth} <= 0")
-    i = cam.intrinsics
-    x = (pixel[0] - i.cx) * depth / i.fx
-    y = (pixel[1] - i.cy) * depth / i.fy
-    return cam.camera_to_world(np.array([x, y, depth], dtype=np.float64))
+def unproject(pixels, depth, cam: CameraFrame):
+    """Lift pixels (..., 2) at positive depths (...) back to world points (..., 3)."""
+    if np.any(np.asarray(depth) <= 0):
+        raise NonPositiveDepth(f"depth {np.min(depth)} <= 0")
+    return cam.camera_to_world(_backproject(pixels, depth, cam.intrinsics))
 
 
 def unproject_grid(depth, cam: CameraFrame):
-    """Unproject a full depth map to an (H, W, 3) world-point map."""
+    """Unproject a full depth map to an (H, W, 3) world-point map; zero depths
+    lift to the camera center."""
     H, W = depth.shape
-    i = cam.intrinsics
-    xs = np.arange(W, dtype=np.float64)
-    ys = np.arange(H, dtype=np.float64)
-    gx, gy = np.meshgrid(xs, ys)
-    x = (gx - i.cx) * depth / i.fx
-    y = (gy - i.cy) * depth / i.fy
-    pts_cam = np.stack([x, y, depth], axis=-1)
+    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    pts_cam = _backproject(np.stack([gx, gy], axis=-1), depth, cam.intrinsics)
     return cam.camera_to_world(pts_cam.reshape(-1, 3)).reshape(H, W, 3)
 
 
@@ -408,9 +405,9 @@ def ewa_project_covariance(cov3, cam: CameraFrame, mean_cam):
     if mean_cam[2] <= MIN_DEPTH:
         raise NonPositiveDepth(f"camera-frame depth {mean_cam[2]} <= {MIN_DEPTH}")
     i = cam.intrinsics
-    J = pinhole_jacobian(mean_cam, i.fx, i.fy)
-    P = J @ cam.extrinsics.rotation
-    return P @ np.asarray(cov3, dtype=np.float64) @ P.T + COV2D_DILATION * np.eye(2)
+    cov2, _ = ewa_project_covariance_batch(np.asarray(cov3, dtype=np.float64)[None],
+                                           cam.extrinsics.rotation, mean_cam[None], i.fx, i.fy)
+    return cov2[0]
 
 
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):

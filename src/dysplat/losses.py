@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import check_same_hw
+from .validation import check_same_hw, require_number
 
 BCE_CLAMP = 1e-6
 SSIM_C1 = 0.01**2
@@ -34,8 +34,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            require_number(v, name, low=0.0)
 
 
 @dataclass

@@ -19,9 +19,11 @@ import numpy as np
 
 from .errors import MismatchedForward
 from .geometry import (
+    MIN_DEPTH,
     CameraFrame,
     ewa_backward,
     ewa_project_covariance_batch,
+    pinhole_project,
     projection_backward,
     quat_to_matrix,
     quat_vjp,
@@ -210,20 +212,17 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     channels[transient_sl, C_CORR] = transient_position_at(tr, float(t_corr))
 
     intr = cam.intrinsics
-    R_w2c = cam.extrinsics.rotation
-    mean_cam = mean_w @ R_w2c.T + cam.extrinsics.translation
+    mean_cam = cam.world_to_camera(mean_w)
     z = mean_cam[:, 2]
-    in_front = z > 1e-8
+    in_front = z > MIN_DEPTH
     visible = in_front & (o_eff >= CULL_OPACITY)
 
-    # compute projection quantities only for surviving candidates
-    zs = np.where(in_front, z, 1.0)
-    pix = np.stack([intr.fx * mean_cam[:, 0] / zs + intr.cx,
-                    intr.fy * mean_cam[:, 1] / zs + intr.cy], axis=-1)
-
-    cov3 = covariance(R_w, log_scales)
+    # splats behind the camera project from the optical axis and are culled
     safe_mean_cam = np.where(in_front[:, None], mean_cam, [0.0, 0.0, 1.0])
-    cov2, J = ewa_project_covariance_batch(cov3, R_w2c, safe_mean_cam, intr.fx, intr.fy)
+    pix = pinhole_project(safe_mean_cam, intr)
+    cov3 = covariance(R_w, log_scales)
+    cov2, J = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
+                                           intr.fx, intr.fy)
 
     lam = _max_eigenvalue_2x2(cov2)
     r99 = R99 * np.sqrt(lam)

@@ -14,9 +14,7 @@ SE(3) basis cannot track but a short-lived linear trajectory can.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,11 +30,22 @@ from .primitives import (
     logit,
 )
 from .rasterizer import _composite, prepare_splats
-from .validation import require
+from .validation import read_json, require, require_int, require_number
 
 DEFAULT_OPACITY = 0.92
 DEFAULT_THICKNESS = 0.25
 SCALE_FILL = 0.65  # in-plane Gaussian sigma as a fraction of grid spacing
+
+
+def _entry(d, key, what):
+    require(key in d, f"{what}: missing key {key!r}")
+    return d[key]
+
+
+def _values(v, n, what, check=require_number, **kwargs):
+    """A JSON list of ``n`` entries, each passed through ``check``, as a tuple."""
+    require(isinstance(v, (list, tuple)) and len(v) == n, f"{what} must be a list of {n} values")
+    return tuple(check(x, what, **kwargs) for x in v)
 
 
 @dataclass
@@ -55,14 +64,19 @@ class SlabSpec:
 
     @staticmethod
     def from_dict(d):
+        require(isinstance(d, dict), "slab must be a JSON object")
+        motion = d.get("motion", {"kind": "static"})
+        require(isinstance(motion, dict), "slab motion must be a JSON object")
+        window = d.get("track_window")
         return SlabSpec(
-            center=tuple(float(v) for v in d["center"]),
-            size=tuple(float(v) for v in d["size"]),
-            grid=tuple(int(v) for v in d["grid"]),
-            motion=dict(d.get("motion", {"kind": "static"})),
-            opacity=float(d.get("opacity", DEFAULT_OPACITY)),
-            thickness=float(d.get("thickness", DEFAULT_THICKNESS)),
-            track_window=d.get("track_window"),
+            center=_values(_entry(d, "center", "slab"), 3, "slab center"),
+            size=_values(_entry(d, "size", "slab"), 2, "slab size"),
+            grid=_values(_entry(d, "grid", "slab"), 2, "slab grid", require_int, low=1),
+            motion=dict(motion),
+            opacity=require_number(d.get("opacity", DEFAULT_OPACITY), "slab opacity"),
+            thickness=require_number(d.get("thickness", DEFAULT_THICKNESS), "slab thickness"),
+            track_window=None if window is None else require_int(window, "slab track_window",
+                                                                 low=1),
         )
 
 
@@ -92,22 +106,34 @@ class SyntheticSceneSpec:
 
     @staticmethod
     def from_dict(d):
+        require(isinstance(d, dict), "spec must be a JSON object")
+        slabs = {}
+        for key in ("background", "actors"):
+            entries = d.get(key, [])
+            require(isinstance(entries, list), f"spec {key} must be a list")
+            slabs[key] = [SlabSpec.from_dict(e) for e in entries]
+        camera = d.get("camera", {"kind": "static"})
+        require(isinstance(camera, dict), "spec camera must be a JSON object")
+        fx, fy = d.get("fx"), d.get("fy")
         return SyntheticSceneSpec(
-            width=int(d["width"]), height=int(d["height"]), n_frames=int(d["frames"]),
-            background=[SlabSpec.from_dict(s) for s in d.get("background", [])],
-            actors=[SlabSpec.from_dict(s) for s in d.get("actors", [])],
-            camera=dict(d.get("camera", {"kind": "static"})),
-            fx=d.get("fx"), fy=d.get("fy"),
-            tracks_per_actor=int(d.get("tracks_per_actor", 40)),
-            noise_image=float(d.get("noise_image", 0.0)),
-            noise_depth=float(d.get("noise_depth", 0.0)),
-            noise_flow=float(d.get("noise_flow", 0.0)),
-            seed=int(d.get("seed", 0)),
+            width=require_int(_entry(d, "width", "spec"), "width", low=1),
+            height=require_int(_entry(d, "height", "spec"), "height", low=1),
+            n_frames=require_int(_entry(d, "frames", "spec"), "frames"),
+            background=slabs["background"], actors=slabs["actors"],
+            camera=dict(camera),
+            fx=None if fx is None else require_number(fx, "fx"),
+            fy=None if fy is None else require_number(fy, "fy"),
+            tracks_per_actor=require_int(d.get("tracks_per_actor", 40), "tracks_per_actor",
+                                         low=0),
+            noise_image=require_number(d.get("noise_image", 0.0), "noise_image", low=0.0),
+            noise_depth=require_number(d.get("noise_depth", 0.0), "noise_depth", low=0.0),
+            noise_flow=require_number(d.get("noise_flow", 0.0), "noise_flow", low=0.0),
+            seed=require_int(d.get("seed", 0), "seed", low=0),
         )
 
     @staticmethod
     def from_json(path):
-        return SyntheticSceneSpec.from_dict(json.loads(Path(path).read_text()))
+        return SyntheticSceneSpec.from_dict(read_json(path, "spec"))
 
 
 # ---------------------------------------------------------------------------

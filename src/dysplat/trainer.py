@@ -54,7 +54,7 @@ from .sceneflow import (
     scene_flow_mask,
     warped_depth_consistency,
 )
-from .validation import require
+from .validation import require, require_int, require_number
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -105,13 +105,24 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":  # counts >= 0; a "*_every" of 0 or less switches its step off
+                low = None if f.name.endswith("_every") else 1 if f.name == "n_bases" else 0
+                require_int(value, f.name, low)
+            elif f.type == "float":
+                require_number(value, f.name)
+        require(isinstance(self.learning_rates, dict), "learning_rates must be a JSON object")
+        require(isinstance(self.loss_weights, LossWeights), "loss_weights must be LossWeights")
         require(self.iters_static_warmup + self.iters_rigid_warmup <= self.iters_total,
                 "warm-up stages exceed the iteration budget")
         rates = dict(DEFAULT_LEARNING_RATES)
         rates.update(self.learning_rates)
         unknown = set(rates) - set(DEFAULT_LEARNING_RATES)
         require(not unknown, f"unknown learning-rate keys: {sorted(unknown)}")
-        require(all(v > 0 for v in rates.values()), "learning rates must be positive")
+        for name, v in rates.items():
+            require(require_number(v, f"learning rate {name}") > 0,
+                    "learning rates must be positive")
         self.learning_rates = rates
 
     @staticmethod
@@ -298,39 +309,32 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     for t in range(T):
         d, inside = bilinear_sample(depths[t], tracks[:, t, 0], tracks[:, t, 1])
         track_depth[:, t] = np.where(inside, d, 0.0)
-    usable = []
-    lifted = []
-    for j in range(tracks.shape[0]):
-        vis_frames = np.nonzero(tracks[j, :, 2] > 0.5)[0]
-        if vis_frames.size < 2:
-            continue
-        t0 = int(vis_frames[0])
-        u, v = tracks[j, t0, 0], tracks[j, t0, 1]
-        xi, yi = int(round(u)), int(round(v))
-        if not (0 <= xi < W and 0 <= yi < H) or not dyn_masks[t0][yi, xi]:
-            continue
-        traj = np.zeros((T, 3))
-        seen = np.zeros(T, dtype=bool)
-        for t in vis_frames:
-            u_t, v_t = tracks[j, t, 0], tracks[j, t, 1]
-            d = track_depth[j, t]
-            if d <= 0:
-                continue
-            traj[t] = unproject([u_t, v_t], d, cameras[t])
-            seen[t] = True
-        if np.count_nonzero(seen) < 2:
-            continue
-        # hold the nearest lifted position across invisible frames
-        seen_idx = np.nonzero(seen)[0]
-        nearest = np.argmin(np.abs(seen_idx[None, :] - np.arange(T)[:, None]), axis=1)
-        usable.append(j)
-        lifted.append((traj[seen_idx[nearest]], seen_idx))
-    if len(usable) < n_bases:
+    vis = tracks[:, :, 2] > 0.5
+    # a track is a candidate if its first visible pixel lies in the dynamic mask
+    cand = np.nonzero(np.count_nonzero(vis, axis=1) >= 2)[0]
+    t0 = np.argmax(vis[cand], axis=1)
+    xi, yi = np.rint(tracks[cand, t0, :2]).astype(np.int64).T
+    inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
+    cand, t0, xi, yi = cand[inside], t0[inside], xi[inside], yi[inside]
+    cand = cand[np.asarray(dyn_masks)[t0, yi, xi]]
+    # lifted where visible with a positive depth; >= 2 such frames to be usable
+    seen = vis[cand] & ~(track_depth[cand] <= 0)
+    keep = np.count_nonzero(seen, axis=1) >= 2
+    usable, seen = cand[keep], seen[keep]
+    n = usable.size
+    if n < n_bases:
         raise InsufficientTracks(
-            f"{len(usable)} usable tracks inside dynamic masks, need >= {n_bases}")
-
-    trajs = np.stack([tr for tr, _ in lifted])           # (N, T, 3)
-    assign = _kmeans(trajs.reshape(len(usable), -1), n_bases, seed)
+            f"{n} usable tracks inside dynamic masks, need >= {n_bases}")
+    lifted = np.zeros((n, T, 3))
+    for t in range(T):
+        rows = seen[:, t]
+        lifted[rows, t] = unproject(tracks[usable[rows], t, :2], track_depth[usable[rows], t],
+                                    cameras[t])
+    # hold the nearest lifted position across the other frames (earliest on ties)
+    frames = np.arange(T)
+    gap = np.where(seen[:, None, :], np.abs(frames[:, None] - frames[None, :]), T)
+    trajs = np.take_along_axis(lifted, np.argmin(gap, axis=2)[..., None], axis=1)  # (N, T, 3)
+    assign = _kmeans(trajs.reshape(n, -1), n_bases, seed)
 
     bases = MotionBases.identity(n_bases, T)
     for jb in range(n_bases):
@@ -348,31 +352,21 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
             bases.rot6d[jb, t] = matrix_to_rot6d(R)
             bases.trans[jb, t] = tr
 
-    n = len(usable)
-    means = np.zeros((n, 3))
-    colors = np.full((n, 3), 0.5)
-    log_scales = np.zeros((n, 3))
+    # anchor each rigid at its first lifted frame, pulled back to the canonical frame 0
+    rows = np.arange(n)
+    t_fv = np.argmax(seen, axis=1)
+    t_lv = T - 1 - np.argmax(seen[:, ::-1], axis=1)
+    R = bases.matrices()[assign, t_fv]
+    means = ((trajs[rows, t_fv] - bases.trans[assign, t_fv])[:, None, :] @ R)[:, 0]
     weights = np.zeros((n, n_bases))
-    durations = np.zeros(n)
-    centers = np.zeros(n)
-    basis_R = bases.matrices()
-    for i, (j, (traj, seen_idx)) in enumerate(zip(usable, lifted)):
-        t_fv = int(seen_idx[0])
-        jb = assign[i]
-        # pull the first visible lift back to the canonical (frame 0) frame
-        R = basis_R[jb, t_fv]
-        tr = bases.trans[jb, t_fv]
-        means[i] = R.T @ (traj[t_fv] - tr)
-        weights[i, jb] = 1.0
-        durations[i] = max((seen_idx[-1] - seen_idx[0]) / 2.0, 0.5)
-        centers[i] = (seen_idx[-1] + seen_idx[0]) / 2.0
-        cam = cameras[t_fv]
-        xi = int(round(tracks[j, t_fv, 0]))
-        yi = int(round(tracks[j, t_fv, 1]))
-        d = depths[t_fv][yi, xi]
-        log_scales[i] = np.log(max(d, 1e-3) / cam.intrinsics.fx)
-        if images is not None:
-            colors[i] = images[t_fv][yi, xi]
+    weights[rows, assign] = 1.0
+    durations = np.maximum((t_lv - t_fv) / 2.0, 0.5)
+    centers = (t_lv + t_fv) / 2.0
+    xi, yi = np.rint(tracks[usable, t_fv, :2]).astype(np.int64).T
+    fx = np.array([cam.intrinsics.fx for cam in cameras])[t_fv]
+    scale = np.log(np.maximum(np.asarray(depths)[t_fv, yi, xi], 1e-3) / fx)
+    log_scales = np.repeat(scale[:, None], 3, axis=1)
+    colors = np.full((n, 3), 0.5) if images is None else np.asarray(images)[t_fv, yi, xi]
     rig = RigidGaussians(means, log_scales, np.tile([1.0, 0, 0, 0], (n, 1)),
                          np.full(n, logit(0.5)), colors,
                          weights=weights, durations=durations, centers=centers)
@@ -502,23 +496,16 @@ def _track_samples(ds: SceneDataset, rng, t, t_corr, limit):
     """Pairs (pixel at t, lifted 3D target at t_corr) for visible tracks."""
     vis = (ds.tracks[:, t, 2] > 0.5) & (ds.tracks[:, t_corr, 2] > 0.5)
     rows = np.nonzero(vis)[0]
-    if rows.size == 0:
-        return []
     if rows.size > limit:
         rows = rows[rng.permutation(rows.size)[:limit]]
     H, W = ds.image_size
-    cam = ds.cameras[t_corr]
-    pts_corr = unproject_grid(ds.depths[t_corr], cam)
-    samples = []
-    for j in rows:
-        u_c, v_c = ds.tracks[j, t_corr, 0], ds.tracks[j, t_corr, 1]
-        xi, yi = int(round(u_c)), int(round(v_c))
-        if not (0 <= xi < W and 0 <= yi < H):
-            continue
-        if ds.depths[t_corr][yi, xi] <= 0:
-            continue
-        samples.append((ds.tracks[j, t, :2], pts_corr[yi, xi]))
-    return samples
+    xi, yi = np.rint(ds.tracks[rows, t_corr, :2]).astype(np.int64).T
+    inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
+    rows, xi, yi = rows[inside], xi[inside], yi[inside]
+    depth = ds.depths[t_corr][yi, xi]
+    lift = ~(depth <= 0)
+    targets = unproject(np.stack([xi, yi], axis=-1)[lift], depth[lift], ds.cameras[t_corr])
+    return list(zip(ds.tracks[rows[lift], t, :2], targets))
 
 
 def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,28 @@ def check_same_hw(*arrays, names=None):
 def require(cond, message, exc=ValidationError):
     if not cond:
         raise exc(message)
+
+
+def require_int(value, what, low=None):
+    """``value`` as an int; a bool, a non-integer or a value below ``low``
+    raises ValidationError."""
+    require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+            f"{what} must be an integer, got {value!r}")
+    require(low is None or value >= low, f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
+def require_number(value, what, low=None):
+    """``value`` as a float; a bool, a non-number, a non-finite number or a
+    value below ``low`` raises ValidationError."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if ok else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    require(math.isfinite(x), f"{what} must be a finite number, got {value!r}")
+    require(low is None or x >= low, f"{what} must be >= {low}, got {value}")
+    return x
 
 
 def read_json(path, what):

@@ -23,6 +23,13 @@ def scene_dir(tmp_path_factory):
     return root
 
 
+def assert_one_error_line(capsys):
+    """Exit-code-2 failures report one ``error:`` line and no traceback."""
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
 def spec_json(tmp_path):
     spec = {
         "width": 32, "height": 32, "frames": 4, "seed": 3,
@@ -57,6 +64,21 @@ class TestSynthCommand:
         bad.write_text(json.dumps({"width": 16, "height": 16, "frames": 1,
                                    "background": [], "actors": []}))
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: '{"width": 32,',
+        lambda spec: json.dumps({"width": 32}),
+        lambda spec: json.dumps({**spec, "background": 5}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "size": "ab"}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "grid": [0, 0]}]}),
+    ], ids=["malformed-json", "missing-height", "background-not-a-list", "size-a-string",
+            "grid-below-1"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, edit):
+        spec = json.loads(spec_json(tmp_path).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(spec))
+        assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestMasksCommand:
@@ -114,6 +136,24 @@ class TestTrainCommand:
         assert "config" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit", [
+        {"iters_total": 6.5}, {"iters_total": "abc"}, {"seed": "x"}, {"learning_rates": 5},
+        {"learning_rates": {"means": "x"}}, {"loss_weights": {"lambda_ssim": -1}},
+        {"n_bases": 0},
+    ], ids=["iters-float", "iters-string", "seed-string", "rates-not-an-object",
+            "rate-string", "negative-loss-weight", "no-bases"])
+    def test_bad_config_value_exit_2_before_work(self, scene_dir, tmp_path, capsys, edit):
+        cfg = {"iters_total": 6, "iters_static_warmup": 2, "iters_rigid_warmup": 2,
+               "n_bases": 2, "checkpoint_every": 0, "n_static_init": 100, **edit}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["train", "--dataset", str(scene_dir / "data"),
+                     "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_nan_visible_track_exit_2(self, scene_dir, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(scene_dir / "data", data)
@@ -140,6 +180,28 @@ class TestRenderEvalHist:
         for name in ("alpha", "normal", "dyn_mask", "v_fwd", "v_bwd", "corr"):
             assert (out / f"{name}.f32").exists()
             assert (out / f"{name}.json").exists()
+
+    @pytest.mark.parametrize("source", ["default", "cam", "dataset"])
+    @pytest.mark.parametrize("frame", ["99", "-1", "5"])
+    def test_render_frame_outside_checkpoint_exit_2(self, scene_dir, tmp_path, capsys,
+                                                    source, frame):
+        args = ["render", "--ckpt", str(scene_dir / "gt.rigs"), "--frame", frame,
+                "--out", str(tmp_path / "o")]
+        if source == "cam":
+            cam = tmp_path / "cam.json"
+            cam.write_text(json.dumps(load_dataset(scene_dir / "data").cameras[0].to_dict()))
+            args += ["--cam", str(cam)]
+        elif source == "dataset":
+            args += ["--dataset", str(scene_dir / "data")]
+        assert main(args) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("frames", ["1,x", "99", "-1", "0,5"])
+    def test_eval_bad_frames_exit_2(self, scene_dir, capsys, frames):
+        assert main(["eval", "--ckpt", str(scene_dir / "gt.rigs"),
+                     "--dataset", str(scene_dir / "data"), "--frames", frames]) == 2
+        assert_one_error_line(capsys)
 
     def test_eval_json_lines(self, scene_dir, capsys):
         code = main(["eval", "--ckpt", str(scene_dir / "gt.rigs"),

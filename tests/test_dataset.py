@@ -244,6 +244,39 @@ def test_read_ppm_fuzz_raises_only_package_errors(tmp_path, raw):
         pass
 
 
+# arbitrary JSON values, nested up to a few levels
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
+SLAB = {"center": [0.0, 0.0, 5.0], "size": [2.0, 2.0], "grid": [4, 4]}
+SPEC = {"width": 16, "height": 16, "frames": 4, "background": [SLAB], "actors": [SLAB]}
+
+
+def _overrides(base, values):
+    """``base`` with some of its keys (and one unknown key) replaced by ``values``."""
+    return st.dictionaries(st.sampled_from(sorted(base) + ["bogus"]), values, max_size=3) \
+        .map(lambda over: {**base, **over})
+
+
+SLAB_VALUES = st.one_of(JSON_ANY, _overrides({**SLAB, "motion": {}, "opacity": 0.9,
+                                               "thickness": 0.2, "track_window": 3}, JSON_ANY))
+
+
+@FUZZ
+@given(d=st.one_of(JSON_ANY, _overrides(
+    {**SPEC, "camera": {}, "fx": 20.0, "fy": 20.0, "tracks_per_actor": 4, "noise_image": 0.0,
+     "noise_depth": 0.0, "noise_flow": 0.0, "seed": 0},
+    st.one_of(JSON_ANY, SLAB_VALUES, st.lists(SLAB_VALUES, max_size=2)))))
+def test_spec_from_dict_fuzz_raises_only_validation_errors(d):
+    try:
+        spec = SyntheticSceneSpec.from_dict(d)
+    except ValidationError:
+        return
+    assert all(min(s.grid) >= 1 for s in spec.background + spec.actors)
+
+
 class TestGeneratorGroundTruth:
     def test_static_scene_zero_flow(self):
         ds = generate_synthetic(tiny_spec(camera={"kind": "static"}))

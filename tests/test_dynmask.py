@@ -84,10 +84,13 @@ class TestSampson:
                                 np.concatenate([xr, np.ones((1000, 1))], 1)))
         assert np.all(errs >= 0)
         assert np.all((errs <= 1e-10) == (cons <= 1e-10 * np.maximum(1.0, cons.max())))
-        # matches the scalar implementation
+        # matches the one-pair formula, transcribed here, in both the batched and scalar forms
         for k in range(5):
-            assert errs[k] == pytest.approx(
-                sampson_error(xl[k], xr[k], F), abs=1e-14)
+            hl, hr = np.append(xl[k], 1.0), np.append(xr[k], 1.0)
+            nl, nr = np.linalg.norm(F @ hl), np.linalg.norm(F @ hr)
+            ref = abs(hl @ F @ hr) / np.sqrt(nl * nl + nr * nr)
+            assert errs[k] == pytest.approx(ref, abs=1e-14)
+            assert sampson_error(xl[k], xr[k], F) == pytest.approx(ref, abs=1e-14)
 
 
 def synthetic_two_view(seed, n=500, outliers=0.0):

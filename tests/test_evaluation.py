@@ -20,6 +20,12 @@ class TestEvaluate:
         assert report["mean_psnr"] >= 50.0
         assert report["mean_ssim"] >= 0.999
 
+    @pytest.mark.parametrize("frames", [[99], [-1], [0, 1.0]])
+    def test_frames_outside_the_dataset_raise(self, frames):
+        ds = generate_synthetic(tiny_spec(frames=4))
+        with pytest.raises(ValidationError):
+            evaluate(ds.gt_set, ds, frames=frames)
+
     def test_mask_iou_exact(self):
         rng = np.random.default_rng(0)
         m = rng.uniform(size=(10, 10)) > 0.5

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dysplat.errors import DegenerateRotation6D, NonPositiveDepth, ValidationError
 from dysplat.geometry import (
+    CameraExtrinsics,
     SE3Transform,
     bilinear_sample,
     ewa_backward,
@@ -73,17 +74,39 @@ class TestProject:
             worst = max(worst, np.max(np.abs(pix2 - pix)), abs(d2 - depth))
         assert worst <= 1e-9
 
-    def test_batched_matches_scalar(self, simple_cam):
-        # the batched projection is the one prepare_splats renders with
+    def test_batched_matches_scalar(self):
+        # oracle: the one-point pinhole formula, transcribed here
+        def pinhole(point, cam):
+            p = cam.extrinsics.rotation @ point + cam.extrinsics.translation
+            i = cam.intrinsics
+            return np.array([i.fx * p[0] / p[2] + i.cx, i.fy * p[1] / p[2] + i.cy]), p[2]
+
         rng = np.random.default_rng(1)
-        pts = rng.uniform([-0.4, -0.4, 1.0], [0.4, 0.4, 5.0], size=(32, 3))
+        cam = make_cam(fx=90.0, fy=110.0, rotation=rot_z(10.0), translation=[0.1, -0.2, 0.3])
+        pts = cam.camera_to_world(rng.uniform([-0.4, -0.4, 1.0], [0.4, 0.4, 5.0], size=(32, 3)))
         statics = StaticGaussians(pts, np.full((32, 3), -3.0), np.tile([1.0, 0, 0, 0], (32, 1)),
                                   np.zeros(32), np.full((32, 3), 0.5))
-        batch = prepare_splats(replace(GaussianSet.empty(1, 1), statics=statics), simple_cam, 0)
+        # prepare_splats is the batched projection the renderer uses
+        batch = prepare_splats(replace(GaussianSet.empty(1, 1), statics=statics), cam, 0)
         assert np.array_equal(np.sort(batch.index), np.arange(32))
         for k, pix, z in zip(batch.index, batch.mean2d, batch.depth):
-            p, d = project(pts[k], simple_cam)
+            p, d = pinhole(pts[k], cam)
             assert np.allclose(pix, p) and np.isclose(z, d)
+            p1, d1 = project(pts[k], cam)
+            assert np.allclose(p1, p) and np.isclose(d1, d)
+
+    def test_unproject_batched(self):
+        rng = np.random.default_rng(3)
+        cam = make_cam(fx=90.0, fy=110.0, rotation=rot_z(25.0), translation=[0.4, 0.0, -0.2])
+        pix = rng.uniform(0, 99, size=(4, 5, 2))
+        depth = rng.uniform(0.5, 8.0, size=(4, 5))
+        pts = unproject(pix, depth, cam)
+        assert pts.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(pts[idx], unproject(pix[idx], depth[idx], cam))
+        depth[2, 3] = 0.0
+        with pytest.raises(NonPositiveDepth):
+            unproject(pix, depth, cam)
 
     def test_unproject_grid(self, simple_cam):
         depth = np.full((4, 6), 2.5)
@@ -310,15 +333,24 @@ class TestEWA:
             assert np.all(evals >= 0.3 - 1e-12)
             assert np.allclose(out, out.T)
 
-    def test_batch_matches_scalar(self, simple_cam):
+    def test_batch_matches_scalar(self):
+        # oracle: the one-point EWA formula P cov3 P^T + dilation, P = J R, transcribed here
+        def ewa(cov3, R, m, fx, fy):
+            x, y, z = m
+            J = np.array([[fx / z, 0.0, -fx * x / (z * z)], [0.0, fy / z, -fy * y / (z * z)]])
+            P = J @ R
+            return P @ cov3 @ P.T + 0.3 * np.eye(2)
+
         rng = np.random.default_rng(8)
+        R = rot6d_to_matrix(rng.normal(size=6))
+        cam = make_cam(fx=90.0, fy=110.0, rotation=R)
         covs = np.array([a @ a.T for a in rng.normal(size=(5, 3, 3))])
         means = rng.uniform([-1, -1, 1], [1, 1, 5], size=(5, 3))
-        out, _ = ewa_project_covariance_batch(
-            covs, np.eye(3), means, 100.0, 100.0)
+        out, _ = ewa_project_covariance_batch(covs, R, means, 90.0, 110.0)
         for k in range(5):
-            ref = ewa_project_covariance(covs[k], simple_cam, means[k])
+            ref = ewa(covs[k], R, means[k], 90.0, 110.0)
             assert np.allclose(out[k], ref)
+            assert np.allclose(ewa_project_covariance(covs[k], cam, means[k]), ref)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -376,3 +408,12 @@ class TestSE3Type:
         rng = np.random.default_rng(12)
         R = rot6d_to_matrix(rng.normal(size=6))
         assert np.allclose(rot6d_to_matrix(matrix_to_rot6d(R)), R, atol=1e-12)
+
+    def test_camera_extrinsics_is_the_rigid_transform(self):
+        with pytest.raises(ValidationError):
+            CameraExtrinsics(np.eye(3) * 2.0, np.zeros(3))
+        cam = make_cam(rotation=rot_z(30.0), translation=[1.0, -2.0, 0.5])
+        p = np.array([[0.3, 0.2, 4.0], [-1.0, 0.5, 2.0]])
+        assert isinstance(cam.extrinsics, SE3Transform)
+        assert np.array_equal(cam.world_to_camera(p), cam.extrinsics.apply(p))
+        assert np.allclose(cam.camera_to_world(cam.world_to_camera(p)), p)

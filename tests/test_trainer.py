@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dysplat.errors import EmptyStaticRegion, InsufficientTracks, ValidationError
+from dysplat.geometry import bilinear_sample, unproject, unproject_grid
 from dysplat.losses import LossWeights
 from dysplat.primitives import (
     GaussianSet,
@@ -18,6 +21,7 @@ from dysplat.primitives import (
 from dysplat import trainer
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from dysplat.trainer import (
+    DEFAULT_LEARNING_RATES,
     OptimState,
     TrainConfig,
     adam_step,
@@ -27,7 +31,7 @@ from dysplat.trainer import (
     train,
 )
 
-from test_dataset import tiny_spec
+from test_dataset import FUZZ, JSON_ANY, tiny_spec
 
 
 def small_set(n_rigid=2, K=2, T=5):
@@ -171,6 +175,118 @@ class TestInitRigid:
         means_t, _ = rigid_pose_at(rig, bases, 4)
         means_0, _ = rigid_pose_at(rig, bases, 0)
         assert np.allclose(means_t - means_0, [0.03 * 4, -0.01 * 4, 0.0], atol=1e-6)
+
+
+def _per_track_lift_reference(tracks, depths, cameras, dyn_masks, n_bases, seed, images):
+    """init_rigid_from_tracks as a loop over tracks and their visible points."""
+    T = len(cameras)
+    H, W = depths[0].shape
+    usable, lifted = [], []
+    for j in range(tracks.shape[0]):
+        vis_frames = np.nonzero(tracks[j, :, 2] > 0.5)[0]
+        if vis_frames.size < 2:
+            continue
+        t0 = int(vis_frames[0])
+        xi, yi = int(round(tracks[j, t0, 0])), int(round(tracks[j, t0, 1]))
+        if not (0 <= xi < W and 0 <= yi < H) or not dyn_masks[t0][yi, xi]:
+            continue
+        traj = np.zeros((T, 3))
+        seen = np.zeros(T, dtype=bool)
+        for t in vis_frames:
+            d, inside = bilinear_sample(depths[t], tracks[j, t, 0], tracks[j, t, 1])
+            if not inside or d <= 0:
+                continue
+            traj[t] = unproject(tracks[j, t, :2], d, cameras[t])
+            seen[t] = True
+        if np.count_nonzero(seen) < 2:
+            continue
+        seen_idx = np.nonzero(seen)[0]
+        nearest = np.argmin(np.abs(seen_idx[None, :] - np.arange(T)[:, None]), axis=1)
+        usable.append(j)
+        lifted.append((traj[seen_idx[nearest]], seen_idx))
+    trajs = np.stack([tr for tr, _ in lifted])
+    assign = trainer._kmeans(trajs.reshape(len(usable), -1), n_bases, seed)
+    bases = MotionBases.identity(n_bases, T)
+    for jb in range(n_bases):  # the basis fit, as in the function
+        members = trajs[assign == jb]
+        for t in range(1, T if members.shape[0] else 1):
+            if members.shape[0] >= 3:
+                R, tr = trainer._procrustes(members[:, 0], members[:, t])
+            else:
+                R, tr = np.eye(3), np.mean(members[:, t] - members[:, 0], axis=0)
+            bases.rot6d[jb, t] = np.concatenate([R[:, 0], R[:, 1]])
+            bases.trans[jb, t] = tr
+    basis_R = bases.matrices()
+    out = {name: [] for name in ("means", "log_scales", "colors", "durations", "centers")}
+    for i, (j, (traj, seen_idx)) in enumerate(zip(usable, lifted)):
+        t_fv, jb = int(seen_idx[0]), assign[i]
+        out["means"].append(basis_R[jb, t_fv].T @ (traj[t_fv] - bases.trans[jb, t_fv]))
+        out["durations"].append(max((seen_idx[-1] - seen_idx[0]) / 2.0, 0.5))
+        out["centers"].append((seen_idx[-1] + seen_idx[0]) / 2.0)
+        xi, yi = int(round(tracks[j, t_fv, 0])), int(round(tracks[j, t_fv, 1]))
+        scale = np.log(max(depths[t_fv][yi, xi], 1e-3) / cameras[t_fv].intrinsics.fx)
+        out["log_scales"].append(np.full(3, scale))
+        out["colors"].append(images[t_fv][yi, xi])
+    return {k: np.array(v) for k, v in out.items()}, bases
+
+
+def _damaged_tracks(ds, seed):
+    """Tracks with dropped frames, jittered pixels (some off the image) and
+    depth holes, so every skip in the lifting is taken."""
+    rng = np.random.default_rng(seed)
+    tracks = ds.tracks.copy()
+    tracks[:, :, 2] *= rng.uniform(size=tracks.shape[:2]) > 0.3
+    tracks[:, :, :2] += rng.normal(scale=4.0, size=tracks[:, :, :2].shape)
+    depths = ds.depths.copy()
+    depths[:, ::5, ::7] = 0.0
+    # a hole under every third track's rounded pixel
+    T, H, W = depths.shape
+    px = np.rint(np.nan_to_num(tracks[::3, :, :2])).astype(int)
+    t_idx = np.broadcast_to(np.arange(T), px.shape[:2])
+    on = (px[..., 0] >= 0) & (px[..., 0] < W) & (px[..., 1] >= 0) & (px[..., 1] < H)
+    depths[t_idx[on], px[..., 1][on], px[..., 0][on]] = 0.0
+    return tracks, depths
+
+
+class TestLiftingMatchesPerTrackLoop:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_init_rigid_from_tracks(self, seed):
+        ds = generate_synthetic(tiny_spec(
+            seed=seed, actor_motion={"kind": "erratic", "segment_len": 3, "speed": 0.04},
+            frames=8))
+        tracks, depths = _damaged_tracks(ds, seed)
+        rig, bases = init_rigid_from_tracks(tracks, depths, ds.cameras, ds.dyn_masks, 3,
+                                            seed, images=ds.images)
+        ref, ref_bases = _per_track_lift_reference(tracks, depths, ds.cameras, ds.dyn_masks,
+                                                   3, seed, ds.images)
+        assert 3 <= len(rig) < len(tracks)
+        for name, want in ref.items():
+            assert np.array_equal(getattr(rig, name), want), name
+        assert np.array_equal(bases.rot6d, ref_bases.rot6d)
+        assert np.array_equal(bases.trans, ref_bases.trans)
+
+    def test_track_samples(self):
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, frames=6))
+        tracks, depths = _damaged_tracks(ds, 4)
+        ds = replace(ds, tracks=tracks, depths=depths)
+        H, W = ds.image_size
+        n_samples = 0
+        for t, t_corr in [(0, 3), (2, 1), (5, 4), (3, 3)]:
+            got = trainer._track_samples(ds, np.random.default_rng(t), t, t_corr, 5)
+            rows = np.nonzero((tracks[:, t, 2] > 0.5) & (tracks[:, t_corr, 2] > 0.5))[0]
+            rows = rows[np.random.default_rng(t).permutation(rows.size)[:5]]
+            pts = unproject_grid(depths[t_corr], ds.cameras[t_corr])
+            want = []
+            for j in rows:
+                xi, yi = int(round(tracks[j, t_corr, 0])), int(round(tracks[j, t_corr, 1]))
+                if 0 <= xi < W and 0 <= yi < H and depths[t_corr][yi, xi] > 0:
+                    want.append((tracks[j, t, :2], pts[yi, xi]))
+            assert len(got) == len(want)
+            for (p, q), (p_ref, q_ref) in zip(got, want):
+                assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
+            n_samples += len(got)
+        assert n_samples > 0
 
 
 class TestHistogram:
@@ -335,6 +451,19 @@ class TestTrainLoop:
             TrainConfig.from_dict({"loss_weights": {"lambda_bogus": 1.0}})
         with pytest.raises(ValidationError):
             TrainConfig.from_dict({"loss_weights": [1.0]})
+
+    @FUZZ
+    @given(d=st.one_of(JSON_ANY, st.dictionaries(
+        st.sampled_from(sorted(TrainConfig.__dataclass_fields__) + ["bogus"]),
+        st.one_of(JSON_ANY, st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_LEARNING_RATES) + ["lambda_ssim", "lambda_flow"]),
+            JSON_ANY, max_size=3)), max_size=4)))
+    def test_from_dict_fuzz_raises_only_validation_errors(self, d):
+        try:
+            config = TrainConfig.from_dict(d)
+        except ValidationError:
+            return
+        assert config.n_bases >= 1 and all(v > 0 for v in config.learning_rates.values())
 
     def test_log_closed_when_an_iteration_raises(self, tmp_path, monkeypatch):
         opened = []
