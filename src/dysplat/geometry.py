@@ -413,8 +413,8 @@ def ewa_project_covariance(cov3, cam: CameraFrame, mean_cam):
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):
     """Batched EWA projection; returns (cov2 (N,2,2), J (N,2,3))."""
     J = pinhole_jacobian(means_cam, fx, fy)
-    P = np.einsum("nij,jk->nik", J, R_w2c)
-    cov2 = np.einsum("nij,njk,nlk->nil", P, covs3, P)
+    P = J @ R_w2c
+    cov2 = P @ covs3 @ np.swapaxes(P, -1, -2)
     cov2 = cov2 + COV2D_DILATION * np.eye(2)
     return cov2, J
 
@@ -425,12 +425,11 @@ def ewa_backward(grad_cov2, covs3, R_w2c, means_cam, fx, fy, J):
     Returns (grad_cov3 (N,3,3), grad_mean_cam (N,3)); the camera is fixed.
     """
     g = np.asarray(grad_cov2, dtype=np.float64)
-    P = np.einsum("nij,jk->nik", J, R_w2c)
-    grad_cov3 = np.einsum("nji,njk,nkl->nil", P, g, P)
+    P = J @ R_w2c
+    grad_cov3 = np.swapaxes(P, -1, -2) @ g @ P
     # dP = (g + g^T) P cov3  (cov3 symmetric)
     gsym = g + np.swapaxes(g, -1, -2)
-    dP = np.einsum("nij,njk,nkl->nil", gsym, P, covs3)
-    dJ = np.einsum("nij,kj->nik", dP, R_w2c)
+    dJ = gsym @ P @ covs3 @ R_w2c.T
 
     x, y, z = means_cam[..., 0], means_cam[..., 1], means_cam[..., 2]
     z2 = z * z

@@ -206,7 +206,7 @@ class GaussianSet:
 def covariance(R, log_scales):
     """(N, 3, 3) covariances R diag(exp(2 log_scales)) R^T from rotations R."""
     s2 = np.exp(2.0 * log_scales)
-    return np.einsum("nij,nj,nkj->nik", R, s2, R)
+    return (R * s2[:, None, :]) @ np.swapaxes(R, -1, -2)
 
 
 def covariance_backward(grad_cov, R, log_scales):
@@ -217,7 +217,7 @@ def covariance_backward(grad_cov, R, log_scales):
     """
     s = np.exp(log_scales)
     M = R * s[:, None, :]
-    gM = np.einsum("nij,njk->nik", grad_cov + np.swapaxes(grad_cov, -1, -2), M)
+    gM = (grad_cov + np.swapaxes(grad_cov, -1, -2)) @ M
     return gM * s[:, None, :], np.einsum("nik,nik->nk", gM, R) * s
 
 

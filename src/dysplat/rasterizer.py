@@ -7,13 +7,14 @@ produces exact adjoints for every optimizable parameter of the Gaussian set,
 chained through alpha compositing, the EWA projection, temporal gating, the
 shared-basis rigid transform and the transient linear motion.
 
-All heavy math is vectorized per 16x16 tile; one serial loop visits the
+All heavy math is vectorized per 8x8 tile; one serial loop visits the
 tiles in a fixed order, so gradient accumulation is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .primitives import (
     zeros_like_tree,
 )
 
-TILE = 16
+TILE = 8
 OPACITY_CLAMP = 0.999
 TERMINATE_TRANSMITTANCE = 1e-4
 CULL_OPACITY = 1.0 / 255.0
@@ -311,12 +312,23 @@ def _tile_center(y0, y1, x0, x1):
 
 
 def _monomials(bounds):
-    """(6, P) pixel monomials [u^2, uv, v^2, u, v, 1] about the tile center."""
+    """(6, P) pixel monomials [u^2, uv, v^2, u, v, 1] about the tile center.
+
+    The centered offsets are exact integers or half-integers that depend only
+    on the tile's shape, so each shape is computed once (read-only).
+    """
     y0, y1, x0, x1 = bounds
-    cx, cy = _tile_center(*bounds)
-    u, v = np.meshgrid(np.arange(x0, x1) - cx, np.arange(y0, y1) - cy)
+    return _monomials_of_shape(y1 - y0, x1 - x0)
+
+
+@lru_cache(maxsize=16)
+def _monomials_of_shape(h, w):
+    cx, cy = _tile_center(0, h, 0, w)
+    u, v = np.meshgrid(np.arange(w) - cx, np.arange(h) - cy)
     u, v = u.ravel(), v.ravel()
-    return np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
+    M = np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
+    M.flags.writeable = False
+    return M
 
 
 def _tile_offsets(view: _OrderedView, local, bounds):
@@ -369,21 +381,34 @@ def _tile_ranges(width, height):
             yield ty, min(ty + TILE, height), tx, min(tx + TILE, width)
 
 
+def _hits(coord, radius, lo, hi):
+    """Splats whose [coord - radius, coord + radius] meets pixels lo..hi-1."""
+    return (coord + radius >= lo) & (coord - radius <= hi - 1)
+
+
 def _splats_in_tile(view: _OrderedView, y0, y1, x0, x1):
-    m = view.mean
-    r = view.radius
-    hit = ((m[:, 0] + r >= x0) & (m[:, 0] - r <= x1 - 1)
-           & (m[:, 1] + r >= y0) & (m[:, 1] - r <= y1 - 1))
-    return np.nonzero(hit)[0]
+    m, r = view.mean, view.radius
+    return np.nonzero(_hits(m[:, 0], r, x0, x1) & _hits(m[:, 1], r, y0, y1))[0]
 
 
 def _map_tiles(view: _OrderedView, fn):
     """The tile loop: call fn(bounds, local, ws) for every tile that a splat
     covers, in the fixed tile order, where local lists the ordered splats
-    covering the tile and ws is the loop's one _Workspace."""
+    covering the tile and ws is the loop's one _Workspace.
+
+    One hit mask per tile column and per tile row, built once per pass, give
+    each tile the same splats as _splats_in_tile, in the same order.
+    """
     ws = _Workspace()
+    m, r = view.mean, view.radius
+    col_hits, row_hits = {}, {}
     for bounds in _tile_ranges(view.width, view.height):
-        local = _splats_in_tile(view, *bounds)
+        y0, y1, x0, x1 = bounds
+        if x0 not in col_hits:
+            col_hits[x0] = _hits(m[:, 0], r, x0, x1)
+        if y0 not in row_hits:
+            row_hits[y0] = _hits(m[:, 1], r, y0, y1)
+        local = np.nonzero(col_hits[x0] & row_hits[y0])[0]
         if local.size:
             fn(bounds, local, ws)
 
@@ -460,11 +485,14 @@ def _assemble_grad_channels(grad_outputs, H, W):
     if unknown:
         raise MismatchedForward(f"unknown grad_outputs keys: {sorted(unknown)}")
     gch = np.zeros((H, W, N_CHANNELS))
-    galpha = np.zeros((H, W))
+    galpha = None  # stays None without an alpha cotangent, so the tiles add no zeros
     for key, v in grad_outputs.items():
         if v is None:
             continue
-        target = galpha if key == "alpha" else gch[..., GRAD_CHANNELS[key]]
+        if key == "alpha":
+            galpha = target = np.zeros((H, W))
+        else:
+            target = gch[..., GRAD_CHANNELS[key]]
         v = np.asarray(v, dtype=np.float64)
         if v.shape != target.shape:
             raise MismatchedForward(f"grad_outputs[{key!r}]: expected {target.shape}, got {v.shape}")
@@ -511,11 +539,14 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
         w = np.multiply(alpha, T, out=ws.take(2, n_loc, P))
 
         g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS)
-        d_payload = w @ g_ch
+        # order[local] holds each splat once per tile, so indexed += accumulates
+        sub = order[local]
+        d_payload_o[sub] += w @ g_ch
         # d_w = payload . g_ch + g_alpha; d_alpha = d_w T - behind / (1 - alpha),
         # where behind sums d_w w over the splats composited after this one
         d_alpha = np.matmul(view.payload[local], g_ch.T, out=ws.take(3, n_loc, P))
-        d_alpha += galpha[y0:y1, x0:x1].reshape(1, P)
+        if galpha is not None:
+            d_alpha += galpha[y0:y1, x0:x1].reshape(1, P)
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
@@ -538,9 +569,6 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
         d_conic = -0.5 * np.stack([r_uu - a * (2.0 * r_u - a * r_1),
                                    r_uv - b * r_u - a * r_v + a * b * r_1,
                                    r_vv - b * (2.0 * r_v - b * r_1)], axis=1)
-        # order[local] holds each splat once per tile, so indexed += accumulates
-        sub = order[local]
-        d_payload_o[sub] += d_payload
         d_opacity_o[sub] += r_1 / view.opacity[local]
         d_mean2d_o[sub] += d_mean
         d_conic_o[sub] += d_conic
@@ -550,7 +578,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
     # the conic is inv(cov2d): d_cov = -inv d_conic inv
     d_conic_m = d_conic_o[:, [0, 1, 1, 2]].reshape(n, 2, 2)
     inv = np.linalg.inv(batch.cov2d)
-    d_cov2d_o = -np.einsum("nij,njk,nkl->nil", inv, d_conic_m, inv)
+    d_cov2d_o = -(inv @ d_conic_m @ inv)
 
     _chain_to_parameters(batch, cam, gset, grads,
                          d_payload_o, d_opacity_o, d_mean2d_o, d_cov2d_o)

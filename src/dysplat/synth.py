@@ -48,6 +48,46 @@ def _values(v, n, what, check=require_number, **kwargs):
     return tuple(check(x, what, **kwargs) for x in v)
 
 
+def _xyz(v, what):
+    return _values(v, 3, what)
+
+
+def _xyz_rows(v, what):
+    require(isinstance(v, list), f"{what} must be a list of [x, y, z] rows")
+    return [_xyz(row, what) for row in v]
+
+
+# camera and slab-motion kinds: kind -> (required keys, optional keys), each
+# key mapped to the check of its value
+CAMERA_KINDS = {
+    "static": ({}, {}),
+    "linear": ({"velocity": _xyz}, {"start": _xyz}),
+    "positions": ({"positions": _xyz_rows}, {}),
+}
+MOTION_KINDS = {
+    "static": ({}, {}),
+    "linear": ({"velocity": _xyz}, {}),
+    "waypoints": ({"positions": _xyz_rows}, {}),
+    "erratic": ({}, {"segment_len": lambda v, what: require_int(v, what, low=1),
+                     "speed": require_number}),
+}
+
+
+def _trajectory(d, kinds, what):
+    """A copy of the camera or motion object ``d`` whose kind is one of
+    ``kinds`` and whose keys that kind reads all hold well-formed values."""
+    require(isinstance(d, dict), f"{what} must be a JSON object")
+    kind = d.get("kind", "static")
+    require(isinstance(kind, str) and kind in kinds, f"unknown {what} kind {kind!r}")
+    required, optional = kinds[kind]
+    for key, check in required.items():
+        check(_entry(d, key, f"{what} {kind!r}"), f"{what} {key}")
+    for key, check in optional.items():
+        if key in d:
+            check(d[key], f"{what} {key}")
+    return dict(d)
+
+
 @dataclass
 class SlabSpec:
     """A fronto-parallel rectangle of Gaussians at constant depth."""
@@ -65,16 +105,22 @@ class SlabSpec:
     @staticmethod
     def from_dict(d):
         require(isinstance(d, dict), "slab must be a JSON object")
-        motion = d.get("motion", {"kind": "static"})
-        require(isinstance(motion, dict), "slab motion must be a JSON object")
         window = d.get("track_window")
+        size = _values(_entry(d, "size", "slab"), 2, "slab size")
+        thickness = require_number(d.get("thickness", DEFAULT_THICKNESS), "slab thickness")
+        opacity = require_number(d.get("opacity", DEFAULT_OPACITY), "slab opacity")
+        # the Gaussians' log-scales are logs of the grid spacing and thickness,
+        # and their opacity logits are logits of the opacity
+        require(min(size) > 0.0, f"slab size entries must be > 0, got {list(size)}")
+        require(thickness > 0.0, f"slab thickness must be > 0, got {thickness}")
+        require(0.0 < opacity < 1.0, f"slab opacity must lie in (0, 1), got {opacity}")
         return SlabSpec(
             center=_values(_entry(d, "center", "slab"), 3, "slab center"),
-            size=_values(_entry(d, "size", "slab"), 2, "slab size"),
+            size=size,
             grid=_values(_entry(d, "grid", "slab"), 2, "slab grid", require_int, low=1),
-            motion=dict(motion),
-            opacity=require_number(d.get("opacity", DEFAULT_OPACITY), "slab opacity"),
-            thickness=require_number(d.get("thickness", DEFAULT_THICKNESS), "slab thickness"),
+            motion=_trajectory(d.get("motion", {"kind": "static"}), MOTION_KINDS, "slab motion"),
+            opacity=opacity,
+            thickness=thickness,
             track_window=None if window is None else require_int(window, "slab track_window",
                                                                  low=1),
         )
@@ -112,15 +158,14 @@ class SyntheticSceneSpec:
             entries = d.get(key, [])
             require(isinstance(entries, list), f"spec {key} must be a list")
             slabs[key] = [SlabSpec.from_dict(e) for e in entries]
-        camera = d.get("camera", {"kind": "static"})
-        require(isinstance(camera, dict), "spec camera must be a JSON object")
+        camera = _trajectory(d.get("camera", {"kind": "static"}), CAMERA_KINDS, "spec camera")
         fx, fy = d.get("fx"), d.get("fy")
         return SyntheticSceneSpec(
             width=require_int(_entry(d, "width", "spec"), "width", low=1),
             height=require_int(_entry(d, "height", "spec"), "height", low=1),
             n_frames=require_int(_entry(d, "frames", "spec"), "frames"),
             background=slabs["background"], actors=slabs["actors"],
-            camera=dict(camera),
+            camera=camera,
             fx=None if fx is None else require_number(fx, "fx"),
             fy=None if fy is None else require_number(fy, "fy"),
             tracks_per_actor=require_int(d.get("tracks_per_actor", 40), "tracks_per_actor",

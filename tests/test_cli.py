@@ -49,6 +49,10 @@ def spec_json(tmp_path):
     return path
 
 
+def actor_motion(spec, motion):
+    return json.dumps({**spec, "actors": [{**spec["actors"][0], "motion": motion}]})
+
+
 class TestSynthCommand:
     def test_synth_and_reload(self, tmp_path, capsys):
         code = main(["synth", "--spec", str(spec_json(tmp_path)),
@@ -71,8 +75,36 @@ class TestSynthCommand:
         lambda spec: json.dumps({**spec, "background": 5}),
         lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "size": "ab"}]}),
         lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "grid": [0, 0]}]}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": "linear"}}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": "linear", "velocity": [0.1, 0.0]}}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": "linear", "velocity": [0, 0, 0],
+                                                    "start": "origin"}}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": "positions"}}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": "positions",
+                                                    "positions": [[0, 0, 0], [1, 2]] * 2}}),
+        lambda spec: json.dumps({**spec, "camera": {"kind": ["linear"]}}),
+        lambda spec: actor_motion(spec, {"kind": "linear"}),
+        lambda spec: actor_motion(spec, {"kind": "linear", "velocity": ["a", 0, 0]}),
+        lambda spec: actor_motion(spec, {"kind": "waypoints"}),
+        lambda spec: actor_motion(spec, {"kind": "waypoints", "positions": [0, 0, 0, 1]}),
+        lambda spec: actor_motion(spec, {"kind": "erratic", "segment_len": "x"}),
+        lambda spec: actor_motion(spec, {"kind": "erratic", "segment_len": 0}),
+        lambda spec: actor_motion(spec, {"kind": "erratic", "speed": "fast"}),
+        lambda spec: actor_motion(spec, {"kind": "spin"}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "size": [0, 2]}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "size": [0.7, -1]}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "thickness": 0}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "thickness": -0.5}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "opacity": 1.5}]}),
+        lambda spec: json.dumps({**spec, "actors": [{**spec["actors"][0], "opacity": 0}]}),
     ], ids=["malformed-json", "missing-height", "background-not-a-list", "size-a-string",
-            "grid-below-1"])
+            "grid-below-1", "camera-linear-no-velocity", "camera-velocity-2-values",
+            "camera-start-a-string", "camera-positions-missing", "camera-positions-ragged",
+            "camera-kind-a-list", "motion-linear-no-velocity", "motion-velocity-a-string",
+            "motion-waypoints-missing", "motion-waypoints-not-rows",
+            "motion-segment-len-a-string", "motion-segment-len-0", "motion-speed-a-string",
+            "motion-kind-unknown", "size-zero", "size-negative", "thickness-zero",
+            "thickness-negative", "opacity-above-1", "opacity-0"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, edit):
         spec = json.loads(spec_json(tmp_path).read_text())
         bad = tmp_path / "bad.json"

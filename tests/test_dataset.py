@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dysplat import synth
 from dysplat.dataset import (
     load_dataset,
     read_ppm,
@@ -17,6 +18,7 @@ from dysplat.dataset import (
 )
 from dysplat.errors import DysplatError, MissingChannel, ShapeMismatch, ValidationError
 from dysplat.dynmask import occlusion_mask
+from dysplat.primitives import logit
 from dysplat.rasterizer import prepare_splats, rasterize_forward
 from dysplat.sceneflow import backward_scene_flow, forward_scene_flow, warped_depth_consistency
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
@@ -264,6 +266,20 @@ SLAB_VALUES = st.one_of(JSON_ANY, _overrides({**SLAB, "motion": {}, "opacity": 0
                                                "thickness": 0.2, "track_window": 3}, JSON_ANY))
 
 
+def parse_and_set_up(d):
+    """SyntheticSceneSpec.from_dict(d), then the camera path and every slab's
+    Gaussians and displacements, as generate_synthetic sets them up (each
+    slab on a 2x2 grid: its grid only sets the memory it takes)."""
+    spec = SyntheticSceneSpec.from_dict(d)
+    rng = np.random.default_rng(0)
+    synth._camera_positions(spec.camera, spec.n_frames)
+    for slab in spec.background + spec.actors:
+        _, log_scales, _ = synth._slab_gaussians(replace(slab, grid=(2, 2)), rng)
+        assert np.all(np.isfinite(log_scales)) and np.isfinite(logit(slab.opacity)), slab
+        synth._slab_displacements(slab, 2, spec.n_frames, rng)
+    return spec
+
+
 @FUZZ
 @given(d=st.one_of(JSON_ANY, _overrides(
     {**SPEC, "camera": {}, "fx": 20.0, "fy": 20.0, "tracks_per_actor": 4, "noise_image": 0.0,
@@ -271,10 +287,36 @@ SLAB_VALUES = st.one_of(JSON_ANY, _overrides({**SLAB, "motion": {}, "opacity": 0
     st.one_of(JSON_ANY, SLAB_VALUES, st.lists(SLAB_VALUES, max_size=2)))))
 def test_spec_from_dict_fuzz_raises_only_validation_errors(d):
     try:
-        spec = SyntheticSceneSpec.from_dict(d)
+        spec = parse_and_set_up(d)
     except ValidationError:
         return
     assert all(min(s.grid) >= 1 for s in spec.background + spec.actors)
+
+
+XYZ = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+# camera and motion objects of every kind, some with keys missing or malformed
+TRAJECTORY = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["static", "linear", "positions", "waypoints", "erratic", "spin"])},
+    optional={key: st.one_of(XYZ, st.lists(XYZ, min_size=4, max_size=4), st.integers(-1, 6),
+                             JSON_ANY)
+              for key in ("velocity", "start", "positions", "segment_len", "speed")})
+
+
+@FUZZ
+@given(d=st.one_of(
+    TRAJECTORY.map(lambda camera: {**SPEC, "camera": camera}),
+    TRAJECTORY.map(lambda motion: {**SPEC, "actors": [{**SLAB, "motion": motion}]}),
+    st.tuples(st.lists(st.sampled_from([-1.0, 0, 0.5]), min_size=2, max_size=2),
+              st.sampled_from([-0.5, 0, 0.0, 0.25]), st.sampled_from([-0.1, 0, 0.5, 1, 1.0]))
+    .map(lambda ext: {**SPEC, "actors": [{**SLAB, "size": ext[0], "thickness": ext[1],
+                                          "opacity": ext[2]}]})))
+def test_spec_motion_and_extent_fuzz_raises_only_validation_errors(d):
+    # a valid spec but for its camera, the actor's motion, or the actor's
+    # extent and opacity
+    try:
+        parse_and_set_up(d)
+    except ValidationError:
+        pass
 
 
 class TestGeneratorGroundTruth:
