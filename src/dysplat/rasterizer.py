@@ -93,24 +93,12 @@ class RenderOutputs:
 
 
 @dataclass
-class _RigidFrames:
-    """Which basis frames feed the render, velocity and correspondence payloads."""
-
-    render: int
-    fwd: tuple | None
-    bwd: tuple | None
-    corr: int
-
-
-@dataclass
 class PrepareContext:
     """Everything the backward pass needs besides the parameters themselves."""
 
     t: int
     t_corr: int
-    counts: tuple            # population sizes (static, rigid, transient)
     rigid_ctxs: dict         # frame -> BlendContext over the full rigid population
-    rigid_frames: _RigidFrames | None
     rigid_Rq: np.ndarray | None   # (Nr, 3, 3) canonical rotations from quats
     # per culled-splat saved values
     mean_cam: np.ndarray
@@ -187,7 +175,6 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     R_w[:ns] = quat_to_matrix(gset.statics.quats)
 
     rigid_ctxs = {}
-    rigid_frames = None
     rigid_Rq = None
     if nr:
         r = gset.rigids
@@ -196,7 +183,6 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
         if fwd is not None:
             frames |= set(fwd) | set(bwd)
         rigid_ctxs = {f: blend_bases(r.weights, gset.bases, f) for f in sorted(frames)}
-        rigid_frames = _RigidFrames(render=t, fwd=fwd, bwd=bwd, corr=t_corr)
         means_at = {f: rigid_means_at(r, c) for f, c in rigid_ctxs.items()}
         rigid_Rq = quat_to_matrix(r.quats)
         mean_w[rigid_sl] = means_at[t]
@@ -246,8 +232,7 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
                      * np.maximum(_max_eigenvalue_2x2(cov_sel), 1e-12))
 
     ctx = PrepareContext(
-        t=t, t_corr=t_corr, counts=counts,
-        rigid_ctxs=rigid_ctxs, rigid_frames=rigid_frames, rigid_Rq=rigid_Rq,
+        t=t, t_corr=t_corr, rigid_ctxs=rigid_ctxs, rigid_Rq=rigid_Rq,
         mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
         log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
         gate=gate[sel], base_opacity=base_op[sel],
@@ -650,28 +635,28 @@ def _chain_rigid(ctx, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
     r = gset.rigids
     nr = len(r)
     g = grads["rigid"]
-    frames = ctx.rigid_frames
+    fwd, bwd = _velocity_frame_pairs(ctx.t, gset.n_frames)
 
     def scatter(src):
         out = np.zeros((nr,) + src.shape[1:])
         out[rows] += src
         return out
 
-    d_mean_full = {frames.render: scatter(d_mean_w)}
+    d_mean_full = {ctx.t: scatter(d_mean_w)}
     d_corr_full = scatter(d_corr)
-    if frames.corr in d_mean_full:
-        d_mean_full[frames.corr] += d_corr_full
+    if ctx.t_corr in d_mean_full:
+        d_mean_full[ctx.t_corr] += d_corr_full
     else:
-        d_mean_full[frames.corr] = d_corr_full
-    if frames.fwd is not None:
-        for (hi, lo), dv in ((frames.fwd, scatter(d_vf)), (frames.bwd, scatter(d_vb))):
+        d_mean_full[ctx.t_corr] = d_corr_full
+    if fwd is not None:
+        for (hi, lo), dv in ((fwd, scatter(d_vf)), (bwd, scatter(d_vb))):
             d_mean_full[hi] = d_mean_full.get(hi, 0.0) + dv
             d_mean_full[lo] = d_mean_full.get(lo, 0.0) - dv
 
     # R_world = A_rot(t) Rq
     d_Rw_full = scatter(d_R_w)
-    d_A_rot = {frames.render: np.einsum("nij,nkj->nik", d_Rw_full, ctx.rigid_Rq)}
-    d_Rq = np.einsum("nji,njk->nik", ctx.rigid_ctxs[frames.render].A_rot, d_Rw_full)
+    d_A_rot = {ctx.t: np.einsum("nij,nkj->nik", d_Rw_full, ctx.rigid_Rq)}
+    d_Rq = np.einsum("nji,njk->nik", ctx.rigid_ctxs[ctx.t].A_rot, d_Rw_full)
 
     # mean(f) = A_rot(f) mu + A_tr(f)
     d_mu_total = np.zeros((nr, 3))

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SceneDataset
-from .errors import ValidationError
-from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics
+from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics, pinhole_project
 from .primitives import (
     GaussianSet,
     MotionBases,
@@ -102,27 +101,31 @@ class SlabSpec:
     #                                  track is only visible over a random
     #                                  window of this many frames
 
+    def __post_init__(self):
+        self.center = _xyz(self.center, "slab center")
+        self.size = _values(self.size, 2, "slab size")
+        self.grid = _values(self.grid, 2, "slab grid", require_int, low=1)
+        self.motion = _trajectory(self.motion, MOTION_KINDS, "slab motion")
+        self.opacity = require_number(self.opacity, "slab opacity")
+        self.thickness = require_number(self.thickness, "slab thickness")
+        # the Gaussians' log-scales are logs of the grid spacing and thickness,
+        # and their opacity logits are logits of the opacity
+        require(min(self.size) > 0.0, f"slab size entries must be > 0, got {list(self.size)}")
+        require(self.thickness > 0.0, f"slab thickness must be > 0, got {self.thickness}")
+        require(0.0 < self.opacity < 1.0,
+                f"slab opacity must lie in (0, 1), got {self.opacity}")
+        if self.track_window is not None:
+            self.track_window = require_int(self.track_window, "slab track_window", low=1)
+
     @staticmethod
     def from_dict(d):
         require(isinstance(d, dict), "slab must be a JSON object")
-        window = d.get("track_window")
-        size = _values(_entry(d, "size", "slab"), 2, "slab size")
-        thickness = require_number(d.get("thickness", DEFAULT_THICKNESS), "slab thickness")
-        opacity = require_number(d.get("opacity", DEFAULT_OPACITY), "slab opacity")
-        # the Gaussians' log-scales are logs of the grid spacing and thickness,
-        # and their opacity logits are logits of the opacity
-        require(min(size) > 0.0, f"slab size entries must be > 0, got {list(size)}")
-        require(thickness > 0.0, f"slab thickness must be > 0, got {thickness}")
-        require(0.0 < opacity < 1.0, f"slab opacity must lie in (0, 1), got {opacity}")
         return SlabSpec(
-            center=_values(_entry(d, "center", "slab"), 3, "slab center"),
-            size=size,
-            grid=_values(_entry(d, "grid", "slab"), 2, "slab grid", require_int, low=1),
-            motion=_trajectory(d.get("motion", {"kind": "static"}), MOTION_KINDS, "slab motion"),
-            opacity=opacity,
-            thickness=thickness,
-            track_window=None if window is None else require_int(window, "slab track_window",
-                                                                 low=1),
+            center=_entry(d, "center", "slab"), size=_entry(d, "size", "slab"),
+            grid=_entry(d, "grid", "slab"), motion=d.get("motion", {"kind": "static"}),
+            opacity=d.get("opacity", DEFAULT_OPACITY),
+            thickness=d.get("thickness", DEFAULT_THICKNESS),
+            track_window=d.get("track_window"),
         )
 
 
@@ -143,37 +146,45 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.n_frames >= 3, "need at least 3 frames")
+        self.width = require_int(self.width, "width", low=1)
+        self.height = require_int(self.height, "height", low=1)
+        self.n_frames = T = require_int(self.n_frames, "frames")
+        require(T >= 3, "need at least 3 frames")
+        for key in ("background", "actors"):
+            slabs = getattr(self, key)
+            require(isinstance(slabs, list) and all(isinstance(s, SlabSpec) for s in slabs),
+                    f"spec {key} must be a list")
         require(len(self.background) + len(self.actors) >= 1, "scene is empty")
-        if self.fx is None:
-            self.fx = 70.0 * self.width / 64.0
-        if self.fy is None:
-            self.fy = float(self.fx)
+        self.camera = _trajectory(self.camera, CAMERA_KINDS, "spec camera")
+        # position rows are one per frame
+        require(self.camera.get("kind") != "positions" or len(self.camera["positions"]) == T,
+                f"camera positions must be ({T}, 3)")
+        for slab in self.background + self.actors:
+            require(slab.motion.get("kind") != "waypoints" or len(slab.motion["positions"]) == T,
+                    f"waypoints must be ({T}, 3)")
+        self.fx = 70.0 * self.width / 64.0 if self.fx is None else require_number(self.fx, "fx")
+        self.fy = float(self.fx) if self.fy is None else require_number(self.fy, "fy")
+        self.tracks_per_actor = require_int(self.tracks_per_actor, "tracks_per_actor", low=0)
+        for key in ("noise_image", "noise_depth", "noise_flow"):
+            setattr(self, key, require_number(getattr(self, key), key, low=0.0))
+        self.seed = require_int(self.seed, "seed", low=0)
 
     @staticmethod
     def from_dict(d):
         require(isinstance(d, dict), "spec must be a JSON object")
-        slabs = {}
-        for key in ("background", "actors"):
-            entries = d.get(key, [])
-            require(isinstance(entries, list), f"spec {key} must be a list")
-            slabs[key] = [SlabSpec.from_dict(e) for e in entries]
-        camera = _trajectory(d.get("camera", {"kind": "static"}), CAMERA_KINDS, "spec camera")
-        fx, fy = d.get("fx"), d.get("fy")
+
+        def slabs(key):  # anything but a list is left for __post_init__ to reject
+            v = d.get(key, [])
+            return [SlabSpec.from_dict(e) for e in v] if isinstance(v, list) else v
+
         return SyntheticSceneSpec(
-            width=require_int(_entry(d, "width", "spec"), "width", low=1),
-            height=require_int(_entry(d, "height", "spec"), "height", low=1),
-            n_frames=require_int(_entry(d, "frames", "spec"), "frames"),
-            background=slabs["background"], actors=slabs["actors"],
-            camera=camera,
-            fx=None if fx is None else require_number(fx, "fx"),
-            fy=None if fy is None else require_number(fy, "fy"),
-            tracks_per_actor=require_int(d.get("tracks_per_actor", 40), "tracks_per_actor",
-                                         low=0),
-            noise_image=require_number(d.get("noise_image", 0.0), "noise_image", low=0.0),
-            noise_depth=require_number(d.get("noise_depth", 0.0), "noise_depth", low=0.0),
-            noise_flow=require_number(d.get("noise_flow", 0.0), "noise_flow", low=0.0),
-            seed=require_int(d.get("seed", 0), "seed", low=0),
+            width=_entry(d, "width", "spec"), height=_entry(d, "height", "spec"),
+            n_frames=_entry(d, "frames", "spec"),
+            background=slabs("background"), actors=slabs("actors"),
+            camera=d.get("camera", {"kind": "static"}), fx=d.get("fx"), fy=d.get("fy"),
+            tracks_per_actor=d.get("tracks_per_actor", 40),
+            noise_image=d.get("noise_image", 0.0), noise_depth=d.get("noise_depth", 0.0),
+            noise_flow=d.get("noise_flow", 0.0), seed=d.get("seed", 0),
         )
 
     @staticmethod
@@ -186,18 +197,13 @@ class SyntheticSceneSpec:
 
 def _camera_positions(camera, T):
     kind = camera.get("kind", "static")
-    if kind == "static":
-        return np.zeros((T, 3))
     if kind == "linear":
         v = np.asarray(camera["velocity"], dtype=np.float64)
         start = np.asarray(camera.get("start", (0.0, 0.0, 0.0)), dtype=np.float64)
         return start[None, :] + v[None, :] * np.arange(T, dtype=np.float64)[:, None]
     if kind == "positions":
-        pos = np.asarray(camera["positions"], dtype=np.float64)
-        if pos.shape != (T, 3):
-            raise ValidationError(f"camera positions must be ({T}, 3)")
-        return pos
-    raise ValidationError(f"unknown camera kind {kind!r}")
+        return np.asarray(camera["positions"], dtype=np.float64)
+    return np.zeros((T, 3))
 
 
 def _slab_gaussians(slab: SlabSpec, rng):
@@ -216,24 +222,20 @@ def _slab_gaussians(slab: SlabSpec, rng):
 
 
 def _slab_displacements(slab: SlabSpec, n, T, rng):
-    """(T, n, 3) world displacement of each Gaussian relative to frame 0."""
+    """(T, n or 1, 3) world displacement of each Gaussian relative to frame 0,
+    and whether the slab moves rigidly."""
     m = slab.motion
     kind = m.get("kind", "static")
-    if kind == "static":
-        return np.zeros((T, 1, 3)), True
     if kind == "linear":
         v = np.asarray(m["velocity"], dtype=np.float64)
         disp = v[None, :] * np.arange(T, dtype=np.float64)[:, None]
         return disp[:, None, :], True
     if kind == "waypoints":
         pos = np.asarray(m["positions"], dtype=np.float64)
-        if pos.shape != (T, 3):
-            raise ValidationError(f"waypoints must be ({T}, 3)")
         return (pos - pos[0])[:, None, :], True
     if kind == "erratic":
         seg = int(m.get("segment_len", 5))
         speed = float(m.get("speed", 0.05))
-        require(seg >= 1, "segment_len must be >= 1")
         # independent in-plane piecewise-linear jitter per Gaussian; z stays
         # on the slab plane so depth maps remain exact
         n_seg = (T + seg - 1) // seg
@@ -242,7 +244,7 @@ def _slab_displacements(slab: SlabSpec, n, T, rng):
         per_frame = np.repeat(vel, seg, axis=0)[: T - 1]
         disp = np.concatenate([np.zeros((1, n, 3)), np.cumsum(per_frame, axis=0)], axis=0)
         return disp, False
-    raise ValidationError(f"unknown motion kind {kind!r}")
+    return np.zeros((T, 1, 3)), True
 
 
 def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
@@ -259,170 +261,132 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
     # -- assemble slabs: background first (object id 0), then actors (1..A)
     slabs = [(s, 0) for s in spec.background] + \
             [(s, k + 1) for k, s in enumerate(spec.actors)]
-    means_l, log_scales_l, colors_l, opac_l = [], [], [], []
-    disp_l, actor_l, rigid_path_l = [], [], []
-    for slab, obj in slabs:
+    parts = []
+    for slab, _ in slabs:
         means, log_scales, colors = _slab_gaussians(slab, rng)
-        n = means.shape[0]
-        disp, is_rigid = _slab_displacements(slab, n, T, rng)
-        means_l.append(means)
-        log_scales_l.append(log_scales)
-        colors_l.append(colors)
-        opac_l.append(np.full(n, slab.opacity))
-        disp_l.append(np.broadcast_to(disp, (T, n, 3)))
-        actor_l.append(np.full(n, obj, dtype=np.int64))
-        rigid_path_l.append(disp[:, 0, :] if is_rigid else None)
+        disp, is_rigid = _slab_displacements(slab, len(means), T, rng)
+        parts.append((means, log_scales, colors, np.broadcast_to(disp, (T, len(means), 3)),
+                      is_rigid))
+    means_l, log_scales_l, colors_l, disp_l, rigid_l = zip(*parts)
 
+    sizes = [m.shape[0] for m in means_l]
+    first = np.cumsum([0] + sizes[:-1])                # each slab's first global row
+    slab_of = np.repeat(np.arange(len(slabs)), sizes)
+    actor_of = np.repeat([obj for _, obj in slabs], sizes)
     means0 = np.concatenate(means_l)
     log_scales = np.concatenate(log_scales_l)
     colors = np.concatenate(colors_l)
-    opacities = np.concatenate(opac_l)
-    actor_of = np.concatenate(actor_l)
+    logits = logit(np.repeat([slab.opacity for slab, _ in slabs], sizes))
     disp_all = np.concatenate(disp_l, axis=1)          # (T, N, 3)
+    pos = means0 + disp_all                            # (T, N, 3) world centres per frame
     N = means0.shape[0]
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (N, 1))
 
-    moving = [k for k, (slab, _) in enumerate(slabs)
-              if np.max(np.abs(disp_l[k])) > 0.0]
+    moving = [k for k in range(len(slabs)) if np.max(np.abs(disp_l[k])) > 0.0]
     dynamic_ids = sorted({slabs[k][1] for k in moving})
-    expressible = all(rigid_path_l[k] is not None for k in moving)
+    expressible = all(rigid_l[k] for k in moving)
 
-    # -- generating Gaussian set (only when every mover follows a rigid path)
+    # -- generating Gaussian set (only when every mover follows a rigid path);
+    # pop_rows maps population order (statics, then rigids) to global rows
     gt_set = None
-    row_to_global = None
+    pop_rows = np.arange(N)
     if expressible:
-        slab_rows = np.concatenate([np.full(m.shape[0], k) for k, m in enumerate(means_l)])
-        mover_index = {k: j for j, k in enumerate(moving)}
-        is_mover = np.isin(slab_rows, moving)
-        stat_rows = np.nonzero(~is_mover)[0]
-        rig_rows = np.nonzero(is_mover)[0]
-        statics = StaticGaussians(means0[stat_rows], log_scales[stat_rows],
-                                  quats[stat_rows], logit(opacities[stat_rows]),
-                                  colors[stat_rows])
-        K = max(len(moving), 1)
-        bases = MotionBases.identity(K, T)
-        for k in moving:
-            bases.trans[mover_index[k]] = rigid_path_l[k]
-        weights = np.zeros((rig_rows.size, K))
-        for i, r in enumerate(rig_rows):
-            weights[i, mover_index[slab_rows[r]]] = 1.0
+        is_mover = np.isin(slab_of, moving)
+        stat_rows, rig_rows = np.nonzero(~is_mover)[0], np.nonzero(is_mover)[0]
+        pop_rows = np.concatenate([stat_rows, rig_rows])
+        statics = StaticGaussians(means0[stat_rows], log_scales[stat_rows], quats[stat_rows],
+                                  logits[stat_rows], colors[stat_rows])
+        bases = MotionBases.identity(max(len(moving), 1), T)
+        bases.trans[:len(moving)] = np.swapaxes(disp_all[:, first[moving]], 0, 1)
+        weights = np.zeros((rig_rows.size, bases.n_bases))
+        weights[np.arange(rig_rows.size), np.searchsorted(moving, slab_of[rig_rows])] = 1.0
         rigids = RigidGaussians(means0[rig_rows], log_scales[rig_rows], quats[rig_rows],
-                                logit(opacities[rig_rows]), colors[rig_rows],
-                                weights=weights,
+                                logits[rig_rows], colors[rig_rows], weights=weights,
                                 durations=np.full(rig_rows.size, float(T)),
                                 centers=np.full(rig_rows.size, (T - 1) / 2.0))
         gt_set = GaussianSet(statics, rigids, TransientGaussians.empty(), bases, 3.0)
-        row_to_global = {"static": stat_rows, "rigid": rig_rows,
-                         "transient": np.zeros(0, dtype=np.int64)}
 
-    # -- per-gaussian slab-plane z (camera-frame depth is plane z - camera z)
-    slab_z = np.empty((T, N))
-    offset = 0
-    for k, m in enumerate(means_l):
-        n = m.shape[0]
-        path_z = rigid_path_l[k][:, 2] if rigid_path_l[k] is not None else np.zeros(T)
-        slab_z[:, offset:offset + n] = (slabs[k][0].center[2] + path_z)[:, None]
-        offset += n
-
-    # -- per-frame rendering and ground-truth channels
+    # -- per-frame rendering and each pixel's owner: the Gaussian of largest
+    # compositing weight; a slab's centre depth is exact over its whole plane
     images = np.zeros((T, H, W, 3))
     depths = np.zeros((T, H, W))
-    flows_fwd = np.zeros((T, H, W, 2))
-    flows_bwd = np.zeros((T, H, W, 2))
     object_ids = np.zeros((T, H, W), dtype=np.int64)
-    gt_v_fwd = np.zeros((T, H, W, 3))
-    gt_v_bwd = np.zeros((T, H, W, 3))
-    owner_global = np.full((T, H, W), -1, dtype=np.int64)
-
-    gxp, gyp = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    owners = np.full((T, H, W), -1, dtype=np.int64)
     for t in range(T):
+        # gt_set's gates sit a hair below 1 at small T, so erratic scenes
+        # render per-frame statics and expressible ones the generating set
         if expressible:
             batch = prepare_splats(gt_set, cameras[t], t)
-            glob = np.array([row_to_global[{0: "static", 1: "rigid", 2: "transient"}[k]][i]
-                             for k, i in zip(batch.kind, batch.index)], dtype=np.int64) \
-                if len(batch) else np.zeros(0, dtype=np.int64)
+            n_static = len(gt_set.statics)
         else:
-            frame_set = GaussianSet(
-                StaticGaussians(means0 + disp_all[t], log_scales, quats,
-                                logit(opacities), colors),
-                RigidGaussians.empty(1), TransientGaussians.empty(),
-                MotionBases.identity(1, T), 3.0)
+            frame_set = GaussianSet(StaticGaussians(pos[t], log_scales, quats, logits, colors),
+                                    RigidGaussians.empty(1), TransientGaussians.empty(),
+                                    MotionBases.identity(1, T), 3.0)
             batch = prepare_splats(frame_set, cameras[t], 0)
-            glob = batch.index.astype(np.int64)
-
-        # one compositing pass gives the image and each pixel's argmax-weight row
+            n_static = N
         rendered, owner_rows = _composite(batch, owner=True)
         images[t] = rendered.color
         has = owner_rows >= 0
-        g = np.where(has, glob[np.clip(owner_rows, 0, None)], -1)
-        owner_global[t] = g
-        object_ids[t] = np.where(has, actor_of[np.clip(g, 0, None)], 0)
-        depths[t] = np.where(has, slab_z[t][np.clip(g, 0, None)] - cam_pos[t, 2], 0.0)
+        b = owner_rows[has]
+        g = pop_rows[np.array([0, n_static])[batch.kind[b]] + batch.index[b]]
+        owners[t][has] = g
+        object_ids[t][has] = actor_of[g]
+        depths[t][has] = pos[t, g, 2] - cam_pos[t, 2]
 
-    # flows and 3D scene flow from per-pixel owners
+    # -- flows and 3D scene flow: move each owned pixel's surface point with
+    # its owner and project it into the neighbouring frame
+    flows_fwd = np.zeros((T, H, W, 2))
+    flows_bwd = np.zeros((T, H, W, 2))
+    gt_v_fwd = np.zeros((T, H, W, 3))
+    gt_v_bwd = np.zeros((T, H, W, 3))
+    pixels = np.stack(np.meshgrid(np.arange(W, dtype=np.float64),
+                                  np.arange(H, dtype=np.float64)), axis=-1)
     for t in range(T):
-        g = owner_global[t]
-        has = g >= 0
-        gc = np.clip(g, 0, None)
-        z = depths[t]
-        X = np.stack([
-            (gxp - intr.cx) / intr.fx * z + cam_pos[t, 0],
-            (gyp - intr.cy) / intr.fy * z + cam_pos[t, 1],
-            z + cam_pos[t, 2],
-        ], axis=-1)
-        for direction in (+1, -1):
-            t2 = t + direction
-            if not (0 <= t2 < T):
+        has = owners[t] >= 0
+        g, z, px = owners[t][has], depths[t][has], pixels[has]
+        # back-projected inline: unproject_grid rounds differently (~1e-14 px of flow),
+        # enough to move dynamic-transition's LMedS object scores 5-76% (masks held)
+        X = np.stack([(px[:, 0] - intr.cx) / intr.fx * z + cam_pos[t, 0],
+                      (px[:, 1] - intr.cy) / intr.fy * z + cam_pos[t, 1],
+                      z + cam_pos[t, 2]], axis=-1)
+        for t2, flows, v3d, sign in ((t + 1, flows_fwd, gt_v_fwd, 1.0),
+                                     (t - 1, flows_bwd, gt_v_bwd, -1.0)):
+            if not 0 <= t2 < T:
                 continue
-            delta = disp_all[t2][gc] - disp_all[t][gc]
-            delta[~has] = 0.0
-            X2 = X + delta
-            z2 = X2[..., 2] - cam_pos[t2, 2]
-            qx = intr.fx * (X2[..., 0] - cam_pos[t2, 0]) / z2 + intr.cx
-            qy = intr.fy * (X2[..., 1] - cam_pos[t2, 1]) / z2 + intr.cy
-            flow = np.where(has[..., None], np.stack([qx - gxp, qy - gyp], axis=-1), 0.0)
+            delta = disp_all[t2, g] - disp_all[t, g]
+            flow = pinhole_project(cameras[t2].world_to_camera(X + delta), intr) - px
             if np.array_equal(cam_pos[t2], cam_pos[t]):
                 # unchanged camera and point: flow is identically zero
                 flow[np.all(delta == 0.0, axis=-1)] = 0.0
-            v3d = np.where(has[..., None], delta, 0.0)
-            if direction > 0:
-                flows_fwd[t] = flow
-                gt_v_fwd[t] = v3d
-            else:
-                flows_bwd[t] = flow
-                gt_v_bwd[t] = -v3d  # displacement from t-1 into t
+            flows[t][has] = flow
+            v3d[t][has] = sign * delta  # backward: displacement from t-1 into t
 
-    # -- tracks on moving actors: projected Gaussian centers + depth-test visibility
-    track_rows = []
-    track_windows = []
+    # -- tracks on moving actors: projected Gaussian centres, visible inside
+    # their window, in front, on the image and passing the depth test
+    rows, lo, hi = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     for k in moving:
-        lo = int(np.sum([m.shape[0] for m in means_l[:k]]))
-        n = means_l[k].shape[0]
-        count = min(spec.tracks_per_actor, n)
-        track_rows.extend(lo + rng.choice(n, size=count, replace=False))
+        count = min(spec.tracks_per_actor, sizes[k])
+        rows.append(first[k] + rng.choice(sizes[k], size=count, replace=False))
         win = slabs[k][0].track_window
-        for _ in range(count):
-            if win is None or win >= T:
-                track_windows.append((0, T - 1))
-            else:
-                t0 = int(rng.integers(0, T - win + 1))
-                track_windows.append((t0, t0 + win - 1))
-    tracks = np.zeros((len(track_rows), T, 3))
-    for j, g in enumerate(track_rows):
-        w_lo, w_hi = track_windows[j]
-        for t in range(T):
-            p = means0[g] + disp_all[t, g]
-            zc = p[2] - cam_pos[t, 2]
-            if zc <= 1e-6:
-                continue
-            u = intr.fx * (p[0] - cam_pos[t, 0]) / zc + intr.cx
-            v = intr.fy * (p[1] - cam_pos[t, 1]) / zc + intr.cy
-            xi, yi = int(round(u)), int(round(v))
-            vis = 0.0
-            if w_lo <= t <= w_hi and 0 <= xi < W and 0 <= yi < H:
-                if abs(depths[t, yi, xi] - zc) <= 1e-6 * max(1.0, zc):
-                    vis = 1.0
-            tracks[j, t] = [u, v, vis]
+        span = T if win is None else min(win, T)
+        t0 = np.array([0 if span == T else rng.integers(0, T - span + 1) for _ in range(count)],
+                      dtype=np.int64)
+        lo.append(t0)
+        hi.append(t0 + span - 1)
+    rows, lo, hi = (np.concatenate(a) for a in (rows, lo, hi))
+    tracks = np.zeros((rows.size, T, 3))
+    for t in range(T):
+        p = cameras[t].world_to_camera(pos[t, rows])
+        front = p[:, 2] > 1e-6                         # points behind stay [0, 0, 0]
+        z = p[front, 2]
+        uv = pinhole_project(p[front], intr)
+        xi, yi = np.rint(uv).T
+        ok = np.nonzero((lo[front] <= t) & (t <= hi[front])
+                        & (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H))[0]
+        vis = np.zeros(z.size)
+        vis[ok] = np.abs(depths[t, yi[ok].astype(np.int64), xi[ok].astype(np.int64)] - z[ok]) \
+            <= 1e-6 * np.maximum(1.0, z[ok])
+        tracks[front, t] = np.column_stack([uv, vis])
 
     # -- optional noise (exact by default)
     if spec.noise_image > 0:
@@ -433,8 +397,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
         flows_fwd = flows_fwd + rng.normal(0, spec.noise_flow, flows_fwd.shape)
         flows_bwd = flows_bwd + rng.normal(0, spec.noise_flow, flows_bwd.shape)
 
-    dyn_masks = np.isin(object_ids, dynamic_ids) if dynamic_ids else \
-        np.zeros((T, H, W), dtype=bool)
+    dyn_masks = np.isin(object_ids, dynamic_ids)
 
     return SceneDataset(
         images=images, cameras=cameras, depths=depths,

@@ -154,12 +154,6 @@ class OptimState:
         return OptimState(m=zeros_like_tree(gset), v=zeros_like_tree(gset))
 
 
-def _learning_rate(lr_table, kind, name):
-    if kind == "bases":
-        return lr_table["bases"]
-    return lr_table[name]
-
-
 def adam_step(gset: GaussianSet, grads, state: OptimState, lr_table,
               active=("static", "rigid", "transient", "bases")):
     """One bias-corrected Adam update followed by constraint projection.
@@ -189,7 +183,7 @@ def adam_step(gset: GaussianSet, grads, state: OptimState, lr_table,
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            lr = _learning_rate(lr_table, kind, name)
+            lr = lr_table["bases" if kind == "bases" else name]
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     project_constraints(gset)
     return state

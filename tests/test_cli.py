@@ -9,7 +9,7 @@ from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset
 from dysplat.primitives import save_checkpoint
 from dysplat.synth import generate_synthetic
 
-from test_dataset import tiny_spec
+from test_dataset import EMPTY_FRAME_CENTERS, empty_frame_spec, tiny_spec
 from test_primitives import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 
@@ -62,6 +62,15 @@ class TestSynthCommand:
         assert ds.n_frames == 4
         out = json.loads(capsys.readouterr().out)
         assert out["dynamic_ids"] == [1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center", EMPTY_FRAME_CENTERS.values(),
+                             ids=EMPTY_FRAME_CENTERS.keys())
+    def test_synth_frames_where_nothing_composites(self, tmp_path, center):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(empty_frame_spec(center)))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 0
+        assert not load_dataset(tmp_path / "ds").depths.any()
 
     def test_bad_spec_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -424,3 +424,46 @@ class TestGeneratorGroundTruth:
         ds = generate_synthetic(tiny_spec())
         # background designed to cover the full field of view
         assert np.all(ds.depths > 0)
+
+
+def empty_frame_spec(center):
+    """A 16x16, 4-frame spec whose only slab, centred at ``center``,
+    composites on no pixel of any frame."""
+    return {"width": 16, "height": 16, "frames": 4,
+            "camera": {"kind": "linear", "velocity": [0.01, 0.0, 0.0]},
+            "background": [{"center": center, "size": [2.0, 2.0], "grid": [4, 4]}]}
+
+
+EMPTY_FRAME_CENTERS = {"behind-camera": [0, 0, -5], "off-image": [50, 0, 5]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center", EMPTY_FRAME_CENTERS.values(), ids=EMPTY_FRAME_CENTERS.keys())
+def test_frames_where_nothing_composites(center):
+    ds = generate_synthetic(SyntheticSceneSpec.from_dict(empty_frame_spec(center)))
+    assert ds.depths.shape == (4, 16, 16)
+    for channel in (ds.images, ds.depths, ds.object_ids, ds.flows_fwd, ds.flows_bwd,
+                    ds.gt_flow3d_fwd, ds.gt_flow3d_bwd):
+        assert not channel.any()
+
+
+SLAB_ARGS = {"center": (0.0, 0.0, 5.0), "size": (2.0, 2.0), "grid": (4, 4)}
+
+
+def four_frame_spec(actors=(), **kwargs):
+    return SyntheticSceneSpec(width=16, height=16, n_frames=4,
+                              background=[SlabSpec(**SLAB_ARGS)], actors=list(actors), **kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SlabSpec(**SLAB_ARGS, motion={"kind": "linear"}),
+    lambda: SlabSpec(**SLAB_ARGS, thickness=0.0),
+    lambda: four_frame_spec(camera={"kind": "linear"}),
+    lambda: four_frame_spec(actors=[SlabSpec(**SLAB_ARGS, motion={
+        "kind": "waypoints", "positions": [[0.0, 0.0, 0.0]] * 5})]),
+    lambda: four_frame_spec(camera={"kind": "positions", "positions": [[0.0, 0.0, 0.0]] * 5}),
+], ids=["motion-linear-no-velocity", "thickness-zero", "camera-linear-no-velocity",
+        "waypoints-5-rows-for-4-frames", "camera-positions-5-rows-for-4-frames"])
+def test_specs_built_in_python_are_checked(build):
+    with pytest.raises(ValidationError):
+        build()
