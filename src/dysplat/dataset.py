@@ -74,6 +74,10 @@ class SceneDataset:
                 raise ShapeMismatch(f"{name}: expected shape {(T, H, W) + extra}, got {arr.shape}")
         if len(self.cameras) != T:
             raise ShapeMismatch(f"expected {T} cameras, got {len(self.cameras)}")
+        for t, cam in enumerate(self.cameras):
+            size = (cam.intrinsics.width, cam.intrinsics.height)
+            if size != (W, H):
+                raise ShapeMismatch(f"camera {t}: {size[0]}x{size[1]} for {W}x{H} frames")
         if self.tracks.ndim != 3 or self.tracks.shape[1] != T or self.tracks.shape[2] != 3:
             raise ShapeMismatch(f"tracks: expected (N, {T}, 3), got {self.tracks.shape}")
         visibility = self.tracks[..., 2]

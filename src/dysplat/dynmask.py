@@ -105,13 +105,13 @@ def _eight_point(xl, xr):
     return Vt[-1].reshape(3, 3)
 
 
-def estimate_fundamental(x_l, x_r, trials=LMEDS_TRIALS, seed=0, max_matches=MAX_MATCHES):
+def estimate_fundamental(x_l, x_r, seed=0):
     """LMedS fundamental matrix from pixel correspondences.
 
-    Draws ``trials`` random eight-point minimal samples, scores each candidate
-    by the median Sampson error over (at most ``max_matches`` subsampled)
-    correspondences, and returns the best candidate with rank 2 enforced and
-    unit Frobenius norm.
+    Draws LMEDS_TRIALS random eight-point minimal samples, scores each
+    candidate by the median Sampson error over (at most MAX_MATCHES
+    subsampled) correspondences, and returns the best candidate with rank 2
+    enforced and unit Frobenius norm.
     """
     xl = np.asarray(x_l, dtype=np.float64).reshape(-1, 2)
     xr = np.asarray(x_r, dtype=np.float64).reshape(-1, 2)
@@ -119,17 +119,17 @@ def estimate_fundamental(x_l, x_r, trials=LMEDS_TRIALS, seed=0, max_matches=MAX_
     if n < 8 or xr.shape[0] != n:
         raise InsufficientMatches(f"need >= 8 matches, got {n}")
     rng = np.random.default_rng(seed)
-    if n > max_matches:
-        pick = rng.choice(n, size=max_matches, replace=False)
+    if n > MAX_MATCHES:
+        pick = rng.choice(n, size=MAX_MATCHES, replace=False)
         xl, xr = xl[pick], xr[pick]
-        n = max_matches
+        n = MAX_MATCHES
 
     nl, Tl = _hartley_normalization(xl)
     nr, Tr = _hartley_normalization(xr)
 
     best_F = None
     best_score = np.inf
-    for _ in range(trials):
+    for _ in range(LMEDS_TRIALS):
         sample = rng.choice(n, size=8, replace=False)
         Fn = _eight_point(nl[sample], nr[sample])
         if Fn is None:
@@ -180,7 +180,6 @@ def object_motion_score(per_frame_scores, eps_temp):
 
 @dataclass
 class MotionScoreTable:
-    frame_scores: dict = field(default_factory=dict)   # id -> (T-1,) array
     object_scores: dict = field(default_factory=dict)  # id -> float
     motion_frames: dict = field(default_factory=dict)  # id -> sorted frame list
     eps_temp: float = DEFAULT_EPS_TEMP
@@ -236,7 +235,6 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps,
     table = MotionScoreTable(eps_temp=eps_temp)
     for i in all_ids:
         score, frames = object_motion_score(per_frame[i], eps_temp)
-        table.frame_scores[i] = per_frame[i]
         table.object_scores[i] = score
         table.motion_frames[i] = [int(f) for f in frames]
     scores = list(table.object_scores.values())

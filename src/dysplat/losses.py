@@ -82,14 +82,14 @@ def l1_loss(pred, gt, mask=None):
     return float(np.mean(np.abs(diff))), np.sign(diff) / n
 
 
-def bce_loss(pred, gt, clamp=BCE_CLAMP):
+def bce_loss(pred, gt):
     """Binary cross-entropy with the prediction clamped away from {0, 1}."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    p = np.clip(pred, clamp, 1.0 - clamp)
+    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
     n = p.size
     value = float(np.mean(-(gt * np.log(p) + (1.0 - gt) * np.log1p(-p))))
-    interior = (pred > clamp) & (pred < 1.0 - clamp)
+    interior = (pred > BCE_CLAMP) & (pred < 1.0 - BCE_CLAMP)
     grad = np.where(interior, (-(gt / p) + (1.0 - gt) / (1.0 - p)) / n, 0.0)
     return value, grad
 
@@ -134,24 +134,39 @@ def _ssim_stats(a, b, kernel):
     return mu_a, mu_b, A1, A2, B1, B2
 
 
+def _ssim_maps(a, b, mask):
+    """Mean local SSIM over pixels (and channels) and, per channel that the
+    mean reads, (channel, stats, SSIM map, each pixel's weight in the mean).
+
+    A channel whose mask is empty counts as 1 and reads no pixel.
+    """
+    if a.ndim == 2:
+        a, b = a[..., None], b[..., None]
+    m = None if mask is None else np.asarray(mask, dtype=bool)
+    C = a.shape[-1]
+    kernel = _gaussian_kernel()
+    vals, maps = [], []
+    for c in range(C):
+        if m is not None and not m.any():
+            vals.append(1.0)
+            continue
+        stats = _ssim_stats(a[..., c], b[..., c], kernel)
+        _, _, A1, A2, B1, B2 = stats
+        s_map = (A1 * A2) / (B1 * B2)
+        if m is None:
+            vals.append(np.mean(s_map))
+            weight = np.full(s_map.shape, 1.0 / (s_map.size * C))
+        else:
+            vals.append(np.mean(s_map[m]))
+            weight = np.where(m, 1.0 / (np.count_nonzero(m) * C), 0.0)
+        maps.append((c, stats, s_map, weight))
+    return float(np.mean(vals)), maps
+
+
 def ssim(a, b, mask=None):
     """Mean local SSIM over pixels (and channels), in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[..., None]
-        b = b[..., None]
-    kernel = _gaussian_kernel()
-    vals = []
-    for c in range(a.shape[-1]):
-        _, _, A1, A2, B1, B2 = _ssim_stats(a[..., c], b[..., c], kernel)
-        s_map = (A1 * A2) / (B1 * B2)
-        if mask is not None:
-            m = np.asarray(mask, dtype=bool)
-            vals.append(np.mean(s_map[m]) if m.any() else 1.0)
-        else:
-            vals.append(np.mean(s_map))
-    return float(np.mean(vals))
+    return _ssim_maps(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
+                      mask)[0]
 
 
 def ssim_with_grad(a, b, mask=None):
@@ -162,28 +177,11 @@ def ssim_with_grad(a, b, mask=None):
         # exact optimum: the gradient is identically zero (avoids ulp noise
         # that a scale-free optimizer would otherwise amplify)
         return 1.0, np.zeros_like(a)
-    squeeze = a.ndim == 2
-    if squeeze:
-        a = a[..., None]
-        b = b[..., None]
+    value, maps = _ssim_maps(a, b, mask)
     kernel = _gaussian_kernel()
-    C = a.shape[-1]
-    grad = np.zeros_like(a)
-    vals = []
-    for c in range(C):
-        x, y = a[..., c], b[..., c]
-        mu_x, mu_y, A1, A2, B1, B2 = _ssim_stats(x, y, kernel)
-        s_map = (A1 * A2) / (B1 * B2)
-        if mask is not None:
-            m = np.asarray(mask, dtype=bool)
-            if not m.any():
-                vals.append(1.0)
-                continue
-            vals.append(np.mean(s_map[m]))
-            d_s = np.where(m, 1.0 / (np.count_nonzero(m) * C), 0.0)
-        else:
-            vals.append(np.mean(s_map))
-            d_s = np.full(s_map.shape, 1.0 / (s_map.size * C))
+    x3, y3 = (a[..., None], b[..., None]) if a.ndim == 2 else (a, b)
+    grad = np.zeros_like(x3)
+    for c, (mu_x, mu_y, A1, A2, B1, B2), s_map, d_s in maps:
         dA1 = d_s * A2 / (B1 * B2)
         dA2 = d_s * A1 / (B1 * B2)
         dB1 = -d_s * s_map / B1
@@ -192,10 +190,9 @@ def ssim_with_grad(a, b, mask=None):
         g_xx = dB2
         g_xy = dA2 * 2.0
         grad[..., c] = (_blur(g_mu_x, kernel)
-                        + 2.0 * x * _blur(g_xx, kernel)
-                        + y * _blur(g_xy, kernel))
-    value = float(np.mean(vals))
-    return value, (grad[..., 0] if squeeze else grad)
+                        + 2.0 * x3[..., c] * _blur(g_xx, kernel)
+                        + y3[..., c] * _blur(g_xy, kernel))
+    return value, grad.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,9 @@ class MotionBases:
         r = np.tile(np.array([1.0, 0, 0, 0, 1.0, 0]), (n_bases, n_frames, 1))
         return MotionBases(r, np.zeros((n_bases, n_frames, 3)))
 
-    def matrices(self, t=None):
-        if t is None:
-            return rot6d_to_matrix(self.rot6d.reshape(-1, 6)).reshape(self.n_bases, self.n_frames, 3, 3)
-        return rot6d_to_matrix(self.rot6d[:, t])
+    def matrices(self):
+        """(K, T, 3, 3) rotation of every basis at every frame."""
+        return rot6d_to_matrix(self.rot6d.reshape(-1, 6)).reshape(self.n_bases, self.n_frames, 3, 3)
 
     def copy(self):
         return MotionBases(self.rot6d.copy(), self.trans.copy())
@@ -184,9 +183,6 @@ class GaussianSet:
     @property
     def n_frames(self):
         return self.bases.n_frames
-
-    def total(self):
-        return len(self.statics) + len(self.rigids) + len(self.transients)
 
     def copy(self):
         return GaussianSet(self.statics.copy(), self.rigids.copy(), self.transients.copy(),
@@ -308,6 +304,12 @@ def _velocity_frame_pairs(t, n_frames):
 # rigid -> transient transition
 
 
+def converts_to_transient(durations, threshold):
+    """The rigid rows a transition converts: duration below threshold (a NaN
+    duration is not below it, so its rigid stays)."""
+    return durations < threshold
+
+
 def transition_rigid_to_transient(gset: GaussianSet, threshold):
     """Convert every rigid Gaussian with duration < threshold into a transient.
 
@@ -317,7 +319,7 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
     """
     require(threshold > 0, "transition threshold must be positive")
     rigids = gset.rigids
-    move = rigids.durations < threshold
+    move = converts_to_transient(rigids.durations, threshold)
     count = int(np.count_nonzero(move))
     if count == 0:
         return gset, 0
@@ -412,7 +414,8 @@ def save_checkpoint(gset: GaussianSet, path):
 
 
 def load_checkpoint(path):
-    """Read a RIGS0001 file; a malformed file raises BadMagic or ShapeMismatch."""
+    """Read a RIGS0001 file; a malformed file raises BadMagic or ShapeMismatch,
+    and a non-finite value a ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -439,7 +442,9 @@ def load_checkpoint(path):
         raw = payload[start:start + 4 * n]
         if start < 0 or min(shape, default=0) < 0 or len(raw) != 4 * n:
             raise ShapeMismatch(f"{path}: truncated field {name}")
-        arrays[(kind, name)] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        require(np.all(np.isfinite(arr)), f"{path}: non-finite value in field {kind}.{name}")
+        arrays[(kind, name)] = arr
 
     def grab(kind, name):
         try:

@@ -64,8 +64,6 @@ N_CHANNELS = 17
 GRAD_CHANNELS = {"color": C_COLOR, "dyn_mask": C_DYN, "depth": C_DEPTH, "normal": C_NORMAL,
                  "v_fwd": C_VFWD, "v_bwd": C_VBWD, "corr": C_CORR}
 
-KIND_STATIC, KIND_RIGID, KIND_TRANSIENT = 0, 1, 2
-
 
 @dataclass
 class RenderOutputs:
@@ -93,38 +91,36 @@ class RenderOutputs:
 
 
 @dataclass
-class PrepareContext:
-    """Everything the backward pass needs besides the parameters themselves."""
-
-    t: int
-    t_corr: int
-    rigid_ctxs: dict         # frame -> BlendContext over the full rigid population
-    rigid_Rq: np.ndarray | None   # (Nr, 3, 3) canonical rotations from quats
-    # per culled-splat saved values
-    mean_cam: np.ndarray
-    J: np.ndarray
-    cov3: np.ndarray
-    R_world: np.ndarray
-    log_scales: np.ndarray
-    axis: np.ndarray
-    normal_sign: np.ndarray
-    gate: np.ndarray
-    base_opacity: np.ndarray
-
-
-@dataclass
 class SplatBatch:
+    """One frame's culled splats and every value the backward pass reads.
+
+    ``row`` addresses each splat in the concatenated populations (statics,
+    then rigids, then transients). Rows ascend, so each Gaussian appears at
+    most once and each population is one contiguous slice of the batch.
+    """
+
     mean2d: np.ndarray       # (N, 2) px
     cov2d: np.ndarray        # (N, 2, 2) px^2, dilated
     depth: np.ndarray        # (N,)
     opacity_eff: np.ndarray  # (N,) post-gating
     channels: np.ndarray     # (N, 17)
     radii: np.ndarray        # (N,) tile coverage radius in px
-    kind: np.ndarray         # (N,) population code
-    index: np.ndarray        # (N,) row in the source population
+    row: np.ndarray          # (N,) ascending row in the concatenated populations
     width: int
     height: int
-    ctx: PrepareContext
+    t: int
+    t_corr: int
+    rigid_ctxs: dict         # frame -> BlendContext over the full rigid population
+    rigid_Rq: np.ndarray     # (Nr, 3, 3) canonical rotations from quats
+    mean_cam: np.ndarray     # (N, 3)
+    J: np.ndarray            # (N, 2, 3) projection Jacobian
+    cov3: np.ndarray         # (N, 3, 3) world covariance
+    R_world: np.ndarray      # (N, 3, 3)
+    log_scales: np.ndarray   # (N, 3)
+    axis: np.ndarray         # (N,) smallest-scale axis, the normal's column
+    normal_sign: np.ndarray  # (N,)
+    gate: np.ndarray         # (N,)
+    base_opacity: np.ndarray  # (N,) pre-gating
 
     def __len__(self):
         return self.mean2d.shape[0]
@@ -145,18 +141,14 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     Culls splats behind the camera, below the 1/255 opacity threshold, or with
     their 99%-mass ellipse fully outside the image. The correspondence payload
     carries each Gaussian's world position at ``t_corr`` (defaults to t).
-    Each (kind, index) pair appears at most once in the batch.
     """
     if t_corr is None:
         t_corr = t
     pops = (gset.statics, gset.rigids, gset.transients)
-    counts = tuple(len(p) for p in pops)
-    ns, nr, nt = counts
+    ns, nr, nt = (len(p) for p in pops)
     n_all = ns + nr + nt
     rigid_sl, transient_sl = slice(ns, ns + nr), slice(ns + nr, n_all)
 
-    kind = np.repeat(np.array([KIND_STATIC, KIND_RIGID, KIND_TRANSIENT], dtype=np.int8), counts)
-    index = np.concatenate([np.arange(n, dtype=np.int64) for n in counts])
     log_scales = np.concatenate([p.log_scales for p in pops])
     base_op = sigmoid(np.concatenate([p.opacity_logits for p in pops]))
     gate = np.ones(n_all)
@@ -169,13 +161,12 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     channels[:, C_COLOR] = np.concatenate([p.colors for p in pops])
     channels[ns:, C_DYN] = 1.0
     mean_w = np.zeros((n_all, 3))
-    R_w = np.zeros((n_all, 3, 3))
-
     mean_w[:ns] = channels[:ns, C_CORR] = gset.statics.means
-    R_w[:ns] = quat_to_matrix(gset.statics.quats)
+    # canonical rotations; a rigid's world rotation is A_rot(t) times its own
+    R_w = quat_to_matrix(np.concatenate([p.quats for p in pops]))
+    rigid_Rq = R_w[rigid_sl].copy()
 
     rigid_ctxs = {}
-    rigid_Rq = None
     if nr:
         r = gset.rigids
         fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
@@ -184,7 +175,6 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
             frames |= set(fwd) | set(bwd)
         rigid_ctxs = {f: blend_bases(r.weights, gset.bases, f) for f in sorted(frames)}
         means_at = {f: rigid_means_at(r, c) for f, c in rigid_ctxs.items()}
-        rigid_Rq = quat_to_matrix(r.quats)
         mean_w[rigid_sl] = means_at[t]
         R_w[rigid_sl] = np.einsum("nij,njk->nik", rigid_ctxs[t].A_rot, rigid_Rq)
         if fwd is not None:
@@ -194,7 +184,6 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
 
     tr = gset.transients
     mean_w[transient_sl] = transient_position_at(tr, float(t))
-    R_w[transient_sl] = quat_to_matrix(tr.quats)
     channels[transient_sl, C_VFWD] = channels[transient_sl, C_VBWD] = tr.velocities
     channels[transient_sl, C_CORR] = transient_position_at(tr, float(t_corr))
 
@@ -226,21 +215,16 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     channels[:, C_DEPTH] = z
 
     sel = np.nonzero(keep)[0]
-    cov_sel = cov2[sel]
     o_sel = o_eff[sel]
     radius = np.sqrt(2.0 * np.log(np.maximum(o_sel, TAIL_ALPHA * 2) / TAIL_ALPHA)
-                     * np.maximum(_max_eigenvalue_2x2(cov_sel), 1e-12))
-
-    ctx = PrepareContext(
+                     * np.maximum(lam[sel], 1e-12))
+    return SplatBatch(
+        mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
+        channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
         t=t, t_corr=t_corr, rigid_ctxs=rigid_ctxs, rigid_Rq=rigid_Rq,
         mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
         log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
         gate=gate[sel], base_opacity=base_op[sel],
-    )
-    return SplatBatch(
-        mean2d=pix[sel], cov2d=cov_sel, depth=z[sel], opacity_eff=o_sel,
-        channels=channels[sel], radii=radius, kind=kind[sel], index=index[sel],
-        width=intr.width, height=intr.height, ctx=ctx,
     )
 
 
@@ -485,28 +469,20 @@ def _assemble_grad_channels(grad_outputs, H, W):
     return gch, galpha
 
 
-def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutputs,
-                       grad_outputs: dict, gset: GaussianSet, t, t_corr=None):
+def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
+                       gset: GaussianSet):
     """Exact adjoints of rasterize_forward for every optimizable parameter.
 
     ``grad_outputs`` maps channel names (color, dyn_mask, depth, normal,
     v_fwd, v_bwd, corr, alpha) to per-pixel cotangents; missing entries are
     treated as zero. Returns a {population: {field: array}} gradient tree.
     """
-    if t_corr is None:
-        t_corr = t
-    if batch.ctx.t != t or batch.ctx.t_corr != t_corr:
-        raise MismatchedForward("frame indices disagree with the prepared batch")
-    if outputs.color.shape[:2] != (batch.height, batch.width):
-        raise MismatchedForward("outputs shape disagrees with the prepared batch")
-
-    H, W = batch.height, batch.width
     grads = zeros_like_tree(gset)
     n = len(batch)
     if n == 0:
         return grads
 
-    gch, galpha = _assemble_grad_channels(grad_outputs, H, W)
+    gch, galpha = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     view = _OrderedView(batch)
     order = view.order
 
@@ -571,56 +547,57 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, outputs: RenderOutpu
 
 
 def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d, d_cov2d):
-    ctx = batch.ctx
     intr = cam.intrinsics
     R_w2c = cam.extrinsics.rotation
 
     # screen-space adjoints -> camera-space mean and world covariance
-    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, ctx.cov3, R_w2c, ctx.mean_cam,
-                                          intr.fx, intr.fy, ctx.J)
+    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3, R_w2c, batch.mean_cam,
+                                          intr.fx, intr.fy, batch.J)
     d_z = d_payload[:, C_DEPTH]
-    d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, ctx.mean_cam,
+    d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, batch.mean_cam,
                                                       intr.fx, intr.fy)
     d_mean_w = d_mean_cam @ R_w2c
 
     # covariance -> world rotation and log scales; normal payload -> rotation column
-    d_R_w, d_log_s = covariance_backward(d_cov3, ctx.R_world, ctx.log_scales)
-    d_normal = d_payload[:, C_NORMAL] * ctx.normal_sign[:, None]
-    d_R_w[np.arange(len(batch)), :, ctx.axis] += d_normal
+    d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world, batch.log_scales)
+    d_normal = d_payload[:, C_NORMAL] * batch.normal_sign[:, None]
+    d_R_w[np.arange(len(batch)), :, batch.axis] += d_normal
 
     # gated opacity -> logits / durations / centers
-    d_gate_eff = d_opacity * ctx.base_opacity
-    d_logit = d_opacity * ctx.gate * ctx.base_opacity * (1.0 - ctx.base_opacity)
+    d_gate_eff = d_opacity * batch.base_opacity
+    d_logit = d_opacity * batch.gate * batch.base_opacity * (1.0 - batch.base_opacity)
 
     d_corr = d_payload[:, C_CORR]
-    t_now = float(ctx.t)
-    # a batch holds each Gaussian at most once, so indexed += scatters exactly
-    for code, name, pop in ((KIND_STATIC, "static", gset.statics),
-                            (KIND_RIGID, "rigid", gset.rigids),
-                            (KIND_TRANSIENT, "transient", gset.transients)):
-        m = batch.kind == code
-        if not np.any(m):
+    t_now = float(batch.t)
+    # rows ascend and never repeat: each population is one slice, and indexed += is exact
+    pops = (gset.statics, gset.rigids, gset.transients)
+    firsts = np.cumsum([0] + [len(p) for p in pops])
+    bounds = np.searchsorted(batch.row, firsts)
+    for name, pop, first, lo, hi in zip(("static", "rigid", "transient"), pops,
+                                        firsts, bounds[:-1], bounds[1:]):
+        if lo == hi:
             continue
-        rows = batch.index[m]
+        m = slice(lo, hi)
+        rows = batch.row[m] - first
         g = grads[name]
         g["colors"][rows] += d_payload[m, C_COLOR]
         g["opacity_logits"][rows] += d_logit[m]
         g["log_scales"][rows] += d_log_s[m]
-        if code != KIND_STATIC:
+        if name != "static":
             gd, gc = gate_backward(d_gate_eff[m], gset.gate_sharpness,
                                    pop.durations[rows], pop.centers[rows], t_now)
             g["durations"][rows] += gd
             g["centers"][rows] += gc
-        if code == KIND_RIGID:
-            d_R = _chain_rigid(ctx, gset, grads, rows, d_mean_w[m], d_corr[m],
+        if name == "rigid":
+            d_R = _chain_rigid(batch, gset, grads, rows, d_mean_w[m], d_corr[m],
                                d_payload[m, C_VFWD], d_payload[m, C_VBWD], d_R_w[m])
         else:
             d_R = d_R_w[m]
             g["means"][rows] += d_mean_w[m] + d_corr[m]
-        if code == KIND_TRANSIENT:
+        if name == "transient":
             # mean(t) = mu + v (t - center), likewise at t_corr
             dt = t_now - pop.centers[rows]
-            dtc = float(ctx.t_corr) - pop.centers[rows]
+            dtc = float(batch.t_corr) - pop.centers[rows]
             v = pop.velocities[rows]
             g["velocities"][rows] += (d_mean_w[m] * dt[:, None] + d_corr[m] * dtc[:, None]
                                       + d_payload[m, C_VFWD] + d_payload[m, C_VBWD])
@@ -628,49 +605,46 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
         g["quats"][rows] += quat_vjp(pop.quats[rows], d_R)
 
 
-def _chain_rigid(ctx, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
+def _chain_rigid(batch, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
     """Rigid adjoints of the world means and rotations, pulled back through
     the basis blends into means, weights and bases. Returns the adjoint of
     the canonical rotations of ``rows``."""
     r = gset.rigids
     nr = len(r)
     g = grads["rigid"]
-    fwd, bwd = _velocity_frame_pairs(ctx.t, gset.n_frames)
+    fwd, bwd = _velocity_frame_pairs(batch.t, gset.n_frames)
 
     def scatter(src):
         out = np.zeros((nr,) + src.shape[1:])
         out[rows] += src
         return out
 
-    d_mean_full = {ctx.t: scatter(d_mean_w)}
-    d_corr_full = scatter(d_corr)
-    if ctx.t_corr in d_mean_full:
-        d_mean_full[ctx.t_corr] += d_corr_full
-    else:
-        d_mean_full[ctx.t_corr] = d_corr_full
+    # adjoint of mean(f) per frame; this order (the world mean at t, the
+    # correspondence at t_corr, each velocity as mean(hi) - mean(lo)) fixes the
+    # summation order of d_mu_total below
+    reads = [(batch.t, scatter(d_mean_w)), (batch.t_corr, scatter(d_corr))]
     if fwd is not None:
-        for (hi, lo), dv in ((fwd, scatter(d_vf)), (bwd, scatter(d_vb))):
-            d_mean_full[hi] = d_mean_full.get(hi, 0.0) + dv
-            d_mean_full[lo] = d_mean_full.get(lo, 0.0) - dv
+        d_vf, d_vb = scatter(d_vf), scatter(d_vb)
+        reads += [(fwd[0], d_vf), (fwd[1], -d_vf), (bwd[0], d_vb), (bwd[1], -d_vb)]
+    d_mean = {}
+    for f, dm in reads:
+        d_mean[f] = d_mean.get(f, 0.0) + dm
 
     # R_world = A_rot(t) Rq
     d_Rw_full = scatter(d_R_w)
-    d_A_rot = {ctx.t: np.einsum("nij,nkj->nik", d_Rw_full, ctx.rigid_Rq)}
-    d_Rq = np.einsum("nji,njk->nik", ctx.rigid_ctxs[ctx.t].A_rot, d_Rw_full)
+    d_A_rot = {batch.t: np.einsum("nij,nkj->nik", d_Rw_full, batch.rigid_Rq)}
+    d_Rq = np.einsum("nji,njk->nik", batch.rigid_ctxs[batch.t].A_rot, d_Rw_full)
 
     # mean(f) = A_rot(f) mu + A_tr(f)
     d_mu_total = np.zeros((nr, 3))
-    d_A_tr = {}
-    for f, dm in d_mean_full.items():
-        cf = ctx.rigid_ctxs[f]
+    for f, dm in d_mean.items():
         d_A_rot[f] = d_A_rot.get(f, 0.0) + np.einsum("ni,nj->nij", dm, r.means)
-        d_mu_total += np.einsum("nji,nj->ni", cf.A_rot, dm)
-        d_A_tr[f] = d_A_tr.get(f, 0.0) + dm
+        d_mu_total += np.einsum("nji,nj->ni", batch.rigid_ctxs[f].A_rot, dm)
     g["means"] += d_mu_total
 
     d_weights = np.zeros_like(r.weights)
-    for f in sorted(set(d_A_rot) | set(d_A_tr)):
-        blend_backward(ctx.rigid_ctxs[f], r.weights, gset.bases, d_A_rot.get(f), d_A_tr.get(f),
+    for f in sorted(d_mean):
+        blend_backward(batch.rigid_ctxs[f], r.weights, gset.bases, d_A_rot[f], d_mean[f],
                        d_weights, grads["bases"]["rot6d"], grads["bases"]["trans"])
     g["weights"] += d_weights
     return d_Rq[rows]

@@ -317,18 +317,16 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
         # render per-frame statics and expressible ones the generating set
         if expressible:
             batch = prepare_splats(gt_set, cameras[t], t)
-            n_static = len(gt_set.statics)
         else:
             frame_set = GaussianSet(StaticGaussians(pos[t], log_scales, quats, logits, colors),
                                     RigidGaussians.empty(1), TransientGaussians.empty(),
                                     MotionBases.identity(1, T), 3.0)
             batch = prepare_splats(frame_set, cameras[t], 0)
-            n_static = N
         rendered, owner_rows = _composite(batch, owner=True)
         images[t] = rendered.color
         has = owner_rows >= 0
         b = owner_rows[has]
-        g = pop_rows[np.array([0, n_static])[batch.kind[b]] + batch.index[b]]
+        g = pop_rows[batch.row[b]]
         owners[t][has] = g
         object_ids[t][has] = actor_of[g]
         depths[t][has] = pos[t, g, 2] - cam_pos[t, 2]

@@ -40,6 +40,7 @@ from .primitives import (
     MotionBases,
     RigidGaussians,
     StaticGaussians,
+    converts_to_transient,
     logit,
     parameter_tree,
     save_checkpoint,
@@ -60,6 +61,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-15
 DURATION_FLOOR = 0.01
+KMEANS_ITERS = 50
 
 DEFAULT_LEARNING_RATES = {
     "means": 0.00016,
@@ -206,15 +208,13 @@ def project_constraints(gset: GaussianSet):
 # initialization
 
 
-def _dilate(mask, radius=1):
+def _dilate(mask):
+    """The mask grown by one pixel along rows and columns."""
     out = mask.copy()
-    for _ in range(radius):
-        m = out.copy()
-        m[1:] |= out[:-1]
-        m[:-1] |= out[1:]
-        m[:, 1:] |= out[:, :-1]
-        m[:, :-1] |= out[:, 1:]
-        out = m
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
     return out
 
 
@@ -259,13 +259,13 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
                            np.full(n, logit(0.5)), colors)
 
 
-def _kmeans(points, k, seed, iters=50):
+def _kmeans(points, k, seed):
     """Plain seeded Lloyd iterations; empty clusters keep their centroid."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
         new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign):
@@ -311,8 +311,8 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
     cand, t0, xi, yi = cand[inside], t0[inside], xi[inside], yi[inside]
     cand = cand[np.asarray(dyn_masks)[t0, yi, xi]]
-    # lifted where visible with a positive depth; >= 2 such frames to be usable
-    seen = vis[cand] & ~(track_depth[cand] <= 0)
+    # lifted where visible with a valid depth; >= 2 such frames to be usable
+    seen = vis[cand] & depth_validity(track_depth[cand])
     keep = np.count_nonzero(seen, axis=1) >= 2
     usable, seen = cand[keep], seen[keep]
     n = usable.size
@@ -446,7 +446,7 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
     static_valid = np.zeros((T, H, W), dtype=bool)
     for t in range(T):
         normals[t], normals_valid[t] = normals_from_depth(ds.depths[t], ds.cameras[t])
-        static_valid[t] = ~_dilate(dyn[t], 1)
+        static_valid[t] = ~_dilate(dyn[t])
 
     sf = np.zeros((2, T, H, W, 3))  # toward t + 1, from t - 1
     # a frame's mask is the AND over its neighbours; a lone frame has none
@@ -497,7 +497,7 @@ def _track_samples(ds: SceneDataset, rng, t, t_corr, limit):
     inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
     rows, xi, yi = rows[inside], xi[inside], yi[inside]
     depth = ds.depths[t_corr][yi, xi]
-    lift = ~(depth <= 0)
+    lift = depth_validity(depth)
     targets = unproject(np.stack([xi, yi], axis=-1)[lift], depth[lift], ds.cameras[t_corr])
     return list(zip(ds.tracks[rows[lift], t, :2], targets))
 
@@ -555,7 +555,7 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
         r_val, r_grads = reg_loss(gset, w)
         terms["reg"] = r_val
 
-    grads = rasterize_backward(batch, cam, out, grad_outputs, gset, t, t_corr)
+    grads = rasterize_backward(batch, cam, grad_outputs, gset)
     if stage >= 2:
         for (kind, name), g in r_grads.items():
             grads[kind][name] += g
@@ -604,20 +604,16 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
 
     def do_transition(it):
         nonlocal gset
-        keep = gset.rigids.durations >= config.transition_threshold
-        total_before = len(gset.rigids) + len(gset.transients)
+        keep = ~converts_to_transient(gset.rigids.durations, config.transition_threshold)
         gset, count = transition_rigid_to_transient(gset, config.transition_threshold)
         if count:
             _migrate_state_after_transition(state, keep, count, gset)
-        assert len(gset.rigids) + len(gset.transients) == total_before
         emit({"event": "transition", "iter": it, "converted": count,
               "rigids": len(gset.rigids), "transients": len(gset.transients)})
-        return count
 
     s1 = config.iters_static_warmup
     s2 = config.iters_rigid_warmup
     nonfinite_run = 0
-    rigid_init_failed = None
 
     try:
         for it in range(config.iters_total):
@@ -634,7 +630,6 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
                                     if kind in ("rigid", "bases"))
                     emit({"event": "rigid_init", "iter": it, "rigids": len(rig)})
                 except InsufficientTracks as exc:
-                    rigid_init_failed = str(exc)
                     emit({"event": "rigid_init_skipped", "iter": it, "reason": str(exc)})
             if it == s1 + s2:
                 do_transition(it)
@@ -693,8 +688,9 @@ def duration_histogram(gset: GaussianSet, bins):
     return counts, edges
 
 
-def histogram_image(counts, width=256, height=160):
+def histogram_image(counts):
     """Tiny bar-chart PPM payload (H, W, 3 floats) for the histogram."""
+    height, width = 160, 256
     img = np.ones((height, width, 3))
     n = len(counts)
     peak = max(int(np.max(counts)), 1)

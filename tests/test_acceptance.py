@@ -171,13 +171,12 @@ def test_criterion_2_gradient_correctness():
         G_ch = rng.normal(size=(24, 24, N_CHANNELS))
         G_al = rng.normal(size=(24, 24))
         batch = prepare_splats(gs, cam, t, tc)
-        out = rasterize_forward(batch, cam)
         grad_outputs = {
             "color": G_ch[..., 0:3], "dyn_mask": G_ch[..., 3], "depth": G_ch[..., 4],
             "normal": G_ch[..., 5:8], "v_fwd": G_ch[..., 8:11],
             "v_bwd": G_ch[..., 11:14], "corr": G_ch[..., 14:17], "alpha": G_al,
         }
-        grads = rasterize_backward(batch, cam, out, grad_outputs, gs, t, tc)
+        grads = rasterize_backward(batch, cam, grad_outputs, gs)
         tree = parameter_tree(gs)
         for kind, grp in tree.items():
             for name, arr in grp.items():

@@ -295,5 +295,33 @@ class TestRenderEvalHist:
                      "--cam", str(cam), "--out", str(tmp_path / "o")]) == 2
         assert "camera" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "render"])
+    def test_camera_size_disagrees_with_frames_exit_2(self, scene_dir, tmp_path, capsys,
+                                                      command):
+        data = tmp_path / "data"
+        shutil.copytree(scene_dir / "data", data)
+        cams = json.loads((data / "cameras.json").read_text())
+        # every camera, or for render only the one of the rendered frame
+        for cam in cams[1:2] if command == "render" else cams:
+            cam["width"] += 16
+        (data / "cameras.json").write_text(json.dumps(cams))
+        args = {"train": ["train", "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--ckpt", str(scene_dir / "gt.rigs")],
+                "render": ["render", "--ckpt", str(scene_dir / "gt.rigs"), "--frame", "1",
+                           "--out", str(tmp_path / "o")]}[command]
+        assert main(args + ["--dataset", str(data)]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["render", "eval"])
+    def test_nonfinite_checkpoint_exit_2(self, scene_dir, tmp_path, capsys, command):
+        gs = load_dataset(scene_dir / "data").gt_set
+        gs.statics.means[0, 0] = np.nan
+        ckpt = tmp_path / "nan.rigs"
+        save_checkpoint(gs, ckpt)
+        args = {"render": ["render", "--frame", "0", "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--dataset", str(scene_dir / "data")]}[command]
+        assert main(args + ["--ckpt", str(ckpt)]) == 2
+        assert_one_error_line(capsys)
+
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -88,8 +88,8 @@ class TestProject:
                                   np.zeros(32), np.full((32, 3), 0.5))
         # prepare_splats is the batched projection the renderer uses
         batch = prepare_splats(replace(GaussianSet.empty(1, 1), statics=statics), cam, 0)
-        assert np.array_equal(np.sort(batch.index), np.arange(32))
-        for k, pix, z in zip(batch.index, batch.mean2d, batch.depth):
+        assert np.array_equal(batch.row, np.arange(32))
+        for k, pix, z in zip(batch.row, batch.mean2d, batch.depth):
             p, d = pinhole(pts[k], cam)
             assert np.allclose(pix, p) and np.isclose(z, d)
             p1, d1 = project(pts[k], cam)

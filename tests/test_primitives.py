@@ -30,7 +30,7 @@ from dysplat.primitives import (
     transient_position_at,
     transition_rigid_to_transient,
 )
-from dysplat.rasterizer import C_VBWD, C_VFWD, KIND_RIGID, KIND_TRANSIENT, prepare_splats
+from dysplat.rasterizer import C_VBWD, C_VFWD, prepare_splats
 
 from conftest import make_cam
 
@@ -241,17 +241,17 @@ class TestTransient:
         assert np.allclose(d, tr.velocities * (t2 - t1))
 
 
-def velocity_payload(gset, t, kind):
+def velocity_payload(gset, t, name):
     """The (forward, backward) velocity payload that prepare_splats builds at
-    frame t for every Gaussian of population ``kind``, in row order."""
+    frame t for every Gaussian of population ``name`` ("rigid" or
+    "transient"), in row order."""
     cam = make_cam(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
     batch = prepare_splats(gset, cam, t)
-    mine = batch.kind == kind
-    rows = batch.index[mine]
-    n = len(gset.rigids if kind == KIND_RIGID else gset.transients)
-    assert np.array_equal(np.sort(rows), np.arange(n)), "a Gaussian was culled"
-    payload = np.empty((n, batch.channels.shape[1]))
-    payload[rows] = batch.channels[mine]
+    first = len(gset.statics) + (len(gset.rigids) if name == "transient" else 0)
+    n = len(gset.rigids if name == "rigid" else gset.transients)
+    mine = (batch.row >= first) & (batch.row < first + n)
+    assert np.array_equal(batch.row[mine] - first, np.arange(n)), "a Gaussian was culled"
+    payload = batch.channels[mine]
     return payload[:, C_VFWD], payload[:, C_VBWD]
 
 
@@ -264,7 +264,7 @@ class TestVelocities:
             centers=np.array([0.0]))
         gs = GaussianSet(StaticGaussians.empty(), RigidGaussians.empty(1), tr,
                          MotionBases.identity(1, 6), 3.0)
-        vf, vb = velocity_payload(gs, 3, KIND_TRANSIENT)
+        vf, vb = velocity_payload(gs, 3, "transient")
         assert np.array_equal(vf, [[0.01, 0, 0]]) and np.array_equal(vb, [[0.01, 0, 0]])
 
     @staticmethod
@@ -276,7 +276,7 @@ class TestVelocities:
 
     def test_rigid_identity_zero(self):
         gs = self._rigid_set(MotionBases.identity(1, 6), 3)
-        vf, vb = velocity_payload(gs, 2, KIND_RIGID)
+        vf, vb = velocity_payload(gs, 2, "rigid")
         assert np.allclose(vf, 0) and np.allclose(vb, 0)
 
     def test_rigid_linear_translation(self):
@@ -288,7 +288,7 @@ class TestVelocities:
         # v_fwd = mean(t + 1) - mean(t) and v_bwd = mean(t) - mean(t - 1); the
         # first and last frame use the one pair they have for both
         for t in range(T):
-            vf, vb = velocity_payload(gs, t, KIND_RIGID)
+            vf, vb = velocity_payload(gs, t, "rigid")
             assert np.allclose(vf, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
             assert np.allclose(vb, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
 

@@ -149,9 +149,9 @@ class TestCulling:
         gs = make_random_set(8, 60)
         for t, tc in ((0, 0), (2, 4), (5, 1)):
             batch = prepare_splats(gs, cam32(), t, tc)
-            pairs = set(zip(batch.kind.tolist(), batch.index.tolist()))
-            assert len(pairs) == len(batch) > 0
-            assert {k for k, _ in pairs} == {0, 1, 2}
+            assert len(batch) > 0 and np.all(np.diff(batch.row) > 0)
+            ns, nr = len(gs.statics), len(gs.rigids)
+            assert set(np.digitize(batch.row, [ns, ns + nr]).tolist()) == {0, 1, 2}
 
 
 class TestOracleEquivalence:
@@ -244,8 +244,7 @@ class TestBackward:
         gs = make_random_set(11, 12)
         cam = cam32()
         batch = prepare_splats(gs, cam, 2, 3)
-        out = rasterize_forward(batch, cam)
-        grads = rasterize_backward(batch, cam, out, {}, gs, 2, 3)
+        grads = rasterize_backward(batch, cam, {}, gs)
         for grp in grads.values():
             for arr in grp.values():
                 assert np.all(arr == 0)
@@ -257,7 +256,7 @@ class TestBackward:
         out = rasterize_forward(batch, cam)
         g_color = np.zeros((32, 32, 3))
         g_color[16, 16, 0] = 1.0
-        grads = rasterize_backward(batch, cam, out, {"color": g_color}, gs, 0)
+        grads = rasterize_backward(batch, cam, {"color": g_color}, gs)
         assert grads["static"]["colors"][0, 0] == pytest.approx(out.alpha[16, 16], abs=1e-12)
         assert grads["static"]["colors"][0, 1] == 0.0
 
@@ -265,13 +264,10 @@ class TestBackward:
         gs = make_random_set(12, 5)
         cam = cam32()
         batch = prepare_splats(gs, cam, 1)
-        out = rasterize_forward(batch, cam)
         with pytest.raises(MismatchedForward):
-            rasterize_backward(batch, cam, out, {"color": np.zeros((8, 8, 3))}, gs, 1)
+            rasterize_backward(batch, cam, {"color": np.zeros((8, 8, 3))}, gs)
         with pytest.raises(MismatchedForward):
-            rasterize_backward(batch, cam, out, {"bogus": np.zeros((32, 32))}, gs, 1)
-        with pytest.raises(MismatchedForward):
-            rasterize_backward(batch, cam, out, {}, gs, 3)
+            rasterize_backward(batch, cam, {"bogus": np.zeros((32, 32))}, gs)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_full_gradient_check(self, seed):
@@ -283,8 +279,7 @@ class TestBackward:
         G_al = rng.normal(size=(32, 32))
 
         batch = prepare_splats(gs, cam, t, tc)
-        out = rasterize_forward(batch, cam)
-        grads = rasterize_backward(batch, cam, out, grad_outputs_of(G_ch, G_al), gs, t, tc)
+        grads = rasterize_backward(batch, cam, grad_outputs_of(G_ch, G_al), gs)
 
         h = 1e-4
         tree = parameter_tree(gs)
@@ -443,9 +438,8 @@ class TestTileKernel:
         counts = [len(rasterizer._splats_in_tile(view, *b))
                   for b in rasterizer._tile_ranges(64, 64)]
         assert max(counts) >= 3 * min(counts) and min(counts) > 0
-        out = rasterize_forward(batch, cam)
         grad_outputs = random_grad_outputs(np.random.default_rng(5), 64, 64)
-        runs = [rasterize_backward(batch, cam, out, grad_outputs, gs, 2, 3) for _ in range(3)]
+        runs = [rasterize_backward(batch, cam, grad_outputs, gs) for _ in range(3)]
         for run in runs[1:]:
             for kind, grp in runs[0].items():
                 for name, arr in grp.items():
@@ -456,9 +450,8 @@ class TestTileKernel:
         gs = opaque_stack_set()
         t, tc = 2, 4
         batch = prepare_splats(gs, cam, t, tc)
-        out = rasterize_forward(batch, cam)
         grad_outputs = random_grad_outputs(np.random.default_rng(9), 32, 32)
-        grads = rasterize_backward(batch, cam, out, grad_outputs, gs, t, tc)
+        grads = rasterize_backward(batch, cam, grad_outputs, gs)
 
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
         assert fired["clamped"] > 0 and fired["terminated"] > 0
@@ -511,9 +504,8 @@ class TestTileKernel:
             assert np.max(np.abs(a.alpha - b.alpha)) <= 1e-5
             assert np.max(a.alpha[H - h:]) > 1e-3 and np.max(a.alpha[:, W - w:]) > 1e-3
 
-        out = rasterize_forward(batch, cam)
         grad_outputs = random_grad_outputs(np.random.default_rng(11), H, W)
-        grads = rasterize_backward(batch, cam, out, grad_outputs, gs, t, tc)
+        grads = rasterize_backward(batch, cam, grad_outputs, gs)
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
         assert fired["clamped"] > 0 and fired["terminated"] > 0
         want_tree = zeros_like_tree(gs)
@@ -543,9 +535,8 @@ class TestTileKernel:
         accumulators = n * (N_CHANNELS + 1 + 2 + 3) * 8  # payload, opacity, mean2d, conic
         grads = sum(a.nbytes for grp in zeros_like_tree(gs).values() for a in grp.values())
         fixed_backward = fixed_forward + accumulators + grads
-        out = rasterize_forward(batch, cam)
         grad_outputs = random_grad_outputs(np.random.default_rng(2), 32, 32)
         forward = (traced_peak(lambda: rasterize_forward(batch, cam)) - fixed_forward) / unit
-        backward = (traced_peak(lambda: rasterize_backward(batch, cam, out, grad_outputs, gs, 0))
+        backward = (traced_peak(lambda: rasterize_backward(batch, cam, grad_outputs, gs))
                     - fixed_backward) / unit
         assert forward <= 2.9 and backward <= 4.9, (forward, backward)

@@ -148,7 +148,7 @@ class TestInitRigid:
         for t in range(8):
             expect = np.array([0.03, -0.01, 0.0]) * t
             assert np.allclose(bases.trans[0, t], expect, atol=1e-6)
-            assert np.allclose(bases.matrices(t)[0], np.eye(3), atol=1e-6)
+            assert np.allclose(bases.matrices()[0, t], np.eye(3), atol=1e-6)
 
     def test_span_midpoint_window(self):
         ds = self._translating_dataset()
@@ -437,6 +437,41 @@ class TestTrainLoop:
         events = [r for r in log if r.get("event") == "transition"]
         assert events and events[0]["converted"] == 2
         assert len(gset.rigids) + len(gset.transients) == before
+
+    def test_transition_keeps_nan_and_threshold_durations_rigid(self):
+        # one rule picks both the rows that convert and the optimizer rows kept
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        config = TrainConfig(
+            iters_total=5, iters_static_warmup=2, iters_rigid_warmup=2,
+            transition_check_every=2, checkpoint_every=0, n_bases=1, seed=4)
+        init = ds.gt_set.copy()
+        init.rigids.durations[:4] = [0.5, 0.5, np.nan, config.transition_threshold]
+        gset, log = train(ds, config, init_set=init)
+        events = [r for r in log if r.get("event") == "transition"]
+        assert events and events[0]["converted"] == 2
+        assert len(gset.rigids) == len(init.rigids) - 2 and len(gset.transients) == 2
+        assert np.isnan(gset.rigids.durations[0])
+
+    @pytest.mark.parametrize("damage", [
+        "nan-pixels",
+        # unprojecting an infinite depth warns in the supervision set-up
+        pytest.param("inf-frame", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
+    def test_nonfinite_depth_is_never_lifted(self, damage):
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, frames=5))
+        depths = ds.depths.copy()
+        if damage == "inf-frame":
+            depths[2] = np.inf
+        else:
+            depths[2].reshape(-1)[::7] = np.nan
+        config = TrainConfig(
+            iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2, n_bases=2,
+            checkpoint_every=0, n_static_init=100, transition_check_every=2)
+        gset, log = train(replace(ds, depths=depths), config)
+        assert any(r.get("event") == "rigid_init" for r in log)
+        assert all(np.isfinite(r["total"]) for r in log if "total" in r)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
