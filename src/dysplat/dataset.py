@@ -35,16 +35,16 @@ from .validation import read_json, require
 _DTYPES = {"float32": "<f4", "uint16": "<u2", "uint8": "<u1"}
 _SUFFIX = {"float32": ".f32", "uint16": ".u16", "uint8": ".u8"}
 _IN_MEMORY = {"float32": np.float64, "uint16": np.int64, "uint8": bool}
-# per-frame raw channels: (directory, SceneDataset field, file dtype, required)
+# per-frame raw channels: (directory, SceneDataset field, file dtype, required, shape after T, H, W)
 _RAW_CHANNELS = (
-    ("depth", "depths", "float32", True),
-    ("flow_fwd", "flows_fwd", "float32", True),
-    ("flow_bwd", "flows_bwd", "float32", True),
-    ("objects", "object_ids", "uint16", True),
-    ("uncert", "uncertainties", "float32", False),
-    ("dyn_mask", "dyn_masks", "uint8", False),
-    ("gt_flow3d_fwd", "gt_flow3d_fwd", "float32", False),
-    ("gt_flow3d_bwd", "gt_flow3d_bwd", "float32", False),
+    ("depth", "depths", "float32", True, ()),
+    ("flow_fwd", "flows_fwd", "float32", True, (2,)),
+    ("flow_bwd", "flows_bwd", "float32", True, (2,)),
+    ("objects", "object_ids", "uint16", True, ()),
+    ("uncert", "uncertainties", "float32", False, ()),
+    ("dyn_mask", "dyn_masks", "uint8", False, ()),
+    ("gt_flow3d_fwd", "gt_flow3d_fwd", "float32", False, (3,)),
+    ("gt_flow3d_bwd", "gt_flow3d_bwd", "float32", False, (3,)),
 )
 
 
@@ -66,12 +66,10 @@ class SceneDataset:
 
     def __post_init__(self):
         T, H, W = self.images.shape[:3]
-        for name, extra in (("depths", ()), ("flows_fwd", (2,)), ("flows_bwd", (2,)),
-                            ("object_ids", ()), ("uncertainties", ()), ("dyn_masks", ()),
-                            ("gt_flow3d_fwd", (3,)), ("gt_flow3d_bwd", (3,))):
-            arr = getattr(self, name)
+        for _, field, _, _, extra in _RAW_CHANNELS:
+            arr = getattr(self, field)
             if arr is not None and arr.shape != (T, H, W) + extra:
-                raise ShapeMismatch(f"{name}: expected shape {(T, H, W) + extra}, got {arr.shape}")
+                raise ShapeMismatch(f"{field}: expected shape {(T, H, W) + extra}, got {arr.shape}")
         if len(self.cameras) != T:
             raise ShapeMismatch(f"expected {T} cameras, got {len(self.cameras)}")
         for t, cam in enumerate(self.cameras):
@@ -191,7 +189,7 @@ def save_dataset(ds: SceneDataset, out_dir):
     (out / "frames").mkdir(exist_ok=True)
     for t in range(T):
         write_ppm(out / "frames" / _frame_name(t, ".ppm"), ds.images[t])
-    for name, field, dtype, _ in _RAW_CHANNELS:
+    for name, field, dtype, _, _ in _RAW_CHANNELS:
         arr = getattr(ds, field)
         if arr is None:
             continue
@@ -238,7 +236,7 @@ def load_dataset(dir_path) -> SceneDataset:
 
     images = _load_frames(root / "frames", ".ppm", T, read_ppm, "frames")
     channels = {}
-    for name, field, dtype, required in _RAW_CHANNELS:
+    for name, field, dtype, required, _ in _RAW_CHANNELS:
         if required or (root / name).is_dir():
             frames = _load_frames(root / name, _SUFFIX[dtype], T, read_raw, name)
             channels[field] = frames.astype(_IN_MEMORY[dtype])

@@ -1,13 +1,13 @@
 """Training losses and image metrics, each with exact analytic adjoints.
 
-Every loss returns ``(value, gradient w.r.t. the prediction)`` so the trainer
-can assemble per-channel cotangents for the rasterizer backward pass. All
-reductions are means, keeping the loss weights resolution independent.
+Every loss returns its unweighted value and gradient w.r.t. the prediction;
+``weigh_terms`` applies the one weight table to form the rasterizer's cotangents.
+All reductions are means, keeping the loss weights resolution independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,26 +36,33 @@ class LossWeights:
         for name, v in self.__dict__.items():
             require_number(v, name, low=0.0)
 
+    def table(self):
+        """Each loss term's weight in the total, in summation order."""
+        return {"photo": 1.0 - self.lambda_ssim, "ssim": self.lambda_ssim,
+                "mask": self.lambda_alpha, "depth": self.lambda_depth,
+                "normal": self.lambda_normal, "track": self.lambda_track,
+                "flow": self.lambda_flow, "reg": 1.0}  # reg weighs its own parts
+
 
 @dataclass
 class LossReport:
     """Raw per-term values plus their weighted total."""
 
-    terms: dict = field(default_factory=dict)
-    total: float = 0.0
+    terms: dict
+    total: float
 
-    @staticmethod
-    def from_terms(terms, weights: LossWeights):
-        w = weights
-        total = ((1.0 - w.lambda_ssim) * terms.get("photo", 0.0)
-                 + w.lambda_ssim * terms.get("ssim", 0.0)
-                 + w.lambda_alpha * terms.get("mask", 0.0)
-                 + w.lambda_depth * terms.get("depth", 0.0)
-                 + w.lambda_normal * terms.get("normal", 0.0)
-                 + w.lambda_track * terms.get("track", 0.0)
-                 + w.lambda_flow * terms.get("flow", 0.0)
-                 + terms.get("reg", 0.0))
-        return LossReport(terms=dict(terms), total=float(total))
+
+def weigh_terms(terms, weights: LossWeights):
+    """(grad_outputs, LossReport) for terms {name: (value, {channel: cotangent})}:
+    cotangents and values weighted and summed in table order."""
+    grad_outputs, total = {}, 0.0
+    for name, w in weights.table().items():
+        if name in terms:
+            value, cotangents = terms[name]
+            total += w * value
+            for ch, g in cotangents.items():
+                grad_outputs[ch] = grad_outputs[ch] + w * g if ch in grad_outputs else w * g
+    return grad_outputs, LossReport({name: v for name, (v, _) in terms.items()}, float(total))
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +206,20 @@ def ssim_with_grad(a, b, mask=None):
 # composite losses
 
 
-def photometric_loss(pred, gt, pred_mask, gt_mask, weights: LossWeights, valid=None):
-    """L1 + D-SSIM photometric term plus the dynamic-mask BCE term.
+def photometric_loss(pred, gt, pred_mask, gt_mask, valid=None):
+    """L1 and D-SSIM photometric terms plus the dynamic-mask BCE term, unweighted,
+    as {name: (value, {render channel: gradient})}.
 
-    Returns (terms dict, grad_image, grad_mask). ``valid`` optionally
-    restricts the photometric part (the BCE term is skipped when it is set,
-    matching the static warm-up stage).
+    ``valid`` optionally restricts the photometric part (the BCE term is
+    skipped when it is set, matching the static warm-up stage).
     """
-    terms = {}
     l1, g_l1 = l1_loss(pred, gt, mask=valid)
     s_val, g_ssim = ssim_with_grad(pred, gt, mask=valid)
-    terms["photo"] = l1
-    terms["ssim"] = 1.0 - s_val
-    grad_image = (1.0 - weights.lambda_ssim) * g_l1 - weights.lambda_ssim * g_ssim
-    grad_mask = None
+    terms = {"photo": (l1, {"color": g_l1}), "ssim": (1.0 - s_val, {"color": -g_ssim})}
     if pred_mask is not None and gt_mask is not None:
         m_val, g_m = bce_loss(pred_mask, gt_mask)
-        terms["mask"] = m_val
-        grad_mask = weights.lambda_alpha * g_m
-    return terms, grad_image, grad_mask
+        terms["mask"] = m_val, {"dyn_mask": g_m}
+    return terms
 
 
 def _median_weights(values):

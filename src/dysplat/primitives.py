@@ -279,12 +279,17 @@ def blend_backward(ctx: BlendContext, weights, bases: MotionBases,
 def rigid_pose_at(rigids: RigidGaussians, bases: MotionBases, t):
     """World (means (N,3), rotations (N,3,3)) of all rigid Gaussians at frame t."""
     ctx = blend_bases(rigids.weights, bases, t)
-    rotations = np.einsum("nij,njk->nik", ctx.A_rot, quat_to_matrix(rigids.quats))
-    return rigid_means_at(rigids, ctx), rotations
+    return rigid_means_at(rigids, ctx), rigid_rotations_at(ctx, quat_to_matrix(rigids.quats))
 
 
 def rigid_means_at(rigids: RigidGaussians, ctx: BlendContext):
+    """World means A_rot(t) mu + A_tr(t) of the rigids blended in ``ctx``."""
     return np.einsum("nij,nj->ni", ctx.A_rot, rigids.means) + ctx.A_tr
+
+
+def rigid_rotations_at(ctx: BlendContext, Rq):
+    """World rotations A_rot(t) R(q) from the canonical rotations Rq (N,3,3)."""
+    return np.einsum("nij,njk->nik", ctx.A_rot, Rq)
 
 
 def transient_position_at(transients: TransientGaussians, t):
@@ -326,28 +331,24 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
 
     T = gset.n_frames
     sub = rigids.take(move)
-    t_anchor = np.clip(np.round(sub.centers).astype(int), 0, T - 1)
-
-    new_means = np.zeros((count, 3))
-    new_quats = np.zeros((count, 4))
-    new_vel = np.zeros((count, 3))
-    for k in range(count):
-        row = sub.take(slice(k, k + 1))
-        ta = int(t_anchor[k])
-        ctx = blend_bases(row.weights, gset.bases, ta)
-        new_means[k] = rigid_means_at(row, ctx)[0]
-        new_quats[k] = matrix_to_quat(ctx.A_rot[0] @ quat_to_matrix(row.quats)[0])
-        lo, hi = max(ta - 1, 0), min(ta + 1, T - 1)
-        if hi > lo:
-            m_hi = rigid_means_at(row, blend_bases(row.weights, gset.bases, hi))[0]
-            m_lo = rigid_means_at(row, blend_bases(row.weights, gset.bases, lo))[0]
-            new_vel[k] = (m_hi - m_lo) / (hi - lo)
+    anchor = np.clip(np.round(sub.centers).astype(int), 0, T - 1)
+    lo, hi = np.maximum(anchor - 1, 0), np.minimum(anchor + 1, T - 1)
+    # every row's pose at each distinct frame, then each row's own frames
+    frames, slot = np.unique(np.stack([anchor, lo, hi]), return_inverse=True)
+    slot, rows = slot.reshape(3, count), np.arange(count)
+    ctxs = [blend_bases(sub.weights, gset.bases, int(f)) for f in frames]
+    means = np.stack([rigid_means_at(sub, ctx) for ctx in ctxs])[slot, rows]
+    Rq = quat_to_matrix(sub.quats)
+    rotations = np.stack([rigid_rotations_at(ctx, Rq) for ctx in ctxs])[slot[0], rows]
+    span = (hi - lo)[:, None]
+    velocities = np.where(span > 0, (means[2] - means[1]) / np.maximum(span, 1), 0.0)
 
     # appearance and temporal window carry over; the pose is frozen at the anchor
     carried = {name: getattr(sub, name) for name in TransientGaussians.field_names()
                if name in RigidGaussians.field_names()}
-    converted = TransientGaussians(**{**carried, "means": new_means, "quats": new_quats,
-                                      "velocities": new_vel})
+    converted = TransientGaussians(**{**carried, "means": means[0],
+                                      "quats": matrix_to_quat(rotations),
+                                      "velocities": velocities})
     new_set = GaussianSet(gset.statics, rigids.take(~move), gset.transients.concat(converted),
                           gset.bases, gset.gate_sharpness)
     return new_set, count
@@ -377,6 +378,13 @@ def parameter_tree(gset: GaussianSet):
 def zeros_like_tree(gset: GaussianSet):
     return {kind: {f: np.zeros_like(arr) for f, arr in grp.items()}
             for kind, grp in parameter_tree(gset).items()}
+
+
+def require_finite(gset: GaussianSet, what):
+    """ValidationError naming the first field of ``gset`` with a non-finite value."""
+    for kind, grp in parameter_tree(gset).items():
+        for name, arr in grp.items():
+            require(np.all(np.isfinite(arr)), f"{what}: non-finite value in field {kind}.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +450,7 @@ def load_checkpoint(path):
         raw = payload[start:start + 4 * n]
         if start < 0 or min(shape, default=0) < 0 or len(raw) != 4 * n:
             raise ShapeMismatch(f"{path}: truncated field {name}")
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        require(np.all(np.isfinite(arr)), f"{path}: non-finite value in field {kind}.{name}")
-        arrays[(kind, name)] = arr
+        arrays[(kind, name)] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
     def grab(kind, name):
         try:
@@ -457,4 +463,6 @@ def load_checkpoint(path):
     bases = MotionBases(**{name: grab("bases", name) for name in GROUP_FIELDS["bases"]})
     if bases.n_bases != K or bases.n_frames != T:
         raise ShapeMismatch(f"{path}: basis shape disagrees with header")
-    return GaussianSet(pops["static"], pops["rigid"], pops["transient"], bases, gate_sharpness)
+    gset = GaussianSet(pops["static"], pops["rigid"], pops["transient"], bases, gate_sharpness)
+    require_finite(gset, path)
+    return gset

@@ -39,6 +39,7 @@ from .primitives import (
     gate_backward,
     gate_value,
     rigid_means_at,
+    rigid_rotations_at,
     sigmoid,
     transient_position_at,
     zeros_like_tree,
@@ -176,7 +177,7 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
         rigid_ctxs = {f: blend_bases(r.weights, gset.bases, f) for f in sorted(frames)}
         means_at = {f: rigid_means_at(r, c) for f, c in rigid_ctxs.items()}
         mean_w[rigid_sl] = means_at[t]
-        R_w[rigid_sl] = np.einsum("nij,njk->nik", rigid_ctxs[t].A_rot, rigid_Rq)
+        R_w[rigid_sl] = rigid_rotations_at(rigid_ctxs[t], rigid_Rq)
         if fwd is not None:
             channels[rigid_sl, C_VFWD] = means_at[fwd[0]] - means_at[fwd[1]]
             channels[rigid_sl, C_VBWD] = means_at[bwd[0]] - means_at[bwd[1]]

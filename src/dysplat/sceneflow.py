@@ -22,6 +22,13 @@ def depth_validity(depth):
     return np.isfinite(d) & (d > DEPTH_MIN) & (d < DEPTH_MAX)
 
 
+def finite_depth(depth, fill):
+    """``depth`` with its non-finite values replaced by ``fill``, so lifting it
+    raises no warning: 0 lifts to the camera centre, NaN stays invalid through
+    every sum (inf * 0 and inf - inf would warn). Callers mask these pixels."""
+    return np.where(np.isfinite(depth), depth, fill)
+
+
 def _support_valid(depth_b, flow):
     """Warp targets whose whole bilinear support lies on valid depth_b pixels."""
     support, inside = warp(depth_validity(depth_b).astype(np.float64), flow)
@@ -36,8 +43,8 @@ def forward_scene_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next):
     flow_fwd = np.asarray(flow_fwd, dtype=np.float64)
     check_same_hw(depth_t, depth_next, flow_fwd, names=["depth_t", "depth_next", "flow_fwd"])
 
-    pts_t = unproject_grid(depth_t, cam_t)
-    pts_next = unproject_grid(depth_next, cam_next)
+    pts_t = unproject_grid(finite_depth(depth_t, 0.0), cam_t)
+    pts_next = unproject_grid(finite_depth(depth_next, 0.0), cam_next)
     warped, _ = warp(pts_next, flow_fwd)
     # a warped sample is trustworthy only if its whole bilinear support is valid
     valid = _support_valid(depth_next, flow_fwd) & depth_validity(depth_t)
@@ -66,9 +73,9 @@ def warped_depth_consistency(depth_a, depth_b, flow, cam_a: CameraFrame,
     depth_a = np.asarray(depth_a, dtype=np.float64)
     depth_b = np.asarray(depth_b, dtype=np.float64)
     H, W = depth_a.shape
-    pts_a = unproject_grid(depth_a, cam_a)
+    pts_a = unproject_grid(finite_depth(depth_a, 0.0), cam_a)
     z_expected = cam_b.world_to_camera(pts_a.reshape(-1, 3))[:, 2].reshape(H, W)
-    sampled, _ = warp(depth_b, flow)
+    sampled, _ = warp(finite_depth(depth_b, 0.0), flow)
     close = np.abs(sampled - z_expected) <= atol + rtol * np.abs(z_expected)
     return _support_valid(depth_b, flow) & close & depth_validity(depth_a)
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import bilinear_sample, matrix_to_rot6d, unproject, unproject_grid
 from .losses import (
-    LossReport,
     LossWeights,
     depth_loss,
     flow_loss,
@@ -34,6 +33,7 @@ from .losses import (
     photometric_loss,
     reg_loss,
     track_loss,
+    weigh_terms,
 )
 from .primitives import (
     GaussianSet,
@@ -43,6 +43,7 @@ from .primitives import (
     converts_to_transient,
     logit,
     parameter_tree,
+    require_finite,
     save_checkpoint,
     transition_rigid_to_transient,
     zeros_like_tree,
@@ -51,6 +52,7 @@ from .rasterizer import prepare_splats, rasterize_backward, rasterize_forward
 from .sceneflow import (
     depth_validity,
     backward_scene_flow,
+    finite_depth,
     forward_scene_flow,
     scene_flow_mask,
     warped_depth_consistency,
@@ -245,7 +247,7 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
         sel_y = ys[picked]
         sel_x = xs[picked]
         depth = dataset.depths[t][sel_y, sel_x]
-        pts = unproject_grid(dataset.depths[t], cam)[sel_y, sel_x]
+        pts = unproject_grid(finite_depth(dataset.depths[t], 0.0), cam)[sel_y, sel_x]
         means.append(pts)
         colors.append(dataset.images[t][sel_y, sel_x])
         scales.append(np.log(depth / cam.intrinsics.fx))
@@ -298,10 +300,12 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     Gaussian per track anchored at its first visible frame."""
     T = len(cameras)
     H, W = depths[0].shape
-    # depth under every track point; 0 where its bilinear support leaves the image
+    # depth under every track point; 0 where its bilinear support leaves the
+    # image, NaN where that support holds a non-finite depth
     track_depth = np.zeros(tracks.shape[:2])
     for t in range(T):
-        d, inside = bilinear_sample(depths[t], tracks[:, t, 0], tracks[:, t, 1])
+        d, inside = bilinear_sample(finite_depth(depths[t], np.nan),
+                                    tracks[:, t, 0], tracks[:, t, 1])
         track_depth[:, t] = np.where(inside, d, 0.0)
     vis = tracks[:, :, 2] > 0.5
     # a track is a candidate if its first visible pixel lies in the dynamic mask
@@ -385,7 +389,7 @@ class Supervision:
 def normals_from_depth(depth, cam):
     """Unit normals from central differences of the unprojected point map,
     oriented toward the camera; discontinuities are flagged invalid."""
-    H, W = depth.shape
+    depth = finite_depth(depth, np.nan)
     pts = unproject_grid(depth, cam)
     dx = np.zeros_like(pts)
     dy = np.zeros_like(pts)
@@ -401,12 +405,10 @@ def normals_from_depth(depth, cam):
     valid = ok & depth_validity(depth)
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False
-    # exclude depth discontinuities
-    rel = np.zeros((H, W))
-    rel[:, 1:-1] = np.abs(depth[:, 2:] - depth[:, :-2])
-    rel2 = np.zeros((H, W))
-    rel2[1:-1, :] = np.abs(depth[2:, :] - depth[:-2, :])
-    valid &= (rel + rel2) < 0.05 * np.maximum(depth, 1e-6)
+    # exclude depth discontinuities (the border is invalid already)
+    jump = (np.abs(depth[1:-1, 2:] - depth[1:-1, :-2])
+            + np.abs(depth[2:, 1:-1] - depth[:-2, 1:-1]))
+    valid[1:-1, 1:-1] &= jump < 0.05 * np.maximum(depth[1:-1, 1:-1], 1e-6)
     return n, valid
 
 
@@ -511,55 +513,39 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
     batch = prepare_splats(gset, cam, t, t_corr)
     out = rasterize_forward(batch, cam)
 
-    terms = {}
-    grad_outputs = {}
+    # term -> (raw value, {render channel: cotangent}); weighed once below
     if stage == 1:
         valid = sup.static_valid[t]
-        photo_terms, g_img, _ = photometric_loss(out.color, ds.images[t], None, None,
-                                                 w, valid=valid)
-        terms.update(photo_terms)
-        grad_outputs["color"] = g_img
+        terms = photometric_loss(out.color, ds.images[t], None, None, valid=valid)
         geom_valid = valid & (out.alpha > 0.5)
     else:
-        photo_terms, g_img, g_mask = photometric_loss(
-            out.color, ds.images[t], out.dyn_mask,
-            sup.dyn_masks[t].astype(np.float64), w)
-        terms.update(photo_terms)
-        grad_outputs["color"] = g_img
-        if g_mask is not None:
-            grad_outputs["dyn_mask"] = g_mask
+        terms = photometric_loss(out.color, ds.images[t], out.dyn_mask,
+                                 sup.dyn_masks[t].astype(np.float64))
         geom_valid = out.alpha > 0.5
 
     d_val, g_depth = depth_loss(out.depth, ds.depths[t],
                                 geom_valid & depth_validity(ds.depths[t]))
-    terms["depth"] = d_val
-    grad_outputs["depth"] = w.lambda_depth * g_depth
-
+    terms["depth"] = d_val, {"depth": g_depth}
     n_val, g_norm = normal_loss(out.normal, sup.normals[t],
                                 geom_valid & sup.normals_valid[t])
-    terms["normal"] = n_val
-    grad_outputs["normal"] = w.lambda_normal * g_norm
+    terms["normal"] = n_val, {"normal": g_norm}
 
     if stage >= 2:
         samples = _track_samples(ds, rng, t, t_corr, config.track_samples)
         tr_val, g_corr = track_loss(out.corr, samples, out.alpha)
-        terms["track"] = tr_val
-        grad_outputs["corr"] = w.lambda_track * g_corr
-
+        terms["track"] = tr_val, {"corr": g_corr}
         f_val, g_vf, g_vb = flow_loss(out.v_fwd, out.v_bwd, sup.sf_fwd[t],
                                       sup.sf_bwd[t], sup.sf_mask[t])
-        terms["flow"] = f_val
-        grad_outputs["v_fwd"] = w.lambda_flow * g_vf
-        grad_outputs["v_bwd"] = w.lambda_flow * g_vb
-
+        terms["flow"] = f_val, {"v_fwd": g_vf, "v_bwd": g_vb}
         r_val, r_grads = reg_loss(gset, w)
-        terms["reg"] = r_val
+        terms["reg"] = r_val, {}
 
+    grad_outputs, report = weigh_terms(terms, w)
     grads = rasterize_backward(batch, cam, grad_outputs, gset)
     if stage >= 2:
         for (kind, name), g in r_grads.items():
             grads[kind][name] += g
-    return grads, LossReport.from_terms(terms, w)
+    return grads, report
 
 
 def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
@@ -574,6 +560,7 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
         train_frames = list(range(T))
 
     if init_set is not None:
+        require_finite(init_set, "init_set")
         gset = init_set.copy()
         gset.gate_sharpness = config.gate_sharpness
     else:

@@ -25,7 +25,6 @@ from dysplat.geometry import (
     unproject,
 )
 from dysplat.losses import (
-    LossReport,
     LossWeights,
     bce_loss,
     depth_loss,
@@ -33,6 +32,7 @@ from dysplat.losses import (
     normal_loss,
     photometric_loss,
     track_loss,
+    weigh_terms,
 )
 from dysplat.primitives import (
     GaussianSet,
@@ -481,9 +481,9 @@ def test_criterion_8_loss_invariances():
     w = LossWeights()
     img = rng.uniform(size=(10, 10, 3))
     m = (rng.uniform(size=(10, 10)) > 0.5).astype(np.float64)
-    terms, g_img, g_mask = photometric_loss(img, img, m, m, w)
-    total = LossReport.from_terms(terms, w).total
-    if total > 1.4e-5 * w.lambda_alpha or np.any(g_img != 0):
+    grads, rep = weigh_terms(photometric_loss(img, img, m, m), w)
+    total = rep.total
+    if total > 1.4e-5 * w.lambda_alpha or np.any(grads["color"] != 0):
         failures.append(f"photometric floor violated: {total:.3g}")
     d = rng.uniform(1, 3, size=(10, 10))
     if depth_loss(d, d, np.ones((10, 10), dtype=bool))[0] != 0.0:
@@ -521,11 +521,10 @@ def test_criterion_8_loss_invariances():
     rng = np.random.default_rng(2100)
     gt_img = rng.uniform(0.2, 0.8, size=(8, 8, 3))
     pred = np.clip(gt_img + 0.07 * rng.normal(size=gt_img.shape), 0.02, 0.98)
-    t_p, g_p, _ = photometric_loss(pred, gt_img, None, None, w)
+    g_p = weigh_terms(photometric_loss(pred, gt_img, None, None), w)[0]["color"]
 
     def f_photo(x):
-        tt, _, _ = photometric_loss(x, gt_img, None, None, w)
-        return (1 - w.lambda_ssim) * tt["photo"] + w.lambda_ssim * tt["ssim"]
+        return weigh_terms(photometric_loss(x, gt_img, None, None), w)[1].total
 
     r = fd_check(f_photo, pred.copy(), g_p)
     if r > 1e-3:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dysplat.losses import (
-    LossReport,
     LossWeights,
     bce_loss,
     depth_loss,
@@ -15,6 +14,7 @@ from dysplat.losses import (
     ssim,
     ssim_with_grad,
     track_loss,
+    weigh_terms,
 )
 from dysplat.primitives import GaussianSet, MotionBases, RigidGaussians, StaticGaussians, TransientGaussians
 
@@ -115,18 +115,17 @@ class TestPhotometric:
         img = rng.uniform(size=(12, 12, 3))
         mask = (rng.uniform(size=(12, 12)) > 0.5).astype(np.float64)
         w = LossWeights()
-        terms, g_img, g_mask = photometric_loss(img, img, mask, mask, w)
-        total = LossReport.from_terms(terms, w).total
-        assert total <= 1.4e-5 * w.lambda_alpha
-        assert np.allclose(g_img, 0)
-        assert np.allclose(g_mask, 0)  # clamp boundary kills the gradient
+        grads, report = weigh_terms(photometric_loss(img, img, mask, mask), w)
+        assert report.total <= 1.4e-5 * w.lambda_alpha
+        assert np.allclose(grads["color"], 0)
+        assert np.allclose(grads["dyn_mask"], 0)  # clamp boundary kills the gradient
 
     def test_constant_offset_l1(self):
         gt = np.full((10, 10, 3), 0.4)
         pred = gt + 0.1
         w = LossWeights()
-        terms, _, _ = photometric_loss(pred, gt, None, None, w)
-        assert (1 - w.lambda_ssim) * terms["photo"] == pytest.approx(0.09, abs=1e-12)
+        terms = photometric_loss(pred, gt, None, None)
+        assert (1 - w.lambda_ssim) * terms["photo"][0] == pytest.approx(0.09, abs=1e-12)
 
     def test_inverted_mask_bce(self):
         gt = (np.random.default_rng(5).uniform(size=(8, 8)) > 0.5).astype(np.float64)
@@ -141,10 +140,9 @@ class TestPhotometric:
         w = LossWeights()
 
         def f(x):
-            t, _, _ = photometric_loss(x, gt, None, None, w)
-            return (1 - w.lambda_ssim) * t["photo"] + w.lambda_ssim * t["ssim"]
+            return weigh_terms(photometric_loss(x, gt, None, None), w)[1].total
 
-        _, g_img, _ = photometric_loss(pred, gt, None, None, w)
+        g_img = weigh_terms(photometric_loss(pred, gt, None, None), w)[0]["color"]
         fd = fd_grad(f, pred.copy())
         assert_grad_close(g_img, fd)
 
@@ -349,9 +347,10 @@ class TestPSNR:
 
 def test_report_total_is_weighted_sum():
     w = LossWeights()
-    terms = {"photo": 0.2, "ssim": 0.1, "mask": 0.3, "depth": 0.05,
-             "normal": 0.02, "track": 0.4, "flow": 0.7, "reg": 0.01}
-    rep = LossReport.from_terms(terms, w)
+    values = {"photo": 0.2, "ssim": 0.1, "mask": 0.3, "depth": 0.05,
+              "normal": 0.02, "track": 0.4, "flow": 0.7, "reg": 0.01}
+    _, rep = weigh_terms({name: (v, {}) for name, v in values.items()}, w)
+    assert rep.terms == values
     expect = (0.9 * 0.2 + 0.1 * 0.1 + 0.5 * 0.3 + 0.05 * 0.05
               + 0.05 * 0.02 + 2.0 * 0.4 + 0.01 * 0.7 + 0.01)
     assert rep.total == pytest.approx(expect, abs=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dysplat.errors import BadMagic, DysplatError, ShapeMismatch
-from dysplat.geometry import quat_to_matrix, rot6d_to_matrix
+from dysplat.geometry import matrix_to_quat, quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
     CHECKPOINT_MAGIC,
     FIELD_SHAPES,
@@ -342,6 +342,104 @@ class TestTransition:
         assert np.allclose(out.transients.velocities[0], [0.5, 0.0, 0.0])
         # anchored at round(center) = 3
         assert np.allclose(out.transients.means[0], gs.rigids.means[0] + [1.5, 0, 0])
+
+
+def reference_transition(gset, threshold):
+    """Per-row transcription of the transition loop the batched code replaced:
+    one blend per row and frame, poses evaluated row by row."""
+    rigids = gset.rigids
+    move = rigids.durations < threshold
+    count = int(np.count_nonzero(move))
+    if count == 0:
+        return gset, 0
+    T = gset.n_frames
+    sub = rigids.take(move)
+    t_anchor = np.clip(np.round(sub.centers).astype(int), 0, T - 1)
+
+    def pose(row, t):
+        ctx = blend_bases(row.weights, gset.bases, t)
+        return ctx.A_rot[0] @ row.means[0] + ctx.A_tr[0], ctx.A_rot[0]
+
+    new_means = np.zeros((count, 3))
+    new_quats = np.zeros((count, 4))
+    new_vel = np.zeros((count, 3))
+    for k in range(count):
+        row = sub.take(slice(k, k + 1))
+        ta = int(t_anchor[k])
+        new_means[k], A_rot = pose(row, ta)
+        new_quats[k] = matrix_to_quat(A_rot @ quat_to_matrix(row.quats)[0])
+        lo, hi = max(ta - 1, 0), min(ta + 1, T - 1)
+        if hi > lo:
+            new_vel[k] = (pose(row, hi)[0] - pose(row, lo)[0]) / (hi - lo)
+    carried = {name: getattr(sub, name) for name in TransientGaussians.field_names()
+               if name in RigidGaussians.field_names()}
+    converted = TransientGaussians(**{**carried, "means": new_means, "quats": new_quats,
+                                      "velocities": new_vel})
+    return GaussianSet(gset.statics, rigids.take(~move), gset.transients.concat(converted),
+                       gset.bases, gset.gate_sharpness), count
+
+
+def random_rigid_set(n, K, T, seed, centers=None, durations=None):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    w = rng.normal(size=(n, K))
+    rig = make_rigid(rng.normal(size=(n, 3)), w / np.linalg.norm(w, axis=1, keepdims=True),
+                     durations=rng.uniform(0.0, 4.0, n) if durations is None else durations,
+                     centers=rng.uniform(-3.0, T + 2.0, n) if centers is None else centers,
+                     quats=q / np.linalg.norm(q, axis=1, keepdims=True))
+    bases = MotionBases(rng.normal(size=(K, T, 6)), rng.normal(size=(K, T, 3)))
+    return GaussianSet(StaticGaussians.empty(), rig, TransientGaussians.empty(), bases, 3.0)
+
+
+class TestTransitionHarness:
+    """The batched transition against the per-row reference: the same rows
+    convert, carried fields are byte-equal, and the frozen pose agrees within
+    1e-12 of each row's magnitude (the batched blend rounds differently)."""
+
+    REL = 1e-12
+
+    def check(self, gset, threshold=2.0):
+        out, count = transition_rigid_to_transient(gset, threshold)
+        ref, ref_count = reference_transition(gset, threshold)
+        assert count == ref_count
+        for name in RigidGaussians.field_names():
+            assert np.array_equal(getattr(out.rigids, name), getattr(ref.rigids, name),
+                                  equal_nan=True), name
+        for name in TransientGaussians.field_names():
+            got, want = getattr(out.transients, name), getattr(ref.transients, name)
+            if name in ("means", "quats", "velocities"):
+                scale = np.max(np.abs(want), axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= self.REL * scale), name
+            else:
+                assert np.array_equal(got, want), name
+        return out, count
+
+    def test_random_rigids(self):
+        gset = random_rigid_set(300, K=6, T=16, seed=40)
+        _, count = self.check(gset)
+        assert 100 < count < 200
+
+    def test_edge_anchors(self):
+        T = 8
+        centers = np.array([0.0, 0.4, T - 1.0, T - 1.3, -4.0, T + 3.0, 3.5, 2.0])
+        gset = random_rigid_set(len(centers), K=3, T=T, seed=41, centers=centers,
+                                durations=np.full(len(centers), 1.0))
+        out, count = self.check(gset)
+        assert count == len(centers)
+        # one-sided spans at both ends still give a finite, non-zero velocity
+        assert np.all(np.isfinite(out.transients.velocities))
+        assert np.all(np.linalg.norm(out.transients.velocities, axis=1) > 0)
+
+    def test_single_frame_has_no_velocity(self):
+        gset = random_rigid_set(5, K=2, T=1, seed=42, durations=np.full(5, 0.5))
+        out, count = self.check(gset)
+        assert count == 5 and np.all(out.transients.velocities == 0.0)
+
+    def test_nan_duration_stays_rigid(self):
+        durations = np.array([0.5, np.nan, 3.0, 1.0, np.nan])
+        gset = random_rigid_set(5, K=4, T=6, seed=43, durations=durations)
+        out, count = self.check(gset)
+        assert count == 2 and np.isnan(out.rigids.durations).sum() == 2
 
 
 # malformed RIGS0001 files and the error each must raise

@@ -132,3 +132,18 @@ class TestMask:
 def test_depth_validity_range():
     d = np.array([[np.nan, 0.0, 1e-5], [0.5, 100.0, 2e4]])
     assert np.array_equal(depth_validity(d), [[False, False, False], [True, True, False]])
+
+
+def test_nonfinite_depth_never_reaches_a_valid_scene_flow():
+    # zero flow lands on whole pixels, so the pixel right of each sample
+    # enters the bilinear support with weight 0; a NaN or inf there used to
+    # turn the valid sample's scene flow into NaN
+    H, W = 6, 6
+    cam = make_cam(width=W, height=H, cx=3.0, cy=3.0)
+    depth = np.full((H, W), 5.0)
+    for bad in (np.inf, np.nan):
+        nxt = depth.copy()
+        nxt[2, 3] = bad
+        v, valid = forward_scene_flow(depth, nxt, np.zeros((H, W, 2)), cam, cam)
+        assert valid[2, 2] and not valid[2, 3]
+        assert np.all(np.isfinite(v)) and np.all(v[valid] == 0.0)

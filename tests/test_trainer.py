@@ -19,6 +19,7 @@ from dysplat.primitives import (
     zeros_like_tree,
 )
 from dysplat import trainer
+from dysplat.estimators import SceneReconstructor
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from dysplat.trainer import (
     DEFAULT_LEARNING_RATES,
@@ -32,6 +33,7 @@ from dysplat.trainer import (
 )
 
 from test_dataset import FUZZ, JSON_ANY, tiny_spec
+from test_primitives import reference_transition
 
 
 def small_set(n_rigid=2, K=2, T=5):
@@ -289,6 +291,22 @@ class TestLiftingMatchesPerTrackLoop:
         assert n_samples > 0
 
 
+def test_infinite_depths_give_the_normals_nan_depths_give():
+    # inf and NaN holes give the same masks and normals, with no warning, and
+    # every normal still valid equals the undamaged frame's
+    ds = generate_synthetic(tiny_spec(frames=3))
+    depth = ds.depths[0].copy()
+    holes = np.zeros(depth.shape, dtype=bool)
+    holes[::5, ::7] = holes[7, :] = True
+    n_inf, valid_inf = trainer.normals_from_depth(np.where(holes, np.inf, depth), ds.cameras[0])
+    n_nan, valid_nan = trainer.normals_from_depth(np.where(holes, np.nan, depth), ds.cameras[0])
+    assert valid_inf.any() and not valid_inf[holes].any()
+    assert np.array_equal(valid_inf, valid_nan)
+    assert np.array_equal(n_inf[valid_inf], n_nan[valid_nan])
+    n, valid = trainer.normals_from_depth(depth, ds.cameras[0])
+    assert np.array_equal(n[valid_inf], n_inf[valid_inf]) and not (valid_inf & ~valid).any()
+
+
 class TestHistogram:
     def _set_with_durations(self, rigid_d, trans_d, T=60):
         n, m = len(rigid_d), len(trans_d)
@@ -438,7 +456,7 @@ class TestTrainLoop:
         assert events and events[0]["converted"] == 2
         assert len(gset.rigids) + len(gset.transients) == before
 
-    def test_transition_keeps_nan_and_threshold_durations_rigid(self):
+    def test_transition_keeps_threshold_durations_rigid(self):
         # one rule picks both the rows that convert and the optimizer rows kept
         ds = generate_synthetic(tiny_spec(
             actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
@@ -446,17 +464,50 @@ class TestTrainLoop:
             iters_total=5, iters_static_warmup=2, iters_rigid_warmup=2,
             transition_check_every=2, checkpoint_every=0, n_bases=1, seed=4)
         init = ds.gt_set.copy()
-        init.rigids.durations[:4] = [0.5, 0.5, np.nan, config.transition_threshold]
+        init.rigids.durations[:3] = [0.5, 0.5, config.transition_threshold]
         gset, log = train(ds, config, init_set=init)
         events = [r for r in log if r.get("event") == "transition"]
         assert events and events[0]["converted"] == 2
         assert len(gset.rigids) == len(init.rigids) - 2 and len(gset.transients) == 2
-        assert np.isnan(gset.rigids.durations[0])
+
+    def test_batched_transition_trains_like_the_per_row_reference(self, monkeypatch):
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        config = TrainConfig(
+            iters_total=12, iters_static_warmup=2, iters_rigid_warmup=2,
+            transition_check_every=2, checkpoint_every=0, n_bases=2, seed=5)
+        init = ds.gt_set.copy()
+        init.rigids.durations[::3] = 0.5
+        _, batched = train(ds, config, init_set=init)
+        monkeypatch.setattr(trainer, "transition_rigid_to_transient", reference_transition)
+        _, reference = train(ds, config, init_set=init)
+        events = [r for r in batched if "event" in r]
+        assert events == [r for r in reference if "event" in r]
+        assert sum(r.get("converted", 0) for r in events) > 0
+        totals = np.array([r["total"] for r in batched if "total" in r])
+        want = np.array([r["total"] for r in reference if "total" in r])
+        assert totals.shape == want.shape and np.all(np.isfinite(want))
+        assert np.all(np.abs(totals - want) <= 1e-9 * np.abs(want))
+
+    @pytest.mark.parametrize("entry", ["train", "fit"])
+    def test_nonfinite_init_set_rejected(self, entry):
+        # a NaN duration would make every stage-2/3 total NaN through reg_loss
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        init = ds.gt_set.copy()
+        init.rigids.durations[2] = np.nan
+        with pytest.raises(ValidationError, match=r"rigid\.durations"):
+            if entry == "train":
+                train(ds, TrainConfig(iters_total=6, iters_static_warmup=2,
+                                      iters_rigid_warmup=2), init_set=init)
+            else:
+                SceneReconstructor(iters_total=6, iters_static_warmup=2,
+                                   iters_rigid_warmup=2).fit(ds, init_set=init)
 
     @pytest.mark.parametrize("damage", [
         "nan-pixels",
-        # unprojecting an infinite depth warns in the supervision set-up
-        pytest.param("inf-frame", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        "inf-pixels",
+        "inf-frame",
     ])
     def test_nonfinite_depth_is_never_lifted(self, damage):
         ds = generate_synthetic(tiny_spec(
@@ -465,7 +516,7 @@ class TestTrainLoop:
         if damage == "inf-frame":
             depths[2] = np.inf
         else:
-            depths[2].reshape(-1)[::7] = np.nan
+            depths[2].reshape(-1)[::7] = np.nan if damage == "nan-pixels" else np.inf
         config = TrainConfig(
             iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2, n_bases=2,
             checkpoint_every=0, n_static_init=100, transition_check_every=2)
