@@ -38,7 +38,7 @@ def _cmd_synth(args):
 
 def _cmd_masks(args):
     ds = load_dataset(args.dataset)
-    est = MotionMaskEstimator(eps_temp=args.eps_temp, eps_dyn=args.eps_dyn, seed=args.seed)
+    est = MotionMaskEstimator(eps_temp=args.eps_temp, eps_dyn=args.eps_dyn)
     masks = est.fit_predict(ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,10 +161,10 @@ def build_parser():
 
     p = sub.add_parser("masks", help="object-wise dynamic masks")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--eps-temp", type=float, default=1e-4)
+    p.add_argument("--eps-temp", type=float, default=1e-4,
+                   help="per-frame motion threshold, in pixels of flow residual")
     p.add_argument("--eps-dyn", default="auto", type=_eps_dyn,
                    help="dynamic-score threshold, or 'auto' for max score / 4")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_masks)
 

@@ -1,10 +1,10 @@
-"""Object-wise dynamic masks from precomputed flow, uncertainty and object ids.
+"""Object-wise dynamic masks from precomputed flow, depth, cameras and object ids.
 
 Per frame pair the pipeline is: forward/backward flow consistency -> occlusion
-mask -> per-pixel weights -> robust fundamental matrix (LMedS over normalized
-eight-point candidates) -> per-pixel Sampson residuals -> weighted per-object
-motion scores. Objects whose aggregated score clears an adaptive threshold
-contribute their whole mask to the per-frame dynamic mask.
+mask -> per-pixel weights -> the flow a static world would show, from depth and
+the two cameras -> per-pixel residual of the observed flow against it ->
+weighted per-object motion scores. Objects whose aggregated score clears an
+adaptive threshold contribute their whole mask to the per-frame dynamic mask.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, InsufficientMatches, ZeroDenominator
-from .geometry import warp
-from .validation import check_same_hw
+from .geometry import MIN_DEPTH, pinhole_project, unproject_grid, warp
+from .sceneflow import depth_validity, finite_depth
+from .validation import check_same_hw, require_number
 
 OCC_REL = 0.01
 OCC_ABS = 0.5
 DEFAULT_EPS_TEMP = 1e-4
-MAX_MATCHES = 10000
-LMEDS_TRIALS = 256
 
 
 def occlusion_mask(fwd, bwd):
@@ -47,109 +45,18 @@ def flow_weight(uncertainty, occluded):
     return np.where(occ, 0.0, 1.0 / (1.0 + u) ** 2)
 
 
-# ---------------------------------------------------------------------------
-# epipolar machinery
-
-
-def _homogenize(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] == 2:
-        return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-    return x
-
-
-def _sampson_terms(xl, xr, F):
-    """Numerators |x_l^T F x_r| and denominators sqrt(|F x_l|^2 + |F x_r|^2)."""
-    xl = _homogenize(xl)
-    xr = _homogenize(xr)
-    num = np.abs(np.einsum("ni,ij,nj->n", xl, F, xr))
-    Fl = xl @ F.T
-    Fr = xr @ F.T
-    return num, np.sqrt(np.einsum("ni,ni->n", Fl, Fl) + np.einsum("ni,ni->n", Fr, Fr))
-
-
-def sampson_error(x_l, x_r, F):
-    """Epipolar residual |x_l^T F x_r| / sqrt(|F x_l|^2 + |F x_r|^2) of one pair."""
-    num, denom = _sampson_terms(np.asarray(x_l, dtype=np.float64)[None],
-                                np.asarray(x_r, dtype=np.float64)[None],
-                                np.asarray(F, dtype=np.float64))
-    if not denom[0] > 1e-12:
-        raise ZeroDenominator("both epipolar-line norms vanish")
-    return float(num[0] / denom[0])
-
-
-def sampson_errors(xl, xr, F):
-    """Vectorized Sampson residuals; degenerate pairs score 0."""
-    num, denom = _sampson_terms(xl, xr, F)
-    return np.where(denom > 1e-12, num / np.maximum(denom, 1e-300), 0.0)
-
-
-def _hartley_normalization(pts):
-    centroid = np.mean(pts, axis=0)
-    d = np.mean(np.linalg.norm(pts - centroid, axis=1))
-    s = np.sqrt(2.0) / max(d, 1e-12)
-    T = np.array([[s, 0.0, -s * centroid[0]],
-                  [0.0, s, -s * centroid[1]],
-                  [0.0, 0.0, 1.0]])
-    return (pts - centroid) * s, T
-
-
-def _eight_point(xl, xr):
-    """Direct linear solve of x_l^T F x_r = 0; inputs are (n, 2) normalized."""
-    hl = _homogenize(xl)
-    hr = _homogenize(xr)
-    A = np.einsum("ni,nj->nij", hl, hr).reshape(-1, 9)
-    _, s, Vt = np.linalg.svd(A)
-    if s.shape[0] >= 2 and s[-2] < 1e-10 * max(s[0], 1.0):
-        return None  # nullspace dimension > 1: degenerate sample
-    return Vt[-1].reshape(3, 3)
-
-
-def estimate_fundamental(x_l, x_r, seed=0):
-    """LMedS fundamental matrix from pixel correspondences.
-
-    Draws LMEDS_TRIALS random eight-point minimal samples, scores each
-    candidate by the median Sampson error over (at most MAX_MATCHES
-    subsampled) correspondences, and returns the best candidate with rank 2
-    enforced and unit Frobenius norm.
-    """
-    xl = np.asarray(x_l, dtype=np.float64).reshape(-1, 2)
-    xr = np.asarray(x_r, dtype=np.float64).reshape(-1, 2)
-    n = xl.shape[0]
-    if n < 8 or xr.shape[0] != n:
-        raise InsufficientMatches(f"need >= 8 matches, got {n}")
-    rng = np.random.default_rng(seed)
-    if n > MAX_MATCHES:
-        pick = rng.choice(n, size=MAX_MATCHES, replace=False)
-        xl, xr = xl[pick], xr[pick]
-        n = MAX_MATCHES
-
-    nl, Tl = _hartley_normalization(xl)
-    nr, Tr = _hartley_normalization(xr)
-
-    best_F = None
-    best_score = np.inf
-    for _ in range(LMEDS_TRIALS):
-        sample = rng.choice(n, size=8, replace=False)
-        Fn = _eight_point(nl[sample], nr[sample])
-        if Fn is None:
-            continue
-        F = Tl.T @ Fn @ Tr
-        # rank-2 enforcement and scale fixing
-        U, s, Vt = np.linalg.svd(F)
-        s[-1] = 0.0
-        F = U @ np.diag(s) @ Vt
-        norm = np.linalg.norm(F)
-        if not np.isfinite(norm) or norm < 1e-12:
-            continue
-        F /= norm
-        score = float(np.median(sampson_errors(xl, xr, F)))
-        if score < best_score:
-            best_score = score
-            best_F = F
-    if best_F is None:
-        raise DegenerateConfiguration("all minimal samples were rank-deficient")
-    return best_F
+def static_world_flow(depth, cam, cam_next):
+    """Flow each pixel of ``cam``'s depth map would show toward ``cam_next`` if
+    its surface point stayed put, and where that is defined: a valid depth and
+    a point in front of ``cam_next``."""
+    depth = np.asarray(depth, dtype=np.float64)
+    pts = cam_next.world_to_camera(unproject_grid(finite_depth(depth, 0.0), cam))
+    valid = depth_validity(depth) & (pts[..., 2] > MIN_DEPTH)
+    pts = np.where(valid[..., None], pts, 1.0)  # any point in front; masked by ``valid``
+    H, W = depth.shape
+    grid = np.stack(np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64)),
+                    axis=-1)
+    return pinhole_project(pts, cam_next.intrinsics) - grid, valid
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +64,7 @@ def estimate_fundamental(x_l, x_r, seed=0):
 
 
 def frame_motion_score(weights, errors):
-    """Weighted mean Sampson error over one object's pixels in one frame."""
+    """Weighted mean flow residual over one object's pixels in one frame."""
     w = np.asarray(weights, dtype=np.float64)
     e = np.asarray(errors, dtype=np.float64)
     total = np.sum(w)
@@ -195,36 +102,31 @@ def compose_dynamic_masks(table: MotionScoreTable, id_maps):
     return [np.isin(ids, dyn) for ids in id_maps]
 
 
-def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps,
-                          eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None, seed=0):
+def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps, depths, cameras,
+                          eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None):
     """Run the full per-object motion-scoring pipeline.
 
     flows_fwd[t] maps frame t to t+1 (defined for t in [0, T-2]);
     flows_bwd[t] maps frame t to t-1 (defined for t in [1, T-1]);
-    uncertainties may be None (treated as zero). ``eps_dyn=None`` selects the
-    adaptive threshold max(object score) / 4.
+    uncertainties may be None (treated as zero). A pixel's error is the
+    distance in pixels between its forward flow and ``static_world_flow``;
+    ``eps_temp`` is in those pixels. ``eps_dyn=None`` selects the adaptive
+    threshold max(object score) / 4.
     """
+    eps_temp = require_number(eps_temp, "eps_temp", low=0.0)
+    if eps_dyn is not None:
+        eps_dyn = require_number(eps_dyn, "eps_dyn", low=0.0)
     T = len(id_maps)
     all_ids = sorted({int(v) for ids in id_maps for v in np.unique(ids)})
     per_frame = {i: np.zeros(max(T - 1, 0)) for i in all_ids}
 
     for t in range(T - 1):
         fwd = np.asarray(flows_fwd[t], dtype=np.float64)
-        bwd = np.asarray(flows_bwd[t + 1], dtype=np.float64)
-        H, W = fwd.shape[:2]
-        occ = occlusion_mask(fwd, bwd)
-        u = np.zeros((H, W)) if uncertainties is None or uncertainties[t] is None \
-            else np.asarray(uncertainties[t], dtype=np.float64)
-        w = flow_weight(u, occ)
-
-        gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-        pix = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-        corr = pix + fwd.reshape(-1, 2)
-        good = ~occ.reshape(-1)
-        if np.count_nonzero(good) < 8:
-            continue  # frame unusable; every object scores 0 here
-        F = estimate_fundamental(pix[good], corr[good], seed=seed + t)
-        errs = sampson_errors(pix, corr, F).reshape(H, W)
+        occ = occlusion_mask(fwd, flows_bwd[t + 1])
+        u = 0.0 if uncertainties is None or uncertainties[t] is None else uncertainties[t]
+        static, valid = static_world_flow(depths[t], cameras[t], cameras[t + 1])
+        w = np.where(valid, flow_weight(u, occ), 0.0)
+        errs = np.linalg.norm(fwd - static, axis=-1)
 
         ids_t = id_maps[t]
         for i in all_ids:
@@ -238,5 +140,5 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps,
         table.object_scores[i] = score
         table.motion_frames[i] = [int(f) for f in frames]
     scores = list(table.object_scores.values())
-    table.eps_dyn = (max(scores) / 4.0 if scores else 0.0) if eps_dyn is None else float(eps_dyn)
+    table.eps_dyn = (max(scores) / 4.0 if scores else 0.0) if eps_dyn is None else eps_dyn
     return table

@@ -17,18 +17,6 @@ class DegenerateRotation6D(DysplatError):
     """A 6D rotation vector cannot be orthonormalized (zero or parallel columns)."""
 
 
-class InsufficientMatches(ValidationError):
-    """Fewer point correspondences than the eight-point minimum."""
-
-
-class DegenerateConfiguration(DysplatError):
-    """Every robust-estimation trial produced a rank-deficient model."""
-
-
-class ZeroDenominator(DysplatError):
-    """Sampson residual undefined: both epipolar-line norms vanish."""
-
-
 class MismatchedForward(DysplatError):
     """Backward pass received buffers that do not match the forward pass."""
 

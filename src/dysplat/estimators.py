@@ -115,19 +115,19 @@ class SceneReconstructor(ParamMixin):
 class MotionMaskEstimator(ParamMixin):
     """Object-wise motion scorer with a fit/predict surface.
 
-    fit() aggregates per-object epipolar motion scores over the video;
+    fit() aggregates per-object motion scores over the video, each the
+    residual of the observed flow against the flow a static world would show;
     predict() unions the masks of objects above the dynamic threshold.
     """
 
-    def __init__(self, eps_temp=1e-4, eps_dyn=None, seed=0):
+    def __init__(self, eps_temp=1e-4, eps_dyn=None):
         self.eps_temp = eps_temp
         self.eps_dyn = eps_dyn
-        self.seed = seed
 
     def fit(self, dataset: SceneDataset):
         self.table_ = compute_motion_scores(
             dataset.flows_fwd, dataset.flows_bwd, dataset.uncertainties, dataset.object_ids,
-            eps_temp=self.eps_temp, eps_dyn=self.eps_dyn, seed=self.seed)
+            dataset.depths, dataset.cameras, eps_temp=self.eps_temp, eps_dyn=self.eps_dyn)
         self.object_scores_ = dict(self.table_.object_scores)
         self.eps_dyn_ = self.table_.eps_dyn
         return self

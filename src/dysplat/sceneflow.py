@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CameraFrame, unproject_grid, warp
+from .geometry import CameraFrame, bilinear_sample, unproject_grid, warp
 from .validation import check_same_hw
 
 DEPTH_MIN = 1e-4
@@ -29,10 +29,18 @@ def finite_depth(depth, fill):
     return np.where(np.isfinite(depth), depth, fill)
 
 
+def support_valid(depth, x, y):
+    """Points (x, y) whose whole bilinear support lies inside the image on
+    valid depth pixels; a depth sampled anywhere else is not trustworthy."""
+    support, inside = bilinear_sample(depth_validity(depth).astype(np.float64), x, y)
+    return inside & (support >= 1.0 - 1e-9)
+
+
 def _support_valid(depth_b, flow):
     """Warp targets whose whole bilinear support lies on valid depth_b pixels."""
-    support, inside = warp(depth_validity(depth_b).astype(np.float64), flow)
-    return inside & (support >= 1.0 - 1e-9)
+    H, W = depth_b.shape
+    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    return support_valid(depth_b, gx + flow[..., 0], gy + flow[..., 1])
 
 
 def forward_scene_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next):
@@ -46,7 +54,6 @@ def forward_scene_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next):
     pts_t = unproject_grid(finite_depth(depth_t, 0.0), cam_t)
     pts_next = unproject_grid(finite_depth(depth_next, 0.0), cam_next)
     warped, _ = warp(pts_next, flow_fwd)
-    # a warped sample is trustworthy only if its whole bilinear support is valid
     valid = _support_valid(depth_next, flow_fwd) & depth_validity(depth_t)
     v = warped - pts_t
     return np.where(valid[..., None], v, 0.0), valid

@@ -343,7 +343,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
         has = owners[t] >= 0
         g, z, px = owners[t][has], depths[t][has], pixels[has]
         # back-projected inline: unproject_grid rounds differently (~1e-14 px of flow),
-        # enough to move dynamic-transition's LMedS object scores 5-76% (masks held)
+        # which would change every generated dataset's bytes
         X = np.stack([(px[:, 0] - intr.cx) / intr.fx * z + cam_pos[t, 0],
                       (px[:, 1] - intr.cy) / intr.fy * z + cam_pos[t, 1],
                       z + cam_pos[t, 2]], axis=-1)

@@ -55,6 +55,7 @@ from .sceneflow import (
     finite_depth,
     forward_scene_flow,
     scene_flow_mask,
+    support_valid,
     warped_depth_consistency,
 )
 from .validation import require, require_int, require_number
@@ -300,13 +301,13 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     Gaussian per track anchored at its first visible frame."""
     T = len(cameras)
     H, W = depths[0].shape
-    # depth under every track point; 0 where its bilinear support leaves the
-    # image, NaN where that support holds a non-finite depth
+    # depth under every track point; 0 unless its whole bilinear support lies
+    # on valid depths, so a hole is never blended in
     track_depth = np.zeros(tracks.shape[:2])
     for t in range(T):
-        d, inside = bilinear_sample(finite_depth(depths[t], np.nan),
-                                    tracks[:, t, 0], tracks[:, t, 1])
-        track_depth[:, t] = np.where(inside, d, 0.0)
+        x, y = tracks[:, t, 0], tracks[:, t, 1]
+        d, _ = bilinear_sample(finite_depth(depths[t], 0.0), x, y)
+        track_depth[:, t] = np.where(support_valid(depths[t], x, y), d, 0.0)
     vis = tracks[:, :, 2] > 0.5
     # a track is a candidate if its first visible pixel lies in the dynamic mask
     cand = np.nonzero(np.count_nonzero(vis, axis=1) >= 2)[0]
@@ -360,6 +361,7 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     weights[rows, assign] = 1.0
     durations = np.maximum((t_lv - t_fv) / 2.0, 0.5)
     centers = (t_lv + t_fv) / 2.0
+    # the rounded pixel carries bilinear weight at t_fv, so its depth is valid
     xi, yi = np.rint(tracks[usable, t_fv, :2]).astype(np.int64).T
     fx = np.array([cam.intrinsics.fx for cam in cameras])[t_fv]
     scale = np.log(np.maximum(np.asarray(depths)[t_fv, yi, xi], 1e-3) / fx)
@@ -440,7 +442,7 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
         dyn = np.asarray(ds.dyn_masks, dtype=bool)
     else:
         table = compute_motion_scores(ds.flows_fwd, ds.flows_bwd, ds.uncertainties,
-                                      ds.object_ids, seed=config.seed)
+                                      ds.object_ids, ds.depths, ds.cameras)
         dyn = np.stack(compose_dynamic_masks(table, ds.object_ids))
 
     normals = np.zeros((T, H, W, 3))

@@ -126,7 +126,7 @@ class TestMasksCommand:
     def test_masks_outputs(self, scene_dir, tmp_path, capsys):
         code = main(["masks", "--dataset", str(scene_dir / "data"),
                      "--eps-temp", "1e-4", "--eps-dyn", "auto",
-                     "--seed", "0", "--out", str(tmp_path / "m")])
+                     "--out", str(tmp_path / "m")])
         assert code == 0
         report = json.loads((tmp_path / "m" / "scores.json").read_text())
         assert report["dynamic_ids"] == [1]
@@ -140,6 +140,20 @@ class TestMasksCommand:
 
     def test_bad_eps_dyn_exit_2(self, scene_dir, tmp_path):
         assert main(["masks", "--dataset", str(scene_dir / "data"), "--eps-dyn", "high",
+                     "--out", str(tmp_path / "m")]) == 2
+
+    @pytest.mark.parametrize("option", [
+        "--eps-temp=nan", "--eps-temp=inf", "--eps-temp=-1e-4",
+        "--eps-dyn=nan", "--eps-dyn=inf", "--eps-dyn=-1"])
+    def test_nonfinite_or_negative_threshold_exit_2(self, scene_dir, tmp_path, capsys, option):
+        assert main(["masks", "--dataset", str(scene_dir / "data"), option,
+                     "--out", str(tmp_path / "m")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "m").exists()
+
+    def test_seed_option_removed_exit_2(self, scene_dir, tmp_path):
+        # the motion scores draw no random samples, so there is nothing to seed
+        assert main(["masks", "--dataset", str(scene_dir / "data"), "--seed", "0",
                      "--out", str(tmp_path / "m")]) == 2
 
 

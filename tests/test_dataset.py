@@ -25,8 +25,7 @@ from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 
 
 def tiny_spec(seed=0, actor_motion=None, frames=6, camera=None):
-    # three background depth layers, each under half the pixels, so the robust
-    # epipolar fit cannot lock onto a single-plane degenerate solution
+    # three background depth layers, each under half the pixels
     actors = []
     if actor_motion is not None:
         actors.append(SlabSpec(center=(-0.4, 0.1, 4.0), size=(0.8, 0.8), grid=(6, 6),

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from dysplat.errors import InsufficientMatches, ZeroDenominator
 from dysplat.dynmask import (
     MotionScoreTable,
     compose_dynamic_masks,
     compute_motion_scores,
-    estimate_fundamental,
     flow_weight,
     frame_motion_score,
     object_motion_score,
     occlusion_mask,
-    sampson_error,
-    sampson_errors,
 )
+from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
+
+from conftest import PlaneMoverScene
+from test_acceptance import scene_two_peak
 
 
 class TestOcclusion:
@@ -56,95 +56,6 @@ class TestFlowWeight:
         w = flow_weight(u, np.zeros(50, dtype=bool))
         assert np.all(np.diff(w) < 0)
         assert np.all((w >= 0) & (w <= 1))
-
-
-class TestSampson:
-    F_ROT = np.array([[0.0, 0, 0], [0.0, 0, -1.0], [0.0, 1.0, 0]])
-
-    def test_epipolar_consistent(self):
-        e = sampson_error([0.0, 0.0, 1.0], [1.0, 0.0, 1.0], self.F_ROT)
-        assert e == 0.0
-
-    def test_hand_value(self):
-        e = sampson_error([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], self.F_ROT)
-        assert e == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            sampson_error([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], np.zeros((3, 3)))
-
-    def test_nonnegative_and_zero_iff_epipolar(self):
-        rng = np.random.default_rng(0)
-        F = rng.normal(size=(3, 3))
-        F /= np.linalg.norm(F)
-        xl = rng.uniform(-5, 5, size=(1000, 2))
-        xr = rng.uniform(-5, 5, size=(1000, 2))
-        errs = sampson_errors(xl, xr, F)
-        cons = np.abs(np.einsum("ni,ij,nj->n", np.concatenate([xl, np.ones((1000, 1))], 1), F,
-                                np.concatenate([xr, np.ones((1000, 1))], 1)))
-        assert np.all(errs >= 0)
-        assert np.all((errs <= 1e-10) == (cons <= 1e-10 * np.maximum(1.0, cons.max())))
-        # matches the one-pair formula, transcribed here, in both the batched and scalar forms
-        for k in range(5):
-            hl, hr = np.append(xl[k], 1.0), np.append(xr[k], 1.0)
-            nl, nr = np.linalg.norm(F @ hl), np.linalg.norm(F @ hr)
-            ref = abs(hl @ F @ hr) / np.sqrt(nl * nl + nr * nr)
-            assert errs[k] == pytest.approx(ref, abs=1e-14)
-            assert sampson_error(xl[k], xr[k], F) == pytest.approx(ref, abs=1e-14)
-
-
-def synthetic_two_view(seed, n=500, outliers=0.0):
-    """Project random 3D points into two translated+rotated views; return
-    pixel matches and the ground-truth fundamental matrix (x_l^T F x_r = 0)."""
-    rng = np.random.default_rng(seed)
-    K = np.array([[120.0, 0, 64.0], [0, 120.0, 48.0], [0, 0, 1.0]])
-    from dysplat.geometry import rot6d_to_matrix
-
-    R = rot6d_to_matrix(np.array([1.0, 0, 0, 0, 1.0, 0]) + 0.05 * rng.normal(size=6))
-    t = np.array([0.4, -0.1, 0.05])
-    pts = rng.uniform([-2, -2, 4], [2, 2, 10], size=(n, 3))
-    # left view: identity; right view: x_r = R x + t
-    xl_h = (K @ pts.T).T
-    xl = xl_h[:, :2] / xl_h[:, 2:3]
-    pr = (R @ pts.T).T + t
-    xr_h = (K @ pr.T).T
-    xr = xr_h[:, :2] / xr_h[:, 2:3]
-    # E maps such that x_r^T E x_l = 0 with E = [t]x R; spec convention wants
-    # x_l^T F x_r = 0, so pass the transpose
-    tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0]])
-    E = tx @ R
-    F_rl = np.linalg.inv(K).T @ E @ np.linalg.inv(K)
-    F = F_rl.T
-    F /= np.linalg.norm(F)
-    n_out = int(outliers * n)
-    if n_out:
-        xr[:n_out] += rng.uniform(5, 40, size=(n_out, 2)) * rng.choice([-1, 1], size=(n_out, 2))
-    return xl, xr, F
-
-
-class TestEstimateFundamental:
-    def test_noiseless_recovery(self):
-        xl, xr, F_true = synthetic_two_view(1)
-        assert float(np.median(sampson_errors(xl, xr, F_true))) <= 1e-8
-        F = estimate_fundamental(xl, xr, seed=3)
-        med = float(np.median(sampson_errors(xl, xr, F)))
-        assert med <= 1e-8
-
-    def test_too_few_matches(self):
-        with pytest.raises(InsufficientMatches):
-            estimate_fundamental(np.zeros((7, 2)), np.zeros((7, 2)))
-
-    def test_outlier_robustness(self):
-        xl, xr, _ = synthetic_two_view(2, n=600, outliers=0.3)
-        F = estimate_fundamental(xl, xr, seed=5)
-        inlier_errs = sampson_errors(xl[180:], xr[180:], F)
-        assert float(np.median(inlier_errs)) <= 1e-6
-
-    def test_deterministic(self):
-        xl, xr, _ = synthetic_two_view(3)
-        F1 = estimate_fundamental(xl, xr, seed=9)
-        F2 = estimate_fundamental(xl, xr, seed=9)
-        assert np.array_equal(F1, F2)
 
 
 class TestScores:
@@ -209,23 +120,61 @@ class TestComposeMasks:
             assert not np.any(lo & ~hi)
 
 
-from conftest import PlaneMoverScene
+def scene_scores(ds, flow_nudge=0.0):
+    return compute_motion_scores(ds.flows_fwd + flow_nudge, ds.flows_bwd, ds.uncertainties,
+                                 ds.object_ids, ds.depths, ds.cameras)
+
+
+class ParallelMoverScene(PlaneMoverScene):
+    """The mover travels along the camera's own translation, so every one of
+    its points stays on its epipolar line."""
+
+    U = 0.5 * PlaneMoverScene.CAMS[1]
 
 
 class TestPipeline:
     def test_background_vs_mover_scores(self):
-        scene = PlaneMoverScene()
+        self._assert_only_the_mover_dynamic(PlaneMoverScene())
+
+    def test_mover_parallel_to_the_camera_is_dynamic(self):
+        self._assert_only_the_mover_dynamic(ParallelMoverScene())
+
+    def _assert_only_the_mover_dynamic(self, scene):
         fwd, ids0 = scene.flow(0, 1)
         bwd, ids1 = scene.flow(1, 0)
+        ids = [ids0, ids1]
         table = compute_motion_scores(
-            flows_fwd=[fwd], flows_bwd=[None, bwd], uncertainties=None,
-            id_maps=[ids0, ids1], seed=0)
+            flows_fwd=[fwd], flows_bwd=[None, bwd], uncertainties=None, id_maps=ids,
+            depths=[scene.surfaces(scene.CAMS[f], f)[1] for f in (0, 1)],
+            cameras=[scene.camera(0), scene.camera(1)])
         s_bg = max(table.object_scores[0], table.object_scores[1])
         s_mover = table.object_scores[2]
         assert s_bg <= 1e-6
         assert s_mover >= 100.0 * max(s_bg, 1e-9)
         # adaptive threshold selects exactly the mover
         assert table.dynamic_ids() == [2]
-        masks = compose_dynamic_masks(table, [ids0, ids1])
-        assert np.array_equal(masks[0], ids0 == 2)
-        assert np.array_equal(masks[1], ids1 == 2)
+        masks = compose_dynamic_masks(table, ids)
+        assert np.array_equal(masks[0], ids[0] == 2)
+        assert np.array_equal(masks[1], ids[1] == 2)
+
+    def test_mover_over_a_single_plane(self):
+        # a planar background leaves a fundamental matrix undetermined; the
+        # flow a static world would show does not depend on one
+        ds = generate_synthetic(SyntheticSceneSpec(
+            width=24, height=24, n_frames=4,
+            background=[SlabSpec(center=(0.0, 0.0, 7.0), size=(7.0, 7.0), grid=(12, 12))],
+            actors=[SlabSpec(center=(0.0, 0.0, 4.5), size=(1.0, 1.0), grid=(5, 5),
+                             motion={"kind": "linear", "velocity": [0.0, 0.03, 0.0]})],
+            camera={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, seed=1))
+        table = scene_scores(ds)
+        assert table.object_scores[1] > 0.0 and table.object_scores[0] == 0.0
+        assert table.dynamic_ids() == ds.gt_dynamic_ids == [1]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scores_stable_under_a_last_bit_flow_nudge(self, seed):
+        ds = generate_synthetic(scene_two_peak(seed=seed))
+        exact, nudged = scene_scores(ds), scene_scores(ds, flow_nudge=1e-13)
+        for i, score in exact.object_scores.items():
+            assert abs(nudged.object_scores[i] - score) <= 1e-9 * score
+        assert nudged.motion_frames == exact.motion_frames
+        assert exact.dynamic_ids() == [1, 2]

@@ -81,7 +81,7 @@ class TestMotionMaskEstimator:
     def test_fit_predict(self):
         ds = generate_synthetic(tiny_spec(
             actor_motion={"kind": "linear", "velocity": [0.04, 0.01, 0.0]}, frames=5))
-        est = MotionMaskEstimator(seed=0)
+        est = MotionMaskEstimator()
         masks = est.fit_predict(ds)
         assert len(masks) == ds.n_frames
         assert est.object_scores_[1] > 100 * max(est.object_scores_[0], 1e-12)
