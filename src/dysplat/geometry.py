@@ -57,23 +57,9 @@ class SE3Transform:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity():
-        return SE3Transform(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
-
-    def compose(self, other):
-        """self ∘ other: apply ``other`` first."""
-        return SE3Transform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self):
-        return SE3Transform(self.rotation.T, -self.rotation.T @ self.translation)
 
 
 @dataclass(frozen=True)
@@ -85,14 +71,6 @@ class CameraExtrinsics(SE3Transform):
 class CameraFrame:
     intrinsics: CameraIntrinsics
     extrinsics: CameraExtrinsics
-
-    @property
-    def width(self):
-        return self.intrinsics.width
-
-    @property
-    def height(self):
-        return self.intrinsics.height
 
     def world_to_camera(self, points):
         """Map (..., 3) world points into the camera frame."""
@@ -156,15 +134,6 @@ def _backproject(pixels, depth, intr: CameraIntrinsics):
     x = (pixels[..., 0] - intr.cx) * depth / intr.fx
     y = (pixels[..., 1] - intr.cy) * depth / intr.fy
     return np.stack([x, y, depth], axis=-1)
-
-
-def project(point, cam: CameraFrame):
-    """Project one world point; returns (pixel (2,), depth)."""
-    p_cam = cam.world_to_camera(point)
-    z = float(p_cam[2])
-    if z <= MIN_DEPTH:
-        raise NonPositiveDepth(f"camera-frame depth {z} <= {MIN_DEPTH}")
-    return pinhole_project(p_cam, cam.intrinsics), z
 
 
 def unproject(pixels, depth, cam: CameraFrame):
@@ -303,19 +272,6 @@ def matrix_to_rot6d(R):
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
-def interpolate_se3(Ta: SE3Transform, Tb: SE3Transform, s):
-    """Blend two rigid transforms: lerp the 6D rotation and the translation."""
-    require(0.0 <= s <= 1.0, f"interpolation parameter {s} outside [0, 1]")
-    if s == 0.0:
-        return Ta
-    if s == 1.0:
-        return Tb
-    a6 = (1.0 - s) * matrix_to_rot6d(Ta.rotation) + s * matrix_to_rot6d(Tb.rotation)
-    R = rot6d_to_matrix(a6)
-    t = (1.0 - s) * Ta.translation + s * Tb.translation
-    return SE3Transform(R, t)
-
-
 # ---------------------------------------------------------------------------
 # quaternions
 
@@ -397,17 +353,6 @@ def pinhole_jacobian(means_cam, fx, fy):
         zero, fy / z, -fy * y / (z * z),
     ], axis=-1)
     return J.reshape(m.shape[:-1] + (2, 3))
-
-
-def ewa_project_covariance(cov3, cam: CameraFrame, mean_cam):
-    """Project one 3x3 world covariance to a dilated 2x2 screen covariance."""
-    mean_cam = np.asarray(mean_cam, dtype=np.float64)
-    if mean_cam[2] <= MIN_DEPTH:
-        raise NonPositiveDepth(f"camera-frame depth {mean_cam[2]} <= {MIN_DEPTH}")
-    i = cam.intrinsics
-    cov2, _ = ewa_project_covariance_batch(np.asarray(cov3, dtype=np.float64)[None],
-                                           cam.extrinsics.rotation, mean_cam[None], i.fx, i.fy)
-    return cov2[0]
 
 
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):

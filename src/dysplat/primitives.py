@@ -217,12 +217,8 @@ def covariance_backward(grad_cov, R, log_scales):
     return gM * s[:, None, :], np.einsum("nik,nik->nk", gM, R) * s
 
 
-def gated_opacity(opacity, sharpness, duration, center, t):
-    """Soft temporal window: opacity * sigmoid(sharpness * (duration - |t - center|))."""
-    return np.asarray(opacity) * gate_value(sharpness, duration, center, t)
-
-
 def gate_value(sharpness, duration, center, t):
+    """Soft temporal window sigmoid(sharpness * (duration - |t - center|)); it scales opacity."""
     return sigmoid(sharpness * (np.asarray(duration) - np.abs(t - np.asarray(center))))
 
 
@@ -274,12 +270,6 @@ def blend_backward(ctx: BlendContext, weights, bases: MotionBases,
         out_weights += grad_A_tr @ bases.trans[:, ctx.t].T
         out_trans[:, ctx.t] += weights.T @ grad_A_tr
     return out_weights
-
-
-def rigid_pose_at(rigids: RigidGaussians, bases: MotionBases, t):
-    """World (means (N,3), rotations (N,3,3)) of all rigid Gaussians at frame t."""
-    ctx = blend_bases(rigids.weights, bases, t)
-    return rigid_means_at(rigids, ctx), rigid_rotations_at(ctx, quat_to_matrix(rigids.quats))
 
 
 def rigid_means_at(rigids: RigidGaussians, ctx: BlendContext):

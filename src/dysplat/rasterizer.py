@@ -281,18 +281,14 @@ def _tile_center(y0, y1, x0, x1):
     return 0.5 * (x0 + x1 - 1), 0.5 * (y0 + y1 - 1)
 
 
-def _monomials(bounds):
-    """(6, P) pixel monomials [u^2, uv, v^2, u, v, 1] about the tile center.
+@lru_cache(maxsize=16)
+def _monomials(h, w):
+    """(6, P) pixel monomials [u^2, uv, v^2, u, v, 1] about the center of an
+    h x w tile.
 
     The centered offsets are exact integers or half-integers that depend only
     on the tile's shape, so each shape is computed once (read-only).
     """
-    y0, y1, x0, x1 = bounds
-    return _monomials_of_shape(y1 - y0, x1 - x0)
-
-
-@lru_cache(maxsize=16)
-def _monomials_of_shape(h, w):
     cx, cy = _tile_center(0, h, 0, w)
     u, v = np.meshgrid(np.arange(w) - cx, np.arange(h) - cy)
     u, v = u.ravel(), v.ravel()
@@ -337,12 +333,18 @@ def _transmittance(alpha, out):
     return out
 
 
-def _weights(view: _OrderedView, local, bounds, ws: _Workspace):
-    """Compositing weights alpha * T (n, P) of the selected splats over one tile."""
-    M = _monomials(bounds)
+def _tile_weights(view: _OrderedView, local, bounds, ws: _Workspace, w_slot):
+    """The tile math both passes share: (M, alpha, T, w) of the selected splats
+    over one tile. M is the tile's monomials; alpha, the transmittance T and
+    the compositing weights w = alpha * T are (n, P) views into ws slots 0, 1
+    and ``w_slot``. The forward passes slot 0, so w overwrites alpha; the
+    backward passes 2 and keeps alpha."""
+    y0, y1, x0, x1 = bounds
+    M = _monomials(y1 - y0, x1 - x0)
     n, P = local.size, M.shape[1]
     alpha = _alphas(view, local, bounds, M, ws.take(0, n, P))
-    return np.multiply(alpha, _transmittance(alpha, ws.take(1, n, P)), out=alpha)
+    T = _transmittance(alpha, ws.take(1, n, P))
+    return M, alpha, T, np.multiply(alpha, T, out=ws.take(w_slot, n, P))
 
 
 def _tile_ranges(width, height):
@@ -398,7 +400,7 @@ def _composite(batch: SplatBatch, owner=False):
 
     def run_tile(bounds, local, ws):
         y0, y1, x0, x1 = bounds
-        w = _weights(view, local, bounds, ws)
+        w = _tile_weights(view, local, bounds, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
         channels[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS,))
         alpha_out[y0:y1, x0:x1] = np.sum(w, axis=0).reshape(shape)
@@ -494,11 +496,8 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
 
     def run_tile(bounds, local, ws):
         y0, y1, x0, x1 = bounds
-        M = _monomials(bounds)
-        n_loc, P = local.size, M.shape[1]
-        alpha = _alphas(view, local, bounds, M, ws.take(0, n_loc, P))
-        T = _transmittance(alpha, ws.take(1, n_loc, P))
-        w = np.multiply(alpha, T, out=ws.take(2, n_loc, P))
+        M, alpha, T, w = _tile_weights(view, local, bounds, ws, w_slot=2)
+        n_loc, P = w.shape
 
         g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS)
         # order[local] holds each splat once per tile, so indexed += accumulates

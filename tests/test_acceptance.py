@@ -17,10 +17,9 @@ from dysplat.dynmask import (
 )
 from dysplat.evaluation import evaluate, mask_iou
 from dysplat.geometry import (
-    SE3Transform,
-    ewa_project_covariance,
-    interpolate_se3,
-    project,
+    ewa_project_covariance_batch,
+    matrix_to_rot6d,
+    pinhole_project,
     rot6d_to_matrix,
     unproject,
 )
@@ -40,9 +39,10 @@ from dysplat.primitives import (
     RigidGaussians,
     StaticGaussians,
     TransientGaussians,
-    gated_opacity,
+    blend_bases,
+    gate_value,
     parameter_tree,
-    rigid_pose_at,
+    rigid_means_at,
     transient_position_at,
     transition_rigid_to_transient,
     zeros_like_tree,
@@ -224,12 +224,11 @@ def test_criterion_3_property_suites():
     R = rot6d_to_matrix(rng.normal(size=6))
     cam = make_cam(fx=111.0, fy=93.0, cx=40.0, cy=55.0, rotation=R,
                    translation=rng.normal(size=3))
-    worst = 0.0
-    for _ in range(1000):
-        pix = rng.uniform(0, 99, size=2)
-        d = rng.uniform(1e-5, 40.0)
-        p2, d2 = project(unproject(pix, d, cam), cam)
-        worst = max(worst, float(np.max(np.abs(p2 - pix))), abs(d2 - d))
+    pix = rng.uniform(0, 99, size=(1000, 2))
+    d = rng.uniform(1e-5, 40.0, size=1000)
+    p_cam = cam.world_to_camera(unproject(pix, d, cam))
+    worst = max(np.max(np.abs(pinhole_project(p_cam, cam.intrinsics) - pix)),
+                np.max(np.abs(p_cam[:, 2] - d)))
     if worst > 1e-9:
         failures.append(f"project/unproject round trip {worst:.2e}")
 
@@ -240,31 +239,33 @@ def test_criterion_3_property_suites():
             failures.append(f"rot6d not orthonormal at seed {200 + k}")
             break
 
-    # geometry: interpolation endpoints exact, translations linear
+    # geometry: SE(3) interpolation, the basis blend with weights (1 - s, s):
+    # endpoints reproduce the bases, translations are linear
     rng = np.random.default_rng(300)
     for _ in range(1000):
-        Ta = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
-        Tb = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
-        if interpolate_se3(Ta, Tb, 0.0) is not Ta or interpolate_se3(Ta, Tb, 1.0) is not Tb:
-            failures.append("interpolate_se3 endpoints not exact")
-            break
+        R = rot6d_to_matrix(rng.normal(size=(2, 6)))
+        bases = MotionBases(matrix_to_rot6d(R)[:, None], rng.normal(size=(2, 1, 3)))
         s = rng.uniform(0, 1)
-        tm = interpolate_se3(Ta, Tb, s).translation
-        if np.max(np.abs(tm - ((1 - s) * Ta.translation + s * Tb.translation))) > 1e-15:
+        ctx = blend_bases(np.array([[1.0, 0.0], [0.0, 1.0], [1.0 - s, s]]), bases, 0)
+        tr = bases.trans[:, 0]
+        if not np.array_equal(ctx.A_tr[:2], tr) or np.max(np.abs(ctx.A_rot[:2] - R)) > 1e-12:
+            failures.append("interpolation endpoints do not reproduce the bases")
+            break
+        if np.max(np.abs(ctx.A_tr[2] - ((1 - s) * tr[0] + s * tr[1]))) > 1e-15:
             failures.append("translation interpolation not linear")
             break
 
     # geometry: EWA output symmetric positive definite with the dilation floor
     rng = np.random.default_rng(400)
     cam_e = make_cam()
-    for _ in range(1000):
-        A = rng.normal(size=(3, 3))
-        cov = (A @ A.T) * rng.uniform(1e-4, 1.0)
-        out = ewa_project_covariance(cov, cam_e, [rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                                  rng.uniform(0.2, 8.0)])
-        if np.min(np.linalg.eigvalsh(out)) < 0.3 - 1e-12 or not np.allclose(out, out.T):
-            failures.append("EWA covariance not SPD with dilation floor")
-            break
+    A = rng.normal(size=(1000, 3, 3))
+    covs = (A @ np.swapaxes(A, -1, -2)) * rng.uniform(1e-4, 1.0, size=(1000, 1, 1))
+    means_cam = rng.uniform([-1, -1, 0.2], [1, 1, 8.0], size=(1000, 3))
+    out, _ = ewa_project_covariance_batch(covs, cam_e.extrinsics.rotation, means_cam,
+                                          cam_e.intrinsics.fx, cam_e.intrinsics.fy)
+    if np.min(np.linalg.eigvalsh(out)) < 0.3 - 1e-12 \
+            or not np.allclose(out, np.swapaxes(out, -1, -2)):
+        failures.append("EWA covariance not SPD with dilation floor")
 
     # primitives: gate half-value at the window edge, exact symmetry, monotone
     rng = np.random.default_rng(500)
@@ -272,14 +273,14 @@ def test_criterion_3_property_suites():
         dur = rng.uniform(0.05, 30.0)
         cen = rng.uniform(-20.0, 50.0)
         o = rng.uniform(0.01, 1.0)
-        if abs(gated_opacity(o, 3.0, dur, cen, cen + dur) - o / 2) > 1e-12:
+        if abs(o * gate_value(3.0, dur, cen, cen + dur) - o / 2) > 1e-12:
             failures.append("gate not o/2 at center+duration")
             break
-        if abs(gated_opacity(o, 3.0, dur, cen, cen - dur) - o / 2) > 1e-12:
+        if abs(o * gate_value(3.0, dur, cen, cen - dur) - o / 2) > 1e-12:
             failures.append("gate not o/2 at center-duration")
             break
         d1, d2 = sorted(rng.uniform(0, 40, size=2))
-        if gated_opacity(o, 3.0, dur, cen, cen + d2) > gated_opacity(o, 3.0, dur, cen, cen + d1):
+        if o * gate_value(3.0, dur, cen, cen + d2) > o * gate_value(3.0, dur, cen, cen + d1):
             failures.append("gate not nonincreasing in |t-center|")
             break
 
@@ -293,7 +294,7 @@ def test_criterion_3_property_suites():
                              weights=np.ones((1, 1)), durations=np.array([3.0]),
                              centers=np.array([1.0]))
         bases = MotionBases.identity(1, 4)
-        m, _ = rigid_pose_at(rig, bases, int(rng.integers(0, 4)))
+        m = rigid_means_at(rig, blend_bases(rig.weights, bases, int(rng.integers(0, 4))))
         if np.max(np.abs(m - rig.means)) > 1e-12:
             failures.append("identity bases moved a rigid Gaussian")
             break
@@ -379,9 +380,10 @@ def test_criterion_3_property_suites():
             X = unproject(np.array([x, y], dtype=np.float64), depth[y, x], cam_a)
             if cam_b.world_to_camera(X + delta[y, x])[2] < 0.1:
                 continue  # the moved point left the view
-            moved = project(X + delta[y, x], cam_b)[0]
+            moved, still = pinhole_project(cam_b.world_to_camera([X + delta[y, x], X]),
+                                           cam_b.intrinsics)
             resid = np.linalg.norm(moved - np.array([x, y]) - static[y, x])
-            if abs(resid - np.linalg.norm(moved - project(X, cam_b)[0])) > 1e-9:
+            if abs(resid - np.linalg.norm(moved - still)) > 1e-9:
                 moved_bad += 1
     if moved_bad:
         failures.append(f"residual != moved point's displacement {moved_bad} times")

@@ -11,12 +11,10 @@ from dysplat.geometry import (
     SE3Transform,
     bilinear_sample,
     ewa_backward,
-    ewa_project_covariance,
     ewa_project_covariance_batch,
-    interpolate_se3,
     matrix_to_quat,
     matrix_to_rot6d,
-    project,
+    pinhole_project,
     projection_backward,
     quat_to_matrix,
     quat_vjp,
@@ -27,7 +25,7 @@ from dysplat.geometry import (
     warp,
 )
 
-from dysplat.primitives import GaussianSet, StaticGaussians
+from dysplat.primitives import GaussianSet, MotionBases, StaticGaussians, blend_bases
 from dysplat.rasterizer import prepare_splats
 
 from conftest import central_diff, make_cam
@@ -36,6 +34,12 @@ from conftest import central_diff, make_cam
 def rot_z(deg):
     a = np.deg2rad(deg)
     return np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+
+
+def project(points, cam):
+    """Pixels (..., 2) and depths (...) of world points (..., 3) on the batched path."""
+    p = cam.world_to_camera(points)
+    return pinhole_project(p, cam.intrinsics), p[..., 2]
 
 
 class TestProject:
@@ -49,10 +53,6 @@ class TestProject:
         assert np.allclose(pix, [100.0, 50.0])
         assert z == 2.0
 
-    def test_behind_camera(self, simple_cam):
-        with pytest.raises(NonPositiveDepth):
-            project([0.0, 0.0, -1.0], simple_cam)
-
     def test_unproject_examples(self, simple_cam):
         assert np.allclose(unproject([50.0, 50.0], 1.0, simple_cam), [0.0, 0.0, 1.0])
         assert np.allclose(unproject([100.0, 50.0], 2.0, simple_cam), [1.0, 0.0, 2.0])
@@ -65,14 +65,10 @@ class TestProject:
         R = rot6d_to_matrix(rng.normal(size=6))
         cam = make_cam(fx=123.0, fy=87.0, cx=40.0, cy=60.0, rotation=R,
                        translation=rng.normal(size=3))
-        worst = 0.0
-        for _ in range(1000):
-            pix = rng.uniform(0, 99, size=2)
-            depth = rng.uniform(1e-3, 50.0)
-            point = unproject(pix, depth, cam)
-            pix2, d2 = project(point, cam)
-            worst = max(worst, np.max(np.abs(pix2 - pix)), abs(d2 - depth))
-        assert worst <= 1e-9
+        pix = rng.uniform(0, 99, size=(1000, 2))
+        depth = rng.uniform(1e-3, 50.0, size=1000)
+        pix2, d2 = project(unproject(pix, depth, cam), cam)
+        assert max(np.max(np.abs(pix2 - pix)), np.max(np.abs(d2 - depth))) <= 1e-9
 
     def test_batched_matches_scalar(self):
         # oracle: the one-point pinhole formula, transcribed here
@@ -92,8 +88,6 @@ class TestProject:
         for k, pix, z in zip(batch.row, batch.mean2d, batch.depth):
             p, d = pinhole(pts[k], cam)
             assert np.allclose(pix, p) and np.isclose(z, d)
-            p1, d1 = project(pts[k], cam)
-            assert np.allclose(p1, p) and np.isclose(d1, d)
 
     def test_unproject_batched(self):
         rng = np.random.default_rng(3)
@@ -112,8 +106,9 @@ class TestProject:
         depth = np.full((4, 6), 2.5)
         pts = unproject_grid(depth, simple_cam)
         assert pts.shape == (4, 6, 3)
-        pix, z = project(pts[2, 3], simple_cam)
-        assert np.allclose(pix, [3.0, 2.0]) and np.isclose(z, 2.5)
+        pix, z = project(pts, simple_cam)
+        gx, gy = np.meshgrid(np.arange(6.0), np.arange(4.0))
+        assert np.allclose(pix, np.stack([gx, gy], axis=-1)) and np.allclose(z, 2.5)
 
 
 class TestWarp:
@@ -269,73 +264,82 @@ class TestQuat:
             assert np.allclose(an, fd, rtol=1e-5, atol=1e-7)
 
 
+def interpolate(Ta, Tb, s):
+    """(rotation, translation) of the basis blend with weights (1 - s, s) over
+    the two rigid transforms: a lerp of their 6D columns and translations."""
+    bases = MotionBases(np.stack([matrix_to_rot6d(T.rotation) for T in (Ta, Tb)])[:, None],
+                        np.stack([T.translation for T in (Ta, Tb)])[:, None])
+    ctx = blend_bases(np.array([[1.0 - s, s]]), bases, 0)
+    return ctx.A_rot[0], ctx.A_tr[0]
+
+
 class TestInterpolateSE3:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(6)
         Ta = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
         Tb = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
-        assert interpolate_se3(Ta, Tb, 0.0) is Ta
-        assert interpolate_se3(Ta, Tb, 1.0) is Tb
+        for s, T in ((0.0, Ta), (1.0, Tb)):
+            R, t = interpolate(Ta, Tb, s)
+            assert np.array_equal(t, T.translation)
+            assert np.allclose(R, T.rotation, rtol=0.0, atol=1e-12)
 
     def test_translation_midpoint(self):
         Ta = SE3Transform(np.eye(3), np.zeros(3))
         Tb = SE3Transform(np.eye(3), np.array([2.0, 0, 0]))
-        Tm = interpolate_se3(Ta, Tb, 0.5)
-        assert np.allclose(Tm.translation, [1.0, 0, 0])
-        assert np.allclose(Tm.rotation, np.eye(3))
+        R, t = interpolate(Ta, Tb, 0.5)
+        assert np.allclose(t, [1.0, 0, 0])
+        assert np.allclose(R, np.eye(3))
 
     def test_planar_bisection(self):
         # symmetric 6D blend of two z-rotations bisects the angle
         Ta = SE3Transform(rot_z(0.0), np.zeros(3))
         Tb = SE3Transform(rot_z(90.0), np.zeros(3))
-        Tm = interpolate_se3(Ta, Tb, 0.5)
-        assert np.allclose(Tm.rotation, rot_z(45.0), atol=1e-9)
+        R, _ = interpolate(Ta, Tb, 0.5)
+        assert np.allclose(R, rot_z(45.0), atol=1e-9)
 
-    def test_out_of_range(self):
-        T = SE3Transform.identity()
-        with pytest.raises(ValidationError):
-            interpolate_se3(T, T, 1.5)
+
+def ewa(covs3, cam, means_cam):
+    """Dilated screen covariances (N, 2, 2) of world covariances (N, 3, 3) at camera points."""
+    i = cam.intrinsics
+    cov2, _ = ewa_project_covariance_batch(np.asarray(covs3, dtype=np.float64),
+                                           cam.extrinsics.rotation,
+                                           np.asarray(means_cam, dtype=np.float64), i.fx, i.fy)
+    return cov2
 
 
 class TestEWA:
     def test_on_axis_isotropic(self, simple_cam):
         sigma2 = 0.16
-        for z in (1.0, 2.0, 5.0):
-            out = ewa_project_covariance(sigma2 * np.eye(3), simple_cam, [0.0, 0.0, z])
-            expect = (100.0**2 * sigma2 / z**2) * np.eye(2) + 0.3 * np.eye(2)
-            assert np.allclose(out, expect)
+        z = np.array([1.0, 2.0, 5.0])
+        out = ewa(np.tile(sigma2 * np.eye(3), (3, 1, 1)), simple_cam,
+                  np.stack([0.0 * z, 0.0 * z, z], axis=1))
+        expect = (100.0**2 * sigma2 / z**2)[:, None, None] * np.eye(2) + 0.3 * np.eye(2)
+        assert np.allclose(out, expect)
 
     def test_zero_cov_dilation_floor(self, simple_cam):
-        out = ewa_project_covariance(np.zeros((3, 3)), simple_cam, [0.0, 0.0, 1.0])
+        out = ewa(np.zeros((1, 3, 3)), simple_cam, [[0.0, 0.0, 1.0]])
         assert np.allclose(out, 0.3 * np.eye(2))
 
     def test_depth_doubling_quarters(self, simple_cam):
         sigma2 = 0.25
-        a = ewa_project_covariance(sigma2 * np.eye(3), simple_cam, [0.0, 0.0, 1.0]) - 0.3 * np.eye(2)
-        b = ewa_project_covariance(sigma2 * np.eye(3), simple_cam, [0.0, 0.0, 2.0]) - 0.3 * np.eye(2)
+        a, b = ewa(np.tile(sigma2 * np.eye(3), (2, 1, 1)), simple_cam,
+                   [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]) - 0.3 * np.eye(2)
         assert np.allclose(b, a / 4.0)
-
-    def test_behind_camera(self, simple_cam):
-        with pytest.raises(NonPositiveDepth):
-            ewa_project_covariance(np.eye(3), simple_cam, [0.0, 0.0, -1.0])
 
     def test_output_positive_definite(self):
         rng = np.random.default_rng(7)
         R = rot6d_to_matrix(rng.normal(size=6))
         cam = make_cam(rotation=R, translation=rng.normal(size=3) * 0.1)
-        for _ in range(200):
-            A = rng.normal(size=(3, 3))
-            cov = A @ A.T * rng.uniform(0.001, 1.0)
-            mean_cam = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 10)])
-            mean_world = cam.camera_to_world(mean_cam)
-            out = ewa_project_covariance(cov, cam, cam.world_to_camera(mean_world))
-            evals = np.linalg.eigvalsh(out)
-            assert np.all(evals >= 0.3 - 1e-12)
-            assert np.allclose(out, out.T)
+        A = rng.normal(size=(200, 3, 3))
+        covs = A @ np.swapaxes(A, -1, -2) * rng.uniform(0.001, 1.0, size=(200, 1, 1))
+        means_cam = rng.uniform([-1, -1, 0.2], [1, 1, 10], size=(200, 3))
+        out = ewa(covs, cam, cam.world_to_camera(cam.camera_to_world(means_cam)))
+        assert np.all(np.linalg.eigvalsh(out) >= 0.3 - 1e-12)
+        assert np.allclose(out, np.swapaxes(out, -1, -2))
 
     def test_batch_matches_scalar(self):
         # oracle: the one-point EWA formula P cov3 P^T + dilation, P = J R, transcribed here
-        def ewa(cov3, R, m, fx, fy):
+        def one_point(cov3, R, m, fx, fy):
             x, y, z = m
             J = np.array([[fx / z, 0.0, -fx * x / (z * z)], [0.0, fy / z, -fy * y / (z * z)]])
             P = J @ R
@@ -343,14 +347,12 @@ class TestEWA:
 
         rng = np.random.default_rng(8)
         R = rot6d_to_matrix(rng.normal(size=6))
-        cam = make_cam(fx=90.0, fy=110.0, rotation=R)
         covs = np.array([a @ a.T for a in rng.normal(size=(5, 3, 3))])
         means = rng.uniform([-1, -1, 1], [1, 1, 5], size=(5, 3))
         out, _ = ewa_project_covariance_batch(covs, R, means, 90.0, 110.0)
         for k in range(5):
-            ref = ewa(covs[k], R, means[k], 90.0, 110.0)
+            ref = one_point(covs[k], R, means[k], 90.0, 110.0)
             assert np.allclose(out[k], ref)
-            assert np.allclose(ewa_project_covariance(covs[k], cam, means[k]), ref)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -392,14 +394,6 @@ class TestEWA:
 
 
 class TestSE3Type:
-    def test_compose_apply_inverse(self):
-        rng = np.random.default_rng(11)
-        A = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
-        B = SE3Transform(rot6d_to_matrix(rng.normal(size=6)), rng.normal(size=3))
-        p = rng.normal(size=3)
-        assert np.allclose(A.compose(B).apply(p), A.apply(B.apply(p)))
-        assert np.allclose(A.compose(A.inverse()).apply(p), p)
-
     def test_rejects_non_rotation(self):
         with pytest.raises(ValidationError):
             SE3Transform(np.eye(3) * 2.0, np.zeros(3))

@@ -22,9 +22,9 @@ from dysplat.primitives import (
     covariance,
     covariance_backward,
     gate_value,
-    gated_opacity,
     load_checkpoint,
-    rigid_pose_at,
+    rigid_means_at,
+    rigid_rotations_at,
     save_checkpoint,
     sigmoid,
     transient_position_at,
@@ -47,6 +47,12 @@ def make_rigid(means, weights, durations=None, centers=None, quats=None):
         durations=np.full(n, 10.0) if durations is None else np.asarray(durations, float),
         centers=np.full(n, 0.0) if centers is None else np.asarray(centers, float),
     )
+
+
+def pose_at(rig, bases, t):
+    """World (means, rotations) of the rigids at frame t, as prepare_splats evaluates them."""
+    ctx = blend_bases(rig.weights, bases, t)
+    return rigid_means_at(rig, ctx), rigid_rotations_at(ctx, quat_to_matrix(rig.quats))
 
 
 def covariance_of(log_scales, quats):
@@ -127,14 +133,14 @@ class TestCovariance:
 
 class TestGating:
     def test_boundary_half(self):
-        assert gated_opacity(1.0, 3.0, 2.0, 10.0, 12.0) == pytest.approx(0.5, abs=1e-15)
+        assert gate_value(3.0, 2.0, 10.0, 12.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_center_value(self):
-        assert gated_opacity(1.0, 3.0, 2.0, 10.0, 10.0) == pytest.approx(1.0 / (1.0 + np.exp(-6.0)), abs=1e-12)
-        assert gated_opacity(1.0, 3.0, 2.0, 10.0, 10.0) == pytest.approx(0.997527, abs=1e-6)
+        assert gate_value(3.0, 2.0, 10.0, 10.0) == pytest.approx(1.0 / (1.0 + np.exp(-6.0)), abs=1e-12)
+        assert gate_value(3.0, 2.0, 10.0, 10.0) == pytest.approx(0.997527, abs=1e-6)
 
     def test_far_tail(self):
-        assert gated_opacity(1.0, 3.0, 2.0, 10.0, 30.0) < 1e-23
+        assert gate_value(3.0, 2.0, 10.0, 30.0) < 1e-23
 
     @given(st.floats(0.1, 20.0), st.floats(-30.0, 30.0), st.floats(0.0, 40.0))
     @settings(max_examples=200, deadline=None)
@@ -144,8 +150,8 @@ class TestGating:
         t_hi = center + d
         t_lo = center - (t_hi - center)
         assume((t_hi - center) == -(t_lo - center))
-        a = gated_opacity(0.7, 3.0, duration, center, t_hi)
-        b = gated_opacity(0.7, 3.0, duration, center, t_lo)
+        a = 0.7 * gate_value(3.0, duration, center, t_hi)
+        b = 0.7 * gate_value(3.0, duration, center, t_lo)
         assert a == b
 
     def test_monotone_in_distance(self):
@@ -159,7 +165,7 @@ class TestGating:
             dur = rng.uniform(0.1, 25.0)
             cen = rng.uniform(-10, 40)
             o = rng.uniform(0.05, 1.0)
-            assert gated_opacity(o, 3.0, dur, cen, cen + dur) == pytest.approx(o / 2, abs=1e-12)
+            assert o * gate_value(3.0, dur, cen, cen + dur) == pytest.approx(o / 2, abs=1e-12)
 
 
 class TestRigidPose:
@@ -170,7 +176,7 @@ class TestRigidPose:
         rig = make_rigid(rng.normal(size=(4, 3)), np.ones((4, 1)), quats=q)
         bases = MotionBases.identity(1, 5)
         for t in range(5):
-            means, rots = rigid_pose_at(rig, bases, t)
+            means, rots = pose_at(rig, bases, t)
             assert np.allclose(means, rig.means)
             assert np.allclose(rots, quat_to_matrix(q))
 
@@ -178,7 +184,7 @@ class TestRigidPose:
         rig = make_rigid([[0.5, 0.5, 0.5]], [[1.0, 0.0]])
         bases = MotionBases.identity(2, 3)
         bases.trans[0, 1] = [1.0, 0, 0]
-        means, rots = rigid_pose_at(rig, bases, 1)
+        means, rots = pose_at(rig, bases, 1)
         assert np.allclose(means, [[1.5, 0.5, 0.5]])
         assert np.allclose(rots[0], np.eye(3))
 
@@ -192,8 +198,8 @@ class TestRigidPose:
         r_one = make_rigid(mu, [[1.0]])
         s = 1.0 / np.sqrt(2.0)
         r_two = make_rigid(mu, [[s, s]])
-        m1, rot1 = rigid_pose_at(r_one, b1, 0)
-        m2, rot2 = rigid_pose_at(r_two, b2, 0)
+        m1, rot1 = pose_at(r_one, b1, 0)
+        m2, rot2 = pose_at(r_two, b2, 0)
         # both blends orthonormalize to the same rotation; translation scales by
         # sum of weights, so compare the rotation and the rotation-applied mean
         assert np.allclose(rot1, rot2)

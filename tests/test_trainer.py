@@ -170,13 +170,12 @@ class TestInitRigid:
                                    ds.dyn_masks, 8, seed=0)
 
     def test_rendered_positions_match_lifts(self):
-        from dysplat.primitives import rigid_pose_at
+        from dysplat.primitives import blend_bases, rigid_means_at
 
         ds = self._translating_dataset()
         rig, bases = init_rigid_from_tracks(ds.tracks, ds.depths, ds.cameras,
                                             ds.dyn_masks, 1, seed=0)
-        means_t, _ = rigid_pose_at(rig, bases, 4)
-        means_0, _ = rigid_pose_at(rig, bases, 0)
+        means_t, means_0 = (rigid_means_at(rig, blend_bases(rig.weights, bases, t)) for t in (4, 0))
         assert np.allclose(means_t - means_0, [0.03 * 4, -0.01 * 4, 0.0], atol=1e-6)
 
 
