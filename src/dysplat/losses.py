@@ -210,8 +210,8 @@ def photometric_loss(pred, gt, pred_mask, gt_mask, valid=None):
     """L1 and D-SSIM photometric terms plus the dynamic-mask BCE term, unweighted,
     as {name: (value, {render channel: gradient})}.
 
-    ``valid`` optionally restricts the photometric part (the BCE term is
-    skipped when it is set, matching the static warm-up stage).
+    ``valid`` optionally restricts the photometric part. The BCE term is
+    skipped when either mask is None, as in the static warm-up stage.
     """
     l1, g_l1 = l1_loss(pred, gt, mask=valid)
     s_val, g_ssim = ssim_with_grad(pred, gt, mask=valid)

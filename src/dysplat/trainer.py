@@ -115,8 +115,8 @@ class TrainConfig:
             if f.type == "int":  # counts >= 0; a "*_every" of 0 or less switches its step off
                 low = None if f.name.endswith("_every") else 1 if f.name == "n_bases" else 0
                 require_int(value, f.name, low)
-            elif f.type == "float":
-                require_number(value, f.name)
+            elif f.type == "float":  # gate_sharpness and transition_threshold: > 0
+                require(require_number(value, f.name) > 0, f"{f.name} must be > 0, got {value}")
         require(isinstance(self.learning_rates, dict), "learning_rates must be a JSON object")
         require(isinstance(self.loss_weights, LossWeights), "loss_weights must be LossWeights")
         require(self.iters_static_warmup + self.iters_rigid_warmup <= self.iters_total,
@@ -669,10 +669,11 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
 
 
 def duration_histogram(gset: GaussianSet, bins):
-    """Histogram of temporal durations over rigid + transient Gaussians."""
+    """Histogram of temporal durations over rigid + transient Gaussians, with
+    bins over [0, T]; a duration above T counts in the last bin."""
     require(bins >= 2, "need at least 2 bins")
-    values = np.concatenate([gset.rigids.durations, gset.transients.durations])
     T = float(gset.n_frames)
+    values = np.clip(np.concatenate([gset.rigids.durations, gset.transients.durations]), 0.0, T)
     counts, edges = np.histogram(values, bins=bins, range=(0.0, T))
     return counts, edges
 

@@ -359,6 +359,10 @@ class TestHistogram:
         assert counts.sum() == 10
         assert edges[occupied[0]] <= 2.0 <= edges[occupied[0] + 1]
         assert edges[occupied[1]] <= 50.0 <= edges[occupied[1] + 1]
+        # a duration above T counts in the last bin, and the edges stay [0, T]
+        counts, edges = duration_histogram(self._set_with_durations([2.0, 20.0], [70.0]), 6)
+        assert counts.sum() == 3 and counts[-1] == 1
+        assert edges[0] == 0.0 and edges[-1] == 60.0
 
     def test_requires_two_bins(self):
         gs = self._set_with_durations([1.0], [])
@@ -553,6 +557,10 @@ class TestTrainLoop:
             TrainConfig(iters_total=10, iters_static_warmup=20, iters_rigid_warmup=0)
         with pytest.raises(ValidationError):
             TrainConfig(learning_rates={"bogus": 0.1})
+        for name in ("gate_sharpness", "transition_threshold"):
+            for bad in (0.0, -3.0):
+                with pytest.raises(ValidationError, match=name):
+                    TrainConfig(**{name: bad})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValidationError, match="bogus_key"):
@@ -574,6 +582,7 @@ class TestTrainLoop:
         except ValidationError:
             return
         assert config.n_bases >= 1 and all(v > 0 for v in config.learning_rates.values())
+        assert config.gate_sharpness > 0 and config.transition_threshold > 0
 
     def test_log_closed_when_an_iteration_raises(self, tmp_path, monkeypatch):
         opened = []
