@@ -40,6 +40,7 @@ from .primitives import (
     MotionBases,
     RigidGaussians,
     StaticGaussians,
+    _velocity_frame_pairs,
     converts_to_transient,
     logit,
     parameter_tree,
@@ -382,8 +383,8 @@ class Supervision:
     dyn_masks: np.ndarray      # (T, H, W) bool
     normals: np.ndarray        # (T, H, W, 3)
     normals_valid: np.ndarray  # (T, H, W) bool
-    sf_fwd: np.ndarray         # (T, H, W, 3)
-    sf_bwd: np.ndarray
+    sf_fwd: np.ndarray         # (T, H, W, 3) lifted scene flow over each frame's
+    sf_bwd: np.ndarray         # velocity pairs (primitives._velocity_frame_pairs)
     sf_mask: np.ndarray        # (T, H, W) bool
     static_valid: np.ndarray   # (T, H, W) bool, dynamic region + 1px excluded
 
@@ -452,11 +453,15 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
         normals[t], normals_valid[t] = normals_from_depth(ds.depths[t], ds.cameras[t])
         static_valid[t] = ~_dilate(dyn[t])
 
-    sf = np.zeros((2, T, H, W, 3))  # toward t + 1, from t - 1
+    sf = np.zeros((2, T, H, W, 3))  # targets of the rendered v_fwd and v_bwd
     # a frame's mask is the AND over its neighbours; a lone frame has none
     sf_mask = np.full((T, H, W), T > 1)
     for t, s, flow, back, v, valid in scene_flow_pairs(ds):
-        sf[int(s < t), t] = v
+        # v is mean(max(t, s)) - mean(min(t, s)): it targets each velocity the
+        # renderer takes over that frame pair (both of them at the end frames)
+        for k, pair in enumerate(_velocity_frame_pairs(t, T)):
+            if pair == (max(t, s), min(t, s)):
+                sf[k, t] = v
         wd = warped_depth_consistency(ds.depths[t], ds.depths[s], flow, ds.cameras[t],
                                       ds.cameras[s], atol=1e-4, rtol=1e-3)
         sf_mask[t] &= scene_flow_mask(dyn[t], valid, wd, ~occlusion_mask(flow, back))

@@ -393,6 +393,26 @@ def test_build_supervision_calls_each_layer_through_the_module(monkeypatch):
     assert [counts.get(n, 0) for n in names] == [1, T - 1, T - 1, 2 * (T - 1)]
 
 
+def test_velocity_targets_follow_the_rendered_frame_pairs():
+    # v_fwd and v_bwd render mean(a) - mean(b) over _velocity_frame_pairs(t, T);
+    # frames 0 and T-1 take their one pair in both directions, so their
+    # scene-flow targets must be that pair's displacement too, never zero
+    from dysplat.primitives import _velocity_frame_pairs
+
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.03, 0.012, 0.0]}, frames=6))
+    sup = trainer.build_supervision(ds, TrainConfig())
+    T = ds.n_frames
+    for t in range(T):
+        m = sup.sf_mask[t]
+        assert np.count_nonzero(m) > 100
+        for target, (a, b) in zip((sup.sf_fwd[t], sup.sf_bwd[t]), _velocity_frame_pairs(t, T)):
+            # the generator's exact 3D flow: toward t + 1, or from t - 1 into t
+            truth = ds.gt_flow3d_fwd[t] if a > t else ds.gt_flow3d_bwd[t]
+            assert np.max(np.abs(truth[m])) == pytest.approx(0.03)
+            assert np.max(np.abs(target[m] - truth[m])) <= 1e-12, (t, a, b)
+
+
 def fixed_point_config(**overrides):
     base = dict(
         iters_total=100, iters_static_warmup=100, iters_rigid_warmup=0,
