@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRotation6D, NonPositiveDepth, ValidationError
-from .validation import as_array, require
+from .validation import as_array, require, require_int, require_number
 
 MIN_DEPTH = 1e-8
 COV2D_DILATION = 0.3  # px^2 low-pass added to projected covariances
@@ -33,6 +33,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, require_number(getattr(self, name), f"camera {name}"))
+        for name in ("width", "height"):
+            object.__setattr__(self, name, require_int(getattr(self, name), f"camera {name}", 1))
         require(self.fx > 0 and self.fy > 0, "focal lengths must be positive")
         require(0 <= self.cx < self.width, "cx outside image")
         require(0 <= self.cy < self.height, "cy outside image")
@@ -53,6 +57,9 @@ class SE3Transform:
     def __post_init__(self):
         R = as_array(self.rotation, (3, 3), "rotation")
         t = as_array(self.translation, (3,), "translation")
+        # NaN fails no comparison in _check_rotation, so non-finite values are refused first
+        require(np.all(np.isfinite(R)), "rotation has a non-finite entry")
+        require(np.all(np.isfinite(t)), "translation has a non-finite entry")
         _check_rotation(R, tol=1e-9)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
@@ -94,10 +101,8 @@ class CameraFrame:
     @staticmethod
     def from_dict(d):
         try:
-            intr = CameraIntrinsics(
-                fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
-                width=int(d["width"]), height=int(d["height"]),
-            )
+            intr = CameraIntrinsics(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
+                                    width=d["width"], height=d["height"])
             w2c = as_array(d["w2c"], (16,), "w2c").reshape(4, 4)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"camera: missing or malformed entry {exc}") from None

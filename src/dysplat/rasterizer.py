@@ -7,6 +7,15 @@ produces exact adjoints for every optimizable parameter of the Gaussian set,
 chained through alpha compositing, the EWA projection, temporal gating, the
 shared-basis rigid transform and the transient linear motion.
 
+A splat's raw alpha at a pixel is a = opacity * exp(-q/2). Compositing uses
+its floor f(a) (``_floor_alpha``): with F = CULL_OPACITY = 1/255, f is 0 up
+to F, (a - F)^2 / 2F up to 2F and a - 1.5F above. So a splat adds nothing
+where its raw alpha is <= 1/255; the opacity cull threshold and the floor are
+one constant, and each splat's tile coverage radius bounds the pixels where
+a > F. f is C1, so finite-difference checks stay meaningful across F and 2F,
+and f <= 1 - 1.5F, so 1 - alpha never falls below 1.5F. The oracle uses the
+same rule.
+
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
 tiles in a fixed order, so gradient accumulation is bit-reproducible.
 """
@@ -46,10 +55,8 @@ from .primitives import (
 )
 
 TILE = 8
-OPACITY_CLAMP = 0.999
 TERMINATE_TRANSMITTANCE = 1e-4
-CULL_OPACITY = 1.0 / 255.0
-TAIL_ALPHA = 1e-9        # alpha below which tile coverage may stop
+CULL_OPACITY = 1.0 / 255.0  # opacity cull threshold and alpha floor F
 R99 = 3.0348542587702925  # sqrt(2 ln 100): 99%-mass ellipse radius in sigmas
 
 # channel layout of the per-splat payload matrix
@@ -61,6 +68,9 @@ C_VFWD = slice(8, 11)
 C_VBWD = slice(11, 14)
 C_CORR = slice(14, 17)
 N_CHANNELS = 17
+# a column of ones after the payload (in _OrderedView) composites to alpha;
+# the backward's cotangent array holds the alpha cotangent in the same column
+C_ALPHA = N_CHANNELS
 # payload channel of each rasterize_backward cotangent (besides "alpha")
 GRAD_CHANNELS = {"color": C_COLOR, "dyn_mask": C_DYN, "depth": C_DEPTH, "normal": C_NORMAL,
                  "v_fwd": C_VFWD, "v_bwd": C_VBWD, "corr": C_CORR}
@@ -217,8 +227,9 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
 
     sel = np.nonzero(keep)[0]
     o_sel = o_eff[sel]
-    radius = np.sqrt(2.0 * np.log(np.maximum(o_sel, TAIL_ALPHA * 2) / TAIL_ALPHA)
-                     * np.maximum(lam[sel], 1e-12))
+    # the raw alpha exceeds the floor F only where q < 2 ln(o / F), and
+    # q >= |d|^2 / lambda_max, so that disc fits in the box mean +- radius
+    radius = np.sqrt(2.0 * np.log(o_sel / CULL_OPACITY) * np.maximum(lam[sel], 1e-12))
     return SplatBatch(
         mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
         channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
@@ -251,7 +262,7 @@ class _OrderedView:
         self.mean = batch.mean2d[o]
         self.radius = batch.radii[o]
         self.opacity = batch.opacity_eff[o]
-        self.payload = batch.channels[o]
+        self.payload = np.append(batch.channels, np.ones((len(o), 1)), axis=1)[o]  # C_ALPHA
         A, B, C = _conic(batch.cov2d)
         self.A, self.B, self.C = A[o], B[o], C[o]
 
@@ -303,8 +314,36 @@ def _tile_offsets(view: _OrderedView, local, bounds):
     return view.mean[local, 0] - cx, view.mean[local, 1] - cy
 
 
-def _alphas(view: _OrderedView, local, bounds, M, out):
-    """Alpha (n, P) of the selected ordered splats over one tile, written into out.
+def _floor_alpha(a, scratch):
+    """The floor f of raw alpha a, in place: x - y + y^2 / 2F with
+    x = max(a - F, 0), y = min(x, F) and F = CULL_OPACITY. That is 0 up to F,
+    (a - F)^2 / 2F up to 2F and a - 1.5F above, with a continuous slope at F
+    and 2F. ``scratch``, shaped like a, is overwritten."""
+    a -= CULL_OPACITY
+    x = np.maximum(a, 0.0, out=a)
+    y = np.minimum(x, CULL_OPACITY, out=scratch)
+    x -= y
+    np.square(y, out=y)
+    y *= 0.5 / CULL_OPACITY
+    x += y
+    return x
+
+
+def _floor_moment(alpha, out, scratch):
+    """a f'(a) of the floor at raw alpha a, from the floored alpha = f(a)
+    alone, written into out: alpha + z + sqrt(2F z) with z = min(alpha, F/2).
+    Below 2F, a = F + sqrt(2F alpha) and f'(a) = (a - F) / F; above, a f'(a)
+    = a = alpha + 1.5F. ``scratch``, shaped like alpha, is overwritten."""
+    z = np.minimum(alpha, 0.5 * CULL_OPACITY, out=out)
+    root = np.sqrt(np.multiply(z, 2.0 * CULL_OPACITY, out=scratch), out=scratch)
+    z += root
+    z += alpha
+    return z
+
+
+def _alphas(view: _OrderedView, local, bounds, M, out, scratch):
+    """Floored alpha (n, P) of the selected ordered splats over one tile,
+    written into out; ``scratch`` is an (n, P) array that is overwritten.
 
     The exponent log(opacity) - q/2 is a quadratic in the pixel coordinates,
     so one (n, 6) @ (6, P) product against the tile's monomials M gives it.
@@ -316,9 +355,7 @@ def _alphas(view: _OrderedView, local, bounds, M, out):
                      - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
     np.matmul(coef, M, out=out)
     np.exp(out, out=out)
-    if view.opacity[local].max() >= OPACITY_CLAMP:  # elsewhere alpha <= opacity
-        np.minimum(out, OPACITY_CLAMP, out=out)
-    return out
+    return _floor_alpha(out, scratch)
 
 
 def _transmittance(alpha, out):
@@ -342,8 +379,9 @@ def _tile_weights(view: _OrderedView, local, bounds, ws: _Workspace, w_slot):
     y0, y1, x0, x1 = bounds
     M = _monomials(y1 - y0, x1 - x0)
     n, P = local.size, M.shape[1]
-    alpha = _alphas(view, local, bounds, M, ws.take(0, n, P))
-    T = _transmittance(alpha, ws.take(1, n, P))
+    T = ws.take(1, n, P)  # the floor's scratch until T is computed
+    alpha = _alphas(view, local, bounds, M, ws.take(0, n, P), T)
+    T = _transmittance(alpha, T)
     return M, alpha, T, np.multiply(alpha, T, out=ws.take(w_slot, n, P))
 
 
@@ -393,8 +431,7 @@ def _composite(batch: SplatBatch, owner=False):
     owner is None.
     """
     H, W = batch.height, batch.width
-    channels = np.zeros((H, W, N_CHANNELS))
-    alpha_out = np.zeros((H, W))
+    planes = np.zeros((H, W, N_CHANNELS + 1))
     owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
     view = _OrderedView(batch)
 
@@ -402,15 +439,14 @@ def _composite(batch: SplatBatch, owner=False):
         y0, y1, x0, x1 = bounds
         w = _tile_weights(view, local, bounds, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
-        channels[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS,))
-        alpha_out[y0:y1, x0:x1] = np.sum(w, axis=0).reshape(shape)
+        planes[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS + 1,))
         if owner:
             best = np.argmax(w, axis=0)
             has = w[best, np.arange(w.shape[1])] > 0.0
             owner_rows[y0:y1, x0:x1] = np.where(has, view.order[local][best], -1).reshape(shape)
 
     _map_tiles(view, run_tile)
-    return RenderOutputs(channels, alpha_out), owner_rows
+    return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA]), owner_rows
 
 
 def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderOutputs:
@@ -438,14 +474,13 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
     dx = gx.ravel()[None, :] - view.mean[:, 0:1]
     dy = gy.ravel()[None, :] - view.mean[:, 1:2]
     q = dx * (view.A[:, None] * dx + 2.0 * view.B[:, None] * dy) + view.C[:, None] * dy * dy
-    alpha = np.minimum(view.opacity[:, None] * np.exp(-0.5 * q), OPACITY_CLAMP)
+    raw = view.opacity[:, None] * np.exp(-0.5 * q)
+    alpha = _floor_alpha(raw, np.empty_like(raw))
     T = np.cumprod(1.0 - alpha, axis=0)
     T = np.roll(T, 1, axis=0)
     T[0] = 1.0
-    w = alpha * T
-    channels = (w.T @ view.payload).reshape(H, W, N_CHANNELS)
-    alpha_out = np.sum(w, axis=0).reshape(H, W)
-    return RenderOutputs(channels, alpha_out)
+    planes = ((alpha * T).T @ view.payload).reshape(H, W, N_CHANNELS + 1)
+    return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA])
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +488,20 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
 
 
 def _assemble_grad_channels(grad_outputs, H, W):
+    """The cotangents as one (H, W, N_CHANNELS + 1) array, alpha's at C_ALPHA."""
     unknown = set(grad_outputs) - set(GRAD_CHANNELS) - {"alpha"}
     if unknown:
         raise MismatchedForward(f"unknown grad_outputs keys: {sorted(unknown)}")
-    gch = np.zeros((H, W, N_CHANNELS))
-    galpha = None  # stays None without an alpha cotangent, so the tiles add no zeros
+    gch = np.zeros((H, W, N_CHANNELS + 1))
     for key, v in grad_outputs.items():
         if v is None:
             continue
-        if key == "alpha":
-            galpha = target = np.zeros((H, W))
-        else:
-            target = gch[..., GRAD_CHANNELS[key]]
+        target = gch[..., C_ALPHA if key == "alpha" else GRAD_CHANNELS[key]]
         v = np.asarray(v, dtype=np.float64)
         if v.shape != target.shape:
             raise MismatchedForward(f"grad_outputs[{key!r}]: expected {target.shape}, got {v.shape}")
         target[...] = v
-    return gch, galpha
+    return gch
 
 
 def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
@@ -485,7 +517,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
     if n == 0:
         return grads
 
-    gch, galpha = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
+    gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     view = _OrderedView(batch)
     order = view.order
 
@@ -499,28 +531,26 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
         M, alpha, T, w = _tile_weights(view, local, bounds, ws, w_slot=2)
         n_loc, P = w.shape
 
-        g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS)
+        g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS + 1)
         # order[local] holds each splat once per tile, so indexed += accumulates
         sub = order[local]
-        d_payload_o[sub] += w @ g_ch
-        # d_w = payload . g_ch + g_alpha; d_alpha = d_w T - behind / (1 - alpha),
-        # where behind sums d_w w over the splats composited after this one
+        d_payload_o[sub] += w @ g_ch[:, :C_ALPHA]
+        # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha
+        # cotangent; d_alpha = d_w T - behind / (1 - alpha), where behind sums
+        # d_w w over the splats composited after this one
         d_alpha = np.matmul(view.payload[local], g_ch.T, out=ws.take(3, n_loc, P))
-        if galpha is not None:
-            d_alpha += galpha[y0:y1, x0:x1].reshape(1, P)
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
         np.cumsum(w[::-1], axis=0, out=w[::-1])
         behind = np.divide(w[1:], np.subtract(1.0, alpha[:-1], out=T[:-1]), out=T[:-1])
         d_alpha[:-1] -= behind
-        if view.opacity[local].max() >= OPACITY_CLAMP:
-            d_alpha[alpha >= OPACITY_CLAMP] = 0.0
 
-        # Where alpha is unclamped it equals opacity * g with g = exp(-q/2), so
-        # d_opacity and d_q = -d_alpha alpha / 2 need only the moments of
-        # r = d_alpha alpha against the pixel monomials [u^2, uv, v^2, u, v, 1].
-        d_alpha *= alpha
+        # alpha = f(a) with a = opacity * g and g = exp(-q/2), so
+        # d_opacity = d_alpha a f'(a) / opacity and d_q = -d_alpha a f'(a) / 2
+        # need only the moments of r = d_alpha a f'(a) against the pixel
+        # monomials [u^2, uv, v^2, u, v, 1]. T and w are free for a f'(a).
+        d_alpha *= _floor_moment(alpha, w, T)
         r_uu, r_uv, r_vv, r_u, r_v, r_1 = (d_alpha @ M.T).T
         a, b = _tile_offsets(view, local, bounds)
         s_x = r_u - a * r_1  # sum of r dx, with dx = u - a

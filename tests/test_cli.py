@@ -9,7 +9,7 @@ from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset
 from dysplat.primitives import save_checkpoint
 from dysplat.synth import generate_synthetic
 
-from test_dataset import EMPTY_FRAME_CENTERS, empty_frame_spec, tiny_spec
+from test_dataset import CAMERA_DEFECTS, EMPTY_FRAME_CENTERS, empty_frame_spec, tiny_spec
 from test_primitives import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 
@@ -310,6 +310,16 @@ class TestRenderEvalHist:
         assert main(["render", "--ckpt", str(scene_dir / "gt.rigs"), "--frame", "0",
                      "--cam", str(cam), "--out", str(tmp_path / "o")]) == 2
         assert "camera" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(CAMERA_DEFECTS))
+    def test_non_finite_or_fractional_camera_exit_2(self, scene_dir, tmp_path, capsys, case):
+        cam = load_dataset(scene_dir / "data").cameras[0].to_dict()
+        CAMERA_DEFECTS[case](cam)
+        (tmp_path / "cam.json").write_text(json.dumps(cam))
+        assert main(["render", "--ckpt", str(scene_dir / "gt.rigs"), "--frame", "0",
+                     "--cam", str(tmp_path / "cam.json"), "--out", str(tmp_path / "o")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "render"])
     def test_camera_size_disagrees_with_frames_exit_2(self, scene_dir, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -124,6 +125,33 @@ def _write_text(rel, text):
     return lambda root: (root / rel).write_text(text)
 
 
+def _w2c_entry(i, value):
+    return lambda cam: cam["w2c"].__setitem__(i, value)
+
+
+# edits of one camera dict that the parser once accepted: NaN passed the
+# rotation check, an infinite focal length passed fx > 0, and a fractional
+# size was truncated (to the true size here, so nothing else disagrees)
+CAMERA_DEFECTS = {
+    "fx-infinite": lambda cam: cam.update(fx=math.inf),
+    "fy-infinite": lambda cam: cam.update(fy=math.inf),
+    "width-fractional": lambda cam: cam.update(width=cam["width"] + 0.7),
+    "height-fractional": lambda cam: cam.update(height=cam["height"] + 0.5),
+    "rotation-nan": _w2c_entry(0, math.nan),
+    "rotation-infinite": _w2c_entry(5, math.inf),
+    "translation-nan": _w2c_entry(3, math.nan),
+    "translation-infinite": _w2c_entry(11, -math.inf),
+}
+
+
+def _camera_defect(case):
+    def corrupt(root):
+        cams = json.loads((root / "cameras.json").read_text())
+        CAMERA_DEFECTS[case](cams[0])
+        (root / "cameras.json").write_text(json.dumps(cams))
+    return corrupt
+
+
 def _resized_frame(root):
     write_raw(root / "depth" / "00001.f32", np.ones((3, 5)), "float32")
 
@@ -173,6 +201,7 @@ MALFORMED_DATASETS = {
     "masks-other-size": _small_masks,
     "ppm-non-integer-size": _ppm_header(b"48 forty"),
     "ppm-negative-width": _ppm_header(b"-48 -40"),
+    **{f"camera-{case}": _camera_defect(case) for case in CAMERA_DEFECTS},
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,15 +18,16 @@ from dysplat.primitives import (
     zeros_like_tree,
 )
 from dysplat.rasterizer import (
+    CULL_OPACITY,
     GRAD_CHANNELS,
     N_CHANNELS,
-    OPACITY_CLAMP,
     TERMINATE_TRANSMITTANCE,
     prepare_splats,
     rasterize_backward,
     rasterize_forward,
     rasterize_reference,
 )
+from dysplat.synth import generate_synthetic
 
 from conftest import make_cam
 
@@ -87,6 +89,20 @@ def make_random_set(seed, n, T=6, K=2, max_opacity=0.85):
     return set_of(statics, rigids, transients, MotionBases(rot6d, trans), T=T, K=K)
 
 
+def floored(a):
+    """The alpha floor at raw alpha a, piece by piece."""
+    F = CULL_OPACITY
+    if a <= F:
+        return 0.0
+    return (a - F) ** 2 / (2.0 * F) if a <= 2.0 * F else a - 1.5 * F
+
+
+def floor_slope(a):
+    """The derivative of the alpha floor at raw alpha a."""
+    F = CULL_OPACITY
+    return min(max((a - F) / F, 0.0), 1.0)
+
+
 class TestForwardExamples:
     def test_single_splat_at_center(self):
         gs = set_of(statics=statics_at([[0.0, 0.0, 1.0]], [[0.2, 0.6, 1.0]], [0.8]))
@@ -95,27 +111,29 @@ class TestForwardExamples:
         assert len(batch) == 1
         assert np.allclose(batch.mean2d[0], [16.0, 16.0])
         out = rasterize_forward(batch, cam)
-        assert np.allclose(out.color[16, 16], 0.8 * np.array([0.2, 0.6, 1.0]), atol=1e-12)
-        assert out.alpha[16, 16] == pytest.approx(0.8, abs=1e-12)
-        assert out.depth[16, 16] == pytest.approx(0.8 * 1.0, abs=1e-12)
+        alpha = floored(0.8)
+        assert np.allclose(out.color[16, 16], alpha * np.array([0.2, 0.6, 1.0]), atol=1e-12)
+        assert out.alpha[16, 16] == pytest.approx(alpha, abs=1e-12)
+        assert out.depth[16, 16] == pytest.approx(alpha * 1.0, abs=1e-12)
 
     def test_two_coincident_splats(self):
-        # front red o=0.5 at depth 1, back green o~1 at depth 2 (alpha clamps at 0.999)
+        # front red o=0.5 at depth 1, back green o~1 at depth 2
         gs = set_of(statics=statics_at([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
                                        [[1.0, 0, 0], [0.0, 1.0, 0]], [0.5, 0.99999]))
-        # fp sigmoid(logit(0.99999)) saturates; effective back alpha is the clamp
+        # the floor takes 1.5/255 off the back alpha
         cam = cam32()
         out = rasterize_forward(prepare_splats(gs, cam, 0), cam)
-        back_alpha = min(0.99999, 0.999)
-        assert np.allclose(out.color[16, 16], [0.5, 0.5 * back_alpha, 0.0], atol=1e-5)
+        front, back = floored(0.5), floored(0.99999)
+        assert np.allclose(out.color[16, 16], [front, (1.0 - front) * back, 0.0], atol=1e-5)
 
     def test_two_splats_away_from_clamp(self):
         gs = set_of(statics=statics_at([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
                                        [[1.0, 0, 0], [0.0, 1.0, 0]], [0.5, 0.9]))
         cam = cam32()
         out = rasterize_forward(prepare_splats(gs, cam, 0), cam)
-        assert np.allclose(out.color[16, 16], [0.5, 0.45, 0.0], atol=1e-9)
-        assert out.alpha[16, 16] == pytest.approx(0.95, abs=1e-9)
+        front, back = floored(0.5), floored(0.9)
+        assert np.allclose(out.color[16, 16], [front, (1.0 - front) * back, 0.0], atol=1e-9)
+        assert out.alpha[16, 16] == pytest.approx(front + (1.0 - front) * back, abs=1e-9)
 
     def test_zero_splats(self):
         gs = set_of()
@@ -336,11 +354,16 @@ def dense_set(n=400, seed=3):
                                      rng.uniform(0.2, 0.9, size=n), log_scale=-2.0))
 
 
+# raw alpha of a nearly opaque splat; the rasterizer clamped alpha here before
+# the floor, which now keeps alpha <= 1 - 1.5/255 and so 1 - alpha away from 0
+OPAQUE = 0.999
+
+
 def opaque_stack_set():
     """Mixed random scene plus eight large, anisotropic statics of opacity
     logit 9 stacked near the image center of cam32, each centered on a pixel:
-    their alphas clamp there, and the pixels behind the stack terminate
-    (T < 1e-4)."""
+    their raw alphas pass OPAQUE there, and the pixels behind the stack
+    terminate (T < 1e-4)."""
     gs = make_random_set(31, 40)
     k = 8
     z = np.linspace(1.2, 1.9, k)
@@ -356,17 +379,17 @@ def opaque_stack_set():
 def seed_screen_adjoints(batch, grad_outputs):
     """Per-pixel, per-splat transcription of the tile backward as it stood
     before the moment reduction: adjoints of each splat's payload, opacity,
-    2D mean and 2D covariance, plus how often the clamp and termination
-    branches fired."""
+    2D mean and 2D covariance, plus how often a raw alpha passed OPAQUE and
+    how often the termination branch fired."""
     H, W = batch.height, batch.width
-    gch, galpha = rasterizer._assemble_grad_channels(grad_outputs, H, W)
+    gch = rasterizer._assemble_grad_channels(grad_outputs, H, W)
     view = rasterizer._OrderedView(batch)
     n = len(batch)
     d_payload = np.zeros((n, N_CHANNELS))
     d_opacity = np.zeros(n)
     d_mean = np.zeros((n, 2))
     d_conic = np.zeros((n, 2, 2))
-    fired = {"clamped": 0, "terminated": 0}
+    fired = {"opaque": 0, "terminated": 0}
     for y0, y1, x0, x1 in rasterizer._tile_ranges(W, H):
         local = rasterizer._splats_in_tile(view, y0, y1, x0, x1)
         for py in range(y0, y1):
@@ -379,25 +402,25 @@ def seed_screen_adjoints(batch, grad_outputs):
                     dx = px - view.mean[i, 0]
                     dy = py - view.mean[i, 1]
                     g = math.exp(-0.5 * (dx * (A * dx + 2.0 * B * dy) + C * dy * dy))
-                    alpha = min(view.opacity[i] * g, OPACITY_CLAMP)
+                    alpha = floored(view.opacity[i] * g)
                     live = T >= TERMINATE_TRANSMITTANCE
                     w = alpha * T if live else 0.0
-                    d_w = float(view.payload[i] @ g_ch) + galpha[py, px]
+                    d_w = float(view.payload[i, :N_CHANNELS] @ g_ch[:N_CHANNELS]) + g_ch[N_CHANNELS]
                     front_to_back.append((i, dx, dy, g, alpha, T, live, w, d_w))
                     T *= 1.0 - alpha
                 behind = 0.0
                 for i, dx, dy, g, alpha, T, live, w, d_w in reversed(front_to_back):
                     j = view.order[i]
                     A, B, C = view.A[i], view.B[i], view.C[i]
-                    d_payload[j] += w * g_ch
+                    d_payload[j] += w * g_ch[:N_CHANNELS]
                     d_alpha = (d_w * T if live else 0.0) - behind / (1.0 - alpha)
                     behind += d_w * w
                     fired["terminated"] += not live
-                    if view.opacity[i] * g >= OPACITY_CLAMP:
-                        fired["clamped"] += 1
-                        d_alpha = 0.0
-                    d_opacity[j] += d_alpha * g
-                    d_q = -0.5 * g * d_alpha * view.opacity[i]
+                    a = view.opacity[i] * g
+                    fired["opaque"] += a >= OPAQUE
+                    d_a = d_alpha * floor_slope(a)
+                    d_opacity[j] += d_a * g
+                    d_q = -0.5 * g * d_a * view.opacity[i]
                     d_mean[j, 0] -= d_q * (2.0 * A * dx + 2.0 * B * dy)
                     d_mean[j, 1] -= d_q * (2.0 * B * dx + 2.0 * C * dy)
                     d_conic[j] += d_q * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
@@ -454,7 +477,7 @@ class TestTileKernel:
         grads = rasterize_backward(batch, cam, grad_outputs, gs)
 
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
-        assert fired["clamped"] > 0 and fired["terminated"] > 0
+        assert fired["opaque"] > 0 and fired["terminated"] > 0
         expected = zeros_like_tree(gs)
         rasterizer._chain_to_parameters(batch, cam, gs, expected, *adjoints)
         for kind, grp in expected.items():
@@ -507,7 +530,7 @@ class TestTileKernel:
         grad_outputs = random_grad_outputs(np.random.default_rng(11), H, W)
         grads = rasterize_backward(batch, cam, grad_outputs, gs)
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
-        assert fired["clamped"] > 0 and fired["terminated"] > 0
+        assert fired["opaque"] > 0 and fired["terminated"] > 0
         want_tree = zeros_like_tree(gs)
         rasterizer._chain_to_parameters(batch, cam, gs, want_tree, *adjoints)
         for kind, grp in want_tree.items():
@@ -522,7 +545,7 @@ class TestTileKernel:
         # workspace holds two (splats, pixels) tile arrays in the forward and
         # four in the backward; its other per-tile temporaries are (splats,
         # channels)-sized. In units of one tile array at the busiest tile the
-        # part above fixed reads 2.37 and 4.65 here. One more full-size tile
+        # part above fixed reads 2.54 and 4.80 here. One more full-size tile
         # temporary lives alongside the whole workspace, so it adds at least 1
         # and crosses the bounds.
         cam = cam32()
@@ -540,3 +563,107 @@ class TestTileKernel:
         backward = (traced_peak(lambda: rasterize_backward(batch, cam, grad_outputs, gs))
                     - fixed_backward) / unit
         assert forward <= 2.9 and backward <= 4.9, (forward, backward)
+
+
+def floor_of(a):
+    a = np.array(a, dtype=np.float64)
+    return rasterizer._floor_alpha(a, np.empty_like(a))
+
+
+class TestAlphaFloor:
+    F = CULL_OPACITY
+
+    def test_zero_at_and_below_the_floor(self):
+        F = self.F
+        assert np.all(floor_of([0.0, 1e-300, 0.5 * F, F * (1.0 - 1e-12), F]) == 0.0)
+        assert np.all(floor_of([F * (1.0 + 1e-9), 2.0 * F, 0.5, 1.0]) > 0.0)
+
+    def test_pieces(self):
+        F = self.F
+        a = np.concatenate([np.linspace(0.0, 4.0 * F, 401), np.linspace(0.01, 1.0, 100)])
+        want = np.array([floored(v) for v in a])
+        assert np.allclose(floor_of(a), want, rtol=1e-12, atol=1e-18)
+        # the top of the range stays 1.5F below 1, so 1 - alpha never reaches 0
+        assert floor_of(1.0) == pytest.approx(1.0 - 1.5 * F, abs=1e-15)
+
+    @pytest.mark.parametrize("knot", [1.0, 2.0])
+    def test_c1_at_the_knots(self, knot):
+        # f'' <= 1/F, so one-sided difference quotients at a knot differ by at
+        # most h/F where the slope is continuous; a kink leaves a gap near 1
+        F = self.F
+        a = knot * F
+        for h in (1e-6, 1e-7):
+            left, mid, right = floor_of([a - h, a, a + h])
+            assert abs(right - left) <= 2.0 * h  # continuous
+            assert abs((right - mid) / h - (mid - left) / h) <= h / F + 1e-6
+
+    def test_moment_is_a_times_the_slope(self):
+        F = self.F
+        a = np.unique(np.concatenate([np.linspace(0.0, 3.0 * F, 121), [F, 2.0 * F],
+                                      F * (1.0 + np.array([-1e-6, 1e-6])),
+                                      2.0 * F * (1.0 + np.array([-1e-6, 1e-6])),
+                                      [0.1, 0.5, 0.9, 0.999, 1.0 - 1e-7]]))
+        alpha = floor_of(a)
+        moment = rasterizer._floor_moment(alpha, np.empty_like(a), np.empty_like(a))
+        h = 1e-8
+        slope = (floor_of(a + h) - floor_of(a - h)) / (2.0 * h)
+        assert np.max(np.abs(moment - a * slope)) <= 1e-7
+        assert np.allclose(moment, [v * floor_slope(v) for v in a], rtol=1e-9, atol=1e-15)
+
+
+def one_splat(batch, i):
+    """The batch cut down to its splat i."""
+    keep = slice(i, i + 1)
+    return replace(batch, mean2d=batch.mean2d[keep], cov2d=batch.cov2d[keep],
+                   depth=batch.depth[keep], opacity_eff=batch.opacity_eff[keep],
+                   channels=batch.channels[keep], radii=batch.radii[keep], row=batch.row[keep])
+
+
+class TestCoverageRadius:
+    def test_oracle_support_lies_in_the_radius_box(self):
+        # the oracle's alpha of one splat alone is that splat's floored alpha
+        cam = cam32()
+        gx, gy = np.meshgrid(np.arange(32.0), np.arange(32.0))
+        beyond_tighter = 0
+        for seed in (71, 72, 73):
+            batch = prepare_splats(make_random_set(seed, 40), cam, 2, 3)
+            assert len(batch) > 20
+            for i in range(len(batch)):
+                covered = rasterize_reference(one_splat(batch, i), cam).alpha > 0.0
+                dist = np.maximum(np.abs(gx - batch.mean2d[i, 0]), np.abs(gy - batch.mean2d[i, 1]))
+                assert np.all(dist[covered] <= batch.radii[i]), i
+                beyond_tighter += np.any(dist[covered] > 0.9 * batch.radii[i])
+        # the box is tight: a radius 0.9 times as large leaves out covered pixels
+        assert beyond_tighter > 0
+
+    def test_tile_work_against_the_tail_radius(self):
+        from test_acceptance import scene_reconstruction
+
+        from dysplat.trainer import TrainConfig, init_rigid_from_tracks, init_static
+
+        ds = generate_synthetic(scene_reconstruction())
+        config = TrainConfig(n_static_init=4000, seed=1)
+        statics = init_static(ds, ds.dyn_masks, config.n_static_init, config.init_frames,
+                              config.seed)
+        rigids, bases = init_rigid_from_tracks(ds.tracks, ds.depths, ds.cameras, ds.dyn_masks,
+                                               config.n_bases, config.seed, images=ds.images)
+        gs = GaussianSet(statics, rigids, TransientGaussians.empty(), bases,
+                         config.gate_sharpness)
+
+        def pairs(batch):
+            counted = []
+            rasterizer._map_tiles(rasterizer._OrderedView(batch),
+                                  lambda b, local, ws: counted.append(
+                                      local.size * (b[1] - b[0]) * (b[3] - b[2])))
+            return sum(counted)
+
+        floored_pairs = tail_pairs = 0
+        for t in range(0, ds.n_frames, 4):
+            batch = prepare_splats(gs, ds.cameras[t], t)
+            # the coverage radius before the floor: where the raw alpha reaches 1e-9
+            lam = rasterizer._max_eigenvalue_2x2(batch.cov2d)
+            tail = np.sqrt(2.0 * np.log(np.maximum(batch.opacity_eff, 2e-9) / 1e-9)
+                           * np.maximum(lam, 1e-12))
+            floored_pairs += pairs(batch)
+            tail_pairs += pairs(replace(batch, radii=tail))
+        assert floored_pairs <= 0.55 * tail_pairs, (floored_pairs, tail_pairs)
