@@ -28,6 +28,7 @@ from dysplat.rasterizer import (
     rasterize_reference,
 )
 from dysplat.synth import generate_synthetic
+from dysplat.trainer import TrainConfig, init_rigid_from_tracks, init_static
 
 from conftest import make_cam
 
@@ -637,9 +638,7 @@ class TestCoverageRadius:
         assert beyond_tighter > 0
 
     def test_tile_work_against_the_tail_radius(self):
-        from test_acceptance import scene_reconstruction
-
-        from dysplat.trainer import TrainConfig, init_rigid_from_tracks, init_static
+        from test_acceptance import scene_reconstruction  # it imports this module
 
         ds = generate_synthetic(scene_reconstruction())
         config = TrainConfig(n_static_init=4000, seed=1)
