@@ -17,13 +17,17 @@ and f <= 1 - 1.5F, so 1 - alpha never falls below 1.5F. The oracle uses the
 same rule.
 
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
-tiles in a fixed order, so gradient accumulation is bit-reproducible.
+tiles in a fixed order, so gradient accumulation is bit-reproducible. Each
+SplatBatch builds one tile plan on first use (``SplatBatch.tile_plan``): the
+depth order, every covered tile's splats and, per (tile, splat) pair, the
+offsets, conic and exponent coefficients. The forward, the backward and
+synth's owner pass read slices of it; the oracle does not use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,6 +139,12 @@ class SplatBatch:
 
     def __len__(self):
         return self.mean2d.shape[0]
+
+    @cached_property
+    def tile_plan(self):
+        """The batch's _TilePlan, built on first use. It is not a field, so a
+        ``dataclasses.replace`` copy builds its own from its own values."""
+        return _TilePlan(self)
 
 
 def _max_eigenvalue_2x2(cov):
@@ -253,10 +263,10 @@ def _conic(cov2d):
 
 
 class _OrderedView:
-    """Depth-ordered per-splat arrays shared by every tile of one pass."""
+    """Depth-ordered per-splat arrays: what the tile plan is built from and
+    what the oracle reads."""
 
     def __init__(self, batch):
-        self.width, self.height = batch.width, batch.height
         self.order = np.argsort(batch.depth, kind="stable")
         o = self.order
         self.mean = batch.mean2d[o]
@@ -265,6 +275,81 @@ class _OrderedView:
         self.payload = np.append(batch.channels, np.ones((len(o), 1)), axis=1)[o]  # C_ALPHA
         A, B, C = _conic(batch.cov2d)
         self.A, self.B, self.C = A[o], B[o], C[o]
+
+
+def _spans(n):
+    """The [lo, hi) pixel ranges of the tiles along an axis of n pixels."""
+    return [(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
+
+
+def _tile_ranges(width, height):
+    for y0, y1 in _spans(height):
+        for x0, x1 in _spans(width):
+            yield y0, y1, x0, x1
+
+
+def _hits(coord, radius, lo, hi):
+    """Splats whose [coord - radius, coord + radius] meets pixels lo..hi-1."""
+    return (coord + radius >= lo) & (coord - radius <= hi - 1)
+
+
+def _splats_in_tile(view: _OrderedView, y0, y1, x0, x1):
+    m, r = view.mean, view.radius
+    return np.nonzero(_hits(m[:, 0], r, x0, x1) & _hits(m[:, 1], r, y0, y1))[0]
+
+
+def _tile_center(y0, y1, x0, x1):
+    """Origin of a tile's local pixel coordinates. Centering keeps the
+    monomials small, so the expanded quadratics lose little to cancellation."""
+    return 0.5 * (x0 + x1 - 1), 0.5 * (y0 + y1 - 1)
+
+
+class _TilePlan:
+    """One frame's tile work, built once and read by every pass over it.
+
+    ``tiles`` lists (bounds, pairs) for every tile a splat covers, in the
+    fixed tile order. The slice ``pairs`` addresses the tile's (tile, splat)
+    pairs in the per-pair arrays, whose rows follow depth order within a tile:
+    ``local`` is the splat's index in depth order (the tile's list equals
+    ``_splats_in_tile``), ``rows`` its batch index, ``a, b`` its center
+    relative to the tile center, ``A, B, C`` its conic and ``opacity`` its
+    gated opacity. ``coef`` holds the (pairs, 6) coefficients of the exponent
+    log(opacity) - q/2, a quadratic in the pixel coordinates, against the
+    tile's monomials [u^2, uv, v^2, u, v, 1]. ``payload`` is the depth-ordered
+    payload with its C_ALPHA column of ones.
+    """
+
+    def __init__(self, batch):
+        view = _OrderedView(batch)
+        m, r = view.mean, view.radius
+        # one hit mask per tile column and per tile row give each tile the
+        # same splats as _splats_in_tile, in the same order
+        cols = _spans(batch.width)
+        col_hits = np.stack([_hits(m[:, 0], r, x0, x1) for x0, x1 in cols])
+        self.tiles, local, centers, counts = [], [], [], []
+        start = 0
+        for y0, y1 in _spans(batch.height):
+            in_row = np.nonzero(_hits(m[:, 1], r, y0, y1))[0]
+            col, k = np.nonzero(col_hits[:, in_row])
+            local.append(in_row[k])
+            for (x0, x1), n in zip(cols, np.bincount(col, minlength=len(cols)).tolist()):
+                if n:
+                    bounds = (y0, y1, x0, x1)
+                    self.tiles.append((bounds, slice(start, start + n)))
+                    centers.append(_tile_center(*bounds))
+                    counts.append(n)
+                    start += n
+        local = self.local = np.concatenate(local)
+        self.rows = view.order[local]
+        self.payload = view.payload
+        centers = np.repeat(np.array(centers, dtype=np.float64).reshape(-1, 2), counts, axis=0)
+        a = self.a = view.mean[local, 0] - centers[:, 0]
+        b = self.b = view.mean[local, 1] - centers[:, 1]
+        A, B, C = self.A, self.B, self.C = view.A[local], view.B[local], view.C[local]
+        self.opacity = view.opacity[local]
+        self.coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
+                              np.log(self.opacity)
+                              - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
 
 
 class _Workspace:
@@ -286,10 +371,17 @@ class _Workspace:
         return self._flat[slot][:n * P].reshape(n, P)
 
 
-def _tile_center(y0, y1, x0, x1):
-    """Origin of a tile's local pixel coordinates. Centering keeps the
-    monomials small, so the expanded quadratics lose little to cancellation."""
-    return 0.5 * (x0 + x1 - 1), 0.5 * (y0 + y1 - 1)
+def _map_tiles(plan: _TilePlan, fn):
+    """The tile loop: call fn(bounds, pairs, ws) for every tile of the plan,
+    in the fixed tile order, where ws is the loop's one _Workspace.
+
+    The tile body is a function so that no tile array outlives its tile: a
+    workspace slot that grows frees its old buffer, and the workspace itself
+    goes when the loop ends.
+    """
+    ws = _Workspace()
+    for bounds, pairs in plan.tiles:
+        fn(bounds, pairs, ws)
 
 
 @lru_cache(maxsize=16)
@@ -306,12 +398,6 @@ def _monomials(h, w):
     M = np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
     M.flags.writeable = False
     return M
-
-
-def _tile_offsets(view: _OrderedView, local, bounds):
-    """Centers (a, b) of the selected splats relative to the tile center."""
-    cx, cy = _tile_center(*bounds)
-    return view.mean[local, 0] - cx, view.mean[local, 1] - cy
 
 
 def _floor_alpha(a, scratch):
@@ -341,23 +427,6 @@ def _floor_moment(alpha, out, scratch):
     return z
 
 
-def _alphas(view: _OrderedView, local, bounds, M, out, scratch):
-    """Floored alpha (n, P) of the selected ordered splats over one tile,
-    written into out; ``scratch`` is an (n, P) array that is overwritten.
-
-    The exponent log(opacity) - q/2 is a quadratic in the pixel coordinates,
-    so one (n, 6) @ (6, P) product against the tile's monomials M gives it.
-    """
-    a, b = _tile_offsets(view, local, bounds)
-    A, B, C = view.A[local], view.B[local], view.C[local]
-    coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
-                     np.log(view.opacity[local])
-                     - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
-    np.matmul(coef, M, out=out)
-    np.exp(out, out=out)
-    return _floor_alpha(out, scratch)
-
-
 def _transmittance(alpha, out):
     """Exclusive front-to-back transmittance of alpha, written into out, and
     zeroed where compositing has stopped (below TERMINATE_TRANSMITTANCE)."""
@@ -370,57 +439,23 @@ def _transmittance(alpha, out):
     return out
 
 
-def _tile_weights(view: _OrderedView, local, bounds, ws: _Workspace, w_slot):
-    """The tile math both passes share: (M, alpha, T, w) of the selected splats
-    over one tile. M is the tile's monomials; alpha, the transmittance T and
+def _tile_weights(plan: _TilePlan, bounds, pairs, ws: _Workspace, w_slot):
+    """The tile math both passes share: (M, alpha, T, w) of one tile's pairs.
+    M is the tile's monomials, and one product of the pairs' coefficients
+    with M gives each exponent. The floored alpha, the transmittance T and
     the compositing weights w = alpha * T are (n, P) views into ws slots 0, 1
     and ``w_slot``. The forward passes slot 0, so w overwrites alpha; the
     backward passes 2 and keeps alpha."""
     y0, y1, x0, x1 = bounds
     M = _monomials(y1 - y0, x1 - x0)
-    n, P = local.size, M.shape[1]
+    coef = plan.coef[pairs]
+    n, P = coef.shape[0], M.shape[1]
     T = ws.take(1, n, P)  # the floor's scratch until T is computed
-    alpha = _alphas(view, local, bounds, M, ws.take(0, n, P), T)
+    alpha = np.matmul(coef, M, out=ws.take(0, n, P))
+    np.exp(alpha, out=alpha)
+    alpha = _floor_alpha(alpha, T)
     T = _transmittance(alpha, T)
     return M, alpha, T, np.multiply(alpha, T, out=ws.take(w_slot, n, P))
-
-
-def _tile_ranges(width, height):
-    for ty in range(0, height, TILE):
-        for tx in range(0, width, TILE):
-            yield ty, min(ty + TILE, height), tx, min(tx + TILE, width)
-
-
-def _hits(coord, radius, lo, hi):
-    """Splats whose [coord - radius, coord + radius] meets pixels lo..hi-1."""
-    return (coord + radius >= lo) & (coord - radius <= hi - 1)
-
-
-def _splats_in_tile(view: _OrderedView, y0, y1, x0, x1):
-    m, r = view.mean, view.radius
-    return np.nonzero(_hits(m[:, 0], r, x0, x1) & _hits(m[:, 1], r, y0, y1))[0]
-
-
-def _map_tiles(view: _OrderedView, fn):
-    """The tile loop: call fn(bounds, local, ws) for every tile that a splat
-    covers, in the fixed tile order, where local lists the ordered splats
-    covering the tile and ws is the loop's one _Workspace.
-
-    One hit mask per tile column and per tile row, built once per pass, give
-    each tile the same splats as _splats_in_tile, in the same order.
-    """
-    ws = _Workspace()
-    m, r = view.mean, view.radius
-    col_hits, row_hits = {}, {}
-    for bounds in _tile_ranges(view.width, view.height):
-        y0, y1, x0, x1 = bounds
-        if x0 not in col_hits:
-            col_hits[x0] = _hits(m[:, 0], r, x0, x1)
-        if y0 not in row_hits:
-            row_hits[y0] = _hits(m[:, 1], r, y0, y1)
-        local = np.nonzero(col_hits[x0] & row_hits[y0])[0]
-        if local.size:
-            fn(bounds, local, ws)
 
 
 def _composite(batch: SplatBatch, owner=False):
@@ -433,19 +468,20 @@ def _composite(batch: SplatBatch, owner=False):
     H, W = batch.height, batch.width
     planes = np.zeros((H, W, N_CHANNELS + 1))
     owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
-    view = _OrderedView(batch)
+    plan = batch.tile_plan
 
-    def run_tile(bounds, local, ws):
+    def run_tile(bounds, pairs, ws):
         y0, y1, x0, x1 = bounds
-        w = _tile_weights(view, local, bounds, ws, w_slot=0)[3]
+        w = _tile_weights(plan, bounds, pairs, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
-        planes[y0:y1, x0:x1] = (w.T @ view.payload[local]).reshape(shape + (N_CHANNELS + 1,))
+        payload = plan.payload[plan.local[pairs]]
+        planes[y0:y1, x0:x1] = (w.T @ payload).reshape(shape + (N_CHANNELS + 1,))
         if owner:
             best = np.argmax(w, axis=0)
             has = w[best, np.arange(w.shape[1])] > 0.0
-            owner_rows[y0:y1, x0:x1] = np.where(has, view.order[local][best], -1).reshape(shape)
+            owner_rows[y0:y1, x0:x1] = np.where(has, plan.rows[pairs][best], -1).reshape(shape)
 
-    _map_tiles(view, run_tile)
+    _map_tiles(plan, run_tile)
     return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA]), owner_rows
 
 
@@ -518,27 +554,28 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
         return grads
 
     gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
-    view = _OrderedView(batch)
-    order = view.order
+    plan = batch.tile_plan
 
-    d_payload_o = np.zeros((n, N_CHANNELS))
-    d_opacity_o = np.zeros(n)
-    d_mean2d_o = np.zeros((n, 2))
-    d_conic_o = np.zeros((n, 3))  # per conic entry A, B (each off-diagonal), C
+    d_payload = np.zeros((n, N_CHANNELS))
+    # the other screen-space adjoints, one row per splat so that a tile adds
+    # its share in one indexed +=: opacity, the 2D mean (x, y) and the conic
+    # entries A, B (each off-diagonal) and C
+    d_screen = np.zeros((n, 6))
 
-    def run_tile(bounds, local, ws):
+    def run_tile(bounds, pairs, ws):
         y0, y1, x0, x1 = bounds
-        M, alpha, T, w = _tile_weights(view, local, bounds, ws, w_slot=2)
+        M, alpha, T, w = _tile_weights(plan, bounds, pairs, ws, w_slot=2)
         n_loc, P = w.shape
 
         g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS + 1)
-        # order[local] holds each splat once per tile, so indexed += accumulates
-        sub = order[local]
-        d_payload_o[sub] += w @ g_ch[:, :C_ALPHA]
+        # a tile holds each splat once, so indexed += accumulates
+        sub = plan.rows[pairs]
+        d_payload[sub] += w @ g_ch[:, :C_ALPHA]
         # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha
         # cotangent; d_alpha = d_w T - behind / (1 - alpha), where behind sums
         # d_w w over the splats composited after this one
-        d_alpha = np.matmul(view.payload[local], g_ch.T, out=ws.take(3, n_loc, P))
+        d_alpha = np.matmul(plan.payload[plan.local[pairs]], g_ch.T,
+                            out=ws.take(3, n_loc, P))
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
@@ -552,27 +589,28 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
         # monomials [u^2, uv, v^2, u, v, 1]. T and w are free for a f'(a).
         d_alpha *= _floor_moment(alpha, w, T)
         r_uu, r_uv, r_vv, r_u, r_v, r_1 = (d_alpha @ M.T).T
-        a, b = _tile_offsets(view, local, bounds)
+        a, b = plan.a[pairs], plan.b[pairs]
         s_x = r_u - a * r_1  # sum of r dx, with dx = u - a
         s_y = r_v - b * r_1
-        A, B, C = view.A[local], view.B[local], view.C[local]
-        d_mean = np.stack([A * s_x + B * s_y, B * s_x + C * s_y], axis=1)
-        d_conic = -0.5 * np.stack([r_uu - a * (2.0 * r_u - a * r_1),
-                                   r_uv - b * r_u - a * r_v + a * b * r_1,
-                                   r_vv - b * (2.0 * r_v - b * r_1)], axis=1)
-        d_opacity_o[sub] += r_1 / view.opacity[local]
-        d_mean2d_o[sub] += d_mean
-        d_conic_o[sub] += d_conic
+        A, B, C = plan.A[pairs], plan.B[pairs], plan.C[pairs]
+        d = np.empty((n_loc, 6))
+        d[:, 0] = r_1 / plan.opacity[pairs]
+        d[:, 1] = A * s_x + B * s_y
+        d[:, 2] = B * s_x + C * s_y
+        d[:, 3] = -0.5 * (r_uu - a * (2.0 * r_u - a * r_1))
+        d[:, 4] = -0.5 * (r_uv - b * r_u - a * r_v + a * b * r_1)
+        d[:, 5] = -0.5 * (r_vv - b * (2.0 * r_v - b * r_1))
+        d_screen[sub] += d
 
-    _map_tiles(view, run_tile)
+    _map_tiles(plan, run_tile)
 
     # the conic is inv(cov2d): d_cov = -inv d_conic inv
-    d_conic_m = d_conic_o[:, [0, 1, 1, 2]].reshape(n, 2, 2)
+    d_conic = d_screen[:, [3, 4, 4, 5]].reshape(n, 2, 2)
     inv = np.linalg.inv(batch.cov2d)
-    d_cov2d_o = -(inv @ d_conic_m @ inv)
+    d_cov2d = -(inv @ d_conic @ inv)
 
     _chain_to_parameters(batch, cam, gset, grads,
-                         d_payload_o, d_opacity_o, d_mean2d_o, d_cov2d_o)
+                         d_payload, d_screen[:, 0], d_screen[:, 1:3], d_cov2d)
     return grads
 
 

@@ -692,7 +692,8 @@ def histogram_image(counts):
     bar_w = max(width // max(n, 1), 1)
     for i, c in enumerate(counts):
         h = int(round((height - 10) * (c / peak)))
-        x0 = i * bar_w
+        # past one bin per pixel column, neighbouring bins share a column
+        x0 = i * bar_w if n * bar_w <= width else i * width // n
         x1 = min(x0 + max(bar_w - 1, 1), width)
         if h > 0:
             img[height - h:, x0:x1] = [0.15, 0.25, 0.6]

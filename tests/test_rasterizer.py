@@ -437,9 +437,10 @@ def tile_buffer_bytes(batch):
                for y0, y1, x0, x1 in rasterizer._tile_ranges(batch.width, batch.height)) * 8
 
 
-def ordered_view_bytes(batch):
-    view = rasterizer._OrderedView(batch)
-    return sum(a.nbytes for a in vars(view).values() if isinstance(a, np.ndarray))
+def plan_bytes(batch):
+    """The arrays a batch's tile plan keeps for the batch's lifetime."""
+    plan = rasterizer._TilePlan(batch)
+    return sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
 
 
 def traced_peak(fn):
@@ -498,13 +499,14 @@ class TestTileKernel:
         view = rasterizer._OrderedView(batch)
         tiles = list(rasterizer._tile_ranges(W, H))
 
-        visited = []
-        rasterizer._map_tiles(view, lambda bounds, local, ws: visited.append((bounds, local)))
+        plan = batch.tile_plan
+        visited = [(bounds, plan.local[pairs]) for bounds, pairs in plan.tiles]
         expected = [(b, rasterizer._splats_in_tile(view, *b)) for b in tiles]
         expected = [(b, local) for b, local in expected if local.size]
         assert [b for b, _ in visited] == [b for b, _ in expected]
         for (bounds, local), (_, want) in zip(visited, expected):
             assert np.array_equal(local, want), bounds
+        assert np.array_equal(plan.rows, view.order[plan.local])
         shapes = {(y1 - y0, x1 - x0) for (y0, y1, x0, x1), _ in visited}
         tile = rasterizer.TILE
         h, w = H % tile, W % tile
@@ -542,28 +544,107 @@ class TestTileKernel:
 
     def test_tile_arrays_are_not_reallocated_per_op(self):
         # A pass's peak is the image- and splat-sized arrays it holds for the
-        # whole pass (fixed below) plus the tile loop's own arrays. The loop's
-        # workspace holds two (splats, pixels) tile arrays in the forward and
-        # four in the backward; its other per-tile temporaries are (splats,
-        # channels)-sized. In units of one tile array at the busiest tile the
-        # part above fixed reads 2.54 and 4.80 here. One more full-size tile
-        # temporary lives alongside the whole workspace, so it adds at least 1
-        # and crosses the bounds.
+        # whole pass (fixed below: its tile plan among them) plus the tile
+        # loop's own arrays. The loop's workspace holds two (splats, pixels)
+        # tile arrays in the forward and four in the backward; its other
+        # per-tile temporaries are (splats, channels)-sized. In units of one
+        # tile array at the busiest tile the part above fixed reads 2.50 and
+        # 4.77 here. One more full-size tile temporary lives alongside the
+        # whole workspace, so it adds at least 1 and crosses the bounds. Each
+        # pass gets a fresh batch, so it builds, and is charged for, its plan.
         cam = cam32()
         gs = dense_set()
         batch = prepare_splats(gs, cam, 0)
         H, W, n = batch.height, batch.width, len(batch)
         unit = tile_buffer_bytes(batch)
         planes = H * W * (N_CHANNELS + 1) * 8  # the outputs, or the cotangents, and alpha
-        fixed_forward = planes + ordered_view_bytes(batch)
+        fixed_forward = planes + plan_bytes(batch)
         accumulators = n * (N_CHANNELS + 1 + 2 + 3) * 8  # payload, opacity, mean2d, conic
         grads = sum(a.nbytes for grp in zeros_like_tree(gs).values() for a in grp.values())
         fixed_backward = fixed_forward + accumulators + grads
         grad_outputs = random_grad_outputs(np.random.default_rng(2), 32, 32)
-        forward = (traced_peak(lambda: rasterize_forward(batch, cam)) - fixed_forward) / unit
-        backward = (traced_peak(lambda: rasterize_backward(batch, cam, grad_outputs, gs))
+        fresh = [replace(batch) for _ in range(2)]
+        forward = (traced_peak(lambda: rasterize_forward(fresh[0], cam)) - fixed_forward) / unit
+        backward = (traced_peak(lambda: rasterize_backward(fresh[1], cam, grad_outputs, gs))
                     - fixed_backward) / unit
         assert forward <= 2.9 and backward <= 4.9, (forward, backward)
+
+
+def plan_transcription(batch):
+    """Per covered tile, what the tile loop computed for itself before the
+    plan: its bounds, then the splats of ``_splats_in_tile`` (depth-ordered
+    index and batch row), their offsets a, b from the tile center, conic
+    A, B, C, opacity and exponent coefficients."""
+    view = rasterizer._OrderedView(batch)
+    tiles = []
+    for y0, y1, x0, x1 in rasterizer._tile_ranges(batch.width, batch.height):
+        local = rasterizer._splats_in_tile(view, y0, y1, x0, x1)
+        if not local.size:
+            continue
+        cx, cy = 0.5 * (x0 + x1 - 1), 0.5 * (y0 + y1 - 1)
+        a, b = view.mean[local, 0] - cx, view.mean[local, 1] - cy
+        A, B, C = view.A[local], view.B[local], view.C[local]
+        coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
+                         np.log(view.opacity[local])
+                         - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
+        tiles.append(((y0, y1, x0, x1), local, view.order[local], a, b, A, B, C,
+                      view.opacity[local], coef))
+    return tiles
+
+
+PLAN_ARRAYS = ("local", "rows", "a", "b", "A", "B", "C", "opacity", "coef")
+
+
+class TestTilePlan:
+    @pytest.mark.parametrize("width,height", [(32, 32), (37, 29)])
+    def test_plan_equals_a_per_tile_transcription(self, width, height):
+        # 37 x 29 leaves ragged tiles on the right and bottom edges
+        cam = make_cam(fx=40.0, fy=40.0, cx=0.5 * width, cy=0.5 * height,
+                       width=width, height=height)
+        for seed in (61, 62):
+            batch = prepare_splats(make_random_set(seed, 60), cam, 2, 3)
+            plan = batch.tile_plan
+            want = plan_transcription(batch)
+            assert [bounds for bounds, _ in plan.tiles] == [tile[0] for tile in want]
+            assert len(want) > 4
+            for (bounds, pairs), (_, *arrays) in zip(plan.tiles, want):
+                for name, expected in zip(PLAN_ARRAYS, arrays):
+                    got = getattr(plan, name)[pairs]
+                    assert got.shape == expected.shape, (bounds, name)
+                    assert got.tobytes() == expected.tobytes(), (bounds, name)
+
+    @pytest.mark.parametrize("field", ["radii", "mean2d"])
+    def test_a_replaced_copy_builds_its_own_plan(self, field):
+        cam = cam32()
+        gs = make_random_set(63, 60)
+        batch = prepare_splats(gs, cam, 2, 3)
+        before = rasterize_forward(batch, cam)  # caches the batch's plan
+        value = {"radii": 0.5 * batch.radii, "mean2d": batch.mean2d + [3.0, -2.0]}[field]
+        copy = replace(batch, **{field: value})
+        fresh = replace(prepare_splats(gs, cam, 2, 3), **{field: value})
+        got, want = rasterize_forward(copy, cam), rasterize_forward(fresh, cam)
+        assert copy.tile_plan is not batch.tile_plan
+        assert got.channels.tobytes() == want.channels.tobytes()
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.channels.tobytes() != before.channels.tobytes()
+        grad_outputs = random_grad_outputs(np.random.default_rng(4), 32, 32)
+        got_grads = rasterize_backward(copy, cam, grad_outputs, gs)
+        want_grads = rasterize_backward(fresh, cam, grad_outputs, gs)
+        for kind, grp in want_grads.items():
+            for name, arr in grp.items():
+                assert got_grads[kind][name].tobytes() == arr.tobytes(), (kind, name)
+
+    def test_the_oracle_builds_no_plan(self, monkeypatch):
+        def refuse(batch):
+            raise AssertionError("a tile plan was built")
+
+        monkeypatch.setattr(rasterizer, "_TilePlan", refuse)
+        cam = cam32()
+        batch = prepare_splats(make_random_set(61, 60), cam, 2, 3)
+        rasterize_reference(batch, cam)
+        assert "tile_plan" not in vars(batch)
+        with pytest.raises(AssertionError, match="tile plan"):
+            rasterize_forward(batch, cam)
 
 
 def floor_of(a):
@@ -650,11 +731,8 @@ class TestCoverageRadius:
                          config.gate_sharpness)
 
         def pairs(batch):
-            counted = []
-            rasterizer._map_tiles(rasterizer._OrderedView(batch),
-                                  lambda b, local, ws: counted.append(
-                                      local.size * (b[1] - b[0]) * (b[3] - b[2])))
-            return sum(counted)
+            return sum((p.stop - p.start) * (b[1] - b[0]) * (b[3] - b[2])
+                       for b, p in batch.tile_plan.tiles)
 
         floored_pairs = tail_pairs = 0
         for t in range(0, ds.n_frames, 4):

@@ -366,6 +366,18 @@ class TestHistogram:
         assert counts.sum() == 3 and counts[-1] == 1
         assert edges[0] == 0.0 and edges[-1] == 60.0
 
+    @pytest.mark.parametrize("bins", [6, 256, 300, 1000])
+    def test_image_draws_every_bin(self, bins):
+        # the image is 256 px wide: past that many bins, bins share columns
+        bar = np.array([0.15, 0.25, 0.6])
+        for i in sorted({0, bins // 2, bins - 1}):
+            counts = np.zeros(bins, dtype=np.int64)
+            counts[i] = 5
+            img = trainer.histogram_image(counts)
+            drawn = np.nonzero(np.all(img[-2] == bar, axis=-1))[0]
+            assert drawn.size > 0, i
+            assert drawn.min() == (i * 256 // bins if bins > 256 else i * (256 // bins)), i
+
     def test_requires_two_bins(self):
         gs = self._set_with_durations([1.0], [])
         with pytest.raises(ValidationError):
@@ -393,6 +405,37 @@ def test_build_supervision_calls_each_layer_through_the_module(monkeypatch):
     trainer.build_supervision(replace(ds, dyn_masks=None), TrainConfig())
     T = ds.n_frames
     assert [counts.get(n, 0) for n in names] == [1, T - 1, T - 1, 2 * (T - 1)]
+
+
+def test_each_iteration_builds_one_tile_plan(monkeypatch):
+    # the forward and the backward of an iteration share the frame's plan
+    from dysplat import rasterizer
+
+    built = []
+
+    class CountedPlan(rasterizer._TilePlan):
+        def __init__(self, batch):
+            built.append(batch)
+            super().__init__(batch)
+
+    per_iteration = []
+    iteration = trainer.train_iteration
+
+    def counted_iteration(*args, **kwargs):
+        before = len(built)
+        result = iteration(*args, **kwargs)
+        per_iteration.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(rasterizer, "_TilePlan", CountedPlan)
+    monkeypatch.setattr(trainer, "train_iteration", counted_iteration)
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.02, 0.0, 0.0]}, frames=5))
+    config = TrainConfig(iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2,
+                         transition_check_every=0, n_bases=2, checkpoint_every=0,
+                         n_static_init=150, seed=11)
+    train(ds, config)
+    assert per_iteration == [1] * config.iters_total
 
 
 def test_velocity_targets_follow_the_rendered_frame_pairs():
