@@ -326,23 +326,20 @@ class _TilePlan:
         # same splats as _splats_in_tile, in the same order
         cols = _spans(batch.width)
         col_hits = np.stack([_hits(m[:, 0], r, x0, x1) for x0, x1 in cols])
-        self.tiles, local, centers, counts = [], [], [], []
-        start = 0
+        self.tiles, local, start = [], [], 0
         for y0, y1 in _spans(batch.height):
             in_row = np.nonzero(_hits(m[:, 1], r, y0, y1))[0]
             col, k = np.nonzero(col_hits[:, in_row])
             local.append(in_row[k])
             for (x0, x1), n in zip(cols, np.bincount(col, minlength=len(cols)).tolist()):
                 if n:
-                    bounds = (y0, y1, x0, x1)
-                    self.tiles.append((bounds, slice(start, start + n)))
-                    centers.append(_tile_center(*bounds))
-                    counts.append(n)
+                    self.tiles.append(((y0, y1, x0, x1), slice(start, start + n)))
                     start += n
         local = self.local = np.concatenate(local)
         self.rows = view.order[local]
         self.payload = view.payload
-        centers = np.repeat(np.array(centers, dtype=np.float64).reshape(-1, 2), counts, axis=0)
+        centers = np.repeat(np.reshape([_tile_center(*b) for b, _ in self.tiles], (-1, 2)),
+                            [p.stop - p.start for _, p in self.tiles], axis=0)
         a = self.a = view.mean[local, 0] - centers[:, 0]
         b = self.b = view.mean[local, 1] - centers[:, 1]
         A, B, C = self.A, self.B, self.C = view.A[local], view.B[local], view.C[local]
