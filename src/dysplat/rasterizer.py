@@ -340,8 +340,8 @@ class _TilePlan:
         self.payload = view.payload
         centers = np.repeat(np.reshape([_tile_center(*b) for b, _ in self.tiles], (-1, 2)),
                             [p.stop - p.start for _, p in self.tiles], axis=0)
-        a = self.a = view.mean[local, 0] - centers[:, 0]
-        b = self.b = view.mean[local, 1] - centers[:, 1]
+        a = self.a = m[local, 0] - centers[:, 0]
+        b = self.b = m[local, 1] - centers[:, 1]
         A, B, C = self.A, self.B, self.C = view.A[local], view.B[local], view.C[local]
         self.opacity = view.opacity[local]
         self.coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
