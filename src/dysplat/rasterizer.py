@@ -142,8 +142,9 @@ class SplatBatch:
 
     @cached_property
     def tile_plan(self):
-        """The batch's _TilePlan, built on first use. It is not a field, so a
-        ``dataclasses.replace`` copy builds its own from its own values."""
+        """The batch's _TilePlan, built on first use and kept, so the batch's
+        arrays must not change in place after a pass has read it. It is not a
+        field, so a ``dataclasses.replace`` copy builds its own."""
         return _TilePlan(self)
 
 
