@@ -26,7 +26,7 @@ def render_view(gset: GaussianSet, cam, t):
 
 
 def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
-    """Render the requested frames at their own cameras and score them.
+    """Render the requested frames (at least one) at their own cameras and score them.
 
     Returns {"per_frame": [...], "mean_psnr", "mean_ssim", "mean_iou"} where
     IoU entries appear only when the dataset carries dynamic masks.
@@ -34,6 +34,7 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
     """
     if frames is None:
         frames = list(range(ds.n_frames))
+    require(len(frames) > 0, "no frames to evaluate")
     for t in frames:
         require(0 <= require_int(t, "frame") < ds.n_frames,
                 f"frame {t} outside the dataset's frames [0, {ds.n_frames})")
@@ -49,11 +50,8 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
         if ds.dyn_masks is not None:
             entry["iou"] = mask_iou(out.dyn_mask > 0.5, ds.dyn_masks[t])
         per_frame.append(entry)
-    report = {
-        "per_frame": per_frame,
-        "mean_psnr": float(np.mean([e["psnr"] for e in per_frame])),
-        "mean_ssim": float(np.mean([e["ssim"] for e in per_frame])),
-    }
-    if per_frame and "iou" in per_frame[0]:
-        report["mean_iou"] = float(np.mean([e["iou"] for e in per_frame]))
+    report = {"per_frame": per_frame}
+    for key in ("psnr", "ssim", "iou"):  # iou only where the dataset has masks
+        if key in per_frame[0]:
+            report[f"mean_{key}"] = float(np.mean([e[key] for e in per_frame]))
     return report

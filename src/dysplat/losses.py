@@ -8,6 +8,7 @@ All reductions are means, keeping the loss weights resolution independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,75 +106,51 @@ def bce_loss(pred, gt):
 # SSIM with a zero-padded separable Gaussian window
 
 
-def _gaussian_kernel(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / np.sum(k)
+@lru_cache(maxsize=16)
+def _blur_matrix(n):
+    """(n, n) band of the normalised Gaussian window along an axis of n pixels,
+    zero-padded at the ends (read-only).
 
-
-def _blur1d(img, kernel, axis):
-    pad = len(kernel) // 2
-    spec = [(0, 0)] * img.ndim
-    spec[axis] = (pad, pad)
-    padded = np.pad(img, spec, mode="constant")
-    win = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=axis)
-    return np.einsum("...k,k->...", win, kernel)
-
-
-def _blur(img, kernel):
-    """Separable symmetric blur; self-adjoint under zero padding."""
-    return _blur1d(_blur1d(img, kernel, 0), kernel, 1)
-
-
-def _ssim_stats(a, b, kernel):
-    mu_a = _blur(a, kernel)
-    mu_b = _blur(b, kernel)
-    aa = _blur(a * a, kernel)
-    bb = _blur(b * b, kernel)
-    ab = _blur(a * b, kernel)
-    va = aa - mu_a * mu_a
-    vb = bb - mu_b * mu_b
-    vab = ab - mu_a * mu_b
-    A1 = 2.0 * mu_a * mu_b + SSIM_C1
-    A2 = 2.0 * vab + SSIM_C2
-    B1 = mu_a * mu_a + mu_b * mu_b + SSIM_C1
-    B2 = va + vb + SSIM_C2
-    return mu_a, mu_b, A1, A2, B1, B2
-
-
-def _ssim_maps(a, b, mask):
-    """Mean local SSIM over pixels (and channels) and, per channel that the
-    mean reads, (channel, stats, SSIM map, each pixel's weight in the mean).
-
-    A channel whose mask is empty counts as 1 and reads no pixel.
+    It is symmetric, so ``K_H @ x @ K_W`` blurs (..., H, W) planes and the blur
+    is its own adjoint.
     """
-    if a.ndim == 2:
-        a, b = a[..., None], b[..., None]
-    m = None if mask is None else np.asarray(mask, dtype=bool)
-    C = a.shape[-1]
-    kernel = _gaussian_kernel()
-    vals, maps = [], []
-    for c in range(C):
-        if m is not None and not m.any():
-            vals.append(1.0)
-            continue
-        stats = _ssim_stats(a[..., c], b[..., c], kernel)
-        _, _, A1, A2, B1, B2 = stats
-        s_map = (A1 * A2) / (B1 * B2)
-        if m is None:
-            vals.append(np.mean(s_map))
-            weight = np.full(s_map.shape, 1.0 / (s_map.size * C))
-        else:
-            vals.append(np.mean(s_map[m]))
-            weight = np.where(m, 1.0 / (np.count_nonzero(m) * C), 0.0)
-        maps.append((c, stats, s_map, weight))
-    return float(np.mean(vals)), maps
+    half = SSIM_WINDOW // 2
+    k = np.exp(-0.5 * (np.arange(-half, half + 1) / SSIM_SIGMA) ** 2)
+    k /= np.sum(k)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+    K = np.where(np.abs(offset) <= half, k[np.clip(offset + half, 0, 2 * half)], 0.0)
+    K.flags.writeable = False
+    return K
+
+
+def _blur(planes):
+    return _blur_matrix(planes.shape[-2]) @ planes @ _blur_matrix(planes.shape[-1])
+
+
+def _ssim_planes(a, b, mask):
+    """Mean local SSIM of (H, W) or (H, W, C) images over the mask's pixels and
+    every channel, with the (C, H, W) planes its gradient reads (None when the
+    mask is empty: then the mean is 1)."""
+    x = np.atleast_3d(a).transpose(2, 0, 1)
+    y = np.atleast_3d(b).transpose(2, 0, 1)
+    m = np.ones(x.shape[1:], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    n = np.count_nonzero(m) * len(x)
+    if n == 0:
+        return 1.0, None
+    mu_x, mu_y, xx, yy, xy = _blur(np.stack([x, y, x * x, y * y, x * y]))
+    A1 = 2.0 * mu_x * mu_y + SSIM_C1
+    A2 = 2.0 * (xy - mu_x * mu_y) + SSIM_C2
+    B1 = mu_x * mu_x + mu_y * mu_y + SSIM_C1
+    B2 = (xx - mu_x * mu_x) + (yy - mu_y * mu_y) + SSIM_C2
+    s_map = (A1 * A2) / (B1 * B2)
+    weight = m / n  # each pixel's weight in the mean
+    return float(np.mean(s_map[:, m])), (x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, weight)
 
 
 def ssim(a, b, mask=None):
     """Mean local SSIM over pixels (and channels), in [-1, 1]."""
-    return _ssim_maps(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
-                      mask)[0]
+    return _ssim_planes(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
+                        mask)[0]
 
 
 def ssim_with_grad(a, b, mask=None):
@@ -184,22 +161,18 @@ def ssim_with_grad(a, b, mask=None):
         # exact optimum: the gradient is identically zero (avoids ulp noise
         # that a scale-free optimizer would otherwise amplify)
         return 1.0, np.zeros_like(a)
-    value, maps = _ssim_maps(a, b, mask)
-    kernel = _gaussian_kernel()
-    x3, y3 = (a[..., None], b[..., None]) if a.ndim == 2 else (a, b)
-    grad = np.zeros_like(x3)
-    for c, (mu_x, mu_y, A1, A2, B1, B2), s_map, d_s in maps:
-        dA1 = d_s * A2 / (B1 * B2)
-        dA2 = d_s * A1 / (B1 * B2)
-        dB1 = -d_s * s_map / B1
-        dB2 = -d_s * s_map / B2
-        g_mu_x = dA1 * 2.0 * mu_y + dA2 * (-2.0 * mu_y) + dB1 * 2.0 * mu_x + dB2 * (-2.0 * mu_x)
-        g_xx = dB2
-        g_xy = dA2 * 2.0
-        grad[..., c] = (_blur(g_mu_x, kernel)
-                        + 2.0 * x3[..., c] * _blur(g_xx, kernel)
-                        + y3[..., c] * _blur(g_xy, kernel))
-    return value, grad.reshape(a.shape)
+    value, planes = _ssim_planes(a, b, mask)
+    if planes is None:
+        return value, np.zeros_like(a)
+    x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, d_s = planes
+    dA1 = d_s * A2 / (B1 * B2)
+    dA2 = d_s * A1 / (B1 * B2)
+    dB1 = -d_s * s_map / B1
+    dB2 = -d_s * s_map / B2
+    g_mu_x = dA1 * 2.0 * mu_y + dA2 * (-2.0 * mu_y) + dB1 * 2.0 * mu_x + dB2 * (-2.0 * mu_x)
+    b_mu_x, b_xx, b_xy = _blur(np.stack([g_mu_x, dB2, dA2 * 2.0]))
+    grad = b_mu_x + 2.0 * x * b_xx + y * b_xy
+    return value, grad.transpose(1, 2, 0).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ class _OrderedView:
         self.mean = batch.mean2d[o]
         self.radius = batch.radii[o]
         self.opacity = batch.opacity_eff[o]
-        self.payload = np.append(batch.channels, np.ones((len(o), 1)), axis=1)[o]  # C_ALPHA
+        self.payload = np.ones((len(o), N_CHANNELS + 1))  # C_ALPHA keeps its ones
+        self.payload[:, :C_ALPHA] = batch.channels[o]
         A, B, C = _conic(batch.cov2d)
         self.A, self.B, self.C = A[o], B[o], C[o]
 
@@ -602,10 +603,10 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
 
     _map_tiles(plan, run_tile)
 
-    # the conic is inv(cov2d): d_cov = -inv d_conic inv
+    # the conic S is inv(cov2d): d_cov = -S d_conic S
     d_conic = d_screen[:, [3, 4, 4, 5]].reshape(n, 2, 2)
-    inv = np.linalg.inv(batch.cov2d)
-    d_cov2d = -(inv @ d_conic @ inv)
+    S = np.stack(_conic(batch.cov2d), axis=1)[:, [0, 1, 1, 2]].reshape(n, 2, 2)
+    d_cov2d = -(S @ d_conic @ S)
 
     _chain_to_parameters(batch, cam, gset, grads,
                          d_payload, d_screen[:, 0], d_screen[:, 1:3], d_cov2d)

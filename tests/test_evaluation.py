@@ -26,6 +26,11 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(ds.gt_set, ds, frames=frames)
 
+    def test_empty_frame_list_raises(self):
+        ds = generate_synthetic(tiny_spec(frames=4))
+        with pytest.raises(ValidationError):
+            evaluate(ds.gt_set, ds, frames=[])
+
     def test_mask_iou_exact(self):
         rng = np.random.default_rng(0)
         m = rng.uniform(size=(10, 10)) > 0.5

@@ -65,19 +65,37 @@ class TestSSIM:
         b = rng.uniform(size=(16, 16))
         assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
 
-    def test_matches_brute_force(self):
+    @pytest.mark.parametrize("shape, masked", [((14, 17), False), ((14, 17, 3), True)],
+                             ids=["2d", "3ch-masked"])
+    def test_matches_brute_force(self, shape, masked):
         rng = np.random.default_rng(2)
-        a = rng.uniform(size=(14, 17))
+        a = rng.uniform(size=shape)
         b = np.clip(a + 0.1 * rng.normal(size=a.shape), 0, 1)
-        assert ssim(a, b) == pytest.approx(brute_force_ssim(a, b), abs=1e-10)
+        m = rng.uniform(size=shape[:2]) > 0.4 if masked else np.ones(shape[:2], dtype=bool)
+        planes = [(a, b)] if a.ndim == 2 else [(a[..., c], b[..., c]) for c in range(shape[2])]
+        oracle = np.mean([np.mean(brute_force_ssim_map(x, y)[m]) for x, y in planes])
+        assert ssim(a, b, mask=m if masked else None) == pytest.approx(oracle, abs=1e-10)
 
-    def test_grad_matches_fd(self):
+    @pytest.mark.parametrize("shape, masked", [((8, 9), False), ((8, 9, 3), True)],
+                             ids=["2d", "3ch-masked"])
+    def test_grad_matches_fd(self, shape, masked):
         rng = np.random.default_rng(3)
-        a = rng.uniform(0.2, 0.8, size=(8, 9))
-        b = rng.uniform(0.2, 0.8, size=(8, 9))
-        _, g = ssim_with_grad(a, b)
-        fd = fd_grad(lambda x: ssim(x, b), a.copy())
+        a = rng.uniform(0.2, 0.8, size=shape)
+        b = rng.uniform(0.2, 0.8, size=shape)
+        m = rng.uniform(size=shape[:2]) > 0.4 if masked else None
+        _, g = ssim_with_grad(a, b, mask=m)
+        fd = fd_grad(lambda x: ssim(x, b, mask=m), a.copy())
         assert_grad_close(g, fd)
+
+    def test_empty_mask_reads_one_with_zero_gradient(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(size=(8, 9, 3))
+        b = rng.uniform(size=(8, 9, 3))
+        empty = np.zeros((8, 9), dtype=bool)
+        assert ssim(a, b, mask=empty) == 1.0
+        value, g = ssim_with_grad(a, b, mask=empty)
+        assert value == 1.0
+        assert g.shape == a.shape and not np.any(g)
 
 
 def brute_force_ssim_map(a, b, size=11, sigma=1.5):
