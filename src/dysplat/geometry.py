@@ -217,8 +217,6 @@ def rot6d_to_matrix(a6):
     Columns of the result are (b1, b2, b1 x b2).
     """
     a = np.asarray(a6, dtype=np.float64)
-    single = a.ndim == 1
-    a = np.atleast_2d(a)
     a1 = a[..., :3]
     a2 = a[..., 3:]
     n1 = np.linalg.norm(a1, axis=-1)
@@ -232,14 +230,12 @@ def rot6d_to_matrix(a6):
         raise DegenerateRotation6D("6D columns are (near-)parallel")
     b2 = u2 / n2[..., None]
     b3 = np.cross(b1, b2)
-    R = np.stack([b1, b2, b3], axis=-1)  # columns
-    return R[0] if single else R
+    return np.stack([b1, b2, b3], axis=-1)  # columns
 
 
 def rot6d_vjp(a6, grad_R):
     """Adjoint of rot6d_to_matrix: (..., 3, 3) cotangent -> (..., 6)."""
-    a = np.atleast_2d(np.asarray(a6, dtype=np.float64))
-    single = np.asarray(a6).ndim == 1
+    a = np.asarray(a6, dtype=np.float64)
     g = np.asarray(grad_R, dtype=np.float64).reshape(a.shape[:-1] + (3, 3))
 
     a1 = a[..., :3]
@@ -267,8 +263,7 @@ def rot6d_vjp(a6, grad_R):
     # b1 = a1 / |a1|
     ga1 = (gb1 - np.sum(gb1 * b1, axis=-1, keepdims=True) * b1) / n1
 
-    out = np.concatenate([ga1, ga2], axis=-1)
-    return out[0] if single else out
+    return np.concatenate([ga1, ga2], axis=-1)
 
 
 def matrix_to_rot6d(R):

@@ -17,6 +17,7 @@ builds a new set and must not run concurrently with renders.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -235,51 +236,60 @@ def gate_backward(grad_gate, sharpness, duration, center, t):
 
 @dataclass
 class BlendContext:
-    """Saved intermediates of one basis blend, keyed by frame index."""
+    """Saved intermediates of one basis blend at frame ``t``. When t is a 1-D
+    array of frames, every array has a leading axis over its entries."""
 
-    t: int
-    basis_R: np.ndarray   # (K, 3, 3) orthonormalized basis rotations
-    cols6: np.ndarray     # (K, 6) their first two columns
-    blend6: np.ndarray    # (N, 6) weighted 6D blend
-    A_rot: np.ndarray     # (N, 3, 3)
-    A_tr: np.ndarray      # (N, 3)
+    t: int | np.ndarray
+    basis_R: np.ndarray   # (..., K, 3, 3) orthonormalized basis rotations
+    cols6: np.ndarray     # (..., K, 6) their first two columns
+    blend6: np.ndarray    # (..., N, 6) weighted 6D blend
+    A_rot: np.ndarray     # (..., N, 3, 3)
+    A_tr: np.ndarray      # (..., N, 3)
+
+
+def _at_frames(arr, t):
+    """(K, T, d) basis array at frame(s) t, frames first: (..., K, d)."""
+    return np.moveaxis(arr[:, t], 0, -2)
 
 
 def blend_bases(weights, bases: MotionBases, t) -> BlendContext:
-    """Blend the shared bases at frame t for every rigid Gaussian."""
-    basis_R = rot6d_to_matrix(bases.rot6d[:, t])
+    """Blend the shared bases for every rigid Gaussian at frame t, or at each
+    frame of a 1-D array t."""
+    basis_R = rot6d_to_matrix(_at_frames(bases.rot6d, t))
     cols6 = matrix_to_rot6d(basis_R)
     blend6 = weights @ cols6
     A_rot = rot6d_to_matrix(blend6)
-    A_tr = weights @ bases.trans[:, t]
+    A_tr = weights @ _at_frames(bases.trans, t)
     return BlendContext(t=t, basis_R=basis_R, cols6=cols6, blend6=blend6, A_rot=A_rot, A_tr=A_tr)
 
 
 def blend_backward(ctx: BlendContext, weights, bases: MotionBases,
                    grad_A_rot, grad_A_tr, out_weights, out_rot6d, out_trans):
-    """Accumulate blend adjoints into weight and basis gradient buffers."""
-    if grad_A_rot is not None:
-        d_blend6 = rot6d_vjp(ctx.blend6, grad_A_rot)
-        out_weights += d_blend6 @ ctx.cols6.T
-        d_cols6 = weights.T @ d_blend6
-        d_basis_R = np.zeros_like(ctx.basis_R)
-        d_basis_R[:, :, 0] = d_cols6[:, :3]
-        d_basis_R[:, :, 1] = d_cols6[:, 3:]
-        out_rot6d[:, ctx.t] += rot6d_vjp(bases.rot6d[:, ctx.t], d_basis_R)
-    if grad_A_tr is not None:
-        out_weights += grad_A_tr @ bases.trans[:, ctx.t].T
-        out_trans[:, ctx.t] += weights.T @ grad_A_tr
+    """Accumulate blend adjoints (shaped like ctx.A_rot and ctx.A_tr) into
+    weight and basis gradient buffers; a frame listed twice adds twice."""
+    d_blend6 = rot6d_vjp(ctx.blend6, grad_A_rot)
+    d_w = (d_blend6 @ np.swapaxes(ctx.cols6, -1, -2)
+           + grad_A_tr @ np.swapaxes(_at_frames(bases.trans, ctx.t), -1, -2))
+    out_weights += d_w.reshape((-1,) + weights.shape).sum(axis=0)
+    d_cols6 = weights.T @ d_blend6
+    d_basis_R = np.zeros_like(ctx.basis_R)
+    d_basis_R[..., 0] = d_cols6[..., :3]
+    d_basis_R[..., 1] = d_cols6[..., 3:]
+    d_rot6d = rot6d_vjp(_at_frames(bases.rot6d, ctx.t), d_basis_R)
+    frames = (slice(None), ctx.t)
+    np.add.at(out_rot6d, frames, np.moveaxis(d_rot6d, -2, 0))
+    np.add.at(out_trans, frames, np.moveaxis(weights.T @ grad_A_tr, -2, 0))
     return out_weights
 
 
 def rigid_means_at(rigids: RigidGaussians, ctx: BlendContext):
     """World means A_rot(t) mu + A_tr(t) of the rigids blended in ``ctx``."""
-    return np.einsum("nij,nj->ni", ctx.A_rot, rigids.means) + ctx.A_tr
+    return np.einsum("...nij,nj->...ni", ctx.A_rot, rigids.means) + ctx.A_tr
 
 
 def rigid_rotations_at(ctx: BlendContext, Rq):
     """World rotations A_rot(t) R(q) from the canonical rotations Rq (N,3,3)."""
-    return np.einsum("nij,njk->nik", ctx.A_rot, Rq)
+    return np.einsum("...nij,njk->...nik", ctx.A_rot, Rq)
 
 
 def transient_position_at(transients: TransientGaussians, t):
@@ -326,10 +336,9 @@ def transition_rigid_to_transient(gset: GaussianSet, threshold):
     # every row's pose at each distinct frame, then each row's own frames
     frames, slot = np.unique(np.stack([anchor, lo, hi]), return_inverse=True)
     slot, rows = slot.reshape(3, count), np.arange(count)
-    ctxs = [blend_bases(sub.weights, gset.bases, int(f)) for f in frames]
-    means = np.stack([rigid_means_at(sub, ctx) for ctx in ctxs])[slot, rows]
-    Rq = quat_to_matrix(sub.quats)
-    rotations = np.stack([rigid_rotations_at(ctx, Rq) for ctx in ctxs])[slot[0], rows]
+    ctx = blend_bases(sub.weights, gset.bases, frames)
+    means = rigid_means_at(sub, ctx)[slot, rows]
+    rotations = rigid_rotations_at(ctx, quat_to_matrix(sub.quats))[slot[0], rows]
     span = (hi - lo)[:, None]
     velocities = np.where(span > 0, (means[2] - means[1]) / np.maximum(span, 1), 0.0)
 
@@ -436,7 +445,7 @@ def load_checkpoint(path):
 
     arrays = {}
     for kind, name, shape, start in specs:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         raw = payload[start:start + 4 * n]
         if start < 0 or min(shape, default=0) < 0 or len(raw) != 4 * n:
             raise ShapeMismatch(f"{path}: truncated field {name}")

@@ -43,6 +43,7 @@ from .geometry import (
     quat_vjp,
 )
 from .primitives import (
+    BlendContext,
     GaussianSet,
     _velocity_frame_pairs,
     blend_backward,
@@ -125,7 +126,7 @@ class SplatBatch:
     height: int
     t: int
     t_corr: int
-    rigid_ctxs: dict         # frame -> BlendContext over the full rigid population
+    rigid_ctx: BlendContext | None  # every rigid at frames [t, t_corr, fwd, bwd], or None
     rigid_Rq: np.ndarray     # (Nr, 3, 3) canonical rotations from quats
     mean_cam: np.ndarray     # (N, 3)
     J: np.ndarray            # (N, 2, 3) projection Jacobian
@@ -188,21 +189,20 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     R_w = quat_to_matrix(np.concatenate([p.quats for p in pops]))
     rigid_Rq = R_w[rigid_sl].copy()
 
-    rigid_ctxs = {}
+    rigid_ctx = None
     if nr:
-        r = gset.rigids
+        # one blend over the frame rows [t, t_corr] and, for T >= 2, each
+        # velocity pair (hi, lo); _chain_rigid reads the rows in this order
         fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
-        frames = {t, t_corr}
-        if fwd is not None:
-            frames |= set(fwd) | set(bwd)
-        rigid_ctxs = {f: blend_bases(r.weights, gset.bases, f) for f in sorted(frames)}
-        means_at = {f: rigid_means_at(r, c) for f, c in rigid_ctxs.items()}
-        mean_w[rigid_sl] = means_at[t]
-        R_w[rigid_sl] = rigid_rotations_at(rigid_ctxs[t], rigid_Rq)
-        if fwd is not None:
-            channels[rigid_sl, C_VFWD] = means_at[fwd[0]] - means_at[fwd[1]]
-            channels[rigid_sl, C_VBWD] = means_at[bwd[0]] - means_at[bwd[1]]
-        channels[rigid_sl, C_CORR] = means_at[t_corr]
+        frames = [t, t_corr] + ([*fwd, *bwd] if fwd else [])
+        rigid_ctx = blend_bases(gset.rigids.weights, gset.bases, np.array(frames))
+        means_at = rigid_means_at(gset.rigids, rigid_ctx)
+        mean_w[rigid_sl] = means_at[0]
+        channels[rigid_sl, C_CORR] = means_at[1]
+        if fwd:
+            channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
+            channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
+        R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, rigid_Rq)[0]
 
     tr = gset.transients
     mean_w[transient_sl] = transient_position_at(tr, float(t))
@@ -244,7 +244,7 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     return SplatBatch(
         mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
         channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
-        t=t, t_corr=t_corr, rigid_ctxs=rigid_ctxs, rigid_Rq=rigid_Rq,
+        t=t, t_corr=t_corr, rigid_ctx=rigid_ctx, rigid_Rq=rigid_Rq,
         mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
         log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
         gate=gate[sel], base_opacity=base_op[sel],
@@ -674,44 +674,20 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
 
 def _chain_rigid(batch, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
     """Rigid adjoints of the world means and rotations, pulled back through
-    the basis blends into means, weights and bases. Returns the adjoint of
+    the basis blend into means, weights and bases. Returns the adjoint of
     the canonical rotations of ``rows``."""
     r = gset.rigids
-    nr = len(r)
+    ctx = batch.rigid_ctx
     g = grads["rigid"]
-    fwd, bwd = _velocity_frame_pairs(batch.t, gset.n_frames)
+    # adjoint of the mean at each frame row of ctx: the world mean at t, the
+    # correspondence at t_corr and each velocity as mean(hi) - mean(lo)
+    d_mean = np.zeros(ctx.A_tr.shape)
+    d_mean[:, rows] = np.stack([d_mean_w, d_corr, d_vf, -d_vf, d_vb, -d_vb][:len(d_mean)])
 
-    def scatter(src):
-        out = np.zeros((nr,) + src.shape[1:])
-        out[rows] += src
-        return out
-
-    # adjoint of mean(f) per frame; this order (the world mean at t, the
-    # correspondence at t_corr, each velocity as mean(hi) - mean(lo)) fixes the
-    # summation order of d_mu_total below
-    reads = [(batch.t, scatter(d_mean_w)), (batch.t_corr, scatter(d_corr))]
-    if fwd is not None:
-        d_vf, d_vb = scatter(d_vf), scatter(d_vb)
-        reads += [(fwd[0], d_vf), (fwd[1], -d_vf), (bwd[0], d_vb), (bwd[1], -d_vb)]
-    d_mean = {}
-    for f, dm in reads:
-        d_mean[f] = d_mean.get(f, 0.0) + dm
-
-    # R_world = A_rot(t) Rq
-    d_Rw_full = scatter(d_R_w)
-    d_A_rot = {batch.t: np.einsum("nij,nkj->nik", d_Rw_full, batch.rigid_Rq)}
-    d_Rq = np.einsum("nji,njk->nik", batch.rigid_ctxs[batch.t].A_rot, d_Rw_full)
-
-    # mean(f) = A_rot(f) mu + A_tr(f)
-    d_mu_total = np.zeros((nr, 3))
-    for f, dm in d_mean.items():
-        d_A_rot[f] = d_A_rot.get(f, 0.0) + np.einsum("ni,nj->nij", dm, r.means)
-        d_mu_total += np.einsum("nji,nj->ni", batch.rigid_ctxs[f].A_rot, dm)
-    g["means"] += d_mu_total
-
-    d_weights = np.zeros_like(r.weights)
-    for f in sorted(d_mean):
-        blend_backward(batch.rigid_ctxs[f], r.weights, gset.bases, d_A_rot[f], d_mean[f],
-                       d_weights, grads["bases"]["rot6d"], grads["bases"]["trans"])
-    g["weights"] += d_weights
-    return d_Rq[rows]
+    # mean(f) = A_rot(f) mu + A_tr(f), and R_world = A_rot(t) Rq
+    d_A_rot = np.einsum("fni,nj->fnij", d_mean, r.means)
+    d_A_rot[0, rows] += np.einsum("nij,nkj->nik", d_R_w, batch.rigid_Rq[rows])
+    g["means"] += np.einsum("fnji,fnj->ni", ctx.A_rot, d_mean)
+    blend_backward(ctx, r.weights, gset.bases, d_A_rot, d_mean,
+                   g["weights"], grads["bases"]["rot6d"], grads["bases"]["trans"])
+    return np.einsum("nji,njk->nik", ctx.A_rot[0, rows], d_R_w)

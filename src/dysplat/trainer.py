@@ -284,14 +284,16 @@ def _kmeans(points, k, seed):
 
 
 def _procrustes(src, dst):
-    """Least-squares rotation+translation mapping src points onto dst."""
+    """Least-squares rotation+translation mapping the src points (n, 3) onto
+    each dst point set (..., n, 3)."""
     c_src = np.mean(src, axis=0)
-    c_dst = np.mean(dst, axis=0)
-    A = (src - c_src).T @ (dst - c_dst)
+    c_dst = np.mean(dst, axis=-2)
+    A = (src - c_src).T @ (dst - c_dst[..., None, :])
     U, _, Vt = np.linalg.svd(A)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    R = Vt.T @ D @ U.T
+    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    # V diag(1, 1, d) U^T with d = sign det(V U^T), so R is never a reflection
+    Ut[..., 2, :] *= np.sign(np.linalg.det(V @ Ut))[..., None]
+    R = V @ Ut
     return R, c_dst - R @ c_src
 
 
@@ -341,16 +343,14 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
         members = trajs[assign == jb]
         if members.shape[0] == 0:
             continue
-        ref = members[:, 0, :]
-        for t in range(1, T):
-            cur = members[:, t, :]
-            if members.shape[0] >= 3:
-                R, tr = _procrustes(ref, cur)
-            else:
-                R = np.eye(3)
-                tr = np.mean(cur - ref, axis=0)
-            bases.rot6d[jb, t] = matrix_to_rot6d(R)
-            bases.trans[jb, t] = tr
+        # every frame t >= 1 against frame 0; fewer than 3 members keep the
+        # identity rotation and move by their mean displacement
+        ref, cur = members[:, 0, :], np.swapaxes(members[:, 1:, :], 0, 1)
+        if members.shape[0] >= 3:
+            R, bases.trans[jb, 1:] = _procrustes(ref, cur)
+            bases.rot6d[jb, 1:] = matrix_to_rot6d(R)
+        else:
+            bases.trans[jb, 1:] = np.mean(cur - ref, axis=1)
 
     # anchor each rigid at its first lifted frame, pulled back to the canonical frame 0
     rows = np.arange(n)

@@ -18,6 +18,7 @@ from dysplat.primitives import (
     RigidGaussians,
     StaticGaussians,
     TransientGaussians,
+    blend_backward,
     blend_bases,
     covariance,
     covariance_backward,
@@ -215,6 +216,34 @@ class TestRigidPose:
         blend6 = sum(w[0, j] * np.concatenate([R_k[j, :, 0], R_k[j, :, 1]]) for j in range(K))
         assert np.allclose(ctx.A_rot[0], rot6d_to_matrix(blend6))
         assert np.allclose(ctx.A_tr[0], sum(w[0, j] * bases.trans[j, 1] for j in range(K)))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("T", [3, 16])
+    def test_blend_over_frames_is_each_frames_blend(self, K, T):
+        # each row of a blend over a frames array is that frame's own blend,
+        # byte for byte; the adjoints of a repeated frame add up
+        rng = np.random.default_rng(10 * K + T)
+        w = rng.normal(size=(7, K))
+        bases = MotionBases(rng.normal(size=(K, T, 6)), rng.normal(size=(K, T, 3)))
+        frames = np.array([T - 1, 0, 1, T - 1, 2, 1])
+        ctx = blend_bases(w, bases, frames)
+        singles = [blend_bases(w, bases, int(f)) for f in frames]
+        for row, one in enumerate(singles):
+            for name in ("basis_R", "cols6", "blend6", "A_rot", "A_tr"):
+                assert getattr(ctx, name)[row].tobytes() == getattr(one, name).tobytes(), name
+
+        g_rot, g_tr = rng.normal(size=ctx.A_rot.shape), rng.normal(size=ctx.A_tr.shape)
+
+        def adjoints(c, grad_rot, grad_tr):
+            out = (np.zeros_like(w), np.zeros_like(bases.rot6d), np.zeros_like(bases.trans))
+            blend_backward(c, w, bases, grad_rot, grad_tr, *out)
+            return out
+
+        got = adjoints(ctx, g_rot, g_tr)
+        want = [sum(parts) for parts in zip(*(adjoints(one, g_rot[row], g_tr[row])
+                                               for row, one in enumerate(singles)))]
+        for g, ref in zip(got, want):
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTransient:
@@ -460,6 +489,7 @@ MALFORMED_CHECKPOINTS = {
     "no-T": BadMagic,
     "no-alpha_gate": BadMagic,
     "length-past-end": ShapeMismatch,
+    "count-overflows-int64": ShapeMismatch,
 }
 
 
@@ -477,6 +507,10 @@ def malformed_checkpoint(case, tmp_path):
 
     if case.startswith("no-"):
         del header[case[3:]]
+        return rigs(json.dumps(header).encode())
+    if case == "count-overflows-int64":
+        # 2^32 * 2^32 elements: a product in int64 wraps to 0
+        header["fields"][0]["shape"] = [2**32, 2**32]
         return rigs(json.dumps(header).encode())
     return {
         "not-magic": b"NOTMAGIC" + b"\x00" * 64,

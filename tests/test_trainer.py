@@ -438,6 +438,39 @@ def test_each_iteration_builds_one_tile_plan(monkeypatch):
     assert per_iteration == [1] * config.iters_total
 
 
+def test_a_stage_3_iteration_blends_the_bases_once(monkeypatch):
+    # prepare_splats blends every frame the iteration reads (t, t_corr and
+    # both velocity pairs) in one call, and the backward reuses that blend
+    from dysplat import rasterizer
+
+    blended = []
+    blend = rasterizer.blend_bases
+
+    def counted_blend(*args):
+        blended.append(args[2])
+        return blend(*args)
+
+    per_iteration = []
+    iteration = trainer.train_iteration
+
+    def counted_iteration(gset, *args):
+        before = len(blended)
+        result = iteration(gset, *args)
+        per_iteration.append((args[-1], len(gset.rigids), len(blended) - before))
+        return result
+
+    monkeypatch.setattr(rasterizer, "blend_bases", counted_blend)
+    monkeypatch.setattr(trainer, "train_iteration", counted_iteration)
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.02, 0.0, 0.0]}, frames=5))
+    config = TrainConfig(iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2,
+                         transition_check_every=0, n_bases=2, checkpoint_every=0,
+                         n_static_init=150, seed=11)
+    train(ds, config)
+    stage_3 = [(rigids, blends) for stage, rigids, blends in per_iteration if stage == 3]
+    assert len(stage_3) == 2 and all(rigids > 0 and blends == 1 for rigids, blends in stage_3)
+
+
 def test_velocity_targets_follow_the_rendered_frame_pairs():
     # v_fwd and v_bwd render mean(a) - mean(b) over _velocity_frame_pairs(t, T);
     # frames 0 and T-1 take their one pair in both directions, so their
