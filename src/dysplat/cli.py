@@ -132,8 +132,9 @@ def _cmd_sceneflow(args):
     out.mkdir(parents=True, exist_ok=True)
     T = ds.n_frames
     v = np.zeros((2, T) + ds.image_size + (3,))  # toward t + 1, from t - 1; 0 at the ends
-    for t, s, _, _, v_ts, _ in scene_flow_pairs(ds):
-        v[int(s < t), t] = v_ts
+    for t, _, pairs in scene_flow_pairs(ds):
+        for s, _, _, v_ts, _ in pairs:
+            v[int(s < t), t] = v_ts
     for t in range(T):
         write_raw(out / f"v_fwd_{t:05d}.f32", v[0, t], "float32")
         write_raw(out / f"v_bwd_{t:05d}.f32", v[1, t], "float32")

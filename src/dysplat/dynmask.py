@@ -22,20 +22,27 @@ OCC_ABS = 0.5
 DEFAULT_EPS_TEMP = 1e-4
 
 
-def occlusion_mask(fwd, bwd):
+def occlusion_mask(fwd, warped_bwd, inside):
     """Forward-backward consistency check.
 
-    fwd maps frame t to t+1, bwd maps t+1 back to t. A pixel is occluded when
-    the round trip misses by more than a fraction of the motion magnitude, or
-    when the backward sample falls outside the image.
+    fwd maps frame t to t+1. ``warped_bwd`` is the flow from t+1 back to t,
+    read at each pixel's forward target, and ``inside`` marks targets whose
+    bilinear support lies inside the image: ``warp(bwd, fwd)`` returns both.
+    A pixel is occluded when the round trip misses by more than a fraction of
+    the motion magnitude, or when the backward sample falls outside the image.
     """
     fwd = np.asarray(fwd, dtype=np.float64)
-    bwd = np.asarray(bwd, dtype=np.float64)
-    check_same_hw(fwd, bwd, names=["fwd", "bwd"])
-    warped_bwd, valid = warp(bwd, fwd)
-    resid = np.sum((fwd + warped_bwd) ** 2, axis=-1)
-    bound = OCC_REL * (np.sum(fwd**2, axis=-1) + np.sum(warped_bwd**2, axis=-1)) + OCC_ABS
-    return (resid > bound) | ~valid
+    check_same_hw(fwd, warped_bwd, inside, names=["fwd", "warped_bwd", "inside"])
+    resid = _squared_norm(fwd + warped_bwd)
+    bound = OCC_REL * (_squared_norm(fwd) + _squared_norm(warped_bwd)) + OCC_ABS
+    return (resid > bound) | ~inside
+
+
+def _squared_norm(v):
+    """|v|^2 of (..., 2) vectors as one add, which is what ``np.sum`` over that
+    axis gives, at a fraction of the cost of a two-element reduction."""
+    sq = v**2
+    return sq[..., 0] + sq[..., 1]
 
 
 def flow_weight(uncertainty, occluded):
@@ -122,7 +129,7 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps, depths, 
 
     for t in range(T - 1):
         fwd = np.asarray(flows_fwd[t], dtype=np.float64)
-        occ = occlusion_mask(fwd, flows_bwd[t + 1])
+        occ = occlusion_mask(fwd, *warp(flows_bwd[t + 1], fwd))
         u = 0.0 if uncertainties is None or uncertainties[t] is None else uncertainties[t]
         static, valid = static_world_flow(depths[t], cameras[t], cameras[t + 1])
         w = np.where(valid, flow_weight(u, occ), 0.0)

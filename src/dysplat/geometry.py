@@ -175,21 +175,26 @@ def bilinear_sample(field, x, y):
     H, W = field.shape[:2]
     valid = (x >= 0.0) & (x <= W - 1.0) & (y >= 0.0) & (y <= H - 1.0)
 
-    cx = np.clip(np.nan_to_num(x), 0.0, W - 1.0)
-    cy = np.clip(np.nan_to_num(y), 0.0, H - 1.0)
+    cx = np.clip(np.nan_to_num(x), 0.0, W - 1.0).ravel()
+    cy = np.clip(np.nan_to_num(y), 0.0, H - 1.0).ravel()
     x0 = np.floor(cx).astype(np.int64)
     y0 = np.floor(cy).astype(np.int64)
     x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
+    row0 = y0 * W
+    row1 = np.minimum(y0 + 1, H - 1) * W
     wx = cx - x0
     wy = cy - y0
 
-    weights = [(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]
-    if field.ndim == 3:
-        weights = [w[..., None] for w in weights]
-    out = weights[0] * field[y0, x0] + weights[1] * field[y0, x1] \
-        + weights[2] * field[y1, x0] + weights[3] * field[y1, x1]
-    return out, valid
+    # channel-first: each corner is one gather of every channel from a flat
+    # (C, H * W) view, which is no copy when the channel axis is the outer one
+    flat = np.ascontiguousarray(field.reshape(H * W, -1).T)
+    weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
+    corners = (row0 + x0, row0 + x1, row1 + x0, row1 + x1)
+    out = weights[0] * flat.take(corners[0], axis=1)
+    for w, i in zip(weights[1:], corners[1:]):  # w0 f00 + w1 f01 + w2 f10 + w3 f11
+        out += w * flat.take(i, axis=1)
+    out = out.reshape(field.shape[2:] + x.shape)
+    return (np.moveaxis(out, 0, -1) if field.ndim == 3 else out), valid
 
 
 def warp(field, flow):

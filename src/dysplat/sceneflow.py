@@ -1,16 +1,22 @@
 """Lifting optical flow plus depth to 3D scene flow, and its validity mask.
 
-Scene flow is expressed in world coordinates: unproject both depth maps to
-world-point maps, warp the neighbor frame's map by the optical flow, and
-subtract. A rigidly static world therefore yields zero flow under any camera
-motion (up to interpolation error, which the validity mask excludes).
+Scene flow is expressed in world coordinates. Each frame's depth map is lifted
+once to a world-point map (``lift_frame``). For a frame t and its neighbour s,
+one bilinear sample reads s's points, depth validity, depth and return flow at
+every pixel's flow target p + flow(p) (``sample_pair``). The scene flow is the
+sampled point minus the pixel's own point, so a rigidly static world yields
+zero flow under any camera motion (up to interpolation error, which the
+validity mask excludes). The warped-depth and occlusion checks read the same
+sample.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .geometry import CameraFrame, bilinear_sample, unproject_grid, warp
+from .geometry import CameraFrame, bilinear_sample, unproject_grid
 from .validation import check_same_hw
 
 DEPTH_MIN = 1e-4
@@ -29,47 +35,82 @@ def finite_depth(depth, fill):
     return np.where(np.isfinite(depth), depth, fill)
 
 
-def support_valid(depth, x, y):
-    """Points (x, y) whose whole bilinear support lies inside the image on
-    valid depth pixels; a depth sampled anywhere else is not trustworthy."""
-    support, inside = bilinear_sample(depth_validity(depth).astype(np.float64), x, y)
+class FrameLift(NamedTuple):
+    """One frame's depth map, lifted once."""
+    depth: np.ndarray     # (H, W) as given
+    points: np.ndarray    # (H, W, 3) world points; non-finite depths lift to the camera centre
+    valid: np.ndarray     # (H, W) depth_validity(depth)
+    camera: CameraFrame
+
+
+def lift_frame(depth, cam: CameraFrame):
+    depth = np.asarray(depth, dtype=np.float64)
+    return FrameLift(depth, unproject_grid(finite_depth(depth, 0.0), cam),
+                     depth_validity(depth), cam)
+
+
+def support_valid(support, inside):
+    """The one rule for a trustworthy depth sample: its whole bilinear support
+    lies inside the image (``inside``) on valid depth pixels, so the sampled
+    depth validity ``support`` reaches 1."""
     return inside & (support >= 1.0 - 1e-9)
 
 
-def _support_valid(depth_b, flow):
-    """Warp targets whose whole bilinear support lies on valid depth_b pixels."""
-    H, W = depth_b.shape
+def sample_depth(depth, valid, x, y, *fields):
+    """Read a depth map (non-finite values as 0), its validity and any
+    (H, W, C) ``fields`` at pixels (x, y), in one bilinear sample.
+
+    Returns (depth, trusted, fields, inside): ``trusted`` is ``support_valid``
+    and ``fields`` holds the extra channels in order along the last axis.
+    """
+    stack = np.concatenate([finite_depth(depth, 0.0)[None], valid[None]]
+                           + [np.moveaxis(f, -1, 0) for f in fields], dtype=np.float64)
+    out, inside = bilinear_sample(np.moveaxis(stack, 0, -1), x, y)
+    return out[..., 0], support_valid(out[..., 1], inside), out[..., 2:], inside
+
+
+class PairSample(NamedTuple):
+    """Frame s read at each pixel's flow target p + flow(p) in frame t."""
+    points: np.ndarray    # (H, W, 3) s's world points
+    depth: np.ndarray     # (H, W) s's depth, 0 where not finite
+    trusted: np.ndarray   # (H, W) support_valid
+    back: np.ndarray      # (H, W, 2) the return flow s -> t
+    inside: np.ndarray    # (H, W) whole bilinear support inside the image
+    camera: CameraFrame   # s's camera
+
+
+def sample_pair(lift_s: FrameLift, flow, back):
+    """Read frame s's lift and its return flow ``back`` (s -> t) at the targets
+    of ``flow`` (t -> s): the one bilinear sample of a frame pair."""
+    flow = np.asarray(flow, dtype=np.float64)
+    back = np.asarray(back)
+    check_same_hw(lift_s.depth, flow, back, names=["depth", "flow", "back"])
+    H, W = lift_s.depth.shape
     gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    return support_valid(depth_b, gx + flow[..., 0], gy + flow[..., 1])
+    depth, trusted, fields, inside = sample_depth(
+        lift_s.depth, lift_s.valid, gx + flow[..., 0], gy + flow[..., 1], lift_s.points, back)
+    return PairSample(fields[..., :3], depth, trusted, fields[..., 3:], inside, lift_s.camera)
 
 
-def forward_scene_flow(depth_t, depth_next, flow_fwd, cam_t, cam_next):
-    """World displacement of each pixel's surface point toward frame t+1:
-    warp(unproject(depth_next), flow_fwd) - unproject(depth_t), with validity."""
-    depth_t = np.asarray(depth_t, dtype=np.float64)
-    depth_next = np.asarray(depth_next, dtype=np.float64)
-    flow_fwd = np.asarray(flow_fwd, dtype=np.float64)
-    check_same_hw(depth_t, depth_next, flow_fwd, names=["depth_t", "depth_next", "flow_fwd"])
-
-    pts_t = unproject_grid(finite_depth(depth_t, 0.0), cam_t)
-    pts_next = unproject_grid(finite_depth(depth_next, 0.0), cam_next)
-    warped, _ = warp(pts_next, flow_fwd)
-    valid = _support_valid(depth_next, flow_fwd) & depth_validity(depth_t)
-    v = warped - pts_t
+def forward_scene_flow(lift_t: FrameLift, sample: PairSample):
+    """World displacement of each pixel's surface point toward frame s = t + 1:
+    s's point at the flow target minus t's point, with validity."""
+    check_same_hw(lift_t.depth, sample.depth, names=["depth_t", "sample"])
+    valid = sample.trusted & lift_t.valid
+    v = sample.points - lift_t.points
     return np.where(valid[..., None], v, 0.0), valid
 
 
-def backward_scene_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev):
-    """World displacement from frame t-1 into each pixel's surface point.
+def backward_scene_flow(lift_t: FrameLift, sample: PairSample):
+    """World displacement from frame s = t - 1 into each pixel's surface point.
 
-    Mirrors the forward case: unproject(depth_t) - warp(unproject(depth_prev)).
+    Mirrors the forward case: t's point minus s's point at the flow target.
     """
-    v, valid = forward_scene_flow(depth_t, depth_prev, flow_bwd, cam_t, cam_prev)
+    v, valid = forward_scene_flow(lift_t, sample)
     return -v, valid
 
 
-def warped_depth_consistency(depth_a, depth_b, flow, cam_a: CameraFrame,
-                             cam_b: CameraFrame, atol=1e-3, rtol=0.0):
+def warped_depth_consistency(lift_a: FrameLift, sample: PairSample, atol=1e-3, rtol=0.0):
     """Check that depth sampled at the flow target matches the depth the
     source pixel's (unmoved) surface point would have in the target camera.
 
@@ -77,14 +118,10 @@ def warped_depth_consistency(depth_a, depth_b, flow, cam_a: CameraFrame,
     so do surfaces that move along the optical axis, which is the standard
     price of the check. Tolerances are absolute plus relative in depth.
     """
-    depth_a = np.asarray(depth_a, dtype=np.float64)
-    depth_b = np.asarray(depth_b, dtype=np.float64)
-    H, W = depth_a.shape
-    pts_a = unproject_grid(finite_depth(depth_a, 0.0), cam_a)
-    z_expected = cam_b.world_to_camera(pts_a.reshape(-1, 3))[:, 2].reshape(H, W)
-    sampled, _ = warp(finite_depth(depth_b, 0.0), flow)
-    close = np.abs(sampled - z_expected) <= atol + rtol * np.abs(z_expected)
-    return _support_valid(depth_b, flow) & close & depth_validity(depth_a)
+    H, W = lift_a.depth.shape
+    z_expected = sample.camera.world_to_camera(lift_a.points.reshape(-1, 3))[:, 2].reshape(H, W)
+    close = np.abs(sample.depth - z_expected) <= atol + rtol * np.abs(z_expected)
+    return sample.trusted & close & lift_a.valid
 
 
 def scene_flow_mask(dyn_mask, depth_valid, warped_depth_valid, flow_nonoccluded):

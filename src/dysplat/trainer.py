@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import bilinear_sample, matrix_to_rot6d, unproject, unproject_grid
+from .geometry import matrix_to_rot6d, unproject, unproject_grid
 from .losses import (
     LossWeights,
     depth_loss,
@@ -51,12 +51,14 @@ from .primitives import (
 )
 from .rasterizer import prepare_splats, rasterize_backward, rasterize_forward
 from .sceneflow import (
-    depth_validity,
     backward_scene_flow,
+    depth_validity,
     finite_depth,
     forward_scene_flow,
+    lift_frame,
+    sample_depth,
+    sample_pair,
     scene_flow_mask,
-    support_valid,
     warped_depth_consistency,
 )
 from .validation import require, require_int, require_number
@@ -308,9 +310,9 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     # on valid depths, so a hole is never blended in
     track_depth = np.zeros(tracks.shape[:2])
     for t in range(T):
-        x, y = tracks[:, t, 0], tracks[:, t, 1]
-        d, _ = bilinear_sample(finite_depth(depths[t], 0.0), x, y)
-        track_depth[:, t] = np.where(support_valid(depths[t], x, y), d, 0.0)
+        d, trusted, _, _ = sample_depth(depths[t], depth_validity(depths[t]),
+                                        tracks[:, t, 0], tracks[:, t, 1])
+        track_depth[:, t] = np.where(trusted, d, 0.0)
     vis = tracks[:, :, 2] > 0.5
     # a track is a candidate if its first visible pixel lies in the dynamic mask
     cand = np.nonzero(np.count_nonzero(vis, axis=1) >= 2)[0]
@@ -389,11 +391,13 @@ class Supervision:
     static_valid: np.ndarray   # (T, H, W) bool, dynamic region + 1px excluded
 
 
-def normals_from_depth(depth, cam):
-    """Unit normals from central differences of the unprojected point map,
-    oriented toward the camera; discontinuities are flagged invalid."""
-    depth = finite_depth(depth, np.nan)
-    pts = unproject_grid(depth, cam)
+def normals_from_depth(lift):
+    """Unit normals from central differences of a frame's lifted point map
+    (``lift_frame``), oriented toward the camera; discontinuities and
+    non-finite depths are flagged invalid."""
+    finite = np.isfinite(lift.depth)
+    depth = np.where(finite, lift.depth, np.nan)
+    pts = np.where(finite[..., None], lift.points, np.nan)
     dx = np.zeros_like(pts)
     dy = np.zeros_like(pts)
     dx[:, 1:-1] = (pts[:, 2:] - pts[:, :-2]) / 2.0
@@ -402,10 +406,10 @@ def normals_from_depth(depth, cam):
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     ok = norm[..., 0] > 1e-12
     n = np.where(ok[..., None], n / np.maximum(norm, 1e-12), 0.0)
-    view = cam.position()[None, None, :] - pts
+    view = lift.camera.position()[None, None, :] - pts
     flip = np.sum(n * view, axis=-1) < 0
     n[flip] *= -1.0
-    valid = ok & depth_validity(depth)
+    valid = ok & lift.valid
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False
     # exclude depth discontinuities (the border is invalid already)
@@ -418,22 +422,30 @@ def normals_from_depth(depth, cam):
 def scene_flow_pairs(ds: SceneDataset):
     """Lift each frame's optical flow toward every neighbour it has.
 
-    Yields (t, s, flow, back, v, valid): frame t, its neighbour s (t + 1, then
-    t - 1), the flow t -> s and its return flow s -> t, and the scene flow
-    lifted from them (``forward_scene_flow`` toward t + 1,
-    ``backward_scene_flow`` from t - 1) with its validity mask.
+    Yields (t, lift, pairs) for each frame t in order: its ``lift_frame`` and,
+    for each neighbour s (t + 1, then t - 1), a tuple (s, flow, sample, v,
+    valid). ``flow`` maps t -> s, ``sample`` is ``sample_pair`` of s's lift and
+    its return flow s -> t, and v is the scene flow lifted from them
+    (``forward_scene_flow`` toward t + 1, ``backward_scene_flow`` from t - 1)
+    with its validity mask. Each frame is lifted once, and only the lifts of
+    frames t - 1, t and t + 1 are held.
     """
     T = ds.n_frames
+    lifts = {}
     for t in range(T):
+        lifts = {f: lifts[f] if f in lifts else lift_frame(ds.depths[f], ds.cameras[f])
+                 for f in range(max(t - 1, 0), min(t + 2, T))}
+        pairs = []
         for s in (t + 1, t - 1):
             if not 0 <= s < T:
                 continue
             if s > t:
-                flow, back, lift = ds.flows_fwd[t], ds.flows_bwd[s], forward_scene_flow
+                flow, back, scene_flow = ds.flows_fwd[t], ds.flows_bwd[s], forward_scene_flow
             else:
-                flow, back, lift = ds.flows_bwd[t], ds.flows_fwd[s], backward_scene_flow
-            v, valid = lift(ds.depths[t], ds.depths[s], flow, ds.cameras[t], ds.cameras[s])
-            yield t, s, flow, back, v, valid
+                flow, back, scene_flow = ds.flows_bwd[t], ds.flows_fwd[s], backward_scene_flow
+            sample = sample_pair(lifts[s], flow, back)
+            pairs.append((s, flow, sample, *scene_flow(lifts[t], sample)))
+        yield t, lifts[t], pairs
 
 
 def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
@@ -449,22 +461,21 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
     normals = np.zeros((T, H, W, 3))
     normals_valid = np.zeros((T, H, W), dtype=bool)
     static_valid = np.zeros((T, H, W), dtype=bool)
-    for t in range(T):
-        normals[t], normals_valid[t] = normals_from_depth(ds.depths[t], ds.cameras[t])
-        static_valid[t] = ~_dilate(dyn[t])
-
     sf = np.zeros((2, T, H, W, 3))  # targets of the rendered v_fwd and v_bwd
     # a frame's mask is the AND over its neighbours; a lone frame has none
     sf_mask = np.full((T, H, W), T > 1)
-    for t, s, flow, back, v, valid in scene_flow_pairs(ds):
-        # v is mean(max(t, s)) - mean(min(t, s)): it targets each velocity the
-        # renderer takes over that frame pair (both of them at the end frames)
-        for k, pair in enumerate(_velocity_frame_pairs(t, T)):
-            if pair == (max(t, s), min(t, s)):
-                sf[k, t] = v
-        wd = warped_depth_consistency(ds.depths[t], ds.depths[s], flow, ds.cameras[t],
-                                      ds.cameras[s], atol=1e-4, rtol=1e-3)
-        sf_mask[t] &= scene_flow_mask(dyn[t], valid, wd, ~occlusion_mask(flow, back))
+    for t, lift, pairs in scene_flow_pairs(ds):
+        normals[t], normals_valid[t] = normals_from_depth(lift)
+        static_valid[t] = ~_dilate(dyn[t])
+        for s, flow, sample, v, valid in pairs:
+            # v is mean(max(t, s)) - mean(min(t, s)): it targets each velocity the
+            # renderer takes over that frame pair (both of them at the end frames)
+            for k, pair in enumerate(_velocity_frame_pairs(t, T)):
+                if pair == (max(t, s), min(t, s)):
+                    sf[k, t] = v
+            wd = warped_depth_consistency(lift, sample, atol=1e-4, rtol=1e-3)
+            occluded = occlusion_mask(flow, sample.back, sample.inside)
+            sf_mask[t] &= scene_flow_mask(dyn[t], valid, wd, ~occluded)
     return Supervision(dyn_masks=dyn, normals=normals, normals_valid=normals_valid,
                        sf_fwd=sf[0], sf_bwd=sf[1], sf_mask=sf_mask,
                        static_valid=static_valid)

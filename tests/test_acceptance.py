@@ -59,6 +59,8 @@ from dysplat.rasterizer import (
 from dysplat.sceneflow import (
     backward_scene_flow,
     forward_scene_flow,
+    lift_frame,
+    sample_pair,
     warped_depth_consistency,
 )
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
@@ -463,18 +465,18 @@ def test_criterion_5_scene_flow_camera_invariance():
     from dysplat.dynmask import occlusion_mask
 
     for t in range(ds.n_frames - 1):
-        vf, ok_f = forward_scene_flow(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                      ds.cameras[t], ds.cameras[t + 1])
-        wd = warped_depth_consistency(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                      ds.cameras[t], ds.cameras[t + 1], atol=1e-7)
-        occ = occlusion_mask(ds.flows_fwd[t], ds.flows_bwd[t + 1])
+        lift_t = lift_frame(ds.depths[t], ds.cameras[t])
+        lift_next = lift_frame(ds.depths[t + 1], ds.cameras[t + 1])
+        fwd = sample_pair(lift_next, ds.flows_fwd[t], ds.flows_bwd[t + 1])
+        vf, ok_f = forward_scene_flow(lift_t, fwd)
+        wd = warped_depth_consistency(lift_t, fwd, atol=1e-7)
+        occ = occlusion_mask(ds.flows_fwd[t], fwd.back, fwd.inside)
         m = ok_f & wd & ~occ
         worst = max(worst, float(np.max(np.abs(vf[m]))))
         evaluated += int(np.count_nonzero(m))
-        vb, ok_b = backward_scene_flow(ds.depths[t + 1], ds.depths[t], ds.flows_bwd[t + 1],
-                                       ds.cameras[t + 1], ds.cameras[t])
-        wd_b = warped_depth_consistency(ds.depths[t + 1], ds.depths[t], ds.flows_bwd[t + 1],
-                                        ds.cameras[t + 1], ds.cameras[t], atol=1e-7)
+        bwd = sample_pair(lift_t, ds.flows_bwd[t + 1], ds.flows_fwd[t])
+        vb, ok_b = backward_scene_flow(lift_next, bwd)
+        wd_b = warped_depth_consistency(lift_next, bwd, atol=1e-7)
         m_b = ok_b & wd_b
         worst = max(worst, float(np.max(np.abs(vb[m_b]))))
     ok = worst <= 1e-6 and evaluated > 1000

@@ -21,7 +21,14 @@ from dysplat.errors import DysplatError, MissingChannel, ShapeMismatch, Validati
 from dysplat.dynmask import occlusion_mask
 from dysplat.primitives import logit
 from dysplat.rasterizer import prepare_splats, rasterize_forward
-from dysplat.sceneflow import backward_scene_flow, forward_scene_flow, warped_depth_consistency
+from dysplat.geometry import warp
+from dysplat.sceneflow import (
+    backward_scene_flow,
+    forward_scene_flow,
+    lift_frame,
+    sample_pair,
+    warped_depth_consistency,
+)
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 
 
@@ -374,19 +381,20 @@ class TestGeneratorGroundTruth:
         ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
                                                         "velocity": [0.02, -0.01, 0.0]}))
         t = 2
-        vf, valid = forward_scene_flow(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                       ds.cameras[t], ds.cameras[t + 1])
-        wd = warped_depth_consistency(ds.depths[t], ds.depths[t + 1], ds.flows_fwd[t],
-                                      ds.cameras[t], ds.cameras[t + 1], atol=1e-7)
-        occ = occlusion_mask(ds.flows_fwd[t], ds.flows_bwd[t + 1])
+        lift = lift_frame(ds.depths[t], ds.cameras[t])
+        fwd = sample_pair(lift_frame(ds.depths[t + 1], ds.cameras[t + 1]), ds.flows_fwd[t],
+                          ds.flows_bwd[t + 1])
+        vf, valid = forward_scene_flow(lift, fwd)
+        wd = warped_depth_consistency(lift, fwd, atol=1e-7)
+        occ = occlusion_mask(ds.flows_fwd[t], fwd.back, fwd.inside)
         mask = valid & wd & ~occ
         err = np.abs(vf - ds.gt_flow3d_fwd[t])
         assert np.count_nonzero(mask) > 0.5 * mask.size
         assert np.max(err[mask]) <= 1e-6
-        vb, valid_b = backward_scene_flow(ds.depths[t], ds.depths[t - 1], ds.flows_bwd[t],
-                                          ds.cameras[t], ds.cameras[t - 1])
-        wd_b = warped_depth_consistency(ds.depths[t], ds.depths[t - 1], ds.flows_bwd[t],
-                                        ds.cameras[t], ds.cameras[t - 1], atol=1e-7)
+        bwd = sample_pair(lift_frame(ds.depths[t - 1], ds.cameras[t - 1]), ds.flows_bwd[t],
+                          ds.flows_fwd[t - 1])
+        vb, valid_b = backward_scene_flow(lift, bwd)
+        wd_b = warped_depth_consistency(lift, bwd, atol=1e-7)
         mask_b = valid_b & wd_b
         assert np.max(np.abs(vb - ds.gt_flow3d_bwd[t])[mask_b]) <= 1e-6
 
@@ -394,7 +402,7 @@ class TestGeneratorGroundTruth:
         ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
                                                         "velocity": [0.03, 0.0, 0.0]}))
         t = 1
-        occ = occlusion_mask(ds.flows_fwd[t], ds.flows_bwd[t + 1])
+        occ = occlusion_mask(ds.flows_fwd[t], *warp(ds.flows_bwd[t + 1], ds.flows_fwd[t]))
         # most pixels survive, and the check is exact there by construction
         assert np.count_nonzero(~occ) > 0.8 * occ.size
 

@@ -10,6 +10,7 @@ from dysplat.dynmask import (
     object_motion_score,
     occlusion_mask,
 )
+from dysplat.geometry import warp
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 
 from conftest import PlaneMoverScene
@@ -22,7 +23,7 @@ class TestOcclusion:
         fwd = np.zeros((H, W, 2))
         fwd[..., 0] = 2.0
         bwd = -fwd
-        occ = occlusion_mask(fwd, bwd)
+        occ = occlusion_mask(fwd, *warp(bwd, fwd))
         # interior pixels can complete the round trip
         assert not occ[:, :-2].any()
 
@@ -31,13 +32,13 @@ class TestOcclusion:
         fwd = np.zeros((H, W, 2))
         fwd[..., 0] = 10.0
         bwd = np.zeros((H, W, 2))
-        occ = occlusion_mask(fwd, bwd)
+        occ = occlusion_mask(fwd, *warp(bwd, fwd))
         # |10|^2 = 100 > 0.01 * 100 + 0.5 wherever the warp lands inside
         assert occ.all()
 
     def test_off_image_occluded(self):
         fwd = np.full((4, 4, 2), 100.0)
-        occ = occlusion_mask(fwd, np.zeros((4, 4, 2)))
+        occ = occlusion_mask(fwd, *warp(np.zeros((4, 4, 2)), fwd))
         assert occ.all()
 
 

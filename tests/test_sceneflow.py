@@ -4,6 +4,8 @@ from dysplat.sceneflow import (
     backward_scene_flow,
     depth_validity,
     forward_scene_flow,
+    lift_frame,
+    sample_pair,
     scene_flow_mask,
 )
 
@@ -38,7 +40,9 @@ class TestForwardSceneFlow:
         H, W = 12, 16
         cam = make_cam(width=W, height=H, cx=8.0, cy=6.0)
         depth = np.full((H, W), 3.0)
-        v, valid = forward_scene_flow(depth, depth, np.zeros((H, W, 2)), cam, cam)
+        zero = np.zeros((H, W, 2))
+        v, valid = forward_scene_flow(lift_frame(depth, cam),
+                                      sample_pair(lift_frame(depth, cam), zero, zero))
         assert valid.all()
         assert np.max(np.abs(v)) == 0.0
 
@@ -48,7 +52,8 @@ class TestForwardSceneFlow:
         _, z0, _ = scene.surfaces(scene.CAMS[0], 0)
         _, z1, _ = scene.surfaces(scene.CAMS[1], 1)
         fwd, _ = scene.flow(0, 1)
-        v, valid = forward_scene_flow(z0, z1, fwd, cam0, cam1)
+        v, valid = forward_scene_flow(lift_frame(z0, cam0),
+                                      sample_pair(lift_frame(z1, cam1), fwd, np.zeros_like(fwd)))
         assert valid.any()
         assert np.max(np.abs(v[valid])) <= 1e-6
 
@@ -58,7 +63,8 @@ class TestForwardSceneFlow:
         ids0, z0, _ = scene.surfaces(scene.CAMS[0], 0)
         _, z1, _ = scene.surfaces(scene.CAMS[1], 1)
         fwd, _ = scene.flow(0, 1)
-        v, valid = forward_scene_flow(z0, z1, fwd, cam0, cam1)
+        v, valid = forward_scene_flow(lift_frame(z0, cam0),
+                                      sample_pair(lift_frame(z1, cam1), fwd, np.zeros_like(fwd)))
         interior = {i: erode(ids0 == i) & valid for i in (0, 1, 2)}
         # background boundaries excluded, background flow vanishes
         for i in (0, 1):
@@ -73,7 +79,9 @@ class TestBackwardSceneFlow:
         H, W = 10, 10
         cam = make_cam(width=W, height=H, cx=5.0, cy=5.0)
         depth = np.full((H, W), 2.0)
-        v, valid = backward_scene_flow(depth, depth, np.zeros((H, W, 2)), cam, cam)
+        zero = np.zeros((H, W, 2))
+        v, valid = backward_scene_flow(lift_frame(depth, cam),
+                                       sample_pair(lift_frame(depth, cam), zero, zero))
         assert valid.all() and np.max(np.abs(v)) == 0.0
 
     def test_constant_velocity_mirror(self):
@@ -82,7 +90,8 @@ class TestBackwardSceneFlow:
         ids1, z1, _ = scene.surfaces(scene.CAMS[1], 1)
         _, z0, _ = scene.surfaces(scene.CAMS[0], 0)
         bwd, _ = scene.flow(1, 0)
-        v, valid = backward_scene_flow(z1, z0, bwd, cam1, cam0)
+        v, valid = backward_scene_flow(lift_frame(z1, cam1),
+                                       sample_pair(lift_frame(z0, cam0), bwd, np.zeros_like(bwd)))
         sel = erode(ids1 == 2) & valid
         assert np.max(np.abs(v[sel] - scene.U)) <= 1e-6
 
@@ -94,8 +103,10 @@ class TestBackwardSceneFlow:
         ids1, z1, _ = scene.surfaces(scene.CAMS[1], 1)
         fwd, _ = scene.flow(0, 1)
         bwd, _ = scene.flow(1, 0)
-        vf, valid_f = forward_scene_flow(z0, z1, fwd, cam0, cam1)
-        vb, valid_b = backward_scene_flow(z1, z0, bwd, cam1, cam0)
+        vf, valid_f = forward_scene_flow(lift_frame(z0, cam0),
+                                         sample_pair(lift_frame(z1, cam1), fwd, bwd))
+        vb, valid_b = backward_scene_flow(lift_frame(z1, cam1),
+                                          sample_pair(lift_frame(z0, cam0), bwd, fwd))
         sf = erode(ids0 == 2) & valid_f
         sb = erode(ids1 == 2) & valid_b
         assert np.max(np.abs(vf[sf] - scene.U)) <= 1e-6
@@ -144,6 +155,8 @@ def test_nonfinite_depth_never_reaches_a_valid_scene_flow():
     for bad in (np.inf, np.nan):
         nxt = depth.copy()
         nxt[2, 3] = bad
-        v, valid = forward_scene_flow(depth, nxt, np.zeros((H, W, 2)), cam, cam)
+        zero = np.zeros((H, W, 2))
+        v, valid = forward_scene_flow(lift_frame(depth, cam),
+                                      sample_pair(lift_frame(nxt, cam), zero, zero))
         assert valid[2, 2] and not valid[2, 3]
         assert np.all(np.isfinite(v)) and np.all(v[valid] == 0.0)

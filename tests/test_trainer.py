@@ -20,7 +20,7 @@ from dysplat.primitives import (
 )
 from dysplat import trainer
 from dysplat.estimators import SceneReconstructor
-from dysplat.sceneflow import depth_validity
+from dysplat.sceneflow import depth_validity, lift_frame
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from dysplat.trainer import (
     DEFAULT_LEARNING_RATES,
@@ -324,12 +324,14 @@ def test_infinite_depths_give_the_normals_nan_depths_give():
     depth = ds.depths[0].copy()
     holes = np.zeros(depth.shape, dtype=bool)
     holes[::5, ::7] = holes[7, :] = True
-    n_inf, valid_inf = trainer.normals_from_depth(np.where(holes, np.inf, depth), ds.cameras[0])
-    n_nan, valid_nan = trainer.normals_from_depth(np.where(holes, np.nan, depth), ds.cameras[0])
+    n_inf, valid_inf = trainer.normals_from_depth(lift_frame(np.where(holes, np.inf, depth),
+                                                             ds.cameras[0]))
+    n_nan, valid_nan = trainer.normals_from_depth(lift_frame(np.where(holes, np.nan, depth),
+                                                             ds.cameras[0]))
     assert valid_inf.any() and not valid_inf[holes].any()
     assert np.array_equal(valid_inf, valid_nan)
     assert np.array_equal(n_inf[valid_inf], n_nan[valid_nan])
-    n, valid = trainer.normals_from_depth(depth, ds.cameras[0])
+    n, valid = trainer.normals_from_depth(lift_frame(depth, ds.cameras[0]))
     assert np.array_equal(n[valid_inf], n_inf[valid_inf]) and not (valid_inf & ~valid).any()
 
 
@@ -436,6 +438,56 @@ def test_each_iteration_builds_one_tile_plan(monkeypatch):
                          n_static_init=150, seed=11)
     train(ds, config)
     assert per_iteration == [1] * config.iters_total
+
+
+def test_supervision_lifts_each_frame_once_and_samples_each_pair_once(monkeypatch):
+    # every check of a (frame, neighbour) pair reads one bilinear sample, and
+    # the scene flow, the warped-depth check and the normals read one lift
+    from dysplat import dynmask, geometry, sceneflow
+
+    calls = {"bilinear_sample": 0, "unproject_grid": 0}
+
+    def counting(name):
+        fn = getattr(geometry, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.03, 0.0, 0.0]}, frames=5))
+    for name in calls:
+        wrapper = counting(name)
+        for module in (geometry, sceneflow, dynmask, trainer):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    trainer.build_supervision(ds, TrainConfig())
+    T = ds.n_frames
+    assert calls == {"bilinear_sample": 2 * (T - 1), "unproject_grid": T}
+
+
+def test_supervision_streams_the_frame_pairs():
+    # the set-up holds a few frames' lifts and samples at a time, so beyond
+    # its outputs it needs no more memory for 12 frames than for 6
+    import tracemalloc
+
+    def working_bytes(frames):
+        ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                        "velocity": [0.03, 0.0, 0.0]},
+                                          frames=frames))
+        tracemalloc.start()
+        try:
+            sup = trainer.build_supervision(ds, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = [getattr(sup, f) for f in sup.__dataclass_fields__]
+        return peak - sum(a.nbytes for a in outputs if not np.shares_memory(a, ds.dyn_masks))
+
+    H, W = tiny_spec().height, tiny_spec().width
+    lift = H * W * (8 + 3 * 8 + 1)  # depth, world points, validity
+    assert working_bytes(12) - working_bytes(6) <= lift
 
 
 def test_a_stage_3_iteration_blends_the_bases_once(monkeypatch):
