@@ -82,6 +82,9 @@ class SceneDataset:
         require(np.all(np.isfinite(visibility)), "tracks: non-finite visibility")
         require(np.all(np.isfinite(self.tracks[visibility > 0.5, :2])),
                 "tracks: a visible track point has a non-finite coordinate")
+        u = self.uncertainties
+        require(u is None or np.all(np.isfinite(u) & (u >= 0.0)),
+                "uncertainties must be finite and >= 0")
 
     @property
     def n_frames(self):

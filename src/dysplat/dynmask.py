@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MIN_DEPTH, pinhole_project, unproject_grid, warp
-from .sceneflow import depth_validity, finite_depth
+from .geometry import MIN_DEPTH, pinhole_project, pixel_grid, warp
+from .sceneflow import FrameLift, lift_frame
 from .validation import check_same_hw, require_number
 
 OCC_REL = 0.01
@@ -52,18 +52,14 @@ def flow_weight(uncertainty, occluded):
     return np.where(occ, 0.0, 1.0 / (1.0 + u) ** 2)
 
 
-def static_world_flow(depth, cam, cam_next):
-    """Flow each pixel of ``cam``'s depth map would show toward ``cam_next`` if
-    its surface point stayed put, and where that is defined: a valid depth and
-    a point in front of ``cam_next``."""
-    depth = np.asarray(depth, dtype=np.float64)
-    pts = cam_next.world_to_camera(unproject_grid(finite_depth(depth, 0.0), cam))
-    valid = depth_validity(depth) & (pts[..., 2] > MIN_DEPTH)
+def static_world_flow(lift: FrameLift, cam_next):
+    """Flow each pixel of a frame's lift (``lift_frame``) would show toward
+    ``cam_next`` if its surface point stayed put, and where that is defined: a
+    valid depth and a point in front of ``cam_next``."""
+    pts = cam_next.world_to_camera(lift.points)
+    valid = lift.valid & (pts[..., 2] > MIN_DEPTH)
     pts = np.where(valid[..., None], pts, 1.0)  # any point in front; masked by ``valid``
-    H, W = depth.shape
-    grid = np.stack(np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64)),
-                    axis=-1)
-    return pinhole_project(pts, cam_next.intrinsics) - grid, valid
+    return pinhole_project(pts, cam_next.intrinsics) - pixel_grid(*lift.depth.shape), valid
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +126,8 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps, depths, 
     for t in range(T - 1):
         fwd = np.asarray(flows_fwd[t], dtype=np.float64)
         occ = occlusion_mask(fwd, *warp(flows_bwd[t + 1], fwd))
-        u = 0.0 if uncertainties is None or uncertainties[t] is None else uncertainties[t]
-        static, valid = static_world_flow(depths[t], cameras[t], cameras[t + 1])
+        u = 0.0 if uncertainties is None else uncertainties[t]
+        static, valid = static_world_flow(lift_frame(depths[t], cameras[t]), cameras[t + 1])
         w = np.where(valid, flow_weight(u, occ), 0.0)
         errs = np.linalg.norm(fwd - static, axis=-1)
 

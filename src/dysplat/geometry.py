@@ -9,6 +9,7 @@ those are exercised against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +133,14 @@ def pinhole_project(points_cam, intr: CameraIntrinsics):
                     axis=-1)
 
 
+@lru_cache(maxsize=16)
+def pixel_grid(H, W):
+    """(H, W, 2) pixel centres (x, y) of an H x W image; read-only, one per size."""
+    grid = np.stack(np.meshgrid(np.arange(W), np.arange(H)), axis=-1).astype(np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
 def _backproject(pixels, depth, intr: CameraIntrinsics):
     """Camera-frame points (..., 3) of pixels (..., 2) at depths (...)."""
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -152,8 +161,7 @@ def unproject_grid(depth, cam: CameraFrame):
     """Unproject a full depth map to an (H, W, 3) world-point map; zero depths
     lift to the camera center."""
     H, W = depth.shape
-    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    pts_cam = _backproject(np.stack([gx, gy], axis=-1), depth, cam.intrinsics)
+    pts_cam = _backproject(pixel_grid(H, W), depth, cam.intrinsics)
     return cam.camera_to_world(pts_cam.reshape(-1, 3)).reshape(H, W, 3)
 
 
@@ -208,8 +216,8 @@ def warp(field, flow):
     H, W = field.shape[:2]
     if flow.shape != (H, W, 2):
         raise ValidationError(f"flow shape {flow.shape} does not match field {(H, W)}")
-    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    return bilinear_sample(field, gx + flow[..., 0], gy + flow[..., 1])
+    grid = pixel_grid(H, W)
+    return bilinear_sample(field, grid[..., 0] + flow[..., 0], grid[..., 1] + flow[..., 1])
 
 
 # ---------------------------------------------------------------------------

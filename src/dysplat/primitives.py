@@ -298,8 +298,8 @@ def transient_position_at(transients: TransientGaussians, t):
 
 
 def _velocity_frame_pairs(t, n_frames):
-    if n_frames < 2:
-        return None, None
+    if n_frames < 2:  # (hi, lo) with velocity mean(hi) - mean(lo): exactly 0 at a lone frame
+        return (t, t), (t, t)
     fwd = (t + 1, t) if t + 1 <= n_frames - 1 else (t, t - 1)
     bwd = (t, t - 1) if t - 1 >= 0 else (t + 1, t)
     return fwd, bwd

@@ -38,6 +38,7 @@ from .geometry import (
     ewa_backward,
     ewa_project_covariance_batch,
     pinhole_project,
+    pixel_grid,
     projection_backward,
     quat_to_matrix,
     quat_vjp,
@@ -191,17 +192,15 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
 
     rigid_ctx = None
     if nr:
-        # one blend over the frame rows [t, t_corr] and, for T >= 2, each
-        # velocity pair (hi, lo); _chain_rigid reads the rows in this order
+        # one blend over the frame rows [t, t_corr] and each velocity pair
+        # (hi, lo); _chain_rigid reads the rows in this order
         fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
-        frames = [t, t_corr] + ([*fwd, *bwd] if fwd else [])
-        rigid_ctx = blend_bases(gset.rigids.weights, gset.bases, np.array(frames))
+        rigid_ctx = blend_bases(gset.rigids.weights, gset.bases, np.array([t, t_corr, *fwd, *bwd]))
         means_at = rigid_means_at(gset.rigids, rigid_ctx)
         mean_w[rigid_sl] = means_at[0]
         channels[rigid_sl, C_CORR] = means_at[1]
-        if fwd:
-            channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
-            channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
+        channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
+        channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
         R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, rigid_Rq)[0]
 
     tr = gset.transients
@@ -505,9 +504,9 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
         return RenderOutputs(channels, alpha_out)
 
     view = _OrderedView(batch)
-    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
-    dx = gx.ravel()[None, :] - view.mean[:, 0:1]
-    dy = gy.ravel()[None, :] - view.mean[:, 1:2]
+    grid = pixel_grid(H, W).reshape(-1, 2)
+    dx = grid[None, :, 0] - view.mean[:, 0:1]
+    dy = grid[None, :, 1] - view.mean[:, 1:2]
     q = dx * (view.A[:, None] * dx + 2.0 * view.B[:, None] * dy) + view.C[:, None] * dy * dy
     raw = view.opacity[:, None] * np.exp(-0.5 * q)
     alpha = _floor_alpha(raw, np.empty_like(raw))
@@ -682,7 +681,7 @@ def _chain_rigid(batch, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
     # adjoint of the mean at each frame row of ctx: the world mean at t, the
     # correspondence at t_corr and each velocity as mean(hi) - mean(lo)
     d_mean = np.zeros(ctx.A_tr.shape)
-    d_mean[:, rows] = np.stack([d_mean_w, d_corr, d_vf, -d_vf, d_vb, -d_vb][:len(d_mean)])
+    d_mean[:, rows] = np.stack([d_mean_w, d_corr, d_vf, -d_vf, d_vb, -d_vb])
 
     # mean(f) = A_rot(f) mu + A_tr(f), and R_world = A_rot(t) Rq
     d_A_rot = np.einsum("fni,nj->fnij", d_mean, r.means)

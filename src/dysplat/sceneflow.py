@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraFrame, bilinear_sample, unproject_grid
+from .geometry import CameraFrame, bilinear_sample, pixel_grid, unproject_grid
 from .validation import check_same_hw
 
 DEPTH_MIN = 1e-4
@@ -85,10 +85,10 @@ def sample_pair(lift_s: FrameLift, flow, back):
     flow = np.asarray(flow, dtype=np.float64)
     back = np.asarray(back)
     check_same_hw(lift_s.depth, flow, back, names=["depth", "flow", "back"])
-    H, W = lift_s.depth.shape
-    gx, gy = np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64))
+    grid = pixel_grid(*lift_s.depth.shape)
     depth, trusted, fields, inside = sample_depth(
-        lift_s.depth, lift_s.valid, gx + flow[..., 0], gy + flow[..., 1], lift_s.points, back)
+        lift_s.depth, lift_s.valid, grid[..., 0] + flow[..., 0], grid[..., 1] + flow[..., 1],
+        lift_s.points, back)
     return PairSample(fields[..., :3], depth, trusted, fields[..., 3:], inside, lift_s.camera)
 
 

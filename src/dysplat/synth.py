@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SceneDataset
-from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics, pinhole_project
+from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics, pinhole_project, pixel_grid
 from .primitives import (
     GaussianSet,
     MotionBases,
@@ -337,8 +337,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
     flows_bwd = np.zeros((T, H, W, 2))
     gt_v_fwd = np.zeros((T, H, W, 3))
     gt_v_bwd = np.zeros((T, H, W, 3))
-    pixels = np.stack(np.meshgrid(np.arange(W, dtype=np.float64),
-                                  np.arange(H, dtype=np.float64)), axis=-1)
+    pixels = pixel_grid(H, W)
     for t in range(T):
         has = owners[t] >= 0
         g, z, px = owners[t][has], depths[t][has], pixels[has]

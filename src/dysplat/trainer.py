@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import matrix_to_rot6d, unproject, unproject_grid
+from .geometry import matrix_to_rot6d, unproject
 from .losses import (
     LossWeights,
     depth_loss,
@@ -53,7 +53,6 @@ from .rasterizer import prepare_splats, rasterize_backward, rasterize_forward
 from .sceneflow import (
     backward_scene_flow,
     depth_validity,
-    finite_depth,
     forward_scene_flow,
     lift_frame,
     sample_depth,
@@ -215,12 +214,12 @@ def project_constraints(gset: GaussianSet):
 
 
 def _dilate(mask):
-    """The mask grown by one pixel along rows and columns."""
+    """The (..., H, W) mask grown by one pixel along rows and columns."""
     out = mask.copy()
-    out[1:] |= mask[:-1]
-    out[:-1] |= mask[1:]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
+    out[..., 1:, :] |= mask[..., :-1, :]
+    out[..., :-1, :] |= mask[..., 1:, :]
+    out[..., 1:] |= mask[..., :-1]
+    out[..., :-1] |= mask[..., 1:]
     return out
 
 
@@ -235,8 +234,8 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
     means, colors, scales = [], [], []
     cell = max(min(H, W) // 8, 1)
     for t in frame_ids:
-        cam = dataset.cameras[t]
-        static = ~np.asarray(dyn_masks[t], dtype=bool) & depth_validity(dataset.depths[t])
+        lift = lift_frame(dataset.depths[t], dataset.cameras[t])
+        static = ~np.asarray(dyn_masks[t], dtype=bool) & lift.valid
         ys, xs = np.nonzero(static)
         if ys.size == 0:
             continue
@@ -250,11 +249,9 @@ def init_static(dataset: SceneDataset, dyn_masks, n_samples, n_frames_sampled, s
         picked = order[np.lexsort((sorted_cells, rank))][:per_frame]
         sel_y = ys[picked]
         sel_x = xs[picked]
-        depth = dataset.depths[t][sel_y, sel_x]
-        pts = unproject_grid(finite_depth(dataset.depths[t], 0.0), cam)[sel_y, sel_x]
-        means.append(pts)
+        means.append(lift.points[sel_y, sel_x])
         colors.append(dataset.images[t][sel_y, sel_x])
-        scales.append(np.log(depth / cam.intrinsics.fx))
+        scales.append(np.log(lift.depth[sel_y, sel_x] / lift.camera.intrinsics.fx))
     if not means:
         raise EmptyStaticRegion("no static pixels available for initialization")
     means = np.concatenate(means)
@@ -317,9 +314,9 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     # a track is a candidate if its first visible pixel lies in the dynamic mask
     cand = np.nonzero(np.count_nonzero(vis, axis=1) >= 2)[0]
     t0 = np.argmax(vis[cand], axis=1)
-    xi, yi = np.rint(tracks[cand, t0, :2]).astype(np.int64).T
-    inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
-    cand, t0, xi, yi = cand[inside], t0[inside], xi[inside], yi[inside]
+    xy = np.rint(tracks[cand, t0, :2])  # bounds before the int cast: u, v may lie far off
+    inside = np.all((xy >= 0) & (xy < [W, H]), axis=1)
+    cand, t0, (xi, yi) = cand[inside], t0[inside], xy[inside].astype(np.int64).T
     cand = cand[np.asarray(dyn_masks)[t0, yi, xi]]
     # lifted where visible with a valid depth; >= 2 such frames to be usable
     seen = vis[cand] & depth_validity(track_depth[cand])
@@ -407,8 +404,7 @@ def normals_from_depth(lift):
     ok = norm[..., 0] > 1e-12
     n = np.where(ok[..., None], n / np.maximum(norm, 1e-12), 0.0)
     view = lift.camera.position()[None, None, :] - pts
-    flip = np.sum(n * view, axis=-1) < 0
-    n[flip] *= -1.0
+    n *= np.where(np.sum(n * view, axis=-1) < 0, -1.0, 1.0)[..., None]
     valid = ok & lift.valid
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False
@@ -460,13 +456,11 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
 
     normals = np.zeros((T, H, W, 3))
     normals_valid = np.zeros((T, H, W), dtype=bool)
-    static_valid = np.zeros((T, H, W), dtype=bool)
     sf = np.zeros((2, T, H, W, 3))  # targets of the rendered v_fwd and v_bwd
     # a frame's mask is the AND over its neighbours; a lone frame has none
     sf_mask = np.full((T, H, W), T > 1)
     for t, lift, pairs in scene_flow_pairs(ds):
         normals[t], normals_valid[t] = normals_from_depth(lift)
-        static_valid[t] = ~_dilate(dyn[t])
         for s, flow, sample, v, valid in pairs:
             # v is mean(max(t, s)) - mean(min(t, s)): it targets each velocity the
             # renderer takes over that frame pair (both of them at the end frames)
@@ -478,7 +472,7 @@ def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
             sf_mask[t] &= scene_flow_mask(dyn[t], valid, wd, ~occluded)
     return Supervision(dyn_masks=dyn, normals=normals, normals_valid=normals_valid,
                        sf_fwd=sf[0], sf_bwd=sf[1], sf_mask=sf_mask,
-                       static_valid=static_valid)
+                       static_valid=~_dilate(dyn))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +507,9 @@ def _track_samples(ds: SceneDataset, rng, t, t_corr, limit):
     if rows.size > limit:
         rows = rows[rng.permutation(rows.size)[:limit]]
     H, W = ds.image_size
-    xi, yi = np.rint(ds.tracks[rows, t_corr, :2]).astype(np.int64).T
-    inside = (0 <= xi) & (xi < W) & (0 <= yi) & (yi < H)
-    rows, xi, yi = rows[inside], xi[inside], yi[inside]
+    xy = np.rint(ds.tracks[rows, t_corr, :2])  # bounds before the int cast, as above
+    inside = np.all((xy >= 0) & (xy < [W, H]), axis=1)
+    rows, (xi, yi) = rows[inside], xy[inside].astype(np.int64).T
     depth = ds.depths[t_corr][yi, xi]
     lift = depth_validity(depth)
     targets = unproject(np.stack([xi, yi], axis=-1)[lift], depth[lift], ds.cameras[t_corr])

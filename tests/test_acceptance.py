@@ -362,7 +362,8 @@ def test_criterion_3_property_suites():
     ds = generate_synthetic(scene_static())
     worst = 0.0
     for t in range(ds.n_frames - 1):
-        static, valid = static_world_flow(ds.depths[t], ds.cameras[t], ds.cameras[t + 1])
+        static, valid = static_world_flow(lift_frame(ds.depths[t], ds.cameras[t]),
+                                          ds.cameras[t + 1])
         resid = np.linalg.norm(ds.flows_fwd[t] - static, axis=-1)
         worst = max(worst, float(np.max(resid[valid])))
     if worst > 1e-9:
@@ -379,7 +380,7 @@ def test_criterion_3_property_suites():
                          translation=cam_a.extrinsics.translation + 0.2 * rng.normal(size=3))
         depth = rng.uniform(2.0, 10.0, size=(3, 4))
         delta = 0.3 * rng.normal(size=(3, 4, 3))
-        static, valid = static_world_flow(depth, cam_a, cam_b)
+        static, valid = static_world_flow(lift_frame(depth, cam_a), cam_b)
         for y, x in zip(*np.nonzero(valid)):
             X = unproject(np.array([x, y], dtype=np.float64), depth[y, x], cam_a)
             if cam_b.world_to_camera(X + delta[y, x])[2] < 0.1:

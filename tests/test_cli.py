@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dysplat.cli import main
-from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset
+from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset, write_raw
 from dysplat.primitives import save_checkpoint
 from dysplat.synth import generate_synthetic
 
@@ -221,6 +221,23 @@ class TestTrainCommand:
         code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "tracks" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["masks", "train"])
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_uncertainty_exit_2(self, scene_dir, tmp_path, capsys, command, value):
+        data = tmp_path / "data"
+        shutil.copytree(scene_dir / "data", data)
+        uncert = read_raw(data / "uncert" / "00003.f32").copy()
+        y, x = np.argwhere(read_raw(data / "objects" / "00003.u16") == 1)[0]
+        uncert[y, x] = value
+        write_raw(data / "uncert" / "00003.f32", uncert, "float32")
+        config = tmp_path / "config.json"
+        config.write_text('{"iters_total": 2, "iters_static_warmup": 1, "iters_rigid_warmup": 1}')
+        extra = ["--config", str(config)] if command == "train" else []
+        code = main([command, "--dataset", str(data), "--out", str(tmp_path / "out"), *extra])
+        assert code == 2
+        assert "uncertainties" in capsys.readouterr().err
 
 
 class TestRenderEvalHist:

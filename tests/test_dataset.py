@@ -226,6 +226,21 @@ def test_tracks_must_be_finite_where_they_are_read():
     replace(ds, tracks=hidden)  # the coordinates of an invisible point are ignored
 
 
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+def test_uncertainties_must_be_finite_and_non_negative(value):
+    # one such pixel of the mover in frame 3 used to drop frame 3 from its
+    # motion frames without a word
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.03, 0.0, 0.0]}))
+    bad = ds.uncertainties.copy()
+    bad[3][ds.object_ids[3] == 1] = 0.5
+    replace(ds, uncertainties=bad)  # finite and >= 0 is accepted
+    y, x = np.argwhere(ds.object_ids[3] == 1)[0]
+    bad[3, y, x] = value
+    with pytest.raises(ValidationError, match="uncertainties"):
+        replace(ds, uncertainties=bad)
+
+
 @pytest.fixture(scope="module")
 def saved_tiny(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny") / "d"

@@ -26,3 +26,32 @@ def test_modules_import_only_stdlib_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     foreign = {p.name: sorted(imported_roots(p) - allowed) for p in modules}
     assert not {name: roots for name, roots in foreign.items() if roots}
+
+
+# Referenced only outside src/: perfbench's seams, which go with the shared run
+# trace (ROADMAP item 5), and the estimator contract's set_params.
+UNREFERENCED_ALLOWED = {
+    ("rasterizer", "_tile_ranges"),      # perfbench's tile loop for its per-tile counts
+    ("rasterizer", "_splats_in_tile"),   # perfbench's tile test for the same counts
+    ("rasterizer", "channel_stack"),     # perfbench's render digests and oracle check
+    ("estimators", "set_params"),        # the scikit-learn parameter contract
+}
+
+
+def test_every_helper_is_referenced():
+    # helpers that nothing needs are deleted: each function, class or method in
+    # src/ is named in code (a load, an attribute or an import) somewhere in src/
+    defined, named = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    unreferenced = {(module, name) for module, name in defined
+                    if name not in named and not (name.startswith("__") and name.endswith("__"))}
+    assert unreferenced == UNREFERENCED_ALLOWED

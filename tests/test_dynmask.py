@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from dysplat.dynmask import (
+    DEFAULT_EPS_TEMP,
     MotionScoreTable,
     compose_dynamic_masks,
     compute_motion_scores,
@@ -10,11 +13,14 @@ from dysplat.dynmask import (
     object_motion_score,
     occlusion_mask,
 )
-from dysplat.geometry import warp
+from dysplat.geometry import MIN_DEPTH, pinhole_project, unproject_grid, warp
+from dysplat.sceneflow import depth_validity, finite_depth
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
+from dysplat.validation import require_number
 
 from conftest import PlaneMoverScene
 from test_acceptance import scene_two_peak
+from test_dataset import tiny_spec
 
 
 class TestOcclusion:
@@ -179,3 +185,72 @@ class TestPipeline:
             assert abs(nudged.object_scores[i] - score) <= 1e-9 * score
         assert nudged.motion_frames == exact.motion_frames
         assert exact.dynamic_ids() == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the static-world flow and the scoring loop as they were before
+# static_world_flow read a frame's lift, transcribed verbatim; each pair lifted
+# its depth map through its own pixel grid.
+
+
+def parent_static_world_flow(depth, cam, cam_next):
+    depth = np.asarray(depth, dtype=np.float64)
+    pts = cam_next.world_to_camera(unproject_grid(finite_depth(depth, 0.0), cam))
+    valid = depth_validity(depth) & (pts[..., 2] > MIN_DEPTH)
+    pts = np.where(valid[..., None], pts, 1.0)  # any point in front; masked by ``valid``
+    H, W = depth.shape
+    grid = np.stack(np.meshgrid(np.arange(W, dtype=np.float64), np.arange(H, dtype=np.float64)),
+                    axis=-1)
+    return pinhole_project(pts, cam_next.intrinsics) - grid, valid
+
+
+def parent_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps, depths, cameras,
+                         eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None):
+    eps_temp = require_number(eps_temp, "eps_temp", low=0.0)
+    if eps_dyn is not None:
+        eps_dyn = require_number(eps_dyn, "eps_dyn", low=0.0)
+    T = len(id_maps)
+    all_ids = sorted({int(v) for ids in id_maps for v in np.unique(ids)})
+    per_frame = {i: np.zeros(max(T - 1, 0)) for i in all_ids}
+
+    for t in range(T - 1):
+        fwd = np.asarray(flows_fwd[t], dtype=np.float64)
+        occ = occlusion_mask(fwd, *warp(flows_bwd[t + 1], fwd))
+        u = 0.0 if uncertainties is None or uncertainties[t] is None else uncertainties[t]
+        static, valid = parent_static_world_flow(depths[t], cameras[t], cameras[t + 1])
+        w = np.where(valid, flow_weight(u, occ), 0.0)
+        errs = np.linalg.norm(fwd - static, axis=-1)
+
+        ids_t = id_maps[t]
+        for i in all_ids:
+            sel = ids_t == i
+            if np.any(sel):
+                per_frame[i][t] = frame_motion_score(w[sel], errs[sel])
+
+    table = MotionScoreTable(eps_temp=eps_temp)
+    for i in all_ids:
+        score, frames = object_motion_score(per_frame[i], eps_temp)
+        table.object_scores[i] = score
+        table.motion_frames[i] = [int(f) for f in frames]
+    scores = list(table.object_scores.values())
+    table.eps_dyn = (max(scores) / 4.0 if scores else 0.0) if eps_dyn is None else eps_dyn
+    return table
+
+
+@pytest.mark.parametrize("case", ["clean", "noisy", "nan-frame", "nan-pixels"])
+def test_motion_scores_equal_the_per_depth_map_transcription(case):
+    spec = tiny_spec(actor_motion={"kind": "linear", "velocity": [0.03, 0.01, 0.0]}, frames=6)
+    if case == "noisy":
+        spec = replace(spec, noise_depth=0.05, noise_flow=0.1)
+    ds = generate_synthetic(spec)
+    depths = ds.depths.copy()
+    if case == "nan-frame":
+        depths[2] = np.nan
+    elif case == "nan-pixels":
+        depths[2].reshape(-1)[::7] = np.nan
+    args = (ds.flows_fwd, ds.flows_bwd, ds.uncertainties, ds.object_ids, depths, ds.cameras)
+    got, want = compute_motion_scores(*args), parent_motion_scores(*args)
+    assert got.object_scores == want.object_scores
+    assert got.motion_frames == want.motion_frames
+    assert (got.eps_temp, got.eps_dyn) == (want.eps_temp, want.eps_dyn)
+    assert got.object_scores[1] > 0.0

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,18 @@ class TestSceneReconstructor:
         assert set(SceneReconstructor().get_params()) == set(TrainConfig.__dataclass_fields__)
         config = SceneReconstructor(track_samples=7, init_frames=2, checkpoint_every=0)._config()
         assert (config.track_samples, config.init_frames, config.checkpoint_every) == (7, 2, 0)
+
+    def test_defaults_are_train_config_defaults(self):
+        # None stands for TrainConfig's {} and LossWeights() defaults
+        sig = inspect.signature(SceneReconstructor.__init__).parameters
+        stands_for = {"learning_rates": {}, "loss_weights": LossWeights()}
+        for f in dataclasses.fields(TrainConfig):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            if f.name in stands_for:
+                assert sig[f.name].default is None and default == stands_for[f.name]
+            else:
+                assert sig[f.name].default == default, f.name
+        assert SceneReconstructor()._config() == TrainConfig()
 
     def test_not_fitted_raises(self):
         with pytest.raises(ValidationError):

@@ -30,8 +30,16 @@ from dysplat.primitives import (
     sigmoid,
     transient_position_at,
     transition_rigid_to_transient,
+    _velocity_frame_pairs,
 )
-from dysplat.rasterizer import C_VBWD, C_VFWD, prepare_splats
+from dysplat.rasterizer import (
+    C_VBWD,
+    C_VFWD,
+    GRAD_CHANNELS,
+    prepare_splats,
+    rasterize_backward,
+    rasterize_forward,
+)
 
 from conftest import make_cam
 
@@ -326,6 +334,34 @@ class TestVelocities:
             vf, vb = velocity_payload(gs, t, "rigid")
             assert np.allclose(vf, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
             assert np.allclose(vb, [[0.0, 0.05, 0.0]] * 2, atol=1e-12)
+
+    def test_frame_pairs_at_every_frame_count(self):
+        # (hi, lo) per velocity: a lone frame pairs itself, an end frame its one neighbour
+        assert _velocity_frame_pairs(0, 1) == ((0, 0), (0, 0))
+        assert [_velocity_frame_pairs(t, 2) for t in range(2)] == [((1, 0), (1, 0))] * 2
+        assert [_velocity_frame_pairs(t, 3) for t in range(3)] == [
+            ((1, 0), (1, 0)), ((2, 1), (1, 0)), ((2, 1), (2, 1))]
+
+    def test_lone_frame_renders_zero_rigid_velocity(self):
+        bases = MotionBases.identity(1, 1)
+        bases.rot6d[0, 0] += [0.0, 0.1, 0.0, -0.1, 0.0, 0.05]
+        bases.trans[0, 0] = [0.05, -0.03, 0.1]
+        gs = self._rigid_set(bases, 3)
+        vf, vb = velocity_payload(gs, 0, "rigid")
+        assert not vf.any() and not vb.any()
+        cam = make_cam(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
+        batch = prepare_splats(gs, cam, 0)
+        out = rasterize_forward(batch, cam)
+        assert out.alpha.max() > 0.4  # the rigids are on screen
+        assert not out.v_fwd.any() and not out.v_bwd.any()
+        # the velocity is identically 0, so its cotangents move no gradient
+        rng = np.random.default_rng(3)
+        cot = {k: rng.normal(size=getattr(out, k).shape) for k in GRAD_CHANNELS}
+        still = dict(cot, v_fwd=np.zeros_like(out.v_fwd), v_bwd=np.zeros_like(out.v_bwd))
+        g, g_still = (rasterize_backward(batch, cam, c, gs) for c in (cot, still))
+        for kind in ("rigid", "bases"):
+            for name, arr in g[kind].items():
+                assert np.allclose(arr, g_still[kind][name], rtol=0, atol=1e-12), (kind, name)
 
 
 class TestTransition:

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,63 @@ class TestLiftingMatchesPerTrackLoop:
                 assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
             n_samples += len(got)
         assert n_samples > 0
+
+
+def linear_mover(frames=6):
+    return generate_synthetic(tiny_spec(
+        actor_motion={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, frames=frames))
+
+
+@pytest.mark.parametrize("far", [1e20, -1e20])
+def test_far_off_visible_track_reads_as_off_image(far):
+    # any finite u, v is a valid visible track point: one past the int64 range
+    # is dropped like any point off the image, with no warning (warnings are errors)
+    ds = linear_mover()
+    vis = ds.tracks[:, :, 2] > 0.5
+    j = int(np.nonzero(vis[:, 0] & vis[:, 1] & vis[:, 3])[0][0])
+
+    def outputs(u):
+        tracks = ds.tracks.copy()
+        tracks[j, 0, 0] = tracks[j, 3, 0] = u
+        rig, bases = init_rigid_from_tracks(tracks, ds.depths, ds.cameras, ds.dyn_masks, 2, 0,
+                                            images=ds.images)
+        samples = trainer._track_samples(replace(ds, tracks=tracks), np.random.default_rng(0),
+                                         1, 3, 64)
+        return [getattr(rig, f) for f in rig.field_names()] + [bases.rot6d, bases.trans] \
+            + [a for pair in samples for a in pair]
+
+    far_off, off_image = outputs(far), outputs(ds.image_size[1] + 40.0)
+    assert len(far_off) == len(off_image)
+    assert all(np.array_equal(a, b) for a, b in zip(far_off, off_image))
+
+
+def test_set_up_builds_no_pixel_grid_once_cached(monkeypatch):
+    # the pixel-centre grid is geometry.pixel_grid, built once per image size
+    ds = replace(linear_mover(), dyn_masks=None)
+    trainer.build_supervision(ds, TrainConfig())
+    calls = []
+    meshgrid = np.meshgrid
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: calls.append(a) or meshgrid(*a, **k))
+    trainer.build_supervision(ds, TrainConfig())
+    init_static(ds, np.zeros(ds.depths.shape, dtype=bool), 100, 3, 0)
+    assert not calls
+
+
+def test_every_depth_map_lift_goes_through_lift_frame(monkeypatch):
+    # one depth-map lift: every module reaches unproject_grid only in sceneflow.lift_frame
+    callers = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("dysplat.")]:
+        fn = getattr(mod, "unproject_grid", None)
+        if fn is not None:
+            def wrapper(*args, _fn=fn, **kwargs):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, "unproject_grid", wrapper)
+    ds = replace(linear_mover(), dyn_masks=None)
+    sup = trainer.build_supervision(ds, TrainConfig())
+    init_static(ds, sup.dyn_masks, 100, 3, 0)
+    # T lifts for the supervision, T - 1 for the motion scores and 3 for init_static
+    assert callers == ["lift_frame"] * (2 * ds.n_frames - 1 + 3)
 
 
 def test_infinite_depths_give_the_normals_nan_depths_give():
