@@ -30,7 +30,7 @@ import numpy as np
 from .errors import MissingChannel, ShapeMismatch, ValidationError
 from .geometry import CameraFrame
 from .primitives import GaussianSet, load_checkpoint, save_checkpoint
-from .validation import read_json, require
+from .validation import read_json, require, require_uncertainties
 
 _DTYPES = {"float32": "<f4", "uint16": "<u2", "uint8": "<u1"}
 _SUFFIX = {"float32": ".f32", "uint16": ".u16", "uint8": ".u8"}
@@ -82,9 +82,7 @@ class SceneDataset:
         require(np.all(np.isfinite(visibility)), "tracks: non-finite visibility")
         require(np.all(np.isfinite(self.tracks[visibility > 0.5, :2])),
                 "tracks: a visible track point has a non-finite coordinate")
-        u = self.uncertainties
-        require(u is None or np.all(np.isfinite(u) & (u >= 0.0)),
-                "uncertainties must be finite and >= 0")
+        require_uncertainties(self.uncertainties)
 
     @property
     def n_frames(self):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import MIN_DEPTH, pinhole_project, pixel_grid, warp
 from .sceneflow import FrameLift, lift_frame
-from .validation import check_same_hw, require_number
+from .validation import check_same_hw, require_number, require_uncertainties
 
 OCC_REL = 0.01
 OCC_ABS = 0.5
@@ -111,11 +111,12 @@ def compute_motion_scores(flows_fwd, flows_bwd, uncertainties, id_maps, depths, 
 
     flows_fwd[t] maps frame t to t+1 (defined for t in [0, T-2]);
     flows_bwd[t] maps frame t to t-1 (defined for t in [1, T-1]);
-    uncertainties may be None (treated as zero). A pixel's error is the
-    distance in pixels between its forward flow and ``static_world_flow``;
-    ``eps_temp`` is in those pixels. ``eps_dyn=None`` selects the adaptive
-    threshold max(object score) / 4.
+    uncertainties may be None (treated as zero), else finite and >= 0. A
+    pixel's error is the distance in pixels between its forward flow and
+    ``static_world_flow``; ``eps_temp`` is in those pixels. ``eps_dyn=None``
+    selects the adaptive threshold max(object score) / 4.
     """
+    require_uncertainties(uncertainties)
     eps_temp = require_number(eps_temp, "eps_temp", low=0.0)
     if eps_dyn is not None:
         eps_dyn = require_number(eps_dyn, "eps_dyn", low=0.0)

@@ -141,6 +141,16 @@ def pixel_grid(H, W):
     return grid
 
 
+def nearest_pixel(xy, H, W):
+    """(inside, xi, yi): the int64 pixel nearest each point (n, 2), rounding half
+    to even; ``inside`` marks those on the H x W image. The others (far off, or
+    NaN) read pixel (0, 0) and never reach the int cast."""
+    xy = np.rint(xy)
+    inside = np.all((xy >= 0) & (xy < [W, H]), axis=-1)
+    xi, yi = np.where(inside[:, None], xy, 0.0).astype(np.int64).T
+    return inside, xi, yi
+
+
 def _backproject(pixels, depth, intr: CameraIntrinsics):
     """Camera-frame points (..., 3) of pixels (..., 2) at depths (...)."""
     pixels = np.asarray(pixels, dtype=np.float64)

@@ -278,31 +278,24 @@ def normal_loss(pred_n, gt_n, valid):
     return value, grad
 
 
-def track_loss(pred_corr, samples, alpha):
+def track_loss(pred_corr, pixels, targets, alpha):
     """Mean L1 between rendered correspondences and lifted track targets.
 
-    ``samples`` is a sequence of (pixel (2,), target (3,)) pairs; samples whose
-    rendered alpha is <= 0.5 are excluded.
+    ``pixels`` (n, 2) int64 (x, y) on the image and ``targets`` (n, 3) pair up
+    row by row; samples whose rendered alpha is <= 0.5 are excluded.
     """
     pred = np.asarray(pred_corr, dtype=np.float64)
-    H, W = pred.shape[:2]
     grad = np.zeros_like(pred)
-    if not samples:
+    x, y = np.asarray(pixels).T
+    keep = alpha[y, x] > 0.5
+    n = np.count_nonzero(keep)
+    if n == 0:
         return 0.0, grad
-    picked = []
-    for pix, target in samples:
-        x = int(round(float(pix[0])))
-        y = int(round(float(pix[1])))
-        if 0 <= x < W and 0 <= y < H and alpha[y, x] > 0.5:
-            picked.append((y, x, np.asarray(target, dtype=np.float64)))
-    if not picked:
-        return 0.0, grad
-    n = len(picked)
-    value = 0.0
-    for y, x, target in picked:
-        diff = pred[y, x] - target
-        value += float(np.sum(np.abs(diff)))
-        grad[y, x] += np.sign(diff) / n
+    x, y = x[keep], y[keep]
+    diff = pred[y, x] - np.asarray(targets, dtype=np.float64)[keep]
+    # value and gradient both accumulate in sample order, repeated pixels too
+    value = float(np.add.accumulate(np.sum(np.abs(diff), axis=1))[-1])
+    np.add.at(grad, (y, x), np.sign(diff) / n)
     return value / n, grad
 
 

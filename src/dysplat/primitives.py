@@ -412,12 +412,14 @@ def save_checkpoint(gset: GaussianSet, path):
         "fields": field_specs,
     }
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"  # written whole, then renamed: a failed write leaves ``path`` as it was
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(hdr)))
         fh.write(hdr)
         for b in blobs:
             fh.write(b)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

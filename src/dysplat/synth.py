@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SceneDataset
-from .geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics, pinhole_project, pixel_grid
+from .geometry import (CameraExtrinsics, CameraFrame, CameraIntrinsics, nearest_pixel,
+                       pinhole_project, pixel_grid)
 from .primitives import (
     GaussianSet,
     MotionBases,
@@ -377,12 +378,10 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
         front = p[:, 2] > 1e-6                         # points behind stay [0, 0, 0]
         z = p[front, 2]
         uv = pinhole_project(p[front], intr)
-        xi, yi = np.rint(uv).T
-        ok = np.nonzero((lo[front] <= t) & (t <= hi[front])
-                        & (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H))[0]
+        inside, xi, yi = nearest_pixel(uv, H, W)
+        ok = np.nonzero((lo[front] <= t) & (t <= hi[front]) & inside)[0]
         vis = np.zeros(z.size)
-        vis[ok] = np.abs(depths[t, yi[ok].astype(np.int64), xi[ok].astype(np.int64)] - z[ok]) \
-            <= 1e-6 * np.maximum(1.0, z[ok])
+        vis[ok] = np.abs(depths[t, yi[ok], xi[ok]] - z[ok]) <= 1e-6 * np.maximum(1.0, z[ok])
         tracks[front, t] = np.column_stack([uv, vis])
 
     # -- optional noise (exact by default)

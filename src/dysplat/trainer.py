@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import matrix_to_rot6d, unproject
+from .geometry import matrix_to_rot6d, nearest_pixel, unproject
 from .losses import (
     LossWeights,
     depth_loss,
@@ -296,8 +296,7 @@ def _procrustes(src, dst):
     return R, c_dst - R @ c_src
 
 
-def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
-                           images=None):
+def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed, images):
     """Lift 2D tracks to 3D trajectories, cluster them into shared SE(3)
     bases (per-frame Procrustes fits against frame 0), and spawn one rigid
     Gaussian per track anchored at its first visible frame."""
@@ -314,10 +313,8 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     # a track is a candidate if its first visible pixel lies in the dynamic mask
     cand = np.nonzero(np.count_nonzero(vis, axis=1) >= 2)[0]
     t0 = np.argmax(vis[cand], axis=1)
-    xy = np.rint(tracks[cand, t0, :2])  # bounds before the int cast: u, v may lie far off
-    inside = np.all((xy >= 0) & (xy < [W, H]), axis=1)
-    cand, t0, (xi, yi) = cand[inside], t0[inside], xy[inside].astype(np.int64).T
-    cand = cand[np.asarray(dyn_masks)[t0, yi, xi]]
+    inside, xi, yi = nearest_pixel(tracks[cand, t0, :2], H, W)
+    cand = cand[inside & np.asarray(dyn_masks)[t0, yi, xi]]
     # lifted where visible with a valid depth; >= 2 such frames to be usable
     seen = vis[cand] & depth_validity(track_depth[cand])
     keep = np.count_nonzero(seen, axis=1) >= 2
@@ -361,12 +358,12 @@ def init_rigid_from_tracks(tracks, depths, cameras, dyn_masks, n_bases, seed,
     weights[rows, assign] = 1.0
     durations = np.maximum((t_lv - t_fv) / 2.0, 0.5)
     centers = (t_lv + t_fv) / 2.0
-    # the rounded pixel carries bilinear weight at t_fv, so its depth is valid
-    xi, yi = np.rint(tracks[usable, t_fv, :2]).astype(np.int64).T
+    # the rounded pixel carries bilinear weight at t_fv: on the image, valid depth
+    _, xi, yi = nearest_pixel(tracks[usable, t_fv, :2], H, W)
     fx = np.array([cam.intrinsics.fx for cam in cameras])[t_fv]
     scale = np.log(np.maximum(np.asarray(depths)[t_fv, yi, xi], 1e-3) / fx)
     log_scales = np.repeat(scale[:, None], 3, axis=1)
-    colors = np.full((n, 3), 0.5) if images is None else np.asarray(images)[t_fv, yi, xi]
+    colors = np.asarray(images)[t_fv, yi, xi]
     rig = RigidGaussians(means, log_scales, np.tile([1.0, 0, 0, 0], (n, 1)),
                          np.full(n, logit(0.5)), colors,
                          weights=weights, durations=durations, centers=centers)
@@ -501,19 +498,20 @@ def _sample_t_corr(rng, t, T, window):
 
 
 def _track_samples(ds: SceneDataset, rng, t, t_corr, limit):
-    """Pairs (pixel at t, lifted 3D target at t_corr) for visible tracks."""
+    """(pixels, targets): the (n, 2) int64 pixels (x, y) at t and the (n, 3)
+    3D points lifted at t_corr of up to ``limit`` tracks visible at both frames,
+    whose pixels lie on the image at both and hold a valid depth at t_corr."""
     vis = (ds.tracks[:, t, 2] > 0.5) & (ds.tracks[:, t_corr, 2] > 0.5)
     rows = np.nonzero(vis)[0]
     if rows.size > limit:
         rows = rows[rng.permutation(rows.size)[:limit]]
     H, W = ds.image_size
-    xy = np.rint(ds.tracks[rows, t_corr, :2])  # bounds before the int cast, as above
-    inside = np.all((xy >= 0) & (xy < [W, H]), axis=1)
-    rows, (xi, yi) = rows[inside], xy[inside].astype(np.int64).T
-    depth = ds.depths[t_corr][yi, xi]
-    lift = depth_validity(depth)
-    targets = unproject(np.stack([xi, yi], axis=-1)[lift], depth[lift], ds.cameras[t_corr])
-    return list(zip(ds.tracks[rows[lift], t, :2], targets))
+    on_t, xt, yt = nearest_pixel(ds.tracks[rows, t, :2], H, W)
+    on_c, xc, yc = nearest_pixel(ds.tracks[rows, t_corr, :2], H, W)
+    depth = ds.depths[t_corr][yc, xc]
+    keep = on_t & on_c & depth_validity(depth)
+    targets = unproject(np.stack([xc, yc], axis=-1)[keep], depth[keep], ds.cameras[t_corr])
+    return np.stack([xt, yt], axis=-1)[keep], targets
 
 
 def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
@@ -543,8 +541,8 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
     terms["normal"] = n_val, {"normal": g_norm}
 
     if stage >= 2:
-        samples = _track_samples(ds, rng, t, t_corr, config.track_samples)
-        tr_val, g_corr = track_loss(out.corr, samples, out.alpha)
+        pixels, targets = _track_samples(ds, rng, t, t_corr, config.track_samples)
+        tr_val, g_corr = track_loss(out.corr, pixels, targets, out.alpha)
         terms["track"] = tr_val, {"corr": g_corr}
         f_val, g_vf, g_vb = flow_loss(out.v_fwd, out.v_bwd, sup.sf_fwd[t],
                                       sup.sf_bwd[t], sup.sf_mask[t])
@@ -594,12 +592,8 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
             log_file.write(json.dumps(record, sort_keys=True) + "\n")
 
     def checkpoint(name):
-        if out_dir is None:
-            return
-        path = os.path.join(out_dir, name)
-        tmp = path + ".tmp"
-        save_checkpoint(gset, tmp)
-        os.replace(tmp, path)
+        if out_dir is not None:
+            save_checkpoint(gset, os.path.join(out_dir, name))
 
     def do_transition(it):
         nonlocal gset

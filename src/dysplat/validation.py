@@ -11,34 +11,30 @@ import numpy as np
 from .errors import ShapeMismatch, ValidationError
 
 
-def as_array(x, shape=None, name="array", dtype=np.float64):
-    """Coerce to a contiguous ndarray, optionally checking the shape.
-
-    ``shape`` entries of ``None`` match any extent.
-    """
-    arr = np.ascontiguousarray(x, dtype=dtype)
-    if shape is not None:
-        if arr.ndim != len(shape):
-            raise ShapeMismatch(f"{name}: expected {len(shape)} dims, got {arr.ndim}")
-        for want, got in zip(shape, arr.shape):
-            if want is not None and want != got:
-                raise ShapeMismatch(f"{name}: expected shape {shape}, got {arr.shape}")
+def as_array(x, shape, name):
+    """Coerce to a contiguous float64 ndarray of the given shape; ``shape``
+    entries of ``None`` match any extent."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim != len(shape):
+        raise ShapeMismatch(f"{name}: expected {len(shape)} dims, got {arr.ndim}")
+    for want, got in zip(shape, arr.shape):
+        if want is not None and want != got:
+            raise ShapeMismatch(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
-def check_same_hw(*arrays, names=None):
+def check_same_hw(*arrays, names):
     """Require every array to share the leading H, W extents."""
     base = arrays[0].shape[:2]
     for i, a in enumerate(arrays[1:], start=1):
         if a.shape[:2] != base:
-            label = names[i] if names else f"argument {i}"
-            raise ShapeMismatch(f"{label}: expected H,W {base}, got {a.shape[:2]}")
+            raise ShapeMismatch(f"{names[i]}: expected H,W {base}, got {a.shape[:2]}")
     return base
 
 
-def require(cond, message, exc=ValidationError):
+def require(cond, message):
     if not cond:
-        raise exc(message)
+        raise ValidationError(message)
 
 
 def require_int(value, what, low=None):
@@ -61,6 +57,12 @@ def require_number(value, what, low=None):
     require(math.isfinite(x), f"{what} must be a finite number, got {value!r}")
     require(low is None or x >= low, f"{what} must be >= {low}, got {value}")
     return x
+
+
+def require_uncertainties(u):
+    """Flow uncertainties are None (read as zero) or finite and >= 0."""
+    require(u is None or np.all(np.isfinite(u) & (np.asarray(u) >= 0.0)),
+            "uncertainties must be finite and >= 0")
 
 
 def read_json(path, what):

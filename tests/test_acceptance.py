@@ -534,8 +534,8 @@ def test_criterion_8_loss_invariances():
     if normal_loss(nrm, nrm, np.ones((10, 10), dtype=bool))[0] > 1e-12:
         failures.append("normal loss nonzero on exact prediction")
     corr = rng.normal(size=(10, 10, 3))
-    samples = [((x, y), corr[y, x]) for x, y in [(2, 3), (5, 7)]]
-    if track_loss(corr, samples, np.ones((10, 10)))[0] != 0.0:
+    pixels = np.array([(2, 3), (5, 7)])
+    if track_loss(corr, pixels, corr[pixels[:, 1], pixels[:, 0]], np.ones((10, 10)))[0] != 0.0:
         failures.append("track loss nonzero on exact prediction")
     vf = rng.normal(size=(10, 10, 3))
     if flow_loss(vf, vf, vf, vf, np.ones((10, 10), dtype=bool))[0] != 0.0:

@@ -55,3 +55,19 @@ def test_every_helper_is_referenced():
     unreferenced = {(module, name) for module, name in defined
                     if name not in named and not (name.startswith("__") and name.endswith("__"))}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_np_rint_only_in_nearest_pixel():
+    # one pixel rule: every np.rint in src/ lies inside geometry.nearest_pixel
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)  # ast.walk visits outer functions first
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "rint":
+                sites.append((path.stem, owner.get(node)))
+    assert sites == [("geometry", "nearest_pixel")]

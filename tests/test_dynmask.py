@@ -16,6 +16,7 @@ from dysplat.dynmask import (
 from dysplat.geometry import MIN_DEPTH, pinhole_project, unproject_grid, warp
 from dysplat.sceneflow import depth_validity, finite_depth
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
+from dysplat.errors import ValidationError
 from dysplat.validation import require_number
 
 from conftest import PlaneMoverScene
@@ -254,3 +255,19 @@ def test_motion_scores_equal_the_per_depth_map_transcription(case):
     assert got.motion_frames == want.motion_frames
     assert (got.eps_temp, got.eps_dyn) == (want.eps_temp, want.eps_dyn)
     assert got.object_scores[1] > 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+def test_motion_scores_refuse_a_bad_uncertainty(value):
+    # one NaN pixel of the mover in frame 3 used to drop frame 3 from its
+    # motion frames without a word, and -1 to divide by zero
+    ds = generate_synthetic(tiny_spec(
+        actor_motion={"kind": "linear", "velocity": [0.03, 0.01, 0.0]}, frames=6))
+    args = (ds.flows_fwd, ds.flows_bwd, ds.uncertainties, ds.object_ids, ds.depths, ds.cameras)
+    assert compute_motion_scores(*args).motion_frames[1] == [0, 1, 2, 3, 4]
+    assert compute_motion_scores(*args[:2], None, *args[3:]).motion_frames[1] == [0, 1, 2, 3, 4]
+    bad = ds.uncertainties.copy()
+    y, x = np.argwhere(ds.object_ids[3] == 1)[0]
+    bad[3, y, x] = value
+    with pytest.raises(ValidationError, match="uncertainties"):
+        compute_motion_scores(*args[:2], bad, *args[3:])

@@ -14,6 +14,7 @@ from dysplat.geometry import (
     ewa_project_covariance_batch,
     matrix_to_quat,
     matrix_to_rot6d,
+    nearest_pixel,
     pinhole_project,
     projection_backward,
     quat_to_matrix,
@@ -411,3 +412,30 @@ class TestSE3Type:
         assert isinstance(cam.extrinsics, SE3Transform)
         assert np.array_equal(cam.world_to_camera(p), cam.extrinsics.apply(p))
         assert np.allclose(cam.camera_to_world(cam.world_to_camera(p)), p)
+
+
+@pytest.mark.filterwarnings("error")
+class TestNearestPixel:
+    def test_ties_round_to_even(self):
+        inside, xi, yi = nearest_pixel(np.array([[0.5, 1.5], [2.5, -0.5], [3.49, 0.51]]), 5, 5)
+        assert inside.all()
+        assert xi.tolist() == [0, 2, 3] and yi.tolist() == [2, 0, 1]
+        assert xi.dtype == yi.dtype == np.int64
+
+    @pytest.mark.parametrize("W", [6, 7])
+    def test_last_half_pixel_is_on_the_image_only_for_odd_widths(self, W):
+        # W - 0.5 rounds to W - 1 when that is even, else to W
+        inside, xi, _ = nearest_pixel(np.array([[W - 0.5, 0.0], [W - 0.51, 0.0]]), 3, W)
+        assert inside.tolist() == [W % 2 == 1, True]
+        assert xi[1] == W - 1
+
+    def test_far_off_and_nan_points_are_off_the_image(self):
+        xy = np.array([[1e20, 1.0], [-1e20, 1.0], [1.0, 1e20], [np.nan, 1.0], [1.0, np.nan],
+                       [2.0, 3.0]])
+        inside, xi, yi = nearest_pixel(xy, 4, 4)
+        assert inside.tolist() == [False] * 5 + [True]
+        assert xi.tolist() == [0] * 5 + [2] and yi.tolist() == [0] * 5 + [3]
+
+    def test_no_points(self):
+        inside, xi, yi = nearest_pixel(np.zeros((0, 2)), 4, 4)
+        assert inside.shape == xi.shape == yi.shape == (0,)

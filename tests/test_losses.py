@@ -252,29 +252,76 @@ class TestNormalLoss:
         assert_grad_close(g, fd)
 
 
+def parent_track_loss(pred_corr, samples, alpha):
+    """track_loss as a loop over (pixel, target) pairs, as it was written
+    before it took arrays."""
+    pred = np.asarray(pred_corr, dtype=np.float64)
+    H, W = pred.shape[:2]
+    grad = np.zeros_like(pred)
+    if not samples:
+        return 0.0, grad
+    picked = []
+    for pix, target in samples:
+        x = int(round(float(pix[0])))
+        y = int(round(float(pix[1])))
+        if 0 <= x < W and 0 <= y < H and alpha[y, x] > 0.5:
+            picked.append((y, x, np.asarray(target, dtype=np.float64)))
+    if not picked:
+        return 0.0, grad
+    n = len(picked)
+    value = 0.0
+    for y, x, target in picked:
+        diff = pred[y, x] - target
+        value += float(np.sum(np.abs(diff)))
+        grad[y, x] += np.sign(diff) / n
+    return value / n, grad
+
+
 class TestTrackFlow:
     def test_track_exact_zero(self):
         rng = np.random.default_rng(12)
         corr = rng.normal(size=(8, 8, 3))
         alpha = np.ones((8, 8))
-        samples = [((x, y), corr[y, x]) for x, y in [(1, 2), (3, 4), (6, 7)]]
-        val, grad = track_loss(corr, samples, alpha)
+        pixels = np.array([(1, 2), (3, 4), (6, 7)])
+        val, grad = track_loss(corr, pixels, corr[pixels[:, 1], pixels[:, 0]], alpha)
         assert val == 0.0 and np.all(grad == 0)
 
     def test_track_constant_offset(self):
         corr = np.zeros((8, 8, 3))
-        samples = [((x, 1), np.array([-1.0, 0, 0])) for x in range(5)]
+        pixels = np.array([(x, 1) for x in range(5)])
         alpha = np.ones((8, 8))
-        val, _ = track_loss(corr, samples, alpha)
+        val, _ = track_loss(corr, pixels, np.tile([-1.0, 0, 0], (5, 1)), alpha)
         assert val == pytest.approx(1.0)
 
     def test_track_alpha_masking(self):
         corr = np.zeros((4, 4, 3))
         alpha = np.zeros((4, 4))
         alpha[1, 1] = 1.0
-        samples = [((1, 1), np.array([1.0, 0, 0])), ((2, 2), np.array([100.0, 0, 0]))]
-        val, _ = track_loss(corr, samples, alpha)
+        pixels, targets = np.array([(1, 1), (2, 2)]), np.array([[1.0, 0, 0], [100.0, 0, 0]])
+        val, _ = track_loss(corr, pixels, targets, alpha)
         assert val == pytest.approx(1.0)  # only the alpha>0.5 sample counts
+
+    @pytest.mark.parametrize("case", ["repeated", "low-alpha", "none-kept", "empty"])
+    def test_track_equals_the_per_sample_loop(self, case):
+        # value and gradient are those of the loop over (pixel, target) pairs
+        # the array form replaced, to the last bit
+        rng = np.random.default_rng(15)
+        H, W = 7, 9
+        corr = rng.normal(size=(H, W, 3)) * rng.uniform(0.1, 100.0, size=(H, W, 1))
+        alpha = rng.uniform(size=(H, W))
+        pixels = np.column_stack([rng.integers(0, W, 200), rng.integers(0, H, 200)])
+        if case == "repeated":  # every pixel several times, interleaved
+            pixels = np.concatenate([pixels[:20]] * 10)
+            alpha[:] = 1.0
+        elif case == "none-kept":
+            alpha[:] = 0.5
+        elif case == "empty":
+            pixels = pixels[:0]
+        targets = rng.normal(size=(len(pixels), 3)) * 10.0
+        val, grad = track_loss(corr, pixels, targets, alpha)
+        want_val, want_grad = parent_track_loss(corr, list(zip(pixels, targets)), alpha)
+        assert val == want_val and grad.tobytes() == want_grad.tobytes()
+        assert (val > 0.0) == (case in ("repeated", "low-alpha"))
 
     def test_flow_examples(self):
         rng = np.random.default_rng(13)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dysplat import primitives
 from dysplat.errors import BadMagic, DysplatError, ShapeMismatch
 from dysplat.geometry import matrix_to_quat, quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
@@ -616,6 +617,18 @@ class TestCheckpoint:
         p.write_bytes(malformed_checkpoint(case, tmp_path))
         with pytest.raises(MALFORMED_CHECKPOINTS[case]):
             load_checkpoint(p)
+
+    def test_failed_write_leaves_the_earlier_file_whole(self, tmp_path, monkeypatch):
+        p = tmp_path / "ckpt.rigs"
+        save_checkpoint(pinned_set(), p)
+        before = p.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(primitives.struct, "pack", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(GaussianSet.empty(n_bases=2, n_frames=3), p)
+        assert p.read_bytes() == before
 
     def test_deterministic_bytes(self, tmp_path):
         gs = GaussianSet.empty(n_bases=2, n_frames=3)

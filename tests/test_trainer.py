@@ -160,7 +160,7 @@ class TestInitRigid:
         tracks[:, :2, 2] = 0.0  # first visible frame becomes 2
         tracks[:, 6:, 2] = 0.0  # last visible frame becomes 5
         rig, _ = init_rigid_from_tracks(tracks, ds.depths, ds.cameras,
-                                        ds.dyn_masks, 1, seed=0)
+                                        ds.dyn_masks, 1, seed=0, images=ds.images)
         assert np.allclose(rig.centers, (2 + 5) / 2.0)
         assert np.allclose(rig.durations, (5 - 2) / 2.0)
 
@@ -168,14 +168,14 @@ class TestInitRigid:
         ds = self._translating_dataset()
         with pytest.raises(InsufficientTracks):
             init_rigid_from_tracks(ds.tracks[:3], ds.depths, ds.cameras,
-                                   ds.dyn_masks, 8, seed=0)
+                                   ds.dyn_masks, 8, seed=0, images=ds.images)
 
     def test_rendered_positions_match_lifts(self):
         from dysplat.primitives import blend_bases, rigid_means_at
 
         ds = self._translating_dataset()
         rig, bases = init_rigid_from_tracks(ds.tracks, ds.depths, ds.cameras,
-                                            ds.dyn_masks, 1, seed=0)
+                                            ds.dyn_masks, 1, seed=0, images=ds.images)
         means_t, means_0 = (rigid_means_at(rig, blend_bases(rig.weights, bases, t)) for t in (4, 0))
         assert np.allclose(means_t - means_0, [0.03 * 4, -0.01 * 4, 0.0], atol=1e-6)
 
@@ -266,7 +266,8 @@ def test_track_depth_never_blends_a_depth_hole():
     depths = ds.depths.copy()
     xi, yi = np.rint(ds.tracks[:, 0, :2]).astype(np.int64).T
     depths[0, yi, xi] = 0.0
-    rig, _ = init_rigid_from_tracks(ds.tracks, depths, ds.cameras, ds.dyn_masks, 2, 0)
+    rig, _ = init_rigid_from_tracks(ds.tracks, depths, ds.cameras, ds.dyn_masks, 2, 0,
+                                    images=ds.images)
     assert len(rig) >= 2
     first_lifted = rig.centers - rig.durations
     assert np.all(first_lifted >= 1.0)
@@ -309,13 +310,93 @@ class TestLiftingMatchesPerTrackLoop:
             want = []
             for j in rows:
                 xi, yi = int(round(tracks[j, t_corr, 0])), int(round(tracks[j, t_corr, 1]))
-                if 0 <= xi < W and 0 <= yi < H and depths[t_corr][yi, xi] > 0:
-                    want.append((tracks[j, t, :2], pts[yi, xi]))
-            assert len(got) == len(want)
-            for (p, q), (p_ref, q_ref) in zip(got, want):
+                x, y = int(round(tracks[j, t, 0])), int(round(tracks[j, t, 1]))
+                if 0 <= xi < W and 0 <= yi < H and depths[t_corr][yi, xi] > 0 \
+                        and 0 <= x < W and 0 <= y < H:
+                    want.append(((x, y), pts[yi, xi]))
+            assert len(got[0]) == len(got[1]) == len(want)
+            for p, q, (p_ref, q_ref) in zip(*got, want):
                 assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
-            n_samples += len(got)
+            n_samples += len(want)
         assert n_samples > 0
+
+
+def parent_track_samples(ds, rng, t, t_corr, limit):
+    """_track_samples as it was written before it returned arrays: (pixel at t,
+    target) pairs, then the t pixel rounded and bounds-tested as track_loss did."""
+    vis = (ds.tracks[:, t, 2] > 0.5) & (ds.tracks[:, t_corr, 2] > 0.5)
+    rows = np.nonzero(vis)[0]
+    if rows.size > limit:
+        rows = rows[rng.permutation(rows.size)[:limit]]
+    H, W = ds.image_size
+    xy = np.rint(ds.tracks[rows, t_corr, :2])
+    inside = np.all((xy >= 0) & (xy < [W, H]), axis=1)
+    rows, (xi, yi) = rows[inside], xy[inside].astype(np.int64).T
+    depth = ds.depths[t_corr][yi, xi]
+    lift = depth_validity(depth)
+    targets = unproject(np.stack([xi, yi], axis=-1)[lift], depth[lift], ds.cameras[t_corr])
+    samples = list(zip(ds.tracks[rows[lift], t, :2], targets))
+    picked = []
+    for pix, target in samples:
+        x = int(round(float(pix[0])))
+        y = int(round(float(pix[1])))
+        if 0 <= x < W and 0 <= y < H:
+            picked.append(((x, y), target))
+    return picked
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_track_samples_equal_the_pair_list_transcription(seed):
+    ds = generate_synthetic(tiny_spec(
+        seed=seed, actor_motion={"kind": "erratic", "segment_len": 3, "speed": 0.04}, frames=8))
+    tracks, depths = _damaged_tracks(ds, seed)
+    # off the image at some frames only: far past the int64 range, and on the last half pixel
+    tracks[::4, ::2, :2] *= 1e25
+    tracks[1::4, 1::3, 0] = ds.image_size[1] - 0.5
+    ds = replace(ds, tracks=tracks, depths=depths)
+    n_rows = 0
+    for t, t_corr in np.ndindex(8, 8):
+        for limit in (3, 1000):
+            pixels, targets = trainer._track_samples(ds, np.random.default_rng(t), t, t_corr,
+                                                     limit)
+            want = parent_track_samples(ds, np.random.default_rng(t), t, t_corr, limit)
+            assert pixels.dtype == np.int64 and pixels.shape == (len(want), 2)
+            assert targets.shape == (len(want), 3)
+            assert pixels.tolist() == [list(p) for p, _ in want]
+            assert targets.tobytes() == np.array([q for _, q in want]).reshape(-1, 3).tobytes()
+            n_rows += len(want)
+    assert n_rows > 200
+
+
+def test_track_pixels_go_through_nearest_pixel(monkeypatch):
+    # one pixel rule: the generator, the rigid initialisation and the track
+    # samples all reach geometry.nearest_pixel through their module global
+    from dysplat import synth
+
+    callers = []
+    for mod in (synth, trainer):
+        def wrapper(*args, _fn=mod.nearest_pixel, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, "nearest_pixel", wrapper)
+    ds = linear_mover()
+    init_rigid_from_tracks(ds.tracks, ds.depths, ds.cameras, ds.dyn_masks, 2, 0,
+                           images=ds.images)
+    trainer._track_samples(ds, np.random.default_rng(0), 1, 3, 64)
+    assert set(callers) == {"generate_synthetic", "init_rigid_from_tracks", "_track_samples"}
+
+
+def test_track_loss_runs_once_per_track_stage_iteration(monkeypatch):
+    # perfbench's losses.other span wraps trainer.track_loss, the module global
+    calls = []
+    track_loss = trainer.track_loss
+    monkeypatch.setattr(trainer, "track_loss",
+                        lambda *args: calls.append(len(args[1])) or track_loss(*args))
+    config = TrainConfig(iters_total=7, iters_static_warmup=2, iters_rigid_warmup=2,
+                         n_static_init=200, checkpoint_every=0, n_bases=2)
+    _, log = train(linear_mover(), config)
+    assert len(calls) == 5 and sum(calls) > 0
+    assert [r["stage"] for r in log if "track" in r] == [2, 2, 3, 3, 3]
 
 
 def linear_mover(frames=6):
