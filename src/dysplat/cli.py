@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import load_dataset, save_dataset, write_ppm, write_raw
+from .dynmask import DEFAULT_EPS_TEMP
 from .errors import DysplatError, ValidationError
 from .estimators import MotionMaskEstimator
 from .evaluation import evaluate, render_view
@@ -23,7 +24,7 @@ from .primitives import load_checkpoint
 from .synth import SyntheticSceneSpec, generate_synthetic
 from .trainer import (TrainConfig, duration_histogram, histogram_image, scene_flow_pairs,
                       train)
-from .validation import read_json, require
+from .validation import read_json
 
 
 def _cmd_synth(args):
@@ -78,8 +79,6 @@ def _default_camera():
 
 def _cmd_render(args):
     gset = load_checkpoint(args.ckpt)
-    require(0 <= args.frame < gset.n_frames,
-            f"frame {args.frame} outside the checkpoint's frames [0, {gset.n_frames})")
     if args.cam:
         cam = CameraFrame.from_dict(read_json(args.cam, "camera"))
     elif args.dataset:
@@ -162,7 +161,7 @@ def build_parser():
 
     p = sub.add_parser("masks", help="object-wise dynamic masks")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--eps-temp", type=float, default=1e-4,
+    p.add_argument("--eps-temp", type=float, default=DEFAULT_EPS_TEMP,
                    help="per-frame motion threshold, in pixels of flow residual")
     p.add_argument("--eps-dyn", default="auto", type=_eps_dyn,
                    help="dynamic-score threshold, or 'auto' for max score / 4")

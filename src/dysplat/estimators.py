@@ -9,11 +9,12 @@ into generic tooling without importing it.
 from __future__ import annotations
 
 import inspect
+from dataclasses import MISSING, field, fields, make_dataclass
 
 import numpy as np
 
 from .dataset import SceneDataset
-from .dynmask import compose_dynamic_masks, compute_motion_scores
+from .dynmask import DEFAULT_EPS_TEMP, compose_dynamic_masks, compute_motion_scores
 from .errors import ValidationError
 from .evaluation import evaluate, render_view
 from .losses import LossWeights
@@ -45,37 +46,22 @@ class ParamMixin:
             raise ValidationError(f"{type(self).__name__} is not fitted yet; call fit first")
 
 
-class SceneReconstructor(ParamMixin):
+# SceneReconstructor's parameters are TrainConfig's fields with their defaults;
+# None stands for the {} and LossWeights() of the two default factories
+_TrainParams = make_dataclass(
+    "_TrainParams",
+    [(f.name, f.type, field(default=None if f.default is MISSING else f.default))
+     for f in fields(TrainConfig)],
+    eq=False)
+
+
+class SceneReconstructor(_TrainParams, ParamMixin):
     """Per-scene optimizer with a fit/predict surface.
 
     fit() runs the staged training loop on one dataset; predict() renders
     novel (camera, time) pairs from the fitted Gaussian set. ``threads`` is
     accepted and ignored, like ``TrainConfig.threads``.
     """
-
-    def __init__(self, iters_total=30000, iters_static_warmup=3000,
-                 iters_rigid_warmup=12000, transition_threshold=2.0,
-                 transition_check_every=500, n_bases=10, gate_sharpness=3.0,
-                 holdout_every=0, checkpoint_every=1000, track_window=8,
-                 track_samples=64, n_static_init=4000, init_frames=4,
-                 learning_rates=None, loss_weights=None, threads=1, seed=0):
-        self.iters_total = iters_total
-        self.iters_static_warmup = iters_static_warmup
-        self.iters_rigid_warmup = iters_rigid_warmup
-        self.transition_threshold = transition_threshold
-        self.transition_check_every = transition_check_every
-        self.n_bases = n_bases
-        self.gate_sharpness = gate_sharpness
-        self.holdout_every = holdout_every
-        self.checkpoint_every = checkpoint_every
-        self.track_window = track_window
-        self.track_samples = track_samples
-        self.n_static_init = n_static_init
-        self.init_frames = init_frames
-        self.learning_rates = learning_rates
-        self.loss_weights = loss_weights
-        self.threads = threads
-        self.seed = seed
 
     def _config(self):
         # the parameters are TrainConfig's fields, so they map over one to one
@@ -120,7 +106,7 @@ class MotionMaskEstimator(ParamMixin):
     predict() unions the masks of objects above the dynamic threshold.
     """
 
-    def __init__(self, eps_temp=1e-4, eps_dyn=None):
+    def __init__(self, eps_temp=DEFAULT_EPS_TEMP, eps_dyn=None):
         self.eps_temp = eps_temp
         self.eps_dyn = eps_dyn
 

@@ -59,6 +59,7 @@ from .primitives import (
     transient_position_at,
     zeros_like_tree,
 )
+from .validation import require, require_int
 
 TILE = 8
 TERMINATE_TRANSMITTANCE = 1e-4
@@ -168,6 +169,9 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     """
     if t_corr is None:
         t_corr = t
+    for frame in (t, t_corr):  # the one frame rule of every render: a frame of the set
+        require(0 <= require_int(frame, "frame") < gset.n_frames,
+                f"frame {frame} outside the set's frames [0, {gset.n_frames})")
     pops = (gset.statics, gset.rigids, gset.transients)
     ns, nr, nt = (len(p) for p in pops)
     n_all = ns + nr + nt

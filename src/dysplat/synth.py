@@ -14,7 +14,7 @@ SE(3) basis cannot track but a short-lived linear trajectory can.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -32,14 +32,25 @@ from .primitives import (
 from .rasterizer import _composite, prepare_splats
 from .validation import read_json, require, require_int, require_number
 
-DEFAULT_OPACITY = 0.92
-DEFAULT_THICKNESS = 0.25
 SCALE_FILL = 0.65  # in-plane Gaussian sigma as a fraction of grid spacing
 
 
 def _entry(d, key, what):
     require(key in d, f"{what}: missing key {key!r}")
     return d[key]
+
+
+def _json_fields(cls, d, what, renames):
+    """The keyword arguments of the dataclass ``cls`` in the JSON object ``d``:
+    each field's key (``renames`` maps a field to another key) where present;
+    an absent key is left to the field's default, and unknown keys are ignored."""
+    require(isinstance(d, dict), f"{what} must be a JSON object")
+    kwargs = {}
+    for f in fields(cls):
+        key = renames.get(f.name, f.name)
+        if key in d or (f.default is MISSING and f.default_factory is MISSING):
+            kwargs[f.name] = _entry(d, key, what)
+    return kwargs
 
 
 def _values(v, n, what, check=require_number, **kwargs):
@@ -96,8 +107,8 @@ class SlabSpec:
     size: tuple              # world extent (x, y)
     grid: tuple              # Gaussian counts (rows, cols)
     motion: dict = field(default_factory=lambda: {"kind": "static"})
-    opacity: float = DEFAULT_OPACITY
-    thickness: float = DEFAULT_THICKNESS
+    opacity: float = 0.92
+    thickness: float = 0.25
     track_window: int | None = None  # emulate a tracker losing points: each
     #                                  track is only visible over a random
     #                                  window of this many frames
@@ -120,14 +131,7 @@ class SlabSpec:
 
     @staticmethod
     def from_dict(d):
-        require(isinstance(d, dict), "slab must be a JSON object")
-        return SlabSpec(
-            center=_entry(d, "center", "slab"), size=_entry(d, "size", "slab"),
-            grid=_entry(d, "grid", "slab"), motion=d.get("motion", {"kind": "static"}),
-            opacity=d.get("opacity", DEFAULT_OPACITY),
-            thickness=d.get("thickness", DEFAULT_THICKNESS),
-            track_window=d.get("track_window"),
-        )
+        return SlabSpec(**_json_fields(SlabSpec, d, "slab", {}))
 
 
 @dataclass
@@ -135,8 +139,8 @@ class SyntheticSceneSpec:
     width: int
     height: int
     n_frames: int
-    background: list            # SlabSpec, labeled object id 0
-    actors: list                # SlabSpec, labeled object ids 1..A
+    background: list = field(default_factory=list)  # SlabSpec, labeled object id 0
+    actors: list = field(default_factory=list)      # SlabSpec, labeled object ids 1..A
     camera: dict = field(default_factory=lambda: {"kind": "static"})
     fx: float | None = None
     fy: float | None = None
@@ -172,21 +176,11 @@ class SyntheticSceneSpec:
 
     @staticmethod
     def from_dict(d):
-        require(isinstance(d, dict), "spec must be a JSON object")
-
-        def slabs(key):  # anything but a list is left for __post_init__ to reject
-            v = d.get(key, [])
-            return [SlabSpec.from_dict(e) for e in v] if isinstance(v, list) else v
-
-        return SyntheticSceneSpec(
-            width=_entry(d, "width", "spec"), height=_entry(d, "height", "spec"),
-            n_frames=_entry(d, "frames", "spec"),
-            background=slabs("background"), actors=slabs("actors"),
-            camera=d.get("camera", {"kind": "static"}), fx=d.get("fx"), fy=d.get("fy"),
-            tracks_per_actor=d.get("tracks_per_actor", 40),
-            noise_image=d.get("noise_image", 0.0), noise_depth=d.get("noise_depth", 0.0),
-            noise_flow=d.get("noise_flow", 0.0), seed=d.get("seed", 0),
-        )
+        kwargs = _json_fields(SyntheticSceneSpec, d, "spec", {"n_frames": "frames"})
+        for key in ("background", "actors"):  # anything but a list is left for __post_init__
+            if isinstance(kwargs.get(key), list):
+                kwargs[key] = [SlabSpec.from_dict(e) for e in kwargs[key]]
+        return SyntheticSceneSpec(**kwargs)
 
     @staticmethod
     def from_json(path):

@@ -624,12 +624,9 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
                     emit({"event": "rigid_init", "iter": it, "rigids": len(rig)})
                 except InsufficientTracks as exc:
                     emit({"event": "rigid_init_skipped", "iter": it, "reason": str(exc)})
-            if it == s1 + s2:
-                do_transition(it)
-
             stage = 1 if it < s1 else (2 if it < s1 + s2 else 3)
-            if stage == 3 and config.transition_check_every > 0 \
-                    and it > s1 + s2 and (it - s1 - s2) % config.transition_check_every == 0:
+            k, every = it - s1 - s2, config.transition_check_every  # k: iterations into stage 3
+            if k == 0 or (k > 0 and every > 0 and k % every == 0):
                 do_transition(it)
 
             t = int(train_frames[rng.integers(0, len(train_frames))])

@@ -1,12 +1,14 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dysplat import cli
 from dysplat.cli import main
 from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset, write_raw
-from dysplat.primitives import save_checkpoint
+from dysplat.primitives import load_checkpoint, save_checkpoint
 from dysplat.synth import generate_synthetic
 
 from test_dataset import CAMERA_DEFECTS, EMPTY_FRAME_CENTERS, empty_frame_spec, tiny_spec
@@ -171,6 +173,32 @@ class TestTrainCommand:
         assert (out / "final.rigs").exists()
         lines = [json.loads(l) for l in (out / "log.jsonl").read_text().splitlines()]
         assert any("total" in r for r in lines)
+
+    def test_init_ckpt_starts_from_the_checkpoint(self, scene_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iters_total": 4, "iters_static_warmup": 1,
+                                        "iters_rigid_warmup": 1, "n_bases": 1,
+                                        "checkpoint_every": 0}))
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(scene_dir / "data"), "--config", str(cfg_path),
+                     "--init-ckpt", str(scene_dir / "gt.rigs"), "--out", str(out)]) == 0
+        log = [json.loads(l) for l in (out / "log.jsonl").read_text().splitlines()]
+        assert not any(r.get("event") == "rigid_init" for r in log)
+        gt = load_checkpoint(scene_dir / "gt.rigs")
+        assert log[0]["counts"] == [len(gt.statics), len(gt.rigids), len(gt.transients)]
+
+    def test_training_aborted_exit_1(self, scene_dir, tmp_path, capsys, monkeypatch):
+        # NaN images make every loss non-finite; no dataset file can hold a NaN pixel
+        ds = load_dataset(scene_dir / "data")
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda path: replace(ds, images=np.full_like(ds.images, np.nan)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iters_total": 100, "iters_static_warmup": 100,
+                                        "iters_rigid_warmup": 0, "checkpoint_every": 0,
+                                        "n_static_init": 100}))
+        assert main(["train", "--dataset", str(scene_dir / "data"), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "loss non-finite for 100 consecutive iterations" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, scene_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -518,3 +518,49 @@ def four_frame_spec(actors=(), **kwargs):
 def test_specs_built_in_python_are_checked(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def test_spec_readers_leave_absent_keys_to_the_dataclass_defaults():
+    # the JSON readers restate no default: an absent key reads as the field's
+    actor = {"center": [0.0, 0.0, 5.0], "size": [2.0, 2.0], "grid": [4, 4]}
+    assert SlabSpec.from_dict(actor) == SlabSpec(**SLAB_ARGS)
+    spec = SyntheticSceneSpec.from_dict({"width": 16, "height": 16, "frames": 4,
+                                         "actors": [actor], "bench": {"mode": "render"}})
+    assert spec == SyntheticSceneSpec(width=16, height=16, n_frames=4,
+                                      actors=[SlabSpec(**SLAB_ARGS)])
+
+
+@pytest.mark.parametrize("missing, what", [("frames", "spec"), ("grid", "slab")])
+def test_spec_readers_name_a_missing_required_key(missing, what):
+    d = {"width": 16, "height": 16, "frames": 4, "background": [dict(SLAB)]}
+    if what == "spec":
+        del d[missing]
+    else:
+        del d["background"][0][missing]
+    with pytest.raises(ValidationError, match=f"{what}: missing key '{missing}'"):
+        SyntheticSceneSpec.from_dict(d)
+
+
+class TestSceneDatasetShapes:
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, frames=4))
+
+    def test_camera_count_must_equal_the_frame_count(self, ds):
+        with pytest.raises(ShapeMismatch, match="expected 4 cameras, got 3"):
+            replace(ds, cameras=ds.cameras[:3])
+
+    @pytest.mark.parametrize("shape", [(12, 4, 2), (12, 3, 3), (48, 3)])
+    def test_tracks_must_be_n_by_frames_by_3(self, ds, shape):
+        with pytest.raises(ShapeMismatch, match="tracks"):
+            replace(ds, tracks=np.zeros(shape))
+
+
+def test_image_noise_keeps_images_in_the_unit_range():
+    spec = tiny_spec(actor_motion={"kind": "linear", "velocity": [0.03, 0.0, 0.0]}, frames=4)
+    exact = generate_synthetic(spec)
+    noisy = generate_synthetic(replace(spec, noise_image=0.2))
+    assert noisy.images.min() == 0.0 and noisy.images.max() == 1.0
+    assert not np.array_equal(noisy.images, exact.images)
+    assert np.array_equal(noisy.depths, exact.depths)

@@ -4,9 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
+from dysplat.cli import build_parser
+from dysplat.dynmask import DEFAULT_EPS_TEMP
 from dysplat.errors import ValidationError
 from dysplat.estimators import MotionMaskEstimator, SceneReconstructor
-from dysplat.evaluation import evaluate, mask_iou
+from dysplat.evaluation import evaluate, mask_iou, render_view
+from dysplat.rasterizer import prepare_splats
 from dysplat.losses import LossWeights
 from dysplat.synth import generate_synthetic
 from dysplat.trainer import TrainConfig
@@ -47,6 +50,32 @@ class TestEvaluate:
         assert report["mean_psnr"] == pytest.approx(
             np.mean([e["psnr"] for e in report["per_frame"]]), abs=1e-9)
         assert "mean_iou" in report
+
+
+class TestFrameRule:
+    """prepare_splats renders only integer frames of the set, whatever the caller."""
+
+    @pytest.fixture(scope="class")
+    def mover(self):
+        return generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+
+    @pytest.mark.parametrize("t", [-1, 5, 2.5])
+    def test_render_view_outside_the_set_raises(self, mover, t):
+        with pytest.raises(ValidationError, match="frame"):
+            render_view(mover.gt_set, mover.cameras[0], t)
+
+    @pytest.mark.parametrize("t_corr", [-1, 5, 1.0])
+    def test_correspondence_frame_outside_the_set_raises(self, mover, t_corr):
+        with pytest.raises(ValidationError, match="frame"):
+            prepare_splats(mover.gt_set, mover.cameras[0], 2, t_corr)
+
+    def test_predict_outside_the_set_raises(self, mover):
+        est = SceneReconstructor()
+        est.gaussians_ = mover.gt_set
+        assert len(est.predict([mover.cameras[4]], [4])) == 1
+        with pytest.raises(ValidationError, match="frame"):
+            est.predict([mover.cameras[0]], [-1])
 
 
 class TestSceneReconstructor:
@@ -98,6 +127,13 @@ class TestSceneReconstructor:
 
 
 class TestMotionMaskEstimator:
+    def test_threshold_default_is_the_dynmask_constant(self):
+        # one declaration: the estimator and the masks command read dynmask's
+        sig = inspect.signature(MotionMaskEstimator).parameters
+        assert sig["eps_temp"].default is DEFAULT_EPS_TEMP
+        args = build_parser().parse_args(["masks", "--dataset", "d", "--out", "o"])
+        assert args.eps_temp is DEFAULT_EPS_TEMP
+
     def test_fit_predict(self):
         ds = generate_synthetic(tiny_spec(
             actor_motion={"kind": "linear", "velocity": [0.04, 0.01, 0.0]}, frames=5))

@@ -527,6 +527,8 @@ MALFORMED_CHECKPOINTS = {
     "no-alpha_gate": BadMagic,
     "length-past-end": ShapeMismatch,
     "count-overflows-int64": ShapeMismatch,
+    "K-disagrees-with-bases": ShapeMismatch,
+    "T-disagrees-with-bases": ShapeMismatch,
 }
 
 
@@ -544,6 +546,9 @@ def malformed_checkpoint(case, tmp_path):
 
     if case.startswith("no-"):
         del header[case[3:]]
+        return rigs(json.dumps(header).encode())
+    if case.endswith("-disagrees-with-bases"):
+        header[case[0]] += 1
         return rigs(json.dumps(header).encode())
     if case == "count-overflows-int64":
         # 2^32 * 2^32 elements: a product in int64 wraps to 0

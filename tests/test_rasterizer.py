@@ -173,6 +173,24 @@ class TestCulling:
             assert set(np.digitize(batch.row, [ns, ns + nr]).tolist()) == {0, 1, 2}
 
 
+def test_an_empty_batch_renders_and_pulls_back_zeros():
+    # every population present, every splat behind a camera turned to face -z
+    gs = make_random_set(5, 30)
+    cam = make_cam(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32,
+                   rotation=np.diag([-1.0, 1.0, -1.0]))
+    batch = prepare_splats(gs, cam, 2, 3)
+    assert len(batch) == 0 and min(len(gs.statics), len(gs.rigids), len(gs.transients)) > 0
+    ref = rasterize_reference(batch, cam)
+    assert ref.channel_stack().shape == (32, 32, N_CHANNELS) and ref.alpha.shape == (32, 32)
+    assert not ref.channel_stack().any() and not ref.alpha.any()
+    grads = rasterize_backward(batch, cam, {"color": np.ones((32, 32, 3))}, gs)
+    zeros = zeros_like_tree(gs)
+    assert {k: sorted(g) for k, g in grads.items()} == {k: sorted(g) for k, g in zeros.items()}
+    for kind, group in grads.items():
+        for name, g in group.items():
+            assert g.shape == zeros[kind][name].shape and not g.any(), (kind, name)
+
+
 class TestOracleEquivalence:
     def test_random_scene_sweep(self):
         cam = cam32()

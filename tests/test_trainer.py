@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dysplat.errors import EmptyStaticRegion, InsufficientTracks, ValidationError
+from dysplat.errors import (EmptyStaticRegion, InsufficientTracks, TrainingAborted,
+                            ValidationError)
 from dysplat.geometry import bilinear_sample, unproject, unproject_grid
 from dysplat.losses import LossWeights
 from dysplat.primitives import (
@@ -805,6 +806,46 @@ class TestTrainLoop:
         want = np.array([r["total"] for r in reference if "total" in r])
         assert totals.shape == want.shape and np.all(np.isfinite(want))
         assert np.all(np.abs(totals - want) <= 1e-9 * np.abs(want))
+
+    def test_degenerate_blend_skips_only_its_iterations(self):
+        # a zero 6D rotation at frame 2 makes every render that blends frame 2 fail
+        ds = linear_mover(frames=5)
+        init = ds.gt_set.copy()
+        init.bases.rot6d[0, 2] = 0.0
+        config = TrainConfig(iters_total=12, iters_static_warmup=2, iters_rigid_warmup=4,
+                             transition_check_every=0, n_bases=1, checkpoint_every=0, seed=4)
+        gset, log = train(ds, config, init_set=init)
+        skipped = [r["iter"] for r in log if r.get("event") == "degenerate_blend"]
+        stepped = [r["iter"] for r in log if "total" in r]
+        assert skipped and stepped
+        assert sorted(skipped + stepped) == list(range(12))
+        assert all(np.isfinite(r["total"]) for r in log if "total" in r)
+
+    def test_nonfinite_loss_for_100_iterations_aborts(self):
+        ds = generate_synthetic(flat_static_spec())
+        nan_images = replace(ds, images=np.full_like(ds.images, np.nan))
+        config = fixed_point_config(iters_total=99, iters_static_warmup=99)
+        _, log = train(nan_images, config, init_set=ds.gt_set)
+        assert all(np.isnan(r["total"]) for r in log) and len(log) == 99
+        with pytest.raises(TrainingAborted, match="100 consecutive"):
+            train(nan_images, fixed_point_config(iters_total=100), init_set=ds.gt_set)
+
+    def test_holding_out_every_frame_trains_on_every_frame(self):
+        ds = linear_mover(frames=5)
+        config = fixed_point_config(iters_total=12, iters_static_warmup=12)
+        _, all_held_out = train(ds, replace(config, holdout_every=1), init_set=ds.gt_set)
+        _, none_held_out = train(ds, config, init_set=ds.gt_set)
+        assert all_held_out == none_held_out
+        assert len({r["frame"] for r in all_held_out}) > 1
+
+    @pytest.mark.parametrize("every, iters", [(3, [4, 7, 10]), (0, [4]), (-1, [4])])
+    def test_transitions_open_stage_3_then_follow_the_check_period(self, every, iters):
+        ds = linear_mover(frames=5)
+        config = TrainConfig(iters_total=12, iters_static_warmup=2, iters_rigid_warmup=2,
+                             transition_check_every=every, n_bases=1, checkpoint_every=0,
+                             seed=4)
+        _, log = train(ds, config, init_set=ds.gt_set)
+        assert [r["iter"] for r in log if r.get("event") == "transition"] == iters
 
     @pytest.mark.parametrize("entry", ["train", "fit"])
     def test_nonfinite_init_set_rejected(self, entry):
