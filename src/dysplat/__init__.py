@@ -14,7 +14,13 @@ from .primitives import (
     load_checkpoint,
     save_checkpoint,
 )
-from .rasterizer import RenderOutputs, prepare_splats, rasterize_forward, rasterize_reference
+from .rasterizer import (
+    PreparedSet,
+    RenderOutputs,
+    prepare_splats,
+    rasterize_forward,
+    rasterize_reference,
+)
 from .synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from .trainer import TrainConfig, duration_histogram, train
 
@@ -24,7 +30,7 @@ __all__ = [
     "TransientGaussians", "RenderOutputs", "SceneDataset", "SlabSpec",
     "SyntheticSceneSpec", "TrainConfig", "LossWeights",
     "SceneReconstructor", "MotionMaskEstimator",
-    "prepare_splats", "rasterize_forward", "rasterize_reference",
+    "PreparedSet", "prepare_splats", "rasterize_forward", "rasterize_reference",
     "generate_synthetic", "load_dataset", "save_dataset",
     "load_checkpoint", "save_checkpoint", "train", "duration_histogram",
     "evaluate",

@@ -121,6 +121,15 @@ class CameraFrame:
         }
 
 
+def dot3(a, b):
+    """Dot products over the last axis (length 3) of a and b, summed in the
+    order ``np.sum(a * b, axis=-1)`` uses but in fewer passes: the same
+    values, except that an exact zero may keep a negative sign np.sum drops
+    (no comparison sees it). ``np.sqrt(dot3(a, a))`` equals
+    ``np.linalg.norm(a, axis=-1)`` byte for byte."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
 # ---------------------------------------------------------------------------
 # pinhole projection
 
@@ -381,8 +390,10 @@ def pinhole_jacobian(means_cam, fx, fy):
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):
     """Batched EWA projection; returns (cov2 (N,2,2), J (N,2,3))."""
     J = pinhole_jacobian(means_cam, fx, fy)
-    P = J @ R_w2c
-    cov2 = P @ covs3 @ np.swapaxes(P, -1, -2)
+    # the bytes of J @ R_w2c and P @ covs3 @ P^T, faster: the first as one
+    # (2N, 3) @ (3, 3) product, the second with P^T made contiguous
+    P = (J.reshape(-1, 3) @ R_w2c).reshape(J.shape)
+    cov2 = P @ covs3 @ np.ascontiguousarray(np.swapaxes(P, -1, -2))
     cov2 = cov2 + COV2D_DILATION * np.eye(2)
     return cov2, J
 

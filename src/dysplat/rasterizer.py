@@ -16,6 +16,12 @@ a > F. f is C1, so finite-difference checks stay meaningful across F and 2F,
 and f <= 1 - 1.5F, so 1 - alpha never falls below 1.5F. The oracle uses the
 same rule.
 
+``prepare_splats`` runs in two stages: ``PreparedSet`` holds the arrays that
+depend only on the set's parameters (built once per set by ``evaluate`` and
+the synthetic generator, once per call otherwise), and the per-frame stage
+moves, gates, projects and culls. A SplatBatch gathers by row only what the
+forward reads; the backward-only arrays stay whole until the chain.
+
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
 tiles in a fixed order, so gradient accumulation is bit-reproducible. Each
 SplatBatch builds one tile plan on first use (``SplatBatch.tile_plan``): the
@@ -35,6 +41,7 @@ from .errors import MismatchedForward
 from .geometry import (
     MIN_DEPTH,
     CameraFrame,
+    dot3,
     ewa_backward,
     ewa_project_covariance_batch,
     pinhole_project,
@@ -114,7 +121,10 @@ class SplatBatch:
 
     ``row`` addresses each splat in the concatenated populations (statics,
     then rigids, then transients). Rows ascend, so each Gaussian appears at
-    most once and each population is one contiguous slice of the batch.
+    most once and each population is one contiguous slice of the batch. The
+    fields the forward reads (``mean2d`` through ``radii``) hold the culled
+    splats; the backward-only fields after ``rigid_Rq`` hold every Gaussian
+    of the set, and the backward takes their ``row`` entries.
     """
 
     mean2d: np.ndarray       # (N, 2) px
@@ -130,15 +140,15 @@ class SplatBatch:
     t_corr: int
     rigid_ctx: BlendContext | None  # every rigid at frames [t, t_corr, fwd, bwd], or None
     rigid_Rq: np.ndarray     # (Nr, 3, 3) canonical rotations from quats
-    mean_cam: np.ndarray     # (N, 3)
-    J: np.ndarray            # (N, 2, 3) projection Jacobian
-    cov3: np.ndarray         # (N, 3, 3) world covariance
-    R_world: np.ndarray      # (N, 3, 3)
-    log_scales: np.ndarray   # (N, 3)
-    axis: np.ndarray         # (N,) smallest-scale axis, the normal's column
-    normal_sign: np.ndarray  # (N,)
-    gate: np.ndarray         # (N,)
-    base_opacity: np.ndarray  # (N,) pre-gating
+    mean_cam: np.ndarray     # (G, 3) for all G Gaussians of the set
+    J: np.ndarray            # (G, 2, 3) projection Jacobian
+    cov3: np.ndarray         # (G, 3, 3) world covariance
+    R_world: np.ndarray      # (G, 3, 3)
+    log_scales: np.ndarray   # (G, 3)
+    axis: np.ndarray         # (G,) smallest-scale axis, the normal's column
+    normal_sign: np.ndarray  # (G,)
+    gate: np.ndarray         # (G,)
+    base_opacity: np.ndarray  # (G,) pre-gating
 
     def __len__(self):
         return self.mean2d.shape[0]
@@ -160,42 +170,81 @@ def _max_eigenvalue_2x2(cov):
     return mid + dev
 
 
-def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> SplatBatch:
+def _axis_columns(R, axis):
+    """Column ``axis[i]`` of each rotation R[i]: (N, 3)."""
+    return R[np.arange(len(axis)), :, axis]
+
+
+class PreparedSet:
+    """The per-set stage of ``prepare_splats``: every per-Gaussian array that
+    depends only on the set's parameters, built once per set.
+
+    Rows follow the concatenated populations (statics, then rigids, then
+    transients), as ``SplatBatch.row`` does. A rigid's rows hold its
+    canonical rotation, covariance and normal axis; ``prepare_splats`` moves
+    them to the frame. The arrays are copies, so a set changed in place needs
+    a new PreparedSet; ``prepare_splats`` given a GaussianSet builds one per
+    call.
+    """
+
+    def __init__(self, gset: GaussianSet):
+        self.gset = gset
+        pops = (gset.statics, gset.rigids, gset.transients)
+        ns, nr, nt = (len(p) for p in pops)
+        n_all = ns + nr + nt
+        self.rigid_rows, self.transient_rows = slice(ns, ns + nr), slice(ns + nr, n_all)
+        self.log_scales = np.concatenate([p.log_scales for p in pops])
+        self.base_opacity = sigmoid(np.concatenate([p.opacity_logits for p in pops]))
+        # the gated populations' windows, rows ns onward
+        self.durations = np.concatenate([gset.rigids.durations, gset.transients.durations])
+        self.centers = np.concatenate([gset.rigids.centers, gset.transients.centers])
+        # canonical rotations; a rigid's world rotation is A_rot(t) times its own
+        self.rotations = quat_to_matrix(np.concatenate([p.quats for p in pops]))
+        self.cov3 = covariance(self.rotations, self.log_scales)
+        # normals: world direction of the smallest-scale axis, before the flip
+        self.axis = np.argmin(self.log_scales, axis=1)
+        self.normals = _axis_columns(self.rotations, self.axis)
+        # the payload columns that do not move with the frame
+        self.channels = np.zeros((n_all, N_CHANNELS))
+        self.channels[:, C_COLOR] = np.concatenate([p.colors for p in pops])
+        self.channels[ns:, C_DYN] = 1.0
+        self.channels[:ns, C_CORR] = gset.statics.means
+        self.channels[self.transient_rows, C_VFWD] = gset.transients.velocities
+        self.channels[self.transient_rows, C_VBWD] = gset.transients.velocities
+
+
+def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=None) -> SplatBatch:
     """Project all populations at frame t into screen-space splats.
 
-    Culls splats behind the camera, below the 1/255 opacity threshold, or with
-    their 99%-mass ellipse fully outside the image. The correspondence payload
-    carries each Gaussian's world position at ``t_corr`` (defaults to t).
+    ``gset`` is a GaussianSet, whose PreparedSet this call builds, or a
+    PreparedSet, so that renders of one set share its per-set stage. This
+    per-frame stage moves the rigids and transients to t, gates them, and
+    projects and culls every Gaussian. Culls splats behind the camera, below
+    the 1/255 opacity threshold, or with their 99%-mass ellipse fully outside
+    the image. The correspondence payload carries each Gaussian's world
+    position at ``t_corr`` (defaults to t).
     """
+    pset = gset if isinstance(gset, PreparedSet) else PreparedSet(gset)
+    gset = pset.gset
     if t_corr is None:
         t_corr = t
     for frame in (t, t_corr):  # the one frame rule of every render: a frame of the set
         require(0 <= require_int(frame, "frame") < gset.n_frames,
                 f"frame {frame} outside the set's frames [0, {gset.n_frames})")
-    pops = (gset.statics, gset.rigids, gset.transients)
-    ns, nr, nt = (len(p) for p in pops)
-    n_all = ns + nr + nt
-    rigid_sl, transient_sl = slice(ns, ns + nr), slice(ns + nr, n_all)
+    rigid_sl, transient_sl = pset.rigid_rows, pset.transient_rows
+    ns, n_all = rigid_sl.start, transient_sl.stop
 
-    log_scales = np.concatenate([p.log_scales for p in pops])
-    base_op = sigmoid(np.concatenate([p.opacity_logits for p in pops]))
     gate = np.ones(n_all)
-    gate[ns:] = gate_value(gset.gate_sharpness,
-                           np.concatenate([gset.rigids.durations, gset.transients.durations]),
-                           np.concatenate([gset.rigids.centers, gset.transients.centers]),
-                           float(t))
-    o_eff = base_op * gate
-    channels = np.zeros((n_all, N_CHANNELS))
-    channels[:, C_COLOR] = np.concatenate([p.colors for p in pops])
-    channels[ns:, C_DYN] = 1.0
+    gate[ns:] = gate_value(gset.gate_sharpness, pset.durations, pset.centers, float(t))
+    o_eff = pset.base_opacity * gate
+    channels = pset.channels.copy()
     mean_w = np.zeros((n_all, 3))
-    mean_w[:ns] = channels[:ns, C_CORR] = gset.statics.means
-    # canonical rotations; a rigid's world rotation is A_rot(t) times its own
-    R_w = quat_to_matrix(np.concatenate([p.quats for p in pops]))
-    rigid_Rq = R_w[rigid_sl].copy()
+    mean_w[:ns] = gset.statics.means
+    R_w, cov3, n_raw = pset.rotations, pset.cov3, pset.normals
+    rigid_Rq = R_w[rigid_sl].copy()  # a view would keep every row of the set's rotations
 
     rigid_ctx = None
-    if nr:
+    if len(gset.rigids):
         # one blend over the frame rows [t, t_corr] and each velocity pair
         # (hi, lo); _chain_rigid reads the rows in this order
         fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
@@ -205,11 +254,14 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
         channels[rigid_sl, C_CORR] = means_at[1]
         channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
         channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
+        # the rigids' rows move with the frame; the PreparedSet stays canonical
+        R_w, cov3, n_raw = R_w.copy(), cov3.copy(), n_raw.copy()
         R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, rigid_Rq)[0]
+        cov3[rigid_sl] = covariance(R_w[rigid_sl], pset.log_scales[rigid_sl])
+        n_raw[rigid_sl] = _axis_columns(R_w[rigid_sl], pset.axis[rigid_sl])
 
     tr = gset.transients
     mean_w[transient_sl] = transient_position_at(tr, float(t))
-    channels[transient_sl, C_VFWD] = channels[transient_sl, C_VBWD] = tr.velocities
     channels[transient_sl, C_CORR] = transient_position_at(tr, float(t_corr))
 
     intr = cam.intrinsics
@@ -219,9 +271,9 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
     visible = in_front & (o_eff >= CULL_OPACITY)
 
     # splats behind the camera project from the optical axis and are culled
-    safe_mean_cam = np.where(in_front[:, None], mean_cam, [0.0, 0.0, 1.0])
+    safe_mean_cam = mean_cam.copy()
+    safe_mean_cam[~in_front] = [0.0, 0.0, 1.0]
     pix = pinhole_project(safe_mean_cam, intr)
-    cov3 = covariance(R_w, log_scales)
     cov2, J = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
                                            intr.fx, intr.fy)
 
@@ -231,14 +283,13 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
               & (pix[:, 1] + r99 >= 0.0) & (pix[:, 1] - r99 <= intr.height - 1.0))
     keep = visible & inside
 
-    # normals: world direction of the smallest-scale axis, flipped toward camera
-    axis = np.argmin(log_scales, axis=1)
-    n_raw = np.take_along_axis(R_w, axis[:, None, None].repeat(3, 1), axis=2)[:, :, 0]
+    # normals flipped toward the camera
     view = cam.position()[None, :] - mean_w
-    nsign = np.where(np.sum(n_raw * view, axis=1) >= 0.0, 1.0, -1.0)
+    nsign = np.where(dot3(n_raw, view) >= 0.0, 1.0, -1.0)
     channels[:, C_NORMAL] = n_raw * nsign[:, None]
     channels[:, C_DEPTH] = z
 
+    # the forward's arrays are gathered by row; the backward-only ones stay whole
     sel = np.nonzero(keep)[0]
     o_sel = o_eff[sel]
     # the raw alpha exceeds the floor F only where q < 2 ln(o / F), and
@@ -248,9 +299,8 @@ def prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None) -> Splat
         mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
         channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
         t=t, t_corr=t_corr, rigid_ctx=rigid_ctx, rigid_Rq=rigid_Rq,
-        mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
-        log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
-        gate=gate[sel], base_opacity=base_op[sel],
+        mean_cam=mean_cam, J=J, cov3=cov3, R_world=R_w, log_scales=pset.log_scales,
+        axis=pset.axis, normal_sign=nsign, gate=gate, base_opacity=pset.base_opacity,
     )
 
 
@@ -551,11 +601,10 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
     treated as zero. Returns a {population: {field: array}} gradient tree.
     """
     grads = zeros_like_tree(gset)
+    gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     n = len(batch)
     if n == 0:
         return grads
-
-    gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     plan = batch.tile_plan
 
     d_payload = np.zeros((n, N_CHANNELS))
@@ -619,23 +668,27 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
 def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d, d_cov2d):
     intr = cam.intrinsics
     R_w2c = cam.extrinsics.rotation
+    # the backward-only arrays hold every Gaussian: take the batch's rows
+    row = batch.row
+    mean_cam = batch.mean_cam[row]
+    base_op = batch.base_opacity[row]
 
     # screen-space adjoints -> camera-space mean and world covariance
-    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3, R_w2c, batch.mean_cam,
-                                          intr.fx, intr.fy, batch.J)
+    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3[row], R_w2c, mean_cam,
+                                          intr.fx, intr.fy, batch.J[row])
     d_z = d_payload[:, C_DEPTH]
-    d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, batch.mean_cam,
+    d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, mean_cam,
                                                       intr.fx, intr.fy)
     d_mean_w = d_mean_cam @ R_w2c
 
     # covariance -> world rotation and log scales; normal payload -> rotation column
-    d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world, batch.log_scales)
-    d_normal = d_payload[:, C_NORMAL] * batch.normal_sign[:, None]
-    d_R_w[np.arange(len(batch)), :, batch.axis] += d_normal
+    d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world[row], batch.log_scales[row])
+    d_normal = d_payload[:, C_NORMAL] * batch.normal_sign[row, None]
+    d_R_w[np.arange(len(batch)), :, batch.axis[row]] += d_normal
 
     # gated opacity -> logits / durations / centers
-    d_gate_eff = d_opacity * batch.base_opacity
-    d_logit = d_opacity * batch.gate * batch.base_opacity * (1.0 - batch.base_opacity)
+    d_gate_eff = d_opacity * base_op
+    d_logit = d_opacity * batch.gate[row] * base_op * (1.0 - base_op)
 
     d_corr = d_payload[:, C_CORR]
     t_now = float(batch.t)

@@ -29,7 +29,7 @@ from .primitives import (
     TransientGaussians,
     logit,
 )
-from .rasterizer import _composite, prepare_splats
+from .rasterizer import PreparedSet, _composite, prepare_splats
 from .validation import read_json, require, require_int, require_number
 
 SCALE_FILL = 0.65  # in-plane Gaussian sigma as a fraction of grid spacing
@@ -307,11 +307,12 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
     depths = np.zeros((T, H, W))
     object_ids = np.zeros((T, H, W), dtype=np.int64)
     owners = np.full((T, H, W), -1, dtype=np.int64)
+    gt_prepared = PreparedSet(gt_set) if expressible else None
     for t in range(T):
         # gt_set's gates sit a hair below 1 at small T, so erratic scenes
         # render per-frame statics and expressible ones the generating set
         if expressible:
-            batch = prepare_splats(gt_set, cameras[t], t)
+            batch = prepare_splats(gt_prepared, cameras[t], t)
         else:
             frame_set = GaussianSet(StaticGaussians(pos[t], log_scales, quats, logits, colors),
                                     RigidGaussians.empty(1), TransientGaussians.empty(),

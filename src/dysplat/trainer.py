@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import matrix_to_rot6d, nearest_pixel, unproject
+from .geometry import dot3, matrix_to_rot6d, nearest_pixel, unproject
 from .losses import (
     LossWeights,
     depth_loss,
@@ -397,11 +397,11 @@ def normals_from_depth(lift):
     dx[:, 1:-1] = (pts[:, 2:] - pts[:, :-2]) / 2.0
     dy[1:-1, :] = (pts[2:, :] - pts[:-2, :]) / 2.0
     n = np.cross(dx, dy)
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    norm = np.sqrt(dot3(n, n))[..., None]
     ok = norm[..., 0] > 1e-12
     n = np.where(ok[..., None], n / np.maximum(norm, 1e-12), 0.0)
     view = lift.camera.position()[None, None, :] - pts
-    n *= np.where(np.sum(n * view, axis=-1) < 0, -1.0, 1.0)[..., None]
+    n *= np.where(dot3(n, view) < 0, -1.0, 1.0)[..., None]
     valid = ok & lift.valid
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False

@@ -9,7 +9,7 @@ from dysplat.dynmask import DEFAULT_EPS_TEMP
 from dysplat.errors import ValidationError
 from dysplat.estimators import MotionMaskEstimator, SceneReconstructor
 from dysplat.evaluation import evaluate, mask_iou, render_view
-from dysplat.rasterizer import prepare_splats
+from dysplat.rasterizer import PreparedSet, prepare_splats
 from dysplat.losses import LossWeights
 from dysplat.synth import generate_synthetic
 from dysplat.trainer import TrainConfig
@@ -36,6 +36,24 @@ class TestEvaluate:
         ds = generate_synthetic(tiny_spec(frames=4))
         with pytest.raises(ValidationError):
             evaluate(ds.gt_set, ds, frames=[])
+
+    def test_render_view_sees_a_set_changed_in_place(self):
+        # a GaussianSet is prepared per render, so nothing of it is kept stale
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        gset = ds.gt_set.copy()
+        cam = ds.cameras[2]
+        before = render_view(gset, cam, 2)
+        gset.statics.colors[:] = 1.0 - gset.statics.colors
+        gset.statics.log_scales += 0.2
+        gset.rigids.quats[:] = [0.9, 0.3, -0.2, 0.1]
+        gset.rigids.opacity_logits -= 1.0
+        after = render_view(gset, cam, 2)
+        fresh = render_view(gset.copy(), cam, 2)
+        assert after.channels.tobytes() == fresh.channels.tobytes()
+        assert after.alpha.tobytes() == fresh.alpha.tobytes()
+        changed = ~np.all(after.channels == before.channels, axis=-1)
+        assert np.all(changed[after.alpha > 0.5])
 
     def test_mask_iou_exact(self):
         rng = np.random.default_rng(0)
@@ -69,6 +87,11 @@ class TestFrameRule:
     def test_correspondence_frame_outside_the_set_raises(self, mover, t_corr):
         with pytest.raises(ValidationError, match="frame"):
             prepare_splats(mover.gt_set, mover.cameras[0], 2, t_corr)
+
+    @pytest.mark.parametrize("t, t_corr", [(-1, 2), (5, 2), (2.5, 2), (2, 5), (2, 1.0)])
+    def test_a_prepared_set_keeps_the_rule(self, mover, t, t_corr):
+        with pytest.raises(ValidationError, match="frame"):
+            prepare_splats(PreparedSet(mover.gt_set), mover.cameras[0], t, t_corr)
 
     def test_predict_outside_the_set_raises(self, mover):
         est = SceneReconstructor()

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from dysplat.errors import DegenerateRotation6D, NonPositiveDepth, ValidationError
 from dysplat.geometry import (
+    COV2D_DILATION,
     CameraExtrinsics,
     SE3Transform,
     bilinear_sample,
+    dot3,
     ewa_backward,
     ewa_project_covariance_batch,
     matrix_to_quat,
     matrix_to_rot6d,
     nearest_pixel,
+    pinhole_jacobian,
     pinhole_project,
     projection_backward,
     quat_to_matrix,
@@ -439,3 +442,34 @@ class TestNearestPixel:
     def test_no_points(self):
         inside, xi, yi = nearest_pixel(np.zeros((0, 2)), 4, 4)
         assert inside.shape == xi.shape == yi.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 3), (4030, 3)])
+def test_dot3_has_the_bytes_of_the_numpy_reductions(shape):
+    # dot3 stands in for np.sum(a * b, axis=-1), up to the sign of a zero
+    # (adding +0.0 makes every zero positive), and, under a square root, for
+    # np.linalg.norm(a, axis=-1); spread magnitudes and signed zeros included
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    b = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    a.reshape(-1, 3)[::7] = [-0.0, 0.0, -0.0]
+    b.reshape(-1, 3)[::11, 1] = -0.0
+    assert (dot3(a, b) + 0.0).tobytes() == np.sum(a * b, axis=-1).tobytes()
+    assert np.sqrt(dot3(a, a)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 257, 4030])
+def test_ewa_projection_has_the_bytes_of_the_batched_products(n):
+    # J @ R_w2c runs as one 2-D product and P^T is made contiguous; the
+    # covariances and Jacobians keep the bytes of the batched expression
+    rng = np.random.default_rng(n)
+    means = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 3))
+    means[:, 2] = np.abs(means[:, 2]) + 0.01
+    R = quat_to_matrix(rng.normal(size=4))
+    A = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-4, 2, size=(n, 1, 1))
+    covs = A @ np.swapaxes(A, -1, -2)
+    cov2, J = ewa_project_covariance_batch(covs, R, means, 90.0, 110.0)
+    P = pinhole_jacobian(means, 90.0, 110.0) @ R
+    want = P @ covs @ np.swapaxes(P, -1, -2) + COV2D_DILATION * np.eye(2)
+    assert J.tobytes() == pinhole_jacobian(means, 90.0, 110.0).tobytes()
+    assert cov2.tobytes() == want.tobytes()

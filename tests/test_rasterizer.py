@@ -173,12 +173,17 @@ class TestCulling:
             assert set(np.digitize(batch.row, [ns, ns + nr]).tolist()) == {0, 1, 2}
 
 
-def test_an_empty_batch_renders_and_pulls_back_zeros():
-    # every population present, every splat behind a camera turned to face -z
+def empty_batch():
+    """(set, batch, camera): every population present, every splat behind a
+    camera turned to face -z."""
     gs = make_random_set(5, 30)
     cam = make_cam(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32,
                    rotation=np.diag([-1.0, 1.0, -1.0]))
-    batch = prepare_splats(gs, cam, 2, 3)
+    return gs, prepare_splats(gs, cam, 2, 3), cam
+
+
+def test_an_empty_batch_renders_and_pulls_back_zeros():
+    gs, batch, cam = empty_batch()
     assert len(batch) == 0 and min(len(gs.statics), len(gs.rigids), len(gs.transients)) > 0
     ref = rasterize_reference(batch, cam)
     assert ref.channel_stack().shape == (32, 32, N_CHANNELS) and ref.alpha.shape == (32, 32)
@@ -305,6 +310,13 @@ class TestBackward:
             rasterize_backward(batch, cam, {"color": np.zeros((8, 8, 3))}, gs)
         with pytest.raises(MismatchedForward):
             rasterize_backward(batch, cam, {"bogus": np.zeros((32, 32))}, gs)
+        # an empty batch checks its cotangents too, before it returns zeros
+        gs_away, empty, cam_away = empty_batch()
+        assert len(empty) == 0
+        for grad_outputs in ({"color": np.zeros((8, 8, 3))},
+                             {"color": np.zeros((32, 32, 3)), "bogus": 1}):
+            with pytest.raises(MismatchedForward):
+                rasterize_backward(empty, cam_away, grad_outputs, gs_away)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_full_gradient_check(self, seed):

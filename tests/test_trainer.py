@@ -475,6 +475,44 @@ def test_infinite_depths_give_the_normals_nan_depths_give():
     assert np.array_equal(n[valid_inf], n_inf[valid_inf]) and not (valid_inf & ~valid).any()
 
 
+def parent_normals_from_depth(lift):
+    """normals_from_depth with numpy's reductions, as it was before dot3."""
+    finite = np.isfinite(lift.depth)
+    depth = np.where(finite, lift.depth, np.nan)
+    pts = np.where(finite[..., None], lift.points, np.nan)
+    dx = np.zeros_like(pts)
+    dy = np.zeros_like(pts)
+    dx[:, 1:-1] = (pts[:, 2:] - pts[:, :-2]) / 2.0
+    dy[1:-1, :] = (pts[2:, :] - pts[:-2, :]) / 2.0
+    n = np.cross(dx, dy)
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    ok = norm[..., 0] > 1e-12
+    n = np.where(ok[..., None], n / np.maximum(norm, 1e-12), 0.0)
+    view = lift.camera.position()[None, None, :] - pts
+    n *= np.where(np.sum(n * view, axis=-1) < 0, -1.0, 1.0)[..., None]
+    valid = ok & lift.valid
+    valid[0, :] = valid[-1, :] = False
+    valid[:, 0] = valid[:, -1] = False
+    jump = (np.abs(depth[1:-1, 2:] - depth[1:-1, :-2])
+            + np.abs(depth[2:, 1:-1] - depth[:-2, 1:-1]))
+    valid[1:-1, 1:-1] &= jump < 0.05 * np.maximum(depth[1:-1, 1:-1], 1e-6)
+    return n, valid
+
+
+def test_normals_have_the_bytes_of_the_numpy_reductions():
+    from test_acceptance import scene_reconstruction
+
+    ds = generate_synthetic(scene_reconstruction())
+    rng = np.random.default_rng(3)
+    noisy = ds.depths[5] * np.exp(0.05 * rng.normal(size=ds.depths[5].shape))
+    noisy[::9, ::4] = np.nan
+    for t, depth in ((0, ds.depths[0]), (30, ds.depths[30]), (5, noisy)):
+        lift = lift_frame(depth, ds.cameras[t])
+        n, valid = trainer.normals_from_depth(lift)
+        want_n, want_valid = parent_normals_from_depth(lift)
+        assert n.tobytes() == want_n.tobytes() and np.array_equal(valid, want_valid), t
+
+
 class TestHistogram:
     def _set_with_durations(self, rigid_d, trans_d, T=60):
         n, m = len(rigid_d), len(trans_d)
@@ -578,6 +616,45 @@ def test_each_iteration_builds_one_tile_plan(monkeypatch):
                          n_static_init=150, seed=11)
     train(ds, config)
     assert per_iteration == [1] * config.iters_total
+
+
+def test_the_set_is_prepared_once_per_call_and_once_per_iteration(monkeypatch):
+    # the per-set stage of prepare_splats: one per generate_synthetic (its
+    # generating set) and evaluate call, whatever the frame count, and one per
+    # training iteration, inside prepare_splats
+    from dysplat import rasterizer
+    from dysplat.evaluation import evaluate
+
+    built = []
+    build = rasterizer.PreparedSet.__init__
+
+    def counted_build(self, gset):
+        built.append(gset)
+        build(self, gset)
+
+    per_iteration = []
+    iteration = trainer.train_iteration
+
+    def counted_iteration(*args, **kwargs):
+        before = len(built)
+        result = iteration(*args, **kwargs)
+        per_iteration.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(rasterizer.PreparedSet, "__init__", counted_build)
+    monkeypatch.setattr(trainer, "train_iteration", counted_iteration)
+    ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                    "velocity": [0.02, 0.0, 0.0]}, frames=5))
+    assert len(built) == 1
+    config = TrainConfig(iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2,
+                         transition_check_every=0, n_bases=2, checkpoint_every=0,
+                         n_static_init=150, seed=11)
+    gset, _ = train(ds, config)
+    assert per_iteration == [1] * config.iters_total
+    for frames in ([3], [0, 1, 2, 3, 4]):
+        built.clear()
+        evaluate(gset, ds, frames=frames)
+        assert len(built) == 1 and built[0] is gset
 
 
 def test_supervision_lifts_each_frame_once_and_samples_each_pair_once(monkeypatch):
