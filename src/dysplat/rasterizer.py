@@ -289,18 +289,20 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     channels[:, C_NORMAL] = n_raw * nsign[:, None]
     channels[:, C_DEPTH] = z
 
-    # the forward's arrays are gathered by row; the backward-only ones stay whole
+    # the forward's arrays are gathered by row (np.take: fancy indexing's
+    # rows, about twice as fast); the backward-only ones stay whole
     sel = np.nonzero(keep)[0]
-    o_sel = o_eff[sel]
+    o_sel = o_eff.take(sel)
     # the raw alpha exceeds the floor F only where q < 2 ln(o / F), and
     # q >= |d|^2 / lambda_max, so that disc fits in the box mean +- radius
-    radius = np.sqrt(2.0 * np.log(o_sel / CULL_OPACITY) * np.maximum(lam[sel], 1e-12))
+    radius = np.sqrt(2.0 * np.log(o_sel / CULL_OPACITY) * np.maximum(lam.take(sel), 1e-12))
     return SplatBatch(
-        mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
-        channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
-        t=t, t_corr=t_corr, rigid_ctx=rigid_ctx, rigid_Rq=rigid_Rq,
-        mean_cam=mean_cam, J=J, cov3=cov3, R_world=R_w, log_scales=pset.log_scales,
-        axis=pset.axis, normal_sign=nsign, gate=gate, base_opacity=pset.base_opacity,
+        mean2d=pix.take(sel, axis=0), cov2d=cov2.take(sel, axis=0), depth=z.take(sel),
+        opacity_eff=o_sel, channels=channels.take(sel, axis=0), radii=radius, row=sel,
+        width=intr.width, height=intr.height, t=t, t_corr=t_corr, rigid_ctx=rigid_ctx,
+        rigid_Rq=rigid_Rq, mean_cam=mean_cam, J=J, cov3=cov3, R_world=R_w,
+        log_scales=pset.log_scales, axis=pset.axis, normal_sign=nsign, gate=gate,
+        base_opacity=pset.base_opacity,
     )
 
 
@@ -670,25 +672,26 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
     R_w2c = cam.extrinsics.rotation
     # the backward-only arrays hold every Gaussian: take the batch's rows
     row = batch.row
-    mean_cam = batch.mean_cam[row]
-    base_op = batch.base_opacity[row]
+    mean_cam = batch.mean_cam.take(row, axis=0)
+    base_op = batch.base_opacity.take(row)
 
     # screen-space adjoints -> camera-space mean and world covariance
-    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3[row], R_w2c, mean_cam,
-                                          intr.fx, intr.fy, batch.J[row])
+    d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3.take(row, axis=0), R_w2c, mean_cam,
+                                          intr.fx, intr.fy, batch.J.take(row, axis=0))
     d_z = d_payload[:, C_DEPTH]
     d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, mean_cam,
                                                       intr.fx, intr.fy)
     d_mean_w = d_mean_cam @ R_w2c
 
     # covariance -> world rotation and log scales; normal payload -> rotation column
-    d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world[row], batch.log_scales[row])
-    d_normal = d_payload[:, C_NORMAL] * batch.normal_sign[row, None]
-    d_R_w[np.arange(len(batch)), :, batch.axis[row]] += d_normal
+    d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world.take(row, axis=0),
+                                         batch.log_scales.take(row, axis=0))
+    d_normal = d_payload[:, C_NORMAL] * batch.normal_sign.take(row)[:, None]
+    d_R_w[np.arange(len(batch)), :, batch.axis.take(row)] += d_normal
 
     # gated opacity -> logits / durations / centers
     d_gate_eff = d_opacity * base_op
-    d_logit = d_opacity * batch.gate[row] * base_op * (1.0 - base_op)
+    d_logit = d_opacity * batch.gate.take(row) * base_op * (1.0 - base_op)
 
     d_corr = d_payload[:, C_CORR]
     t_now = float(batch.t)
