@@ -351,7 +351,6 @@ def matrix_to_quat(R):
     entry) is positive, so the divisor s stays away from zero.
     """
     R = np.asarray(R, dtype=np.float64)
-    single = R.ndim == 2
     m = R.reshape(-1, 3, 3)
     m00, m11, m22 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
     d21, d02, d10 = m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]
@@ -368,7 +367,7 @@ def matrix_to_quat(R):
     first = (m00 > m11) & (m00 > m22)
     out = np.select([tr[:, None] > 0, first[:, None], (m11 > m22)[:, None]], rows[:3], rows[3])
     out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    return out[0] if single else out
+    return out.reshape(R.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +387,23 @@ def pinhole_jacobian(means_cam, fx, fy):
 
 
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):
-    """Batched EWA projection; returns (cov2 (N,2,2), J (N,2,3))."""
+    """Batched EWA projection; returns (cov2 (N,2,2), P = J R_w2c (N,2,3)),
+    the pixel Jacobian of the world point, which ``ewa_backward`` reads."""
     J = pinhole_jacobian(means_cam, fx, fy)
     # the bytes of J @ R_w2c and P @ covs3 @ P^T, faster: the first as one
     # (2N, 3) @ (3, 3) product, the second with P^T made contiguous
     P = (J.reshape(-1, 3) @ R_w2c).reshape(J.shape)
     cov2 = P @ covs3 @ np.ascontiguousarray(np.swapaxes(P, -1, -2))
     cov2 = cov2 + COV2D_DILATION * np.eye(2)
-    return cov2, J
+    return cov2, P
 
 
-def ewa_backward(grad_cov2, covs3, R_w2c, means_cam, fx, fy, J):
-    """Adjoint of ewa_project_covariance_batch.
+def ewa_backward(grad_cov2, covs3, R_w2c, means_cam, fx, fy, P):
+    """Adjoint of ewa_project_covariance_batch, given the P it returned.
 
     Returns (grad_cov3 (N,3,3), grad_mean_cam (N,3)); the camera is fixed.
     """
     g = np.asarray(grad_cov2, dtype=np.float64)
-    P = J @ R_w2c
     grad_cov3 = np.swapaxes(P, -1, -2) @ g @ P
     # dP = (g + g^T) P cov3  (cov3 symmetric)
     gsym = g + np.swapaxes(g, -1, -2)

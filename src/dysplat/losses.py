@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .validation import check_same_hw, require_number
+from .validation import check_same_hw, require, require_number
 
 BCE_CLAMP = 1e-6
 SSIM_C1 = 0.01**2
@@ -36,6 +36,8 @@ class LossWeights:
     def __post_init__(self):
         for name, v in self.__dict__.items():
             require_number(v, name, low=0.0)
+        # the photometric weight is 1 - lambda_ssim
+        require(self.lambda_ssim <= 1.0, f"lambda_ssim must be <= 1, got {self.lambda_ssim}")
 
     def table(self):
         """Each loss term's weight in the total, in summation order."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadMagic, ShapeMismatch
 from .geometry import matrix_to_quat, matrix_to_rot6d, quat_to_matrix, rot6d_to_matrix, rot6d_vjp
-from .validation import as_array, require
+from .validation import as_array, require, require_number
 
 CHECKPOINT_MAGIC = b"RIGS0001"
 
@@ -177,7 +177,8 @@ class GaussianSet:
     gate_sharpness: float = 3.0
 
     def __post_init__(self):
-        require(self.gate_sharpness > 0, "gate_sharpness must be positive")
+        require(require_number(self.gate_sharpness, "gate_sharpness") > 0,
+                "gate_sharpness must be positive")
         if len(self.rigids) and self.rigids.weights.shape[1] != self.bases.n_bases:
             raise ShapeMismatch("rigid weight width does not match basis count")
 
@@ -223,10 +224,9 @@ def gate_value(sharpness, duration, center, t):
     return sigmoid(sharpness * (np.asarray(duration) - np.abs(t - np.asarray(center))))
 
 
-def gate_backward(grad_gate, sharpness, duration, center, t):
-    """Adjoint of gate_value -> (grad_duration, grad_center)."""
-    g = gate_value(sharpness, duration, center, t)
-    dpre = grad_gate * g * (1.0 - g) * sharpness
+def gate_backward(grad_gate, gate, sharpness, center, t):
+    """Adjoint of gate_value, given the gate it returned -> (grad_duration, grad_center)."""
+    dpre = grad_gate * gate * (1.0 - gate) * sharpness
     return dpre, dpre * np.sign(t - np.asarray(center))
 
 
@@ -441,7 +441,7 @@ def load_checkpoint(path):
         header = json.loads(raw_header.decode("utf-8"))
         specs = [(str(e["population"]), str(e["name"]), tuple(int(v) for v in e["shape"]),
                   int(e["offset"])) for e in header["fields"]]
-        K, T, gate_sharpness = int(header["K"]), int(header["T"]), float(header["alpha_gate"])
+        K, T, gate_sharpness = int(header["K"]), int(header["T"]), header["alpha_gate"]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise BadMagic(f"{path}: malformed checkpoint header ({exc!r})") from None
 

@@ -120,11 +120,12 @@ class SplatBatch:
     """One frame's culled splats and every value the backward pass reads.
 
     ``row`` addresses each splat in the concatenated populations (statics,
-    then rigids, then transients). Rows ascend, so each Gaussian appears at
-    most once and each population is one contiguous slice of the batch. The
-    fields the forward reads (``mean2d`` through ``radii``) hold the culled
-    splats; the backward-only fields after ``rigid_Rq`` hold every Gaussian
-    of the set, and the backward takes their ``row`` entries.
+    then rigids, then transients), as it does the rows of ``pset``, the
+    PreparedSet the batch was cut from. Rows ascend, so each Gaussian appears
+    at most once and each population is one contiguous slice of the batch.
+    The fields the forward reads (``mean2d`` through ``radii``) hold the
+    culled splats; the backward-only fields after ``rigid_ctx`` hold every
+    Gaussian of the set, and the backward takes their ``row`` entries.
     """
 
     mean2d: np.ndarray       # (N, 2) px
@@ -138,17 +139,14 @@ class SplatBatch:
     height: int
     t: int
     t_corr: int
+    pset: PreparedSet        # the per-set stage the batch was cut from
     rigid_ctx: BlendContext | None  # every rigid at frames [t, t_corr, fwd, bwd], or None
-    rigid_Rq: np.ndarray     # (Nr, 3, 3) canonical rotations from quats
     mean_cam: np.ndarray     # (G, 3) for all G Gaussians of the set
-    J: np.ndarray            # (G, 2, 3) projection Jacobian
+    P: np.ndarray            # (G, 2, 3) projection Jacobian times R_w2c
     cov3: np.ndarray         # (G, 3, 3) world covariance
     R_world: np.ndarray      # (G, 3, 3)
-    log_scales: np.ndarray   # (G, 3)
-    axis: np.ndarray         # (G,) smallest-scale axis, the normal's column
     normal_sign: np.ndarray  # (G,)
     gate: np.ndarray         # (G,)
-    base_opacity: np.ndarray  # (G,) pre-gating
 
     def __len__(self):
         return self.mean2d.shape[0]
@@ -241,7 +239,6 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     mean_w = np.zeros((n_all, 3))
     mean_w[:ns] = gset.statics.means
     R_w, cov3, n_raw = pset.rotations, pset.cov3, pset.normals
-    rigid_Rq = R_w[rigid_sl].copy()  # a view would keep every row of the set's rotations
 
     rigid_ctx = None
     if len(gset.rigids):
@@ -256,7 +253,7 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
         channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
         # the rigids' rows move with the frame; the PreparedSet stays canonical
         R_w, cov3, n_raw = R_w.copy(), cov3.copy(), n_raw.copy()
-        R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, rigid_Rq)[0]
+        R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, pset.rotations[rigid_sl])[0]
         cov3[rigid_sl] = covariance(R_w[rigid_sl], pset.log_scales[rigid_sl])
         n_raw[rigid_sl] = _axis_columns(R_w[rigid_sl], pset.axis[rigid_sl])
 
@@ -274,7 +271,7 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     safe_mean_cam = mean_cam.copy()
     safe_mean_cam[~in_front] = [0.0, 0.0, 1.0]
     pix = pinhole_project(safe_mean_cam, intr)
-    cov2, J = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
+    cov2, P = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
                                            intr.fx, intr.fy)
 
     lam = _max_eigenvalue_2x2(cov2)
@@ -299,10 +296,9 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     return SplatBatch(
         mean2d=pix.take(sel, axis=0), cov2d=cov2.take(sel, axis=0), depth=z.take(sel),
         opacity_eff=o_sel, channels=channels.take(sel, axis=0), radii=radius, row=sel,
-        width=intr.width, height=intr.height, t=t, t_corr=t_corr, rigid_ctx=rigid_ctx,
-        rigid_Rq=rigid_Rq, mean_cam=mean_cam, J=J, cov3=cov3, R_world=R_w,
-        log_scales=pset.log_scales, axis=pset.axis, normal_sign=nsign, gate=gate,
-        base_opacity=pset.base_opacity,
+        width=intr.width, height=intr.height, t=t, t_corr=t_corr, pset=pset,
+        rigid_ctx=rigid_ctx, mean_cam=mean_cam, P=P, cov3=cov3, R_world=R_w,
+        normal_sign=nsign, gate=gate,
     )
 
 
@@ -594,15 +590,15 @@ def _assemble_grad_channels(grad_outputs, H, W):
     return gch
 
 
-def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
-                       gset: GaussianSet):
-    """Exact adjoints of rasterize_forward for every optimizable parameter.
+def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
+    """Exact adjoints of rasterize_forward for every optimizable parameter
+    of the batch's set (``batch.pset.gset``).
 
     ``grad_outputs`` maps channel names (color, dyn_mask, depth, normal,
     v_fwd, v_bwd, corr, alpha) to per-pixel cotangents; missing entries are
     treated as zero. Returns a {population: {field: array}} gradient tree.
     """
-    grads = zeros_like_tree(gset)
+    grads = zeros_like_tree(batch.pset.gset)
     gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     n = len(batch)
     if n == 0:
@@ -662,22 +658,23 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict,
     S = np.stack(_conic(batch.cov2d), axis=1)[:, [0, 1, 1, 2]].reshape(n, 2, 2)
     d_cov2d = -(S @ d_conic @ S)
 
-    _chain_to_parameters(batch, cam, gset, grads,
-                         d_payload, d_screen[:, 0], d_screen[:, 1:3], d_cov2d)
+    _chain_to_parameters(batch, cam, grads, d_payload, d_screen[:, 0], d_screen[:, 1:3], d_cov2d)
     return grads
 
 
-def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d, d_cov2d):
+def _chain_to_parameters(batch, cam, grads, d_payload, d_opacity, d_mean2d, d_cov2d):
     intr = cam.intrinsics
     R_w2c = cam.extrinsics.rotation
-    # the backward-only arrays hold every Gaussian: take the batch's rows
+    pset, gset = batch.pset, batch.pset.gset
+    # the backward-only arrays and the PreparedSet's hold every Gaussian: take the batch's rows
     row = batch.row
     mean_cam = batch.mean_cam.take(row, axis=0)
-    base_op = batch.base_opacity.take(row)
+    base_op = pset.base_opacity.take(row)
+    gate = batch.gate.take(row)
 
     # screen-space adjoints -> camera-space mean and world covariance
     d_cov3, d_mean_cam_ewa = ewa_backward(d_cov2d, batch.cov3.take(row, axis=0), R_w2c, mean_cam,
-                                          intr.fx, intr.fy, batch.J.take(row, axis=0))
+                                          intr.fx, intr.fy, batch.P.take(row, axis=0))
     d_z = d_payload[:, C_DEPTH]
     d_mean_cam = d_mean_cam_ewa + projection_backward(d_mean2d, d_z, mean_cam,
                                                       intr.fx, intr.fy)
@@ -685,19 +682,19 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
 
     # covariance -> world rotation and log scales; normal payload -> rotation column
     d_R_w, d_log_s = covariance_backward(d_cov3, batch.R_world.take(row, axis=0),
-                                         batch.log_scales.take(row, axis=0))
+                                         pset.log_scales.take(row, axis=0))
     d_normal = d_payload[:, C_NORMAL] * batch.normal_sign.take(row)[:, None]
-    d_R_w[np.arange(len(batch)), :, batch.axis.take(row)] += d_normal
+    d_R_w[np.arange(len(batch)), :, pset.axis.take(row)] += d_normal
 
     # gated opacity -> logits / durations / centers
     d_gate_eff = d_opacity * base_op
-    d_logit = d_opacity * batch.gate.take(row) * base_op * (1.0 - base_op)
+    d_logit = d_opacity * gate * base_op * (1.0 - base_op)
 
     d_corr = d_payload[:, C_CORR]
     t_now = float(batch.t)
     # rows ascend and never repeat: each population is one slice, and indexed += is exact
     pops = (gset.statics, gset.rigids, gset.transients)
-    firsts = np.cumsum([0] + [len(p) for p in pops])
+    firsts = (0, pset.rigid_rows.start, pset.transient_rows.start, pset.transient_rows.stop)
     bounds = np.searchsorted(batch.row, firsts)
     for name, pop, first, lo, hi in zip(("static", "rigid", "transient"), pops,
                                         firsts, bounds[:-1], bounds[1:]):
@@ -710,12 +707,12 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
         g["opacity_logits"][rows] += d_logit[m]
         g["log_scales"][rows] += d_log_s[m]
         if name != "static":
-            gd, gc = gate_backward(d_gate_eff[m], gset.gate_sharpness,
-                                   pop.durations[rows], pop.centers[rows], t_now)
+            gd, gc = gate_backward(d_gate_eff[m], gate[m], gset.gate_sharpness,
+                                   pop.centers[rows], t_now)
             g["durations"][rows] += gd
             g["centers"][rows] += gc
         if name == "rigid":
-            d_R = _chain_rigid(batch, gset, grads, rows, d_mean_w[m], d_corr[m],
+            d_R = _chain_rigid(batch, grads, rows, d_mean_w[m], d_corr[m],
                                d_payload[m, C_VFWD], d_payload[m, C_VBWD], d_R_w[m])
         else:
             d_R = d_R_w[m]
@@ -731,10 +728,11 @@ def _chain_to_parameters(batch, cam, gset, grads, d_payload, d_opacity, d_mean2d
         g["quats"][rows] += quat_vjp(pop.quats[rows], d_R)
 
 
-def _chain_rigid(batch, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
+def _chain_rigid(batch, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
     """Rigid adjoints of the world means and rotations, pulled back through
     the basis blend into means, weights and bases. Returns the adjoint of
     the canonical rotations of ``rows``."""
+    pset, gset = batch.pset, batch.pset.gset
     r = gset.rigids
     ctx = batch.rigid_ctx
     g = grads["rigid"]
@@ -745,7 +743,7 @@ def _chain_rigid(batch, gset, grads, rows, d_mean_w, d_corr, d_vf, d_vb, d_R_w):
 
     # mean(f) = A_rot(f) mu + A_tr(f), and R_world = A_rot(t) Rq
     d_A_rot = np.einsum("fni,nj->fnij", d_mean, r.means)
-    d_A_rot[0, rows] += np.einsum("nij,nkj->nik", d_R_w, batch.rigid_Rq[rows])
+    d_A_rot[0, rows] += np.einsum("nij,nkj->nik", d_R_w, pset.rotations[pset.rigid_rows][rows])
     g["means"] += np.einsum("fnji,fnj->ni", ctx.A_rot, d_mean)
     blend_backward(ctx, r.weights, gset.bases, d_A_rot, d_mean,
                    g["weights"], grads["bases"]["rot6d"], grads["bases"]["trans"])

@@ -441,7 +441,7 @@ def scene_flow_pairs(ds: SceneDataset):
         yield t, lifts[t], pairs
 
 
-def build_supervision(ds: SceneDataset, config: TrainConfig) -> Supervision:
+def build_supervision(ds: SceneDataset) -> Supervision:
     T = ds.n_frames
     H, W = ds.image_size
     if ds.dyn_masks is not None:
@@ -551,7 +551,7 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
         terms["reg"] = r_val, {}
 
     grad_outputs, report = weigh_terms(terms, w)
-    grads = rasterize_backward(batch, cam, grad_outputs, gset)
+    grads = rasterize_backward(batch, cam, grad_outputs)
     if stage >= 2:
         for (kind, name), g in r_grads.items():
             grads[kind][name] += g
@@ -562,7 +562,7 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
     """Run the staged optimization; returns (GaussianSet, log records)."""
     rng = np.random.default_rng(config.seed)
     T = ds.n_frames
-    sup = build_supervision(ds, config)
+    sup = build_supervision(ds)
 
     train_frames = [t for t in range(T)
                     if config.holdout_every <= 0 or t % config.holdout_every != 0]

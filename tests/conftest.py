@@ -1,7 +1,50 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dysplat
 from dysplat.geometry import CameraExtrinsics, CameraFrame, CameraIntrinsics
+
+SRC = Path(dysplat.__file__).resolve().parents[1]
+PERFBENCH = SRC.parent / "perfbench"
+
+# generate a scene and train on it; print the thread count the loaded OpenBLAS
+# reports, read as the benchmark's provenance stamp reads it
+_FIT = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from bench import _blas_threads
+from dysplat.synth import generate_synthetic
+from dysplat.trainer import train
+spec, config, out = pickle.loads(sys.stdin.buffer.read())
+train(generate_synthetic(spec), config, out_dir=out)
+print(_blas_threads())
+"""
+
+
+def fit_at_blas_threads(spec, config, out, threads):
+    """Generate ``spec`` and train ``config`` on it into ``out``, in a
+    subprocess whose OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are ``threads``.
+    Returns (log.jsonl bytes, final.rigs bytes, OpenBLAS's thread count)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _FIT, str(PERFBENCH)],
+                          input=pickle.dumps((spec, config, str(out))), env=env,
+                          capture_output=True, timeout=600, check=True)
+    blas = proc.stdout.decode().split()[-1]
+    assert blas != "None", "numpy's BLAS is not OpenBLAS"
+    return (Path(out) / "log.jsonl").read_bytes(), (Path(out) / "final.rigs").read_bytes(), int(blas)
+
+
+def blas_threads_granted(threads):
+    """The thread count OpenBLAS runs with when asked for ``threads``: it
+    caps the request at the CPUs this process may run on."""
+    return min(threads, len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture

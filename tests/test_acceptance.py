@@ -66,7 +66,7 @@ from dysplat.sceneflow import (
 from dysplat.synth import SlabSpec, SyntheticSceneSpec, generate_synthetic
 from dysplat.trainer import OptimState, TrainConfig, adam_step, train
 
-from conftest import make_cam
+from conftest import blas_threads_granted, fit_at_blas_threads, make_cam
 from test_rasterizer import cam32, make_random_set, probe_loss
 
 
@@ -193,7 +193,7 @@ def test_criterion_2_gradient_correctness():
             "normal": G_ch[..., 5:8], "v_fwd": G_ch[..., 8:11],
             "v_bwd": G_ch[..., 11:14], "corr": G_ch[..., 14:17], "alpha": G_al,
         }
-        grads = rasterize_backward(batch, cam, grad_outputs, gs)
+        grads = rasterize_backward(batch, cam, grad_outputs)
         tree = parameter_tree(gs)
         for kind, grp in tree.items():
             for name, arr in grp.items():
@@ -620,25 +620,28 @@ def test_criterion_9_determinism(tmp_path):
             same_files = False
             break
 
-    # identical logs and checkpoints at a fixed thread count; identical loss
-    # trajectories across 1, 4 and 8 threads
-    ds = generate_synthetic(scene_masks(seed=6, frames=5))
-    logs = {}
-    ckpts = {}
-    # 1 thread twice (fixed-thread repeatability), then 4 and 8
-    for label, threads in (("t1", 1), ("t1_again", 1), ("t4", 4), ("t8", 8)):
-        config = TrainConfig(
-            iters_total=16, iters_static_warmup=5, iters_rigid_warmup=5,
-            transition_check_every=5, checkpoint_every=8, n_bases=3,
-            n_static_init=200, seed=13, threads=threads)
+    # identical logs and checkpoints from a repeated fit in this process, and
+    # from fits in subprocesses whose BLAS runs 1, 2 and 4 threads
+    spec = scene_masks(seed=6, frames=5)
+    config = TrainConfig(
+        iters_total=16, iters_static_warmup=5, iters_rigid_warmup=5,
+        transition_check_every=5, checkpoint_every=8, n_bases=3,
+        n_static_init=200, seed=13)
+    ds = generate_synthetic(spec)
+    runs = []
+    for label in ("here", "here_again"):
         out = tmp_path / f"run_{label}"
         train(ds, config, out_dir=out)
-        logs[label] = (out / "log.jsonl").read_bytes()
-        ckpts[label] = (out / "final.rigs").read_bytes()
-    fixed_ok = logs["t1"] == logs["t1_again"] and ckpts["t1"] == ckpts["t1_again"]
-    cross_ok = (logs["t1"] == logs["t4"] == logs["t8"]
-                and ckpts["t1"] == ckpts["t4"] == ckpts["t8"])
-    ok = same_files and fixed_ok and cross_ok
+        runs.append(((out / "log.jsonl").read_bytes(), (out / "final.rigs").read_bytes()))
+    fixed_ok = runs[0] == runs[1]
+    blas_ok = True
+    for threads in (1, 2, 4):
+        log, ckpt, blas = fit_at_blas_threads(spec, config, tmp_path / f"run_blas{threads}",
+                                              threads)
+        runs.append((log, ckpt))
+        blas_ok &= blas == blas_threads_granted(threads)
+    cross_ok = all(run == runs[0] for run in runs[2:])
+    ok = same_files and fixed_ok and cross_ok and blas_ok
     report(9, "determinism", ok,
-           f"datasets byte-identical: {same_files}; fixed-thread repeat: {fixed_ok}; "
-           f"1/4/8-thread trajectories identical: {cross_ok}")
+           f"datasets byte-identical: {same_files}; in-process repeat: {fixed_ok}; "
+           f"1/2/4 BLAS-thread fits identical: {cross_ok}; thread counts as set: {blas_ok}")

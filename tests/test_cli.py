@@ -224,9 +224,11 @@ class TestTrainCommand:
         {"learning_rates": {"means": "x"}}, {"loss_weights": {"lambda_ssim": -1}},
         {"n_bases": 0}, {"gate_sharpness": -3.0}, {"gate_sharpness": 0.0},
         {"transition_threshold": 0.0}, {"transition_threshold": -2.0},
+        {"loss_weights": {"lambda_ssim": 1.5}},
     ], ids=["iters-float", "iters-string", "seed-string", "rates-not-an-object",
             "rate-string", "negative-loss-weight", "no-bases", "negative-gate-sharpness",
-            "zero-gate-sharpness", "zero-transition-threshold", "negative-transition-threshold"])
+            "zero-gate-sharpness", "zero-transition-threshold", "negative-transition-threshold",
+            "ssim-weight-above-1"])
     def test_bad_config_value_exit_2_before_work(self, scene_dir, tmp_path, capsys, edit):
         cfg = {"iters_total": 6, "iters_static_warmup": 2, "iters_rigid_warmup": 2,
                "n_bases": 2, "checkpoint_every": 0, "n_static_init": 100, **edit}

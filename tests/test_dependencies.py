@@ -57,6 +57,38 @@ def test_every_helper_is_referenced():
     assert unreferenced == UNREFERENCED_ALLOWED
 
 
+# Parameters that no body reads, kept because a caller outside src/ passes them
+# or a contract names them; one entry per seam.
+UNREAD_PARAMETERS_ALLOWED = {
+    # perfbench passes the camera and thread count to every render and fit
+    # (ROADMAP item 6); the tile loop is serial and the batch is already projected
+    ("rasterizer", "rasterize_forward", "cam"),
+    ("rasterizer", "rasterize_forward", "threads"),
+    ("rasterizer", "rasterize_reference", "cam"),
+    ("evaluation", "evaluate", "threads"),
+    ("estimators", "get_params", "deep"),  # the scikit-learn parameter contract
+}
+
+
+def test_every_parameter_is_read():
+    # a function's parameters are each loaded somewhere in its body (nested
+    # functions included); self and cls are exempt
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None and p.arg not in ("self", "cls")]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread.update((path.stem, getattr(fn, "name", "<lambda>"), p)
+                          for p in params if p not in loaded)
+    assert unread == UNREAD_PARAMETERS_ALLOWED
+
+
 def test_np_rint_only_in_nearest_pixel():
     # one pixel rule: every np.rint in src/ lies inside geometry.nearest_pixel
     sites = []

@@ -246,13 +246,14 @@ class TestQuat:
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
-        q = rng.normal(size=(16, 4))
-        q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        R = quat_to_matrix(q)
-        q2 = matrix_to_quat(R)
-        # q and -q are the same rotation
-        dots = np.abs(np.sum(q * q2, axis=-1))
-        assert np.allclose(dots, 1.0, atol=1e-9)
+        for shape in ((16,), (2, 5)):
+            q = rng.normal(size=shape + (4,))
+            q /= np.linalg.norm(q, axis=-1, keepdims=True)
+            q2 = matrix_to_quat(quat_to_matrix(q))
+            assert q2.shape == q.shape, shape  # leading axes kept, as quat_to_matrix keeps them
+            # q and -q are the same rotation
+            dots = np.abs(np.sum(q * q2, axis=-1))
+            assert np.allclose(dots, 1.0, atol=1e-9), shape
 
     def test_vjp_matches_fd(self):
         rng = np.random.default_rng(5)
@@ -375,8 +376,8 @@ class TestEWA:
             out, _ = ewa_project_covariance_batch(cov, R_w2c, m.reshape(1, 3), fx, fy)
             return float(np.sum(out * G))
 
-        _, J = ewa_project_covariance_batch(cov, R_w2c, mean, fx, fy)
-        g_cov, g_mean = ewa_backward(G, cov, R_w2c, mean, fx, fy, J)
+        _, P = ewa_project_covariance_batch(cov, R_w2c, mean, fx, fy)
+        g_cov, g_mean = ewa_backward(G, cov, R_w2c, mean, fx, fy, P)
         assert np.allclose(g_cov.reshape(-1), central_diff(f_cov, cov.copy().reshape(-1)), rtol=1e-5, atol=1e-7)
         assert np.allclose(g_mean.reshape(-1), central_diff(f_mean, mean.copy().reshape(-1)), rtol=1e-5, atol=1e-7)
 
@@ -461,15 +462,15 @@ def test_dot3_has_the_bytes_of_the_numpy_reductions(shape):
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 257, 4030])
 def test_ewa_projection_has_the_bytes_of_the_batched_products(n):
     # J @ R_w2c runs as one 2-D product and P^T is made contiguous; the
-    # covariances and Jacobians keep the bytes of the batched expression
+    # covariances and the returned P keep the bytes of the batched expression
     rng = np.random.default_rng(n)
     means = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 3))
     means[:, 2] = np.abs(means[:, 2]) + 0.01
     R = quat_to_matrix(rng.normal(size=4))
     A = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-4, 2, size=(n, 1, 1))
     covs = A @ np.swapaxes(A, -1, -2)
-    cov2, J = ewa_project_covariance_batch(covs, R, means, 90.0, 110.0)
+    cov2, got_P = ewa_project_covariance_batch(covs, R, means, 90.0, 110.0)
     P = pinhole_jacobian(means, 90.0, 110.0) @ R
     want = P @ covs @ np.swapaxes(P, -1, -2) + COV2D_DILATION * np.eye(2)
-    assert J.tobytes() == pinhole_jacobian(means, 90.0, 110.0).tobytes()
+    assert got_P.tobytes() == P.tobytes()
     assert cov2.tobytes() == want.tobytes()

@@ -51,8 +51,11 @@ from test_dataset import tiny_spec
 from test_rasterizer import make_random_set, random_grad_outputs
 
 FORWARD_FIELDS = ("mean2d", "cov2d", "depth", "opacity_eff", "channels", "radii", "row")
-BACKWARD_FIELDS = ("mean_cam", "J", "cov3", "R_world", "log_scales", "axis", "normal_sign",
-                   "gate", "base_opacity")
+BACKWARD_FIELDS = ("mean_cam", "P", "cov3", "R_world", "normal_sign", "gate")
+# the PreparedSet's arrays that the backward reads at the batch's rows; it
+# reads the rigids' canonical rotations too, which the transcription returns
+# as rigid_Rq
+PSET_FIELDS = ("log_scales", "axis", "base_opacity")
 
 
 def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):
@@ -62,7 +65,7 @@ def ewa_project_covariance_batch(covs3, R_w2c, means_cam, fx, fy):
     P = J @ R_w2c
     cov2 = P @ covs3 @ np.swapaxes(P, -1, -2)
     cov2 = cov2 + COV2D_DILATION * np.eye(2)
-    return cov2, J
+    return cov2, P
 
 
 # prepare_splats as one stage, transcribed before the per-set stage: only the
@@ -129,7 +132,7 @@ def parent_prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None):
     safe_mean_cam = np.where(in_front[:, None], mean_cam, [0.0, 0.0, 1.0])
     pix = pinhole_project(safe_mean_cam, intr)
     cov3 = covariance(R_w, log_scales)
-    cov2, J = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
+    cov2, P = ewa_project_covariance_batch(cov3, cam.extrinsics.rotation, safe_mean_cam,
                                            intr.fx, intr.fy)
 
     lam = _max_eigenvalue_2x2(cov2)
@@ -155,23 +158,38 @@ def parent_prepare_splats(gset: GaussianSet, cam: CameraFrame, t, t_corr=None):
         mean2d=pix[sel], cov2d=cov2[sel], depth=z[sel], opacity_eff=o_sel,
         channels=channels[sel], radii=radius, row=sel, width=intr.width, height=intr.height,
         t=t, t_corr=t_corr, rigid_ctx=rigid_ctx, rigid_Rq=rigid_Rq,
-        mean_cam=mean_cam[sel], J=J[sel], cov3=cov3[sel], R_world=R_w[sel],
+        mean_cam=mean_cam[sel], P=P[sel], cov3=cov3[sel], R_world=R_w[sel],
         log_scales=log_scales[sel], axis=axis[sel], normal_sign=nsign[sel],
         gate=gate[sel], base_opacity=base_op[sel],
     )
 
 
-def as_batch(fields, n_all):
+def poisoned(shape, dtype):
+    return np.full(shape, -1 if np.dtype(dtype).kind == "i" else np.nan, dtype=dtype)
+
+
+def as_batch(fields, gset):
     """A SplatBatch holding the transcription's values: its backward-only
-    arrays placed at their rows of whole arrays, every other row NaN (0 for
-    the integer axis), so the backward can read only the batch's rows."""
+    arrays, and the PreparedSet's arrays that the backward reads, hold them at
+    the batch's rows, and every other row is poisoned (NaN, -1 for the integer
+    axis). The PreparedSet's other arrays are poisoned whole. So the backward
+    can read only the batch's rows."""
+    row = fields["row"]
+    pset = PreparedSet(gset)
+    for name, arr in vars(pset).items():
+        if isinstance(arr, np.ndarray):
+            setattr(pset, name, poisoned(arr.shape, arr.dtype))
+    for name in PSET_FIELDS:
+        getattr(pset, name)[row] = fields[name]
+    rigid = row[(row >= pset.rigid_rows.start) & (row < pset.rigid_rows.stop)]
+    pset.rotations[rigid] = fields["rigid_Rq"][rigid - pset.rigid_rows.start]
     whole = {}
     for name in BACKWARD_FIELDS:
         arr = fields[name]
-        whole[name] = np.full((n_all,) + arr.shape[1:], 0 if arr.dtype.kind == "i" else np.nan,
-                              dtype=arr.dtype)
-        whole[name][fields["row"]] = arr
-    return SplatBatch(**{**fields, **whole})
+        whole[name] = poisoned((pset.transient_rows.stop,) + arr.shape[1:], arr.dtype)
+        whole[name][row] = arr
+    kept = {k: v for k, v in fields.items() if k not in PSET_FIELDS + ("rigid_Rq",)}
+    return SplatBatch(**{**kept, **whole}, pset=pset)
 
 
 def initial_reconstruction_set():
@@ -221,17 +239,19 @@ def test_both_stages_match_the_one_stage_transcription(name):
     gset, views = SETS[name]()
     prepared = PreparedSet(gset)
     n_all = len(gset.statics) + len(gset.rigids) + len(gset.transients)
+    assert len(gset.rigids) > 0, name
     rng = np.random.default_rng(7)
     culled = False
     for cam, t, tc in views:
         want = parent_prepare_splats(gset, cam, t, tc)
-        oracle = as_batch(want, n_all)
+        oracle = as_batch(want, gset)
         assert len(oracle) > 0, (name, t)
         culled |= len(oracle) < n_all  # so the whole arrays hold rows no splat reads
         grad_outputs = random_grad_outputs(rng, oracle.height, oracle.width)
         want_out = rasterize_forward(oracle, cam)
-        want_grads = rasterize_backward(oracle, cam, grad_outputs, gset)
+        want_grads = rasterize_backward(oracle, cam, grad_outputs)
         for batch in (prepare_splats(gset, cam, t, tc), prepare_splats(prepared, cam, t, tc)):
+            assert batch.pset.gset is gset
             for field in FORWARD_FIELDS:
                 got = getattr(batch, field)
                 assert got.shape == want[field].shape, (name, t, field)
@@ -239,11 +259,15 @@ def test_both_stages_match_the_one_stage_transcription(name):
             for field in BACKWARD_FIELDS:  # whole arrays, read at the batch's rows
                 got = getattr(batch, field)[batch.row]
                 assert got.tobytes() == want[field].tobytes(), (name, t, field)
-            assert batch.rigid_Rq.tobytes() == want["rigid_Rq"].tobytes()
+            for field in PSET_FIELDS:
+                got = getattr(batch.pset, field)[batch.row]
+                assert got.tobytes() == want[field].tobytes(), (name, t, field)
+            got = batch.pset.rotations[batch.pset.rigid_rows]
+            assert got.tobytes() == want["rigid_Rq"].tobytes(), (name, t)
             out = rasterize_forward(batch, cam)
             assert out.channels.tobytes() == want_out.channels.tobytes(), (name, t)
             assert out.alpha.tobytes() == want_out.alpha.tobytes(), (name, t)
-            grads = rasterize_backward(batch, cam, grad_outputs, gset)
+            grads = rasterize_backward(batch, cam, grad_outputs)
             for kind, group in want_grads.items():
                 for field, g in group.items():
                     assert grads[kind][field].tobytes() == g.tobytes(), (name, t, kind, field)

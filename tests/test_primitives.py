@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dysplat import primitives
-from dysplat.errors import BadMagic, DysplatError, ShapeMismatch
+from dysplat.errors import BadMagic, DysplatError, ShapeMismatch, ValidationError
 from dysplat.geometry import matrix_to_quat, quat_to_matrix, rot6d_to_matrix
 from dysplat.primitives import (
     CHECKPOINT_MAGIC,
@@ -359,7 +359,7 @@ class TestVelocities:
         rng = np.random.default_rng(3)
         cot = {k: rng.normal(size=getattr(out, k).shape) for k in GRAD_CHANNELS}
         still = dict(cot, v_fwd=np.zeros_like(out.v_fwd), v_bwd=np.zeros_like(out.v_bwd))
-        g, g_still = (rasterize_backward(batch, cam, c, gs) for c in (cot, still))
+        g, g_still = (rasterize_backward(batch, cam, c) for c in (cot, still))
         for kind in ("rigid", "bases"):
             for name, arr in g[kind].items():
                 assert np.allclose(arr, g_still[kind][name], rtol=0, atol=1e-12), (kind, name)
@@ -525,6 +525,11 @@ MALFORMED_CHECKPOINTS = {
     "no-K": BadMagic,
     "no-T": BadMagic,
     "no-alpha_gate": BadMagic,
+    # a gate sharpness must be a finite number > 0: Python's JSON reads these
+    # as inf, inf and a bool
+    "alpha_gate-Infinity": ValidationError,
+    "alpha_gate-1e400": ValidationError,
+    "alpha_gate-true": ValidationError,
     "length-past-end": ShapeMismatch,
     "count-overflows-int64": ShapeMismatch,
     "K-disagrees-with-bases": ShapeMismatch,
@@ -547,6 +552,9 @@ def malformed_checkpoint(case, tmp_path):
     if case.startswith("no-"):
         del header[case[3:]]
         return rigs(json.dumps(header).encode())
+    if case.startswith("alpha_gate-"):
+        text = json.dumps({**header, "alpha_gate": "@"}).replace('"@"', case[len("alpha_gate-"):])
+        return rigs(text.encode())
     if case.endswith("-disagrees-with-bases"):
         header[case[0]] += 1
         return rigs(json.dumps(header).encode())

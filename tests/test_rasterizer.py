@@ -188,7 +188,7 @@ def test_an_empty_batch_renders_and_pulls_back_zeros():
     ref = rasterize_reference(batch, cam)
     assert ref.channel_stack().shape == (32, 32, N_CHANNELS) and ref.alpha.shape == (32, 32)
     assert not ref.channel_stack().any() and not ref.alpha.any()
-    grads = rasterize_backward(batch, cam, {"color": np.ones((32, 32, 3))}, gs)
+    grads = rasterize_backward(batch, cam, {"color": np.ones((32, 32, 3))})
     zeros = zeros_like_tree(gs)
     assert {k: sorted(g) for k, g in grads.items()} == {k: sorted(g) for k, g in zeros.items()}
     for kind, group in grads.items():
@@ -286,7 +286,7 @@ class TestBackward:
         gs = make_random_set(11, 12)
         cam = cam32()
         batch = prepare_splats(gs, cam, 2, 3)
-        grads = rasterize_backward(batch, cam, {}, gs)
+        grads = rasterize_backward(batch, cam, {})
         for grp in grads.values():
             for arr in grp.values():
                 assert np.all(arr == 0)
@@ -298,7 +298,7 @@ class TestBackward:
         out = rasterize_forward(batch, cam)
         g_color = np.zeros((32, 32, 3))
         g_color[16, 16, 0] = 1.0
-        grads = rasterize_backward(batch, cam, {"color": g_color}, gs)
+        grads = rasterize_backward(batch, cam, {"color": g_color})
         assert grads["static"]["colors"][0, 0] == pytest.approx(out.alpha[16, 16], abs=1e-12)
         assert grads["static"]["colors"][0, 1] == 0.0
 
@@ -307,16 +307,16 @@ class TestBackward:
         cam = cam32()
         batch = prepare_splats(gs, cam, 1)
         with pytest.raises(MismatchedForward):
-            rasterize_backward(batch, cam, {"color": np.zeros((8, 8, 3))}, gs)
+            rasterize_backward(batch, cam, {"color": np.zeros((8, 8, 3))})
         with pytest.raises(MismatchedForward):
-            rasterize_backward(batch, cam, {"bogus": np.zeros((32, 32))}, gs)
+            rasterize_backward(batch, cam, {"bogus": np.zeros((32, 32))})
         # an empty batch checks its cotangents too, before it returns zeros
-        gs_away, empty, cam_away = empty_batch()
+        _, empty, cam_away = empty_batch()
         assert len(empty) == 0
         for grad_outputs in ({"color": np.zeros((8, 8, 3))},
                              {"color": np.zeros((32, 32, 3)), "bogus": 1}):
             with pytest.raises(MismatchedForward):
-                rasterize_backward(empty, cam_away, grad_outputs, gs_away)
+                rasterize_backward(empty, cam_away, grad_outputs)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_full_gradient_check(self, seed):
@@ -328,7 +328,7 @@ class TestBackward:
         G_al = rng.normal(size=(32, 32))
 
         batch = prepare_splats(gs, cam, t, tc)
-        grads = rasterize_backward(batch, cam, grad_outputs_of(G_ch, G_al), gs)
+        grads = rasterize_backward(batch, cam, grad_outputs_of(G_ch, G_al))
 
         h = 1e-4
         tree = parameter_tree(gs)
@@ -494,7 +494,7 @@ class TestTileKernel:
                   for b in rasterizer._tile_ranges(64, 64)]
         assert max(counts) >= 3 * min(counts) and min(counts) > 0
         grad_outputs = random_grad_outputs(np.random.default_rng(5), 64, 64)
-        runs = [rasterize_backward(batch, cam, grad_outputs, gs) for _ in range(3)]
+        runs = [rasterize_backward(batch, cam, grad_outputs) for _ in range(3)]
         for run in runs[1:]:
             for kind, grp in runs[0].items():
                 for name, arr in grp.items():
@@ -506,12 +506,12 @@ class TestTileKernel:
         t, tc = 2, 4
         batch = prepare_splats(gs, cam, t, tc)
         grad_outputs = random_grad_outputs(np.random.default_rng(9), 32, 32)
-        grads = rasterize_backward(batch, cam, grad_outputs, gs)
+        grads = rasterize_backward(batch, cam, grad_outputs)
 
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
         assert fired["opaque"] > 0 and fired["terminated"] > 0
         expected = zeros_like_tree(gs)
-        rasterizer._chain_to_parameters(batch, cam, gs, expected, *adjoints)
+        rasterizer._chain_to_parameters(batch, cam, expected, *adjoints)
         for kind, grp in expected.items():
             for name, want in grp.items():
                 scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-12)
@@ -560,11 +560,11 @@ class TestTileKernel:
             assert np.max(a.alpha[H - h:]) > 1e-3 and np.max(a.alpha[:, W - w:]) > 1e-3
 
         grad_outputs = random_grad_outputs(np.random.default_rng(11), H, W)
-        grads = rasterize_backward(batch, cam, grad_outputs, gs)
+        grads = rasterize_backward(batch, cam, grad_outputs)
         adjoints, fired = seed_screen_adjoints(batch, grad_outputs)
         assert fired["opaque"] > 0 and fired["terminated"] > 0
         want_tree = zeros_like_tree(gs)
-        rasterizer._chain_to_parameters(batch, cam, gs, want_tree, *adjoints)
+        rasterizer._chain_to_parameters(batch, cam, want_tree, *adjoints)
         for kind, grp in want_tree.items():
             for name, want in grp.items():
                 scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-12)
@@ -594,7 +594,7 @@ class TestTileKernel:
         grad_outputs = random_grad_outputs(np.random.default_rng(2), 32, 32)
         fresh = [replace(batch) for _ in range(2)]
         forward = (traced_peak(lambda: rasterize_forward(fresh[0], cam)) - fixed_forward) / unit
-        backward = (traced_peak(lambda: rasterize_backward(fresh[1], cam, grad_outputs, gs))
+        backward = (traced_peak(lambda: rasterize_backward(fresh[1], cam, grad_outputs))
                     - fixed_backward) / unit
         assert forward <= 2.9 and backward <= 4.9, (forward, backward)
 
@@ -655,8 +655,8 @@ class TestTilePlan:
         assert got.alpha.tobytes() == want.alpha.tobytes()
         assert got.channels.tobytes() != before.channels.tobytes()
         grad_outputs = random_grad_outputs(np.random.default_rng(4), 32, 32)
-        got_grads = rasterize_backward(copy, cam, grad_outputs, gs)
-        want_grads = rasterize_backward(fresh, cam, grad_outputs, gs)
+        got_grads = rasterize_backward(copy, cam, grad_outputs)
+        want_grads = rasterize_backward(fresh, cam, grad_outputs)
         for kind, grp in want_grads.items():
             for name, arr in grp.items():
                 assert got_grads[kind][name].tobytes() == arr.tobytes(), (kind, name)

@@ -220,7 +220,7 @@ def test_supervision_equals_the_per_pair_transcription(case, masks):
     ds = damaged(moving_scene(), case)
     if masks == "estimated":
         ds = replace(ds, dyn_masks=None)
-    got = trainer.build_supervision(ds, TrainConfig())
+    got = trainer.build_supervision(ds)
     want = build_supervision(ds, TrainConfig())
     assert got.sf_mask.any() == (ds.n_frames > 1)
     for f in fields(Supervision):

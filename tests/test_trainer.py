@@ -35,6 +35,7 @@ from dysplat.trainer import (
     train,
 )
 
+from conftest import blas_threads_granted, fit_at_blas_threads
 from test_dataset import FUZZ, JSON_ANY, tiny_spec
 from test_primitives import reference_transition
 
@@ -431,11 +432,11 @@ def test_far_off_visible_track_reads_as_off_image(far):
 def test_set_up_builds_no_pixel_grid_once_cached(monkeypatch):
     # the pixel-centre grid is geometry.pixel_grid, built once per image size
     ds = replace(linear_mover(), dyn_masks=None)
-    trainer.build_supervision(ds, TrainConfig())
+    trainer.build_supervision(ds)
     calls = []
     meshgrid = np.meshgrid
     monkeypatch.setattr(np, "meshgrid", lambda *a, **k: calls.append(a) or meshgrid(*a, **k))
-    trainer.build_supervision(ds, TrainConfig())
+    trainer.build_supervision(ds)
     init_static(ds, np.zeros(ds.depths.shape, dtype=bool), 100, 3, 0)
     assert not calls
 
@@ -451,7 +452,7 @@ def test_every_depth_map_lift_goes_through_lift_frame(monkeypatch):
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(mod, "unproject_grid", wrapper)
     ds = replace(linear_mover(), dyn_masks=None)
-    sup = trainer.build_supervision(ds, TrainConfig())
+    sup = trainer.build_supervision(ds)
     init_static(ds, sup.dyn_masks, 100, 3, 0)
     # T lifts for the supervision, T - 1 for the motion scores and 3 for init_static
     assert callers == ["lift_frame"] * (2 * ds.n_frames - 1 + 3)
@@ -582,7 +583,7 @@ def test_build_supervision_calls_each_layer_through_the_module(monkeypatch):
         monkeypatch.setattr(trainer, name, counting(name))
     ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
                                                     "velocity": [0.03, 0.0, 0.0]}, frames=4))
-    trainer.build_supervision(replace(ds, dyn_masks=None), TrainConfig())
+    trainer.build_supervision(replace(ds, dyn_masks=None))
     T = ds.n_frames
     assert [counts.get(n, 0) for n in names] == [1, T - 1, T - 1, 2 * (T - 1)]
 
@@ -679,7 +680,7 @@ def test_supervision_lifts_each_frame_once_and_samples_each_pair_once(monkeypatc
         for module in (geometry, sceneflow, dynmask, trainer):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    trainer.build_supervision(ds, TrainConfig())
+    trainer.build_supervision(ds)
     T = ds.n_frames
     assert calls == {"bilinear_sample": 2 * (T - 1), "unproject_grid": T}
 
@@ -695,7 +696,7 @@ def test_supervision_streams_the_frame_pairs():
                                           frames=frames))
         tracemalloc.start()
         try:
-            sup = trainer.build_supervision(ds, TrainConfig())
+            sup = trainer.build_supervision(ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -748,7 +749,7 @@ def test_velocity_targets_follow_the_rendered_frame_pairs():
 
     ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
                                                     "velocity": [0.03, 0.012, 0.0]}, frames=6))
-    sup = trainer.build_supervision(ds, TrainConfig())
+    sup = trainer.build_supervision(ds)
     T = ds.n_frames
     for t in range(T):
         m = sup.sf_mask[t]
@@ -803,21 +804,21 @@ class TestTrainLoop:
         assert any(r.get("event") == "rigid_init_skipped" for r in log)
 
     def test_seeded_determinism_across_threads(self, tmp_path):
-        ds = generate_synthetic(tiny_spec(
-            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
-        logs = {}
-        ckpts = {}
-        for threads in (1, 2):
-            config = TrainConfig(
-                iters_total=12, iters_static_warmup=4, iters_rigid_warmup=4,
-                transition_check_every=4, n_bases=2, checkpoint_every=0,
-                n_static_init=150, seed=11, threads=threads)
-            out = tmp_path / f"run{threads}"
-            gset, log = train(ds, config, out_dir=out)
-            logs[threads] = (out / "log.jsonl").read_text()
-            ckpts[threads] = (out / "final.rigs").read_bytes()
-        assert logs[1] == logs[2]
-        assert ckpts[1] == ckpts[2]
+        # the fit in this process and fits whose BLAS runs 1, 2 and 4 threads
+        spec = tiny_spec(actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]},
+                         frames=5)
+        config = TrainConfig(
+            iters_total=12, iters_static_warmup=4, iters_rigid_warmup=4,
+            transition_check_every=4, n_bases=2, checkpoint_every=0,
+            n_static_init=150, seed=11)
+        out = tmp_path / "here"
+        train(generate_synthetic(spec), config, out_dir=out)
+        want = (out / "log.jsonl").read_bytes(), (out / "final.rigs").read_bytes()
+        for threads in (1, 2, 4):
+            log, ckpt, blas = fit_at_blas_threads(spec, config, tmp_path / f"blas{threads}",
+                                                  threads)
+            assert blas == blas_threads_granted(threads)
+            assert (log, ckpt) == want, threads
 
     def test_loss_decreases_from_perturbed_init(self):
         ds = generate_synthetic(tiny_spec(
@@ -968,6 +969,11 @@ class TestTrainLoop:
             for bad in (0.0, -3.0):
                 with pytest.raises(ValidationError, match=name):
                     TrainConfig(**{name: bad})
+        # the photometric L1 term weighs 1 - lambda_ssim, which must not go negative
+        with pytest.raises(ValidationError, match="lambda_ssim"):
+            TrainConfig.from_dict({"loss_weights": {"lambda_ssim": 1.5}})
+        assert TrainConfig.from_dict({"loss_weights": {"lambda_ssim": 1}}).loss_weights.table()[
+            "photo"] == 0.0
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValidationError, match="bogus_key"):
