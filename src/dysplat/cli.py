@@ -214,7 +214,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # an unusable --out path is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DysplatError as exc:

@@ -18,6 +18,7 @@ from .dynmask import DEFAULT_EPS_TEMP, compose_dynamic_masks, compute_motion_sco
 from .errors import ValidationError
 from .evaluation import evaluate, render_view
 from .losses import LossWeights
+from .rasterizer import PreparedSet
 from .trainer import TrainConfig, train
 
 
@@ -75,16 +76,14 @@ class SceneReconstructor(_TrainParams, ParamMixin):
                                            out_dir=out_dir, init_set=init_set)
         return self
 
-    def render(self, camera, t):
-        self._check_fitted("gaussians_")
-        return render_view(self.gaussians_, camera, t)
-
     def predict(self, cameras, times):
-        """Rendered images for parallel lists of cameras and frame times."""
+        """Rendered images for parallel lists of cameras and frame times. The
+        set's PreparedSet is built once and shared by every view's render."""
         self._check_fitted("gaussians_")
         if len(cameras) != len(times):
             raise ValidationError("cameras and times must have equal length")
-        return [np.clip(self.render(cam, t).color, 0.0, 1.0)
+        prepared = PreparedSet(self.gaussians_)
+        return [np.clip(render_view(prepared, cam, t).color, 0.0, 1.0)
                 for cam, t in zip(cameras, times)]
 
     def score(self, dataset: SceneDataset, frames=None):

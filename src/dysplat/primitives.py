@@ -29,6 +29,7 @@ from .geometry import matrix_to_quat, matrix_to_rot6d, quat_to_matrix, rot6d_to_
 from .validation import as_array, require, require_number
 
 CHECKPOINT_MAGIC = b"RIGS0001"
+DEFAULT_GATE_SHARPNESS = 3.0  # of gate_value; GaussianSet and TrainConfig default to it
 
 
 def sigmoid(x):
@@ -174,7 +175,7 @@ class GaussianSet:
     rigids: RigidGaussians
     transients: TransientGaussians
     bases: MotionBases
-    gate_sharpness: float = 3.0
+    gate_sharpness: float = DEFAULT_GATE_SHARPNESS
 
     def __post_init__(self):
         require(require_number(self.gate_sharpness, "gate_sharpness") > 0,
@@ -191,7 +192,7 @@ class GaussianSet:
                            self.bases.copy(), self.gate_sharpness)
 
     @staticmethod
-    def empty(n_bases=10, n_frames=1, gate_sharpness=3.0):
+    def empty(n_bases=10, n_frames=1, gate_sharpness=DEFAULT_GATE_SHARPNESS):
         return GaussianSet(StaticGaussians.empty(), RigidGaussians.empty(n_bases),
                            TransientGaussians.empty(), MotionBases.identity(n_bases, n_frames),
                            gate_sharpness)

@@ -27,7 +27,9 @@ tiles in a fixed order, so gradient accumulation is bit-reproducible. Each
 SplatBatch builds one tile plan on first use (``SplatBatch.tile_plan``): the
 depth order, every covered tile's splats and, per (tile, splat) pair, the
 offsets, conic and exponent coefficients. The forward, the backward and
-synth's owner pass read slices of it; the oracle does not use it.
+synth's owner pass read slices of it; the oracle does not use it. Each of
+those passes allocates one workspace before its loop, sized by the plan's
+busiest tile, and every tile's (splats, pixels) arrays are views of it.
 """
 
 from __future__ import annotations
@@ -370,6 +372,11 @@ class _TilePlan:
     log(opacity) - q/2, a quadratic in the pixel coordinates, against the
     tile's monomials [u^2, uv, v^2, u, v, 1]. ``payload`` is the depth-ordered
     payload with its C_ALPHA column of ones.
+
+    ``largest`` is the element count (pairs times pixels) of the busiest
+    tile. Each pass allocates its one workspace of float64 rows that long
+    before its tile loop; a tile's (n, P) arrays are views of the rows' first
+    n * P elements, overwritten by the next tile.
     """
 
     def __init__(self, batch):
@@ -388,6 +395,8 @@ class _TilePlan:
                 if n:
                     self.tiles.append(((y0, y1, x0, x1), slice(start, start + n)))
                     start += n
+        self.largest = max(((p.stop - p.start) * (y1 - y0) * (x1 - x0)
+                            for (y0, y1, x0, x1), p in self.tiles), default=0)
         local = self.local = np.concatenate(local)
         self.rows = view.order[local]
         self.payload = view.payload
@@ -400,38 +409,6 @@ class _TilePlan:
         self.coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
                               np.log(self.opacity)
                               - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
-
-
-class _Workspace:
-    """Flat float64 buffers that the tile loop reuses for every tile's
-    (splats, pixels) arrays, so a tile allocates nothing of that size.
-
-    ``take(slot, n, P)`` returns an (n, P) view of buffer ``slot``; a buffer
-    grows only when a tile needs more than every earlier tile did. The views
-    are overwritten by the next tile, so a tile keeps none of them.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def take(self, slot, n, P):
-        if slot not in self._flat or self._flat[slot].size < n * P:
-            self._flat[slot] = None  # free the smaller buffer before allocating
-            self._flat[slot] = np.empty(n * P)
-        return self._flat[slot][:n * P].reshape(n, P)
-
-
-def _map_tiles(plan: _TilePlan, fn):
-    """The tile loop: call fn(bounds, pairs, ws) for every tile of the plan,
-    in the fixed tile order, where ws is the loop's one _Workspace.
-
-    The tile body is a function so that no tile array outlives its tile: a
-    workspace slot that grows frees its old buffer, and the workspace itself
-    goes when the loop ends.
-    """
-    ws = _Workspace()
-    for bounds, pairs in plan.tiles:
-        fn(bounds, pairs, ws)
 
 
 @lru_cache(maxsize=16)
@@ -489,23 +466,25 @@ def _transmittance(alpha, out):
     return out
 
 
-def _tile_weights(plan: _TilePlan, bounds, pairs, ws: _Workspace, w_slot):
-    """The tile math both passes share: (M, alpha, T, w) of one tile's pairs.
-    M is the tile's monomials, and one product of the pairs' coefficients
-    with M gives each exponent. The floored alpha, the transmittance T and
-    the compositing weights w = alpha * T are (n, P) views into ws slots 0, 1
-    and ``w_slot``. The forward passes slot 0, so w overwrites alpha; the
-    backward passes 2 and keeps alpha."""
+def _tile_weights(plan: _TilePlan, bounds, pairs, ws, w_slot):
+    """The tile math both passes share: (M, alpha, T, w, views) of one tile's
+    pairs. M is the tile's monomials, and one product of the pairs'
+    coefficients with M gives each exponent. ``views`` holds the tile's
+    (n, P) view of each row of the pass's workspace ws. The floored alpha,
+    the transmittance T and the compositing weights w = alpha * T are views
+    0, 1 and ``w_slot``. The forward passes slot 0, so w overwrites alpha;
+    the backward passes 2 and keeps alpha."""
     y0, y1, x0, x1 = bounds
     M = _monomials(y1 - y0, x1 - x0)
     coef = plan.coef[pairs]
     n, P = coef.shape[0], M.shape[1]
-    T = ws.take(1, n, P)  # the floor's scratch until T is computed
-    alpha = np.matmul(coef, M, out=ws.take(0, n, P))
+    views = ws[:, :n * P].reshape(len(ws), n, P)
+    T = views[1]  # the floor's scratch until T is computed
+    alpha = np.matmul(coef, M, out=views[0])
     np.exp(alpha, out=alpha)
     alpha = _floor_alpha(alpha, T)
     T = _transmittance(alpha, T)
-    return M, alpha, T, np.multiply(alpha, T, out=ws.take(w_slot, n, P))
+    return M, alpha, T, np.multiply(alpha, T, out=views[w_slot]), views
 
 
 def _composite(batch: SplatBatch, owner=False):
@@ -520,7 +499,7 @@ def _composite(batch: SplatBatch, owner=False):
     owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
     plan = batch.tile_plan
 
-    def run_tile(bounds, pairs, ws):
+    def run_tile(bounds, pairs):
         y0, y1, x0, x1 = bounds
         w = _tile_weights(plan, bounds, pairs, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
@@ -531,7 +510,10 @@ def _composite(batch: SplatBatch, owner=False):
             has = w[best, np.arange(w.shape[1])] > 0.0
             owner_rows[y0:y1, x0:x1] = np.where(has, plan.rows[pairs][best], -1).reshape(shape)
 
-    _map_tiles(plan, run_tile)
+    # the tile body is a function, so that no tile temporary outlives its tile
+    ws = np.empty((2, plan.largest))  # rows: alpha (then w), T
+    for bounds, pairs in plan.tiles:
+        run_tile(bounds, pairs)
     return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA]), owner_rows
 
 
@@ -611,9 +593,9 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
     # entries A, B (each off-diagonal) and C
     d_screen = np.zeros((n, 6))
 
-    def run_tile(bounds, pairs, ws):
+    def run_tile(bounds, pairs):
         y0, y1, x0, x1 = bounds
-        M, alpha, T, w = _tile_weights(plan, bounds, pairs, ws, w_slot=2)
+        M, alpha, T, w, views = _tile_weights(plan, bounds, pairs, ws, w_slot=2)
         n_loc, P = w.shape
 
         g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS + 1)
@@ -623,8 +605,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
         # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha
         # cotangent; d_alpha = d_w T - behind / (1 - alpha), where behind sums
         # d_w w over the splats composited after this one
-        d_alpha = np.matmul(plan.payload[plan.local[pairs]], g_ch.T,
-                            out=ws.take(3, n_loc, P))
+        d_alpha = np.matmul(plan.payload[plan.local[pairs]], g_ch.T, out=views[3])
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
@@ -651,7 +632,10 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
         d[:, 5] = -0.5 * (r_vv - b * (2.0 * r_v - b * r_1))
         d_screen[sub] += d
 
-    _map_tiles(plan, run_tile)
+    ws = np.empty((4, plan.largest))  # rows: alpha, T, w, d_alpha
+    for bounds, pairs in plan.tiles:
+        run_tile(bounds, pairs)
+    del ws  # freed before the chain's arrays
 
     # the conic S is inv(cov2d): d_cov = -S d_conic S
     d_conic = d_screen[:, [3, 4, 4, 5]].reshape(n, 2, 2)

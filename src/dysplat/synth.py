@@ -299,7 +299,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
                                 logits[rig_rows], colors[rig_rows], weights=weights,
                                 durations=np.full(rig_rows.size, float(T)),
                                 centers=np.full(rig_rows.size, (T - 1) / 2.0))
-        gt_set = GaussianSet(statics, rigids, TransientGaussians.empty(), bases, 3.0)
+        gt_set = GaussianSet(statics, rigids, TransientGaussians.empty(), bases)
 
     # -- per-frame rendering and each pixel's owner: the Gaussian of largest
     # compositing weight; a slab's centre depth is exact over its whole plane
@@ -316,7 +316,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
         else:
             frame_set = GaussianSet(StaticGaussians(pos[t], log_scales, quats, logits, colors),
                                     RigidGaussians.empty(1), TransientGaussians.empty(),
-                                    MotionBases.identity(1, T), 3.0)
+                                    MotionBases.identity(1, T))
             batch = prepare_splats(frame_set, cameras[t], 0)
         rendered, owner_rows = _composite(batch, owner=True)
         images[t] = rendered.color

@@ -36,6 +36,7 @@ from .losses import (
     weigh_terms,
 )
 from .primitives import (
+    DEFAULT_GATE_SHARPNESS,
     GaussianSet,
     MotionBases,
     RigidGaussians,
@@ -99,7 +100,7 @@ class TrainConfig:
     transition_threshold: float = 2.0
     transition_check_every: int = 500
     n_bases: int = 10
-    gate_sharpness: float = 3.0
+    gate_sharpness: float = DEFAULT_GATE_SHARPNESS
     seed: int = 0
     threads: int = 1
     holdout_every: int = 0          # every k-th frame held out of training; 0 = none

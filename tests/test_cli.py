@@ -398,3 +398,32 @@ class TestRenderEvalHist:
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+
+# every subcommand that writes under --out; hist writes a file there, which
+# it may replace, so only a path under a file is unusable for it
+OUT_COMMANDS = [(command, under) for command in ("synth", "masks", "train", "render", "hist",
+                                                 "sceneflow")
+                for under in (False, True) if under or command != "hist"]
+
+
+@pytest.mark.parametrize("command, under", OUT_COMMANDS,
+                         ids=[f"{c}-{'under-a-file' if u else 'a-file'}" for c, u in OUT_COMMANDS])
+def test_unusable_out_exit_2(scene_dir, tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"iters_total": 2, "iters_static_warmup": 1,
+                                    "iters_rigid_warmup": 1, "n_bases": 1,
+                                    "checkpoint_every": 0, "n_static_init": 50}))
+    data, ckpt = str(scene_dir / "data"), str(scene_dir / "gt.rigs")
+    args = {"synth": ["--spec", str(spec_json(tmp_path))],
+            "masks": ["--dataset", data],
+            "train": ["--dataset", data, "--config", str(cfg_path)],
+            "render": ["--ckpt", ckpt, "--frame", "1"],
+            "hist": ["--ckpt", ckpt, "--bins", "4"],
+            "sceneflow": ["--dataset", data]}[command]
+    out = taken / "out" if under else taken
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+    assert taken.read_text() == "kept"

@@ -148,6 +148,28 @@ class TestSceneReconstructor:
         # the random-image floor; quality at depth is the acceptance suite's job
         assert est.score(ds, frames=[0, 2]) > 14.0
 
+    def test_predict_prepares_the_set_once_per_call(self, monkeypatch):
+        # as in evaluate: one PreparedSet per call, whatever the view count,
+        # and each image has the bytes of its own render_view
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        est = SceneReconstructor()
+        est.gaussians_ = ds.gt_set
+        cameras, times = [ds.cameras[i] for i in (0, 2, 4, 1)], [3, 0, 4, 4]
+        want = [np.clip(render_view(ds.gt_set, cam, t).color, 0.0, 1.0)
+                for cam, t in zip(cameras, times)]
+        built = []
+        build = PreparedSet.__init__
+
+        def counted_build(self, gset):
+            built.append(gset)
+            build(self, gset)
+
+        monkeypatch.setattr(PreparedSet, "__init__", counted_build)
+        got = est.predict(cameras, times)
+        assert len(built) == 1 and built[0] is ds.gt_set
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
 
 class TestMotionMaskEstimator:
     def test_threshold_default_is_the_dynmask_constant(self):

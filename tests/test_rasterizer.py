@@ -484,8 +484,8 @@ def traced_peak(fn):
 
 class TestTileKernel:
     def test_backward_identical_across_repeats(self):
-        # tiles of very different sizes make the shared workspace grow between
-        # tiles and hand out views shorter than its buffers
+        # tiles of very different sizes take views of the pass's workspace
+        # shorter than its rows, over what earlier tiles left there
         cam = cam64()
         gs = uneven_tile_set()
         batch = prepare_splats(gs, cam, 2, 3)
@@ -660,6 +660,17 @@ class TestTilePlan:
         for kind, grp in want_grads.items():
             for name, arr in grp.items():
                 assert got_grads[kind][name].tobytes() == arr.tobytes(), (kind, name)
+
+    @pytest.mark.parametrize("case", ["uneven tiles", "edge tiles"])
+    def test_largest_is_the_busiest_tile(self, case):
+        # each pass sizes its one workspace by the plan's busiest tile
+        if case == "uneven tiles":
+            cam, gs = cam64(), uneven_tile_set()
+        else:  # 37 x 29 leaves ragged tiles on the right and bottom edges
+            cam = make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+            gs = opaque_stack_set()
+        batch = prepare_splats(gs, cam, 2, 4)
+        assert batch.tile_plan.largest * 8 == tile_buffer_bytes(batch)
 
     def test_the_oracle_builds_no_plan(self, monkeypatch):
         def refuse(batch):

@@ -761,6 +761,12 @@ def test_velocity_targets_follow_the_rendered_frame_pairs():
             assert np.max(np.abs(target[m] - truth[m])) <= 1e-12, (t, a, b)
 
 
+def copy_moments(state):
+    """Copies of an OptimState's m and v trees."""
+    return [{kind: {name: a.copy() for name, a in grp.items()} for kind, grp in tree.items()}
+            for tree in (state.m, state.v)]
+
+
 def fixed_point_config(**overrides):
     base = dict(
         iters_total=100, iters_static_warmup=100, iters_rigid_warmup=0,
@@ -884,6 +890,68 @@ class TestTrainLoop:
         want = np.array([r["total"] for r in reference if "total" in r])
         assert totals.shape == want.shape and np.all(np.isfinite(want))
         assert np.all(np.abs(totals - want) <= 1e-9 * np.abs(want))
+
+    def test_spawned_rigids_and_bases_start_from_zero_moments(self, monkeypatch):
+        # the step before the spawn has no rigid rows; the first stage-2 step
+        # starts their moments, and the bases', from zero, while the statics
+        # keep theirs from stage 1
+        seen = []
+        step = trainer.adam_step
+
+        def recorded_step(gset, grads, state, *args, **kwargs):
+            seen.append((*copy_moments(state), parameter_tree(gset)))
+            return step(gset, grads, state, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", recorded_step)
+        ds = generate_synthetic(tiny_spec(actor_motion={"kind": "linear",
+                                                        "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        config = TrainConfig(iters_total=4, iters_static_warmup=2, iters_rigid_warmup=2,
+                             transition_check_every=0, n_bases=2, checkpoint_every=0,
+                             n_static_init=150, seed=11)
+        gset, log = train(ds, config)
+        assert any(r.get("event") == "rigid_init" for r in log) and len(gset.rigids)
+        assert all(a.size == 0 for a in seen[1][0]["rigid"].values())
+        m, v, params = seen[2]
+        for tree in (m, v):
+            assert all(np.any(a != 0) for a in tree["static"].values())
+            for kind in ("rigid", "bases"):
+                for name, a in tree[kind].items():
+                    assert a.shape == params[kind][name].shape and a.size, (kind, name)
+                    assert not np.any(a), (kind, name)
+        assert all(np.any(a != 0) for a in seen[3][0]["rigid"].values())
+
+    def test_a_transition_keeps_the_rigid_moments_and_zeroes_the_new_ones(self, monkeypatch):
+        # the kept rigids keep their m and v rows, in order; the converted
+        # rows start as transients from zero moments
+        calls = []
+        migrate = trainer._migrate_state_after_transition
+
+        def recorded_migrate(state, keep_mask, n_new, gset):
+            before = copy_moments(state)
+            migrate(state, keep_mask, n_new, gset)
+            calls.append((keep_mask.copy(), n_new, before, copy_moments(state)))
+
+        monkeypatch.setattr(trainer, "_migrate_state_after_transition", recorded_migrate)
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5))
+        init = ds.gt_set.copy()
+        init.rigids.durations[::3] = 0.5
+        config = TrainConfig(
+            iters_total=5, iters_static_warmup=2, iters_rigid_warmup=2,
+            transition_check_every=0, checkpoint_every=0, n_bases=2, seed=5)
+        train(ds, config, init_set=init)
+        assert len(calls) == 1
+        keep, n_new, before, after = calls[0]
+        assert n_new == np.count_nonzero(~keep) > 0 and np.any(keep)
+        for old, new in zip(before, after):
+            for name, rows in old["rigid"].items():
+                assert np.any(rows[keep] != 0), name
+                assert new["rigid"][name].tobytes() == rows[keep].tobytes(), name
+            for name, rows in old["transient"].items():
+                n_old = len(rows)
+                assert new["transient"][name].shape == (n_old + n_new,) + rows.shape[1:]
+                assert new["transient"][name][:n_old].tobytes() == rows.tobytes(), name
+                assert not np.any(new["transient"][name][n_old:]), name
 
     def test_degenerate_blend_skips_only_its_iterations(self):
         # a zero 6D rotation at frame 2 makes every render that blends frame 2 fail
