@@ -83,7 +83,7 @@ class SceneReconstructor(_TrainParams, ParamMixin):
         if len(cameras) != len(times):
             raise ValidationError("cameras and times must have equal length")
         prepared = PreparedSet(self.gaussians_)
-        return [np.clip(render_view(prepared, cam, t).color, 0.0, 1.0)
+        return [np.clip(render_view(prepared, cam, t, channels=("color",)).color, 0.0, 1.0)
                 for cam, t in zip(cameras, times)]
 
     def score(self, dataset: SceneDataset, frames=None):

@@ -7,7 +7,7 @@ import numpy as np
 from .dataset import SceneDataset
 from .losses import psnr, ssim
 from .primitives import GaussianSet
-from .rasterizer import PreparedSet, prepare_splats, rasterize_forward
+from .rasterizer import ALL_CHANNELS, PreparedSet, prepare_splats, rasterize_forward
 from .validation import require, require_int
 
 
@@ -20,12 +20,13 @@ def mask_iou(pred, gt):
     return float(np.count_nonzero(pred & gt) / union)
 
 
-def render_view(gset: GaussianSet | PreparedSet, cam, t):
-    """Render frame t of the set at ``cam``. Pass the set's PreparedSet to
-    share its per-set stage across renders; a GaussianSet is prepared anew,
-    so the render sees any change made to it in place."""
+def render_view(gset: GaussianSet | PreparedSet, cam, t, channels=ALL_CHANNELS):
+    """Render the named channels (all by default) and alpha of frame t of the
+    set at ``cam``. Pass the set's PreparedSet to share its per-set stage
+    across renders; a GaussianSet is prepared anew, so the render sees any
+    change made to it in place."""
     batch = prepare_splats(gset, cam, t)
-    return rasterize_forward(batch, cam)
+    return rasterize_forward(batch, cam, channels=channels)
 
 
 def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
@@ -33,7 +34,8 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
 
     Returns {"per_frame": [...], "mean_psnr", "mean_ssim", "mean_iou"} where
     IoU entries appear only when the dataset carries dynamic masks.
-    The set's PreparedSet is built once and shared by every frame's render.
+    The set's PreparedSet is built once and shared by every frame's render,
+    which composites only the color and, where scored, the dynamic flag.
     ``threads`` is accepted and ignored: rendering runs one serial tile loop.
     """
     if frames is None:
@@ -43,9 +45,10 @@ def evaluate(gset: GaussianSet, ds: SceneDataset, frames=None, threads=1):
         require(0 <= require_int(t, "frame") < ds.n_frames,
                 f"frame {t} outside the dataset's frames [0, {ds.n_frames})")
     prepared = PreparedSet(gset)
+    channels = ("color",) if ds.dyn_masks is None else ("color", "dyn_mask")
     per_frame = []
     for t in frames:
-        out = render_view(prepared, ds.cameras[t], t)
+        out = render_view(prepared, ds.cameras[t], t, channels=channels)
         pred = np.clip(out.color, 0.0, 1.0)
         entry = {
             "frame": int(t),

@@ -407,7 +407,9 @@ def ewa_backward(grad_cov2, covs3, R_w2c, means_cam, fx, fy, P):
     grad_cov3 = np.swapaxes(P, -1, -2) @ g @ P
     # dP = (g + g^T) P cov3  (cov3 symmetric)
     gsym = g + np.swapaxes(g, -1, -2)
-    dJ = gsym @ P @ covs3 @ R_w2c.T
+    # the bytes of (gsym P cov3) @ R_w2c^T, faster as one (2N, 3) @ (3, 3) product
+    dP = gsym @ P @ covs3
+    dJ = (dP.reshape(-1, 3) @ R_w2c.T).reshape(dP.shape)
 
     x, y, z = means_cam[..., 0], means_cam[..., 1], means_cam[..., 2]
     z2 = z * z

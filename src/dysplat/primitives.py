@@ -247,6 +247,10 @@ class BlendContext:
     A_rot: np.ndarray     # (..., N, 3, 3)
     A_tr: np.ndarray      # (..., N, 3)
 
+    def take(self, entries):
+        """The blend at ``entries`` of its leading axis (t a 1-D array)."""
+        return BlendContext(*(getattr(self, f.name)[entries] for f in fields(self)))
+
 
 def _at_frames(arr, t):
     """(K, T, d) basis array at frame(s) t, frames first: (..., K, d)."""

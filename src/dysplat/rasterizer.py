@@ -2,7 +2,8 @@
 
 The forward pass composites, per pixel and in global front-to-back depth
 order, the channels [color, dynamic flag, depth, normal, forward velocity,
-backward velocity, correspondence] plus accumulated alpha. The backward pass
+backward velocity, correspondence] the caller asks for (all by default) plus
+accumulated alpha. The backward pass contracts the cotangents it is given and
 produces exact adjoints for every optimizable parameter of the Gaussian set,
 chained through alpha compositing, the EWA projection, temporal gating, the
 shared-basis rigid transform and the transient linear motion.
@@ -18,8 +19,9 @@ same rule.
 
 ``prepare_splats`` runs in two stages: ``PreparedSet`` holds the arrays that
 depend only on the set's parameters (built once per set by ``evaluate`` and
-the synthetic generator, once per call otherwise), and the per-frame stage
-moves, gates, projects and culls. A SplatBatch gathers by row only what the
+the synthetic generator, once per call otherwise) and, on first use, the
+rigids' motion at every frame; the per-frame stage moves, gates, projects
+and culls. A SplatBatch gathers by row only what the
 forward reads; the backward-only arrays stay whole until the chain.
 
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
@@ -90,24 +92,66 @@ C_ALPHA = N_CHANNELS
 # payload channel of each rasterize_backward cotangent (besides "alpha")
 GRAD_CHANNELS = {"color": C_COLOR, "dyn_mask": C_DYN, "depth": C_DEPTH, "normal": C_NORMAL,
                  "v_fwd": C_VFWD, "v_bwd": C_VBWD, "corr": C_CORR}
+ALL_CHANNELS = tuple(GRAD_CHANNELS)  # what a render composites unless asked for less
+
+
+def _channel_names(channels):
+    """The GRAD_CHANNELS names of ``channels`` (at least one), in payload order."""
+    unknown = set(channels) - set(GRAD_CHANNELS)
+    require(not unknown, f"unknown render channels: {sorted(unknown)}")
+    require(len(channels) > 0, "a render composites at least one channel")
+    return tuple(name for name in GRAD_CHANNELS if name in channels)
+
+
+def _narrow(*sizes):
+    """Whether a tile whose products have these row and column counts may
+    multiply only the payload columns its pass asks for. BLAS (OpenBLAS
+    here) runs a product with one row or one column as gemv, whose sums
+    group by the vector's length, so a narrower gemv can differ from the
+    full pass in the last bit; such a tile multiplies every column and keeps
+    those asked for. Wider products gave the full pass's bytes for every
+    channel set the callers ask for (tier-1 tests)."""
+    return 1 not in sizes
+
+
+@lru_cache(maxsize=None)
+def _layout(names):
+    """(payload columns, plane slots) of payload-ordered channel names (and
+    "alpha", the C_ALPHA column): the columns in order, and each name's int
+    or slice into an array holding just those columns."""
+    columns, slots = [], {}
+    for name in names:
+        slot = C_ALPHA if name == "alpha" else GRAD_CHANNELS[name]
+        if isinstance(slot, slice):
+            slots[name] = slice(len(columns), len(columns) + slot.stop - slot.start)
+            columns.extend(range(slot.start, slot.stop))
+        else:
+            slots[name] = len(columns)
+            columns.append(slot)
+    return columns, slots
 
 
 @dataclass
 class RenderOutputs:
     """The composited payload channels and the accumulated alpha.
 
-    Each named plane (color, dyn_mask, depth, normal, v_fwd, v_bwd, corr) is
-    a view into ``channels`` at its GRAD_CHANNELS slot. Depth is the expected
-    depth, not alpha-normalized.
+    ``channels`` holds the planes of ``names`` (payload-ordered GRAD_CHANNELS
+    names, all of them unless the render asked for fewer), each named plane
+    a view into it; a plane the render did not composite raises
+    AttributeError. Depth is the expected depth, not alpha-normalized.
     """
 
-    channels: np.ndarray     # (H, W, N_CHANNELS)
+    channels: np.ndarray     # (H, W, k): the payload columns of names
     alpha: np.ndarray        # (H, W)
+    names: tuple = ALL_CHANNELS
 
     def __getattr__(self, name):
         if name not in GRAD_CHANNELS:
             raise AttributeError(name)
-        return self.channels[..., GRAD_CHANNELS[name]]
+        if name not in self.names:
+            raise AttributeError(f"{name!r} was not composited; this render holds "
+                                 f"{', '.join(self.names + ('alpha',))}")
+        return self.channels[..., _layout(self.names)[1][name]]
 
     @property
     def transmittance(self):
@@ -212,19 +256,36 @@ class PreparedSet:
         self.channels[self.transient_rows, C_VFWD] = gset.transients.velocities
         self.channels[self.transient_rows, C_VBWD] = gset.transients.velocities
 
+    @cached_property
+    def motion(self):
+        """``_rigid_motion`` at every frame of the set, built on first use: the
+        table a shared PreparedSet's renders read their frame rows from."""
+        return _rigid_motion(self, np.arange(self.gset.n_frames))
+
+
+def _rigid_motion(pset: PreparedSet, frames):
+    """One basis blend of the set's rigids at each of ``frames``:
+    (BlendContext, world means (F, N, 3), world rotations (F, N, 3, 3))."""
+    rigids = pset.gset.rigids
+    ctx = blend_bases(rigids.weights, pset.gset.bases, frames)
+    return ctx, rigid_means_at(rigids, ctx), rigid_rotations_at(ctx, pset.rotations[pset.rigid_rows])
+
 
 def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=None) -> SplatBatch:
     """Project all populations at frame t into screen-space splats.
 
-    ``gset`` is a GaussianSet, whose PreparedSet this call builds, or a
-    PreparedSet, so that renders of one set share its per-set stage. This
-    per-frame stage moves the rigids and transients to t, gates them, and
+    ``gset`` is a GaussianSet, whose PreparedSet this call builds and whose
+    rigids it blends at this render's six frame rows, or a PreparedSet, so
+    that renders of one set share its per-set stage and read those rows from
+    its motion table (``PreparedSet.motion``). This per-frame stage moves
+    the rigids and transients to t, gates them, and
     projects and culls every Gaussian. Culls splats behind the camera, below
     the 1/255 opacity threshold, or with their 99%-mass ellipse fully outside
     the image. The correspondence payload carries each Gaussian's world
     position at ``t_corr`` (defaults to t).
     """
-    pset = gset if isinstance(gset, PreparedSet) else PreparedSet(gset)
+    shared = isinstance(gset, PreparedSet)
+    pset = gset if shared else PreparedSet(gset)
     gset = pset.gset
     if t_corr is None:
         t_corr = t
@@ -247,15 +308,20 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
         # one blend over the frame rows [t, t_corr] and each velocity pair
         # (hi, lo); _chain_rigid reads the rows in this order
         fwd, bwd = _velocity_frame_pairs(t, gset.n_frames)
-        rigid_ctx = blend_bases(gset.rigids.weights, gset.bases, np.array([t, t_corr, *fwd, *bwd]))
-        means_at = rigid_means_at(gset.rigids, rigid_ctx)
+        frames = np.array([t, t_corr, *fwd, *bwd])
+        if shared:  # the renders of one set read their rows of its table
+            ctx, means, rotations = pset.motion
+            rigid_ctx, means_at, R_t = ctx.take(frames), means[frames], rotations[t]
+        else:
+            rigid_ctx, means_at, rotations = _rigid_motion(pset, frames)
+            R_t = rotations[0]
         mean_w[rigid_sl] = means_at[0]
         channels[rigid_sl, C_CORR] = means_at[1]
         channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
         channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
         # the rigids' rows move with the frame; the PreparedSet stays canonical
         R_w, cov3, n_raw = R_w.copy(), cov3.copy(), n_raw.copy()
-        R_w[rigid_sl] = rigid_rotations_at(rigid_ctx, pset.rotations[rigid_sl])[0]
+        R_w[rigid_sl] = R_t
         cov3[rigid_sl] = covariance(R_w[rigid_sl], pset.log_scales[rigid_sl])
         n_raw[rigid_sl] = _axis_columns(R_w[rigid_sl], pset.axis[rigid_sl])
 
@@ -398,17 +464,22 @@ class _TilePlan:
         self.largest = max(((p.stop - p.start) * (y1 - y0) * (x1 - x0)
                             for (y0, y1, x0, x1), p in self.tiles), default=0)
         local = self.local = np.concatenate(local)
-        self.rows = view.order[local]
+        self.rows = view.order.take(local)
         self.payload = view.payload
-        centers = np.repeat(np.reshape([_tile_center(*b) for b, _ in self.tiles], (-1, 2)),
+        centers = np.repeat(np.array([_tile_center(*b) for b, _ in self.tiles]).reshape(-1, 2),
                             [p.stop - p.start for _, p in self.tiles], axis=0)
-        a = self.a = m[local, 0] - centers[:, 0]
-        b = self.b = m[local, 1] - centers[:, 1]
-        A, B, C = self.A, self.B, self.C = view.A[local], view.B[local], view.C[local]
-        self.opacity = view.opacity[local]
-        self.coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
-                              np.log(self.opacity)
-                              - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
+        a = self.a = m[:, 0].take(local) - centers[:, 0]
+        b = self.b = m[:, 1].take(local) - centers[:, 1]
+        A, B, C = self.A, self.B, self.C = [x.take(local) for x in (view.A, view.B, view.C)]
+        self.opacity = view.opacity.take(local)
+        # the per-splat terms once, then gathered per pair into the columns
+        coef = self.coef = np.empty((len(local), 6))
+        for j, per_splat in enumerate((-0.5 * view.A, -view.B, -0.5 * view.C)):
+            per_splat.take(local, out=coef[:, j])
+        np.add(A * a, B * b, out=coef[:, 3])
+        np.add(B * a, C * b, out=coef[:, 4])
+        np.subtract(np.log(view.opacity).take(local),
+                    0.5 * (A * a * a + 2.0 * B * a * b + C * b * b), out=coef[:, 5])
 
 
 @lru_cache(maxsize=16)
@@ -487,24 +558,34 @@ def _tile_weights(plan: _TilePlan, bounds, pairs, ws, w_slot):
     return M, alpha, T, np.multiply(alpha, T, out=views[w_slot]), views
 
 
-def _composite(batch: SplatBatch, owner=False):
-    """Tiled compositing of every payload channel -> (RenderOutputs, owner).
+def _composite(batch: SplatBatch, channels=ALL_CHANNELS, owner=False):
+    """Tiled compositing of the named payload channels and alpha ->
+    (RenderOutputs, owner).
 
     With ``owner`` set, the same pass also yields the per-pixel batch row of
     the largest compositing weight (-1 where nothing composites); otherwise
     owner is None.
     """
+    names = _channel_names(channels)
+    columns = _layout(names + ("alpha",))[0]
     H, W = batch.height, batch.width
-    planes = np.zeros((H, W, N_CHANNELS + 1))
+    planes = np.zeros((H, W, len(columns)))
     owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
     plan = batch.tile_plan
+    whole = len(columns) == N_CHANNELS + 1
+    # the composited columns, the C_ALPHA ones among them, in depth order
+    payload = plan.payload if whole else plan.payload.take(columns, axis=1)
 
     def run_tile(bounds, pairs):
         y0, y1, x0, x1 = bounds
         w = _tile_weights(plan, bounds, pairs, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
-        payload = plan.payload[plan.local[pairs]]
-        planes[y0:y1, x0:x1] = (w.T @ payload).reshape(shape + (N_CHANNELS + 1,))
+        local = plan.local[pairs]
+        if whole or _narrow(*w.shape):
+            composited = w.T @ payload.take(local, axis=0)
+        else:
+            composited = (w.T @ plan.payload.take(local, axis=0))[:, columns]
+        planes[y0:y1, x0:x1] = composited.reshape(shape + (len(columns),))
         if owner:
             best = np.argmax(w, axis=0)
             has = w[best, np.arange(w.shape[1])] > 0.0
@@ -514,17 +595,19 @@ def _composite(batch: SplatBatch, owner=False):
     ws = np.empty((2, plan.largest))  # rows: alpha (then w), T
     for bounds, pairs in plan.tiles:
         run_tile(bounds, pairs)
-    return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA]), owner_rows
+    return RenderOutputs(planes[..., :-1], planes[..., -1], names), owner_rows
 
 
-def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1) -> RenderOutputs:
-    """Tile-based alpha compositing of every payload channel.
+def rasterize_forward(batch: SplatBatch, cam: CameraFrame, threads=1,
+                      channels=ALL_CHANNELS) -> RenderOutputs:
+    """Tile-based alpha compositing of the named payload channels (every
+    GRAD_CHANNELS name by default) and alpha.
 
     Splats composite in global depth order (ties broken by batch index);
     per-pixel compositing stops once transmittance drops below 1e-4.
     ``threads`` is accepted and ignored: the tile loop is serial.
     """
-    return _composite(batch)[0]
+    return _composite(batch, channels)[0]
 
 
 def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
@@ -556,20 +639,22 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
 
 
 def _assemble_grad_channels(grad_outputs, H, W):
-    """The cotangents as one (H, W, N_CHANNELS + 1) array, alpha's at C_ALPHA."""
+    """(names, cotangents) of the given keys: their payload-ordered names,
+    "alpha" last, and one (H, W, k) array of their _layout columns. A key
+    whose value is None is absent."""
     unknown = set(grad_outputs) - set(GRAD_CHANNELS) - {"alpha"}
     if unknown:
         raise MismatchedForward(f"unknown grad_outputs keys: {sorted(unknown)}")
-    gch = np.zeros((H, W, N_CHANNELS + 1))
-    for key, v in grad_outputs.items():
-        if v is None:
-            continue
-        target = gch[..., C_ALPHA if key == "alpha" else GRAD_CHANNELS[key]]
-        v = np.asarray(v, dtype=np.float64)
+    names = tuple(key for key in (*GRAD_CHANNELS, "alpha") if grad_outputs.get(key) is not None)
+    columns, slots = _layout(names)
+    gch = np.empty((H, W, len(columns)))
+    for key in names:
+        target = gch[..., slots[key]]
+        v = np.asarray(grad_outputs[key], dtype=np.float64)
         if v.shape != target.shape:
             raise MismatchedForward(f"grad_outputs[{key!r}]: expected {target.shape}, got {v.shape}")
         target[...] = v
-    return gch
+    return names, gch
 
 
 def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
@@ -578,16 +663,23 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
 
     ``grad_outputs`` maps channel names (color, dyn_mask, depth, normal,
     v_fwd, v_bwd, corr, alpha) to per-pixel cotangents; missing entries are
-    treated as zero. Returns a {population: {field: array}} gradient tree.
+    treated as zero, and the tile loop contracts only the given ones.
+    Returns a {population: {field: array}} gradient tree.
     """
     grads = zeros_like_tree(batch.pset.gset)
-    gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
+    names, gch = _assemble_grad_channels(grad_outputs, batch.height, batch.width)
     n = len(batch)
     if n == 0:
         return grads
     plan = batch.tile_plan
+    columns = _layout(names)[0]
+    k = len(columns)
+    k_pay = k - ("alpha" in names)  # the payload columns; alpha's is last
+    whole = k == N_CHANNELS + 1
+    # the contracted columns of the depth-ordered payload, the C_ALPHA ones among them
+    payload = plan.payload if whole else plan.payload.take(columns, axis=1)
 
-    d_payload = np.zeros((n, N_CHANNELS))
+    d_payload = np.zeros((n, k_pay))
     # the other screen-space adjoints, one row per splat so that a tile adds
     # its share in one indexed +=: opacity, the 2D mean (x, y) and the conic
     # entries A, B (each off-diagonal) and C
@@ -598,14 +690,20 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
         M, alpha, T, w, views = _tile_weights(plan, bounds, pairs, ws, w_slot=2)
         n_loc, P = w.shape
 
-        g_ch = gch[y0:y1, x0:x1].reshape(P, N_CHANNELS + 1)
+        g_ch = gch[y0:y1, x0:x1].reshape(P, k)
+        local, sub = plan.local[pairs], plan.rows[pairs]
         # a tile holds each splat once, so indexed += accumulates
-        sub = plan.rows[pairs]
-        d_payload[sub] += w @ g_ch[:, :C_ALPHA]
+        if whole or _narrow(n_loc, P, k_pay):
+            source = payload
+            d_payload[sub] += w @ g_ch[:, :k_pay]
+        else:  # every column, the absent cotangents 0
+            source, given, g_ch = plan.payload, g_ch, np.zeros((P, N_CHANNELS + 1))
+            g_ch[:, columns] = given
+            d_payload[sub] += (w @ g_ch[:, :C_ALPHA])[:, columns[:k_pay]]
         # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha
         # cotangent; d_alpha = d_w T - behind / (1 - alpha), where behind sums
         # d_w w over the splats composited after this one
-        d_alpha = np.matmul(plan.payload[plan.local[pairs]], g_ch.T, out=views[3])
+        d_alpha = np.matmul(source.take(local, axis=0), g_ch.T, out=views[3])
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i
@@ -642,6 +740,9 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
     S = np.stack(_conic(batch.cov2d), axis=1)[:, [0, 1, 1, 2]].reshape(n, 2, 2)
     d_cov2d = -(S @ d_conic @ S)
 
+    if k_pay < N_CHANNELS:  # the chain reads every payload column; the others are 0
+        d_payload, given = np.zeros((n, N_CHANNELS)), d_payload
+        d_payload[:, columns[:k_pay]] = given
     _chain_to_parameters(batch, cam, grads, d_payload, d_screen[:, 0], d_screen[:, 1:3], d_cov2d)
     return grads
 

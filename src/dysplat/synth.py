@@ -318,7 +318,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SceneDataset:
                                     RigidGaussians.empty(1), TransientGaussians.empty(),
                                     MotionBases.identity(1, T))
             batch = prepare_splats(frame_set, cameras[t], 0)
-        rendered, owner_rows = _composite(batch, owner=True)
+        rendered, owner_rows = _composite(batch, ("color",), owner=True)
         images[t] = rendered.color
         has = owner_rows >= 0
         b = owner_rows[has]

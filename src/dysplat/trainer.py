@@ -50,7 +50,7 @@ from .primitives import (
     transition_rigid_to_transient,
     zeros_like_tree,
 )
-from .rasterizer import prepare_splats, rasterize_backward, rasterize_forward
+from .rasterizer import ALL_CHANNELS, prepare_splats, rasterize_backward, rasterize_forward
 from .sceneflow import (
     backward_scene_flow,
     depth_validity,
@@ -68,6 +68,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-15
 DURATION_FLOOR = 0.01
 KMEANS_ITERS = 50
+STAGE_1_CHANNELS = ("color", "depth", "normal")  # the render channels stage 1's losses read
 
 DEFAULT_LEARNING_RATES = {
     "means": 0.00016,
@@ -522,7 +523,7 @@ def train_iteration(gset: GaussianSet, ds: SceneDataset, sup: Supervision,
     w = config.loss_weights
     cam = ds.cameras[t]
     batch = prepare_splats(gset, cam, t, t_corr)
-    out = rasterize_forward(batch, cam)
+    out = rasterize_forward(batch, cam, channels=STAGE_1_CHANNELS if stage == 1 else ALL_CHANNELS)
 
     # term -> (raw value, {render channel: cotangent}); weighed once below
     if stage == 1:

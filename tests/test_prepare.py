@@ -1,6 +1,8 @@
 """The two stages of prepare_splats against a transcription of the one-stage
 build they replaced: the same rows, renders and gradients, byte for byte."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dysplat.geometry import (
 )
 from dysplat.primitives import (
     GaussianSet,
+    MotionBases,
     TransientGaussians,
     _velocity_frame_pairs,
     blend_bases,
@@ -272,3 +275,58 @@ def test_both_stages_match_the_one_stage_transcription(name):
                 for field, g in group.items():
                     assert grads[kind][field].tobytes() == g.tobytes(), (name, t, kind, field)
     assert culled, name
+
+
+def one_frame_set():
+    gset = make_random_set(65, 60)
+    return replace(gset, bases=MotionBases(gset.bases.rot6d[:, :1], gset.bases.trans[:, :1]))
+
+
+def edge_cam():
+    return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+
+
+MOTION_SETS = {"one frame": lambda: (one_frame_set(), edge_cam()),
+               "six frames": lambda: (make_random_set(66, 60), edge_cam()),
+               "initial reconstruction set": lambda: (lambda gset, views: (gset, views[0][0]))(
+                   *initial_reconstruction_set())}
+
+
+@pytest.mark.parametrize("name", list(MOTION_SETS))
+def test_the_motion_table_holds_each_renders_six_row_blend(name, monkeypatch):
+    # a shared PreparedSet blends every frame once, on first use; each render
+    # reads its rows [t, t_corr, both velocity pairs], and they hold the bytes
+    # of blend_bases over those six rows, as a render of the GaussianSet blends
+    from dataclasses import fields
+
+    from dysplat import rasterizer
+    from dysplat.primitives import BlendContext
+
+    gset, cam = MOTION_SETS[name]()
+    T = gset.n_frames
+    assert len(gset.rigids) > 0
+    blended = []
+    blend = rasterizer.blend_bases
+
+    def counted_blend(*args):
+        blended.append(args[2])
+        return blend(*args)
+
+    monkeypatch.setattr(rasterizer, "blend_bases", counted_blend)
+    prepared = PreparedSet(gset)
+    for t in range(T):  # every frame, both end frames among them
+        for tc in sorted({0, t, T - 1}):
+            shared = prepare_splats(prepared, cam, t, tc)
+            fwd, bwd = _velocity_frame_pairs(t, T)
+            frames = np.array([t, tc, *fwd, *bwd])
+            want = blend_bases(gset.rigids.weights, gset.bases, frames)
+            for f in fields(BlendContext):
+                got = getattr(shared.rigid_ctx, f.name)
+                assert got.tobytes() == getattr(want, f.name).tobytes(), (name, t, tc, f.name)
+            own = prepare_splats(gset, cam, t, tc)
+            for field in FORWARD_FIELDS + BACKWARD_FIELDS:
+                got = getattr(shared, field)
+                assert got.tobytes() == getattr(own, field).tobytes(), (name, t, tc, field)
+    # one blend of every frame for the shared set, one of six rows per GaussianSet render
+    assert [b.tolist() for b in blended[:1]] == [list(range(T))]
+    assert all(len(b) == 6 for b in blended[1:]), name

@@ -413,7 +413,9 @@ def seed_screen_adjoints(batch, grad_outputs):
     2D mean and 2D covariance, plus how often a raw alpha passed OPAQUE and
     how often the termination branch fired."""
     H, W = batch.height, batch.width
-    gch = rasterizer._assemble_grad_channels(grad_outputs, H, W)
+    names, given = rasterizer._assemble_grad_channels(grad_outputs, H, W)
+    gch = np.zeros((H, W, N_CHANNELS + 1))  # every payload column, then alpha's
+    gch[..., rasterizer._layout(names)[0]] = given
     view = rasterizer._OrderedView(batch)
     n = len(batch)
     d_payload = np.zeros((n, N_CHANNELS))
@@ -782,3 +784,123 @@ class TestCoverageRadius:
             floored_pairs += pairs(batch)
             tail_pairs += pairs(replace(batch, radii=tail))
         assert floored_pairs <= 0.55 * tail_pairs, (floored_pairs, tail_pairs)
+
+
+def edge_tile_cam():
+    """37 x 29 leaves ragged tiles on the right and bottom edges."""
+    return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+
+
+SUBSET_SCENES = {"uneven tiles": lambda: (cam64(), uneven_tile_set()),
+                 "edge tiles": lambda: (edge_tile_cam(), make_random_set(61, 60)),
+                 # 33 x 25 ends in a one-pixel corner tile; the scene covers it
+                 "one-pixel tiles": lambda: (make_cam(fx=40.0, fy=40.0, cx=32.0, cy=24.0,
+                                                      width=33, height=25),
+                                             make_random_set(65, 60))}
+STAGE_1_CHANNELS = ("color", "depth", "normal")
+# the channels each caller composites, and whether it asks for the owner map
+CALLER_CHANNELS = {"evaluate with masks": (("color", "dyn_mask"), False),
+                   "evaluate without masks": (("color",), False),
+                   "predict": (("color",), False),
+                   "owner pass": (("color",), True),
+                   "stage 1": (STAGE_1_CHANNELS, False)}
+
+
+class TestChannelSubsets:
+    def test_each_caller_composites_what_it_reads(self, monkeypatch):
+        from dysplat import synth
+        from dysplat.estimators import SceneReconstructor
+        from dysplat.evaluation import evaluate
+        from dysplat.trainer import train
+
+        from test_dataset import tiny_spec
+
+        asked = []
+        composite = rasterizer._composite
+
+        def spy(batch, channels=rasterizer.ALL_CHANNELS, owner=False):
+            asked.append((tuple(channels), owner))
+            return composite(batch, channels, owner)
+
+        monkeypatch.setattr(rasterizer, "_composite", spy)
+        monkeypatch.setattr(synth, "_composite", spy)
+
+        def calls(run):
+            asked.clear()
+            run()
+            return sorted(set(asked))
+
+        spec = tiny_spec(actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=5)
+        ds = generate_synthetic(spec)
+        assert calls(lambda: generate_synthetic(spec)) == [CALLER_CHANNELS["owner pass"]]
+        assert calls(lambda: evaluate(ds.gt_set, ds)) == [CALLER_CHANNELS["evaluate with masks"]]
+        no_masks = replace(ds, dyn_masks=None)
+        assert calls(lambda: evaluate(ds.gt_set, no_masks)) == [
+            CALLER_CHANNELS["evaluate without masks"]]
+        est = SceneReconstructor()
+        est.gaussians_ = ds.gt_set
+        assert calls(lambda: est.predict(ds.cameras, range(ds.n_frames))) == [
+            CALLER_CHANNELS["predict"]]
+        config = TrainConfig(iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2,
+                             transition_check_every=0, n_bases=2, checkpoint_every=0,
+                             n_static_init=150, seed=11)
+        asked.clear()
+        train(ds, config)
+        stage_1 = CALLER_CHANNELS["stage 1"]
+        assert asked == [stage_1] * 2 + [(rasterizer.ALL_CHANNELS, False)] * 4
+
+    @pytest.mark.parametrize("scene", list(SUBSET_SCENES))
+    @pytest.mark.parametrize("caller", list(CALLER_CHANNELS))
+    def test_composited_planes_equal_the_full_render(self, scene, caller):
+        channels, owner = CALLER_CHANNELS[caller]
+        cam, gs = SUBSET_SCENES[scene]()
+        batch = prepare_splats(gs, cam, 2, 4)
+        full, full_owner = rasterizer._composite(batch, owner=True)
+        got, got_owner = rasterizer._composite(batch, channels, owner=owner)
+        assert got.names == channels
+        assert got.channels.shape == (cam.intrinsics.height, cam.intrinsics.width,
+                                      sum(np.size(getattr(full, c)[0, 0]) for c in channels))
+        for name in channels:
+            assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), name
+        assert got.alpha.tobytes() == full.alpha.tobytes()
+        if owner:
+            assert np.array_equal(got_owner, full_owner)
+
+    def test_a_plane_not_composited_raises(self):
+        cam, gs = SUBSET_SCENES["edge tiles"]()
+        out = rasterize_forward(prepare_splats(gs, cam, 2, 4), cam, channels=("depth", "color"))
+        assert out.names == ("color", "depth")  # payload order, whatever the caller's
+        assert out.color.shape == (29, 37, 3) and out.depth.shape == (29, 37)
+        for name in set(GRAD_CHANNELS) - {"color", "depth"}:
+            assert not hasattr(out, name)
+            with pytest.raises(AttributeError, match="holds color, depth, alpha"):
+                getattr(out, name)
+        from dysplat.errors import ValidationError
+        with pytest.raises(ValidationError, match="unknown render channels"):
+            rasterize_forward(prepare_splats(gs, cam, 2, 4), cam, channels=("color", "albedo"))
+
+    @pytest.mark.parametrize("scene", list(SUBSET_SCENES))
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_stage_cotangents_pull_back_as_with_zeros_for_the_rest(self, scene, stage):
+        # stage 1 gives color, depth and normal; stages 2 and 3 every channel but alpha
+        keys = STAGE_1_CHANNELS if stage == 1 else rasterizer.ALL_CHANNELS
+        cam, gs = SUBSET_SCENES[scene]()
+        H, W = cam.intrinsics.height, cam.intrinsics.width
+        given = {name: g for name, g in random_grad_outputs(np.random.default_rng(5), H, W).items()
+                 if name in keys}
+        zeros = {name: np.zeros(g.shape) for name, g in
+                 grad_outputs_of(np.zeros((H, W, N_CHANNELS)), np.zeros((H, W))).items()
+                 if name not in keys}
+        batch = prepare_splats(gs, cam, 2, 4)
+        sizes = [(p.stop - p.start, (y1 - y0) * (x1 - x0))
+                 for (y0, y1, x0, x1), p in batch.tile_plan.tiles]
+        if scene != "uneven tiles":  # tiles of one splat, whose products BLAS runs as gemv
+            assert min(n for n, _ in sizes) == 1, sizes
+        if scene == "one-pixel tiles":
+            assert min(P for _, P in sizes) == 1, sizes
+        want = rasterize_backward(batch, cam, {**given, **zeros})
+        got = rasterize_backward(batch, cam, given)
+        for kind, grp in want.items():
+            for name, arr in grp.items():
+                assert np.any(arr) or kind == "bases", (kind, name)
+                assert got[kind][name].tobytes() == arr.tobytes(), (kind, name)
