@@ -105,9 +105,9 @@ def _channel_names(channels):
 
 def _narrow(*sizes):
     """Whether a tile whose products have these row and column counts may
-    multiply only the payload columns its pass asks for. BLAS (OpenBLAS
-    here) runs a product with one row or one column as gemv, whose sums
-    group by the vector's length, so a narrower gemv can differ from the
+    multiply only the payload columns its pass asks for. BLAS (OpenBLAS, as
+    numpy ships it) runs a product with one row or one column as gemv, whose
+    sums group by the vector's length, so a narrower gemv can differ from the
     full pass in the last bit; such a tile multiplies every column and keeps
     those asked for. Wider products gave the full pass's bytes for every
     channel set the callers ask for (tier-1 tests)."""
@@ -128,7 +128,7 @@ def _layout(names):
         else:
             slots[name] = len(columns)
             columns.append(slot)
-    return columns, slots
+    return tuple(columns), slots
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """The two stages of prepare_splats against a transcription of the one-stage
 build they replaced: the same rows, renders and gradients, byte for byte."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from dysplat import rasterizer
 from dysplat.geometry import (
     COV2D_DILATION,
     MIN_DEPTH,
@@ -15,6 +16,7 @@ from dysplat.geometry import (
     quat_to_matrix,
 )
 from dysplat.primitives import (
+    BlendContext,
     GaussianSet,
     MotionBases,
     TransientGaussians,
@@ -51,7 +53,7 @@ from dysplat.validation import require, require_int
 
 from conftest import make_cam
 from test_dataset import tiny_spec
-from test_rasterizer import make_random_set, random_grad_outputs
+from test_rasterizer import edge_tile_cam, make_random_set, random_grad_outputs
 
 FORWARD_FIELDS = ("mean2d", "cov2d", "depth", "opacity_eff", "channels", "radii", "row")
 BACKWARD_FIELDS = ("mean_cam", "P", "cov3", "R_world", "normal_sign", "gate")
@@ -282,14 +284,14 @@ def one_frame_set():
     return replace(gset, bases=MotionBases(gset.bases.rot6d[:, :1], gset.bases.trans[:, :1]))
 
 
-def edge_cam():
-    return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+def initial_set_and_camera():
+    gset, views = initial_reconstruction_set()
+    return gset, views[0][0]
 
 
-MOTION_SETS = {"one frame": lambda: (one_frame_set(), edge_cam()),
-               "six frames": lambda: (make_random_set(66, 60), edge_cam()),
-               "initial reconstruction set": lambda: (lambda gset, views: (gset, views[0][0]))(
-                   *initial_reconstruction_set())}
+MOTION_SETS = {"one frame": lambda: (one_frame_set(), edge_tile_cam()),
+               "six frames": lambda: (make_random_set(66, 60), edge_tile_cam()),
+               "initial reconstruction set": initial_set_and_camera}
 
 
 @pytest.mark.parametrize("name", list(MOTION_SETS))
@@ -297,11 +299,6 @@ def test_the_motion_table_holds_each_renders_six_row_blend(name, monkeypatch):
     # a shared PreparedSet blends every frame once, on first use; each render
     # reads its rows [t, t_corr, both velocity pairs], and they hold the bytes
     # of blend_bases over those six rows, as a render of the GaussianSet blends
-    from dataclasses import fields
-
-    from dysplat import rasterizer
-    from dysplat.primitives import BlendContext
-
     gset, cam = MOTION_SETS[name]()
     T = gset.n_frames
     assert len(gset.rigids) > 0

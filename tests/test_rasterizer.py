@@ -623,13 +623,17 @@ def plan_transcription(batch):
     return tiles
 
 
+def edge_tile_cam():
+    """37 x 29 leaves ragged tiles on the right and bottom edges."""
+    return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+
+
 PLAN_ARRAYS = ("local", "rows", "a", "b", "A", "B", "C", "opacity", "coef")
 
 
 class TestTilePlan:
     def test_plan_equals_a_per_tile_transcription(self):
-        # 37 x 29 leaves ragged tiles on the right and bottom edges
-        cam = make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
+        cam = edge_tile_cam()
         for seed in (61, 62):
             batch = prepare_splats(make_random_set(seed, 60), cam, 2, 3)
             plan = batch.tile_plan
@@ -668,9 +672,8 @@ class TestTilePlan:
         # each pass sizes its one workspace by the plan's busiest tile
         if case == "uneven tiles":
             cam, gs = cam64(), uneven_tile_set()
-        else:  # 37 x 29 leaves ragged tiles on the right and bottom edges
-            cam = make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
-            gs = opaque_stack_set()
+        else:
+            cam, gs = edge_tile_cam(), opaque_stack_set()
         batch = prepare_splats(gs, cam, 2, 4)
         assert batch.tile_plan.largest * 8 == tile_buffer_bytes(batch)
 
@@ -784,11 +787,6 @@ class TestCoverageRadius:
             floored_pairs += pairs(batch)
             tail_pairs += pairs(replace(batch, radii=tail))
         assert floored_pairs <= 0.55 * tail_pairs, (floored_pairs, tail_pairs)
-
-
-def edge_tile_cam():
-    """37 x 29 leaves ragged tiles on the right and bottom edges."""
-    return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
 
 
 SUBSET_SCENES = {"uneven tiles": lambda: (cam64(), uneven_tile_set()),
