@@ -122,12 +122,21 @@ class CameraFrame:
 
 
 def dot3(a, b):
-    """Dot products over the last axis (length 3) of a and b, summed in the
-    order ``np.sum(a * b, axis=-1)`` uses but in fewer passes: the same
-    values, except that an exact zero may keep a negative sign np.sum drops
-    (no comparison sees it). ``np.sqrt(dot3(a, a))`` equals
+    """Dot products over the last axis (length 3) of a and b: the bytes of
+    ``np.sum(a * b, axis=-1)`` in fewer passes. The sum runs in np.sum's
+    order, and the closing ``+ 0.0`` turns a negative zero positive, as
+    np.sum does. ``np.sqrt(dot3(a, a))`` equals
     ``np.linalg.norm(a, axis=-1)`` byte for byte."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+    return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]) + 0.0
+
+
+def cross3(a, b):
+    """Cross products over the last axis (length 3) of a and b, broadcast over
+    the rest: ``np.cross(a, b)`` byte for byte (the same products and
+    differences), in fewer passes."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +260,17 @@ def rot6d_to_matrix(a6):
     a = np.asarray(a6, dtype=np.float64)
     a1 = a[..., :3]
     a2 = a[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1)
+    n1 = np.sqrt(dot3(a1, a1))
     if np.any(n1 <= 1e-12):
         raise DegenerateRotation6D("first 6D column has (near-)zero norm")
     b1 = a1 / n1[..., None]
-    proj = np.sum(b1 * a2, axis=-1, keepdims=True)
+    proj = dot3(b1, a2)[..., None]
     u2 = a2 - proj * b1
-    n2 = np.linalg.norm(u2, axis=-1)
+    n2 = np.sqrt(dot3(u2, u2))
     if np.any(n2 <= 1e-12):
         raise DegenerateRotation6D("6D columns are (near-)parallel")
     b2 = u2 / n2[..., None]
-    b3 = np.cross(b1, b2)
+    b3 = cross3(b1, b2)
     return np.stack([b1, b2, b3], axis=-1)  # columns
 
 
@@ -272,11 +281,11 @@ def rot6d_vjp(a6, grad_R):
 
     a1 = a[..., :3]
     a2 = a[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    n1 = np.sqrt(dot3(a1, a1))[..., None]
     b1 = a1 / n1
-    proj = np.sum(b1 * a2, axis=-1, keepdims=True)
+    proj = dot3(b1, a2)[..., None]
     u2 = a2 - proj * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    n2 = np.sqrt(dot3(u2, u2))[..., None]
     b2 = u2 / n2
 
     g1 = g[..., :, 0]
@@ -284,16 +293,17 @@ def rot6d_vjp(a6, grad_R):
     g3 = g[..., :, 2]
 
     # b3 = b1 x b2:  <g3, db1 x b2> = <b2 x g3, db1>,  <g3, b1 x db2> = <g3 x b1, db2>
-    gb1 = g1 + np.cross(b2, g3)
-    gb2 = g2 + np.cross(g3, b1)
+    gb1 = g1 + cross3(b2, g3)
+    gb2 = g2 + cross3(g3, b1)
 
     # b2 = u2 / |u2|
-    gu2 = (gb2 - np.sum(gb2 * b2, axis=-1, keepdims=True) * b2) / n2
+    gu2 = (gb2 - dot3(gb2, b2)[..., None] * b2) / n2
     # u2 = a2 - (b1 . a2) b1
-    ga2 = gu2 - np.sum(gu2 * b1, axis=-1, keepdims=True) * b1
-    gb1 = gb1 - np.sum(gu2 * b1, axis=-1, keepdims=True) * a2 - proj * gu2
+    gu2_b1 = dot3(gu2, b1)[..., None]
+    ga2 = gu2 - gu2_b1 * b1
+    gb1 = gb1 - gu2_b1 * a2 - proj * gu2
     # b1 = a1 / |a1|
-    ga1 = (gb1 - np.sum(gb1 * b1, axis=-1, keepdims=True) * b1) / n1
+    ga1 = (gb1 - dot3(gb1, b1)[..., None] * b1) / n1
 
     return np.concatenate([ga1, ga2], axis=-1)
 

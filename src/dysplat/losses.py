@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ShapeMismatch
+from .geometry import dot3
 from .validation import check_same_hw, require, require_number
 
 BCE_CLAMP = 1e-6
@@ -129,24 +131,32 @@ def _blur(planes):
     return _blur_matrix(planes.shape[-2]) @ planes @ _blur_matrix(planes.shape[-1])
 
 
+def _planes(img):
+    """Contiguous (C, H, W) planes of an (H, W) or (H, W, C) image."""
+    return np.ascontiguousarray(np.atleast_3d(img).transpose(2, 0, 1))
+
+
 def _ssim_planes(a, b, mask):
     """Mean local SSIM of (H, W) or (H, W, C) images over the mask's pixels and
     every channel, with the (C, H, W) planes its gradient reads (None when the
     mask is empty: then the mean is 1)."""
-    x = np.atleast_3d(a).transpose(2, 0, 1)
-    y = np.atleast_3d(b).transpose(2, 0, 1)
+    x = _planes(a)
+    y = _planes(b)
     m = np.ones(x.shape[1:], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     n = np.count_nonzero(m) * len(x)
     if n == 0:
         return 1.0, None
-    mu_x, mu_y, xx, yy, xy = _blur(np.stack([x, y, x * x, y * y, x * y]))
+    # one blur per quantity: the bytes of one stacked blur, without the stack
+    mu_x, mu_y, xx, yy, xy = (_blur(p) for p in (x, y, x * x, y * y, x * y))
     A1 = 2.0 * mu_x * mu_y + SSIM_C1
     A2 = 2.0 * (xy - mu_x * mu_y) + SSIM_C2
     B1 = mu_x * mu_x + mu_y * mu_y + SSIM_C1
     B2 = (xx - mu_x * mu_x) + (yy - mu_y * mu_y) + SSIM_C2
     s_map = (A1 * A2) / (B1 * B2)
     weight = m / n  # each pixel's weight in the mean
-    return float(np.mean(s_map[:, m])), (x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, weight)
+    # summed pixel-major, as ``s_map[:, m]`` lays it out, gathered by flat index
+    value = np.mean(s_map.reshape(len(s_map), -1).T.take(np.flatnonzero(m), axis=0))
+    return float(value), (x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, weight)
 
 
 def ssim(a, b, mask=None):
@@ -172,7 +182,7 @@ def ssim_with_grad(a, b, mask=None):
     dB1 = -d_s * s_map / B1
     dB2 = -d_s * s_map / B2
     g_mu_x = dA1 * 2.0 * mu_y + dA2 * (-2.0 * mu_y) + dB1 * 2.0 * mu_x + dB2 * (-2.0 * mu_x)
-    b_mu_x, b_xx, b_xy = _blur(np.stack([g_mu_x, dB2, dA2 * 2.0]))
+    b_mu_x, b_xx, b_xy = (_blur(p) for p in (g_mu_x, dB2, dA2 * 2.0))
     grad = b_mu_x + 2.0 * x * b_xx + y * b_xy
     return value, grad.transpose(1, 2, 0).reshape(a.shape)
 
@@ -198,15 +208,22 @@ def photometric_loss(pred, gt, pred_mask, gt_mask, valid=None):
 
 
 def _median_weights(values):
-    """Subgradient weights of the median under numpy's even/odd convention."""
+    """Subgradient weights of the median under numpy's even/odd convention:
+    weight on the entries at positions n // 2 (and n // 2 - 1 for even n) of a
+    stable argsort, found without the sort. The value at each position comes
+    from ``np.partition``; equal values keep index order, so the entry is that
+    value's (position - count below)-th occurrence. A NaN equals nothing, so
+    there the argsort decides."""
     n = values.size
-    w = np.zeros(n)
-    order = np.argsort(values, kind="stable")
-    if n % 2:
-        w[order[n // 2]] = 1.0
+    positions = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    kth = np.partition(values, positions)[positions]
+    if np.any(np.isnan(kth)):
+        rows = np.argsort(values, kind="stable")[positions]
     else:
-        w[order[n // 2 - 1]] = 0.5
-        w[order[n // 2]] = 0.5
+        rows = [np.flatnonzero(values == v)[k - np.count_nonzero(values < v)]
+                for k, v in zip(positions, kth)]
+    w = np.zeros(n)
+    w[rows] = 1.0 / len(positions)
     return w
 
 
@@ -253,30 +270,45 @@ def depth_loss(pred, gt, valid):
     return value, grad
 
 
+def _mask_rows(mask, planes, names):
+    """Flat indices of an (H, W) mask's pixels, after checking that the mask
+    and every plane share H and W, so that they address ``_pixel_rows``."""
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"{names[0]}: expected an (H, W) mask, got shape {m.shape}")
+    check_same_hw(m, *planes, names=names)
+    return np.flatnonzero(m)
+
+
+def _pixel_rows(plane):
+    """An (H, W, C) plane as (H * W, C) pixel rows (a view when contiguous)."""
+    return np.reshape(plane, (plane.shape[0] * plane.shape[1], -1))
+
+
 def normal_loss(pred_n, gt_n, valid):
     """Mean squared cosine defect (1 - n_hat . n)^2 over valid pixels."""
     pred = np.asarray(pred_n, dtype=np.float64)
     gt = np.asarray(gt_n, dtype=np.float64)
-    m = np.asarray(valid, dtype=bool)
-    grad = np.zeros_like(pred)
-    nv = np.count_nonzero(m)
+    rows = _mask_rows(valid, (pred, gt), ["valid", "pred_n", "gt_n"])
+    grad = np.zeros(pred.shape)
+    nv = rows.size
     if nv == 0:
         return 0.0, grad
-    p = pred[m]
-    g = gt[m]
-    g = g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-12)
-    norms = np.linalg.norm(p, axis=-1, keepdims=True)
+    p = _pixel_rows(pred).take(rows, axis=0)
+    g = _pixel_rows(gt).take(rows, axis=0)
+    g = g / np.maximum(np.sqrt(dot3(g, g))[:, None], 1e-12)
+    norms = np.sqrt(dot3(p, p))[:, None]
     ok = norms[:, 0] > 1e-8
     unit = np.where(ok[:, None], p / np.maximum(norms, 1e-12), 0.0)
-    u = 1.0 - np.sum(unit * g, axis=-1)
+    u = 1.0 - dot3(unit, g)
     value = float(np.mean(u * u))
     d_unit = (-2.0 * u[:, None] * g) / nv
     # through the defensive normalization
     d_p = np.where(ok[:, None],
-                   (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit)
+                   (d_unit - dot3(d_unit, unit)[:, None] * unit)
                    / np.maximum(norms, 1e-12),
                    0.0)
-    grad[m] = d_p
+    _pixel_rows(grad)[rows] = d_p
     return value, grad
 
 
@@ -303,18 +335,18 @@ def track_loss(pred_corr, pixels, targets, alpha):
 
 def flow_loss(pred_vf, pred_vb, gt_vf, gt_vb, mask):
     """Masked mean L1 of forward plus backward rendered velocities."""
-    m = np.asarray(mask, dtype=bool)
-    check_same_hw(np.asarray(pred_vf), np.asarray(gt_vf), m, names=["pred_vf", "gt_vf", "mask"])
-    n = np.count_nonzero(m)
-    gf = np.zeros_like(np.asarray(pred_vf, dtype=np.float64))
+    planes = [np.asarray(v, dtype=np.float64) for v in (pred_vf, pred_vb, gt_vf, gt_vb)]
+    rows = _mask_rows(mask, planes, ["mask", "pred_vf", "pred_vb", "gt_vf", "gt_vb"])
+    n = rows.size
+    gf = np.zeros(planes[0].shape)
     gb = np.zeros_like(gf)
     if n == 0:
         return 0.0, gf, gb
     value = 0.0
-    for pred, gt, grad in ((pred_vf, gt_vf, gf), (pred_vb, gt_vb, gb)):
-        diff = np.asarray(pred, dtype=np.float64) - np.asarray(gt, dtype=np.float64)
-        value += float(np.sum(np.abs(diff[m])) / n)
-        grad[m] = np.sign(diff[m]) / n
+    for pred, gt, grad in ((planes[0], planes[2], gf), (planes[1], planes[3], gb)):
+        diff = _pixel_rows(pred).take(rows, axis=0) - _pixel_rows(gt).take(rows, axis=0)
+        value += float(np.sum(np.abs(diff)) / n)
+        _pixel_rows(grad)[rows] = np.sign(diff) / n
     return value, gf, gb
 
 

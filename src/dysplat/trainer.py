@@ -24,7 +24,7 @@ from .errors import (
     InsufficientTracks,
     TrainingAborted,
 )
-from .geometry import dot3, matrix_to_rot6d, nearest_pixel, unproject
+from .geometry import cross3, dot3, matrix_to_rot6d, nearest_pixel, unproject
 from .losses import (
     LossWeights,
     depth_loss,
@@ -398,7 +398,7 @@ def normals_from_depth(lift):
     dy = np.zeros_like(pts)
     dx[:, 1:-1] = (pts[:, 2:] - pts[:, :-2]) / 2.0
     dy[1:-1, :] = (pts[2:, :] - pts[:-2, :]) / 2.0
-    n = np.cross(dx, dy)
+    n = cross3(dx, dy)
     norm = np.sqrt(dot3(n, n))[..., None]
     ok = norm[..., 0] > 1e-12
     n = np.where(ok[..., None], n / np.maximum(norm, 1e-12), 0.0)

@@ -103,3 +103,15 @@ def test_np_rint_only_in_nearest_pixel():
             if isinstance(node, ast.Attribute) and node.attr == "rint":
                 sites.append((path.stem, owner.get(node)))
     assert sites == [("geometry", "nearest_pixel")]
+
+
+def test_no_np_cross_in_src():
+    # one cross product: geometry.cross3, with np.cross's bytes in fewer passes
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "cross":
+                sites.append((path.stem, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "cross" for a in node.names):
+                sites.append((path.stem, node.lineno))
+    assert sites == []

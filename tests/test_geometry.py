@@ -11,6 +11,7 @@ from dysplat.geometry import (
     CameraExtrinsics,
     SE3Transform,
     bilinear_sample,
+    cross3,
     dot3,
     ewa_backward,
     ewa_project_covariance_batch,
@@ -447,16 +448,78 @@ class TestNearestPixel:
 
 @pytest.mark.parametrize("shape", [(64, 64, 3), (4030, 3)])
 def test_dot3_has_the_bytes_of_the_numpy_reductions(shape):
-    # dot3 stands in for np.sum(a * b, axis=-1), up to the sign of a zero
-    # (adding +0.0 makes every zero positive), and, under a square root, for
-    # np.linalg.norm(a, axis=-1); spread magnitudes and signed zeros included
+    # dot3 stands in for np.sum(a * b, axis=-1), and, under a square root,
+    # for np.linalg.norm(a, axis=-1); spread magnitudes and signed zeros included
     rng = np.random.default_rng(len(shape))
     a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     b = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
     a.reshape(-1, 3)[::7] = [-0.0, 0.0, -0.0]
     b.reshape(-1, 3)[::11, 1] = -0.0
-    assert (dot3(a, b) + 0.0).tobytes() == np.sum(a * b, axis=-1).tobytes()
+    assert dot3(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
     assert np.sqrt(dot3(a, a)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+
+
+def spread(rng, shape):
+    """Normal draws over 16 decades with signed zeros mixed in."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    v[rng.random(shape) < 0.05] = 0.0
+    v[rng.random(shape) < 0.05] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((50, 3), (50, 3)), ((16, 7, 3), (16, 7, 3)),
+                                    ((1, 3), (50, 3)), ((3,), (16, 7, 3)),
+                                    ((16, 1, 3), (1, 7, 3))])
+def test_cross3_has_the_bytes_of_np_cross(shapes):
+    # the shapes rot6d_vjp passes: one vector, a frame's rigids, several
+    # frames' bases, each operand also as a strided column view of a
+    # (..., 3, 3) cotangent; then true broadcasts
+    rng = np.random.default_rng(len(shapes[0]) + 10 * len(shapes[1]))
+    a, b = spread(rng, shapes[0]), spread(rng, shapes[1])
+    assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+    if a.shape == b.shape:
+        g = spread(rng, a.shape + (3,))
+        for u, v in ((a, g[..., :, 2]), (g[..., :, 2], b), (g[..., :, 0], g[..., 1, :])):
+            assert cross3(u, v).tobytes() == np.cross(u, v).tobytes()
+
+
+def numpy_rot6d_to_matrix(a6):
+    """rot6d_to_matrix with np.linalg.norm and np.cross."""
+    a1, a2 = a6[..., :3], a6[..., 3:]
+    b1 = a1 / np.linalg.norm(a1, axis=-1)[..., None]
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    b2 = u2 / np.linalg.norm(u2, axis=-1)[..., None]
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+
+
+def numpy_rot6d_vjp(a6, grad_R):
+    """rot6d_vjp with np.linalg.norm and np.cross."""
+    g = grad_R.reshape(a6.shape[:-1] + (3, 3))
+    a1, a2 = a6[..., :3], a6[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    b1 = a1 / n1
+    proj = np.sum(b1 * a2, axis=-1, keepdims=True)
+    u2 = a2 - proj * b1
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    b2 = u2 / n2
+    gb1 = g[..., :, 0] + np.cross(b2, g[..., :, 2])
+    gb2 = g[..., :, 1] + np.cross(g[..., :, 2], b1)
+    gu2 = (gb2 - np.sum(gb2 * b2, axis=-1, keepdims=True) * b2) / n2
+    ga2 = gu2 - np.sum(gu2 * b1, axis=-1, keepdims=True) * b1
+    gb1 = gb1 - np.sum(gu2 * b1, axis=-1, keepdims=True) * a2 - proj * gu2
+    ga1 = (gb1 - np.sum(gb1 * b1, axis=-1, keepdims=True) * b1) / n1
+    return np.concatenate([ga1, ga2], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(6,), (50, 6), (16, 7, 6)])
+def test_rot6d_has_the_bytes_of_the_numpy_forms(shape):
+    rng = np.random.default_rng(len(shape))
+    a6 = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[:-1] + (1,))
+    if len(shape) == 3:
+        a6 = np.moveaxis(np.moveaxis(a6, -2, 0).copy(), 0, -2)  # _at_frames' strided view
+    grad_R = spread(rng, shape[:-1] + (3, 3))
+    assert rot6d_to_matrix(a6).tobytes() == numpy_rot6d_to_matrix(a6).tobytes()
+    assert rot6d_vjp(a6, grad_R).tobytes() == numpy_rot6d_vjp(a6, grad_R).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 257, 4030])

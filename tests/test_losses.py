@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from dysplat.errors import ShapeMismatch
 from dysplat.losses import (
+    SSIM_C1,
+    SSIM_C2,
     LossWeights,
+    _blur,
+    _median_weights,
     bce_loss,
     depth_loss,
     flow_loss,
@@ -428,3 +433,175 @@ def test_l1_masked():
     val, grad = l1_loss(pred, gt, mask=mask)
     assert val == pytest.approx(2.0)
     assert grad[0, 1] == 0 and grad[0, 0] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the fast forms keep the bytes of the forms they replaced
+
+
+def argsort_median_weights(values):
+    """_median_weights through a full stable argsort."""
+    n = values.size
+    w = np.zeros(n)
+    order = np.argsort(values, kind="stable")
+    if n % 2:
+        w[order[n // 2]] = 1.0
+    else:
+        w[order[n // 2 - 1]] = 0.5
+        w[order[n // 2]] = 0.5
+    return w
+
+
+@pytest.mark.parametrize("case", ["odd", "even", "ties-odd", "ties-even", "all-equal",
+                                  "signed-zeros", "infinities", "nan-tail", "nan-middle",
+                                  "all-nan", "one", "two"])
+def test_median_weights_equal_the_stable_argsort(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for n in (1, 2, 3, 4, 7, 8, 101, 1900, 1901):
+        v = {"odd": lambda: rng.normal(size=n | 1),
+             "even": lambda: rng.normal(size=2 * n),
+             "ties-odd": lambda: rng.integers(0, 3, size=n | 1).astype(float),
+             "ties-even": lambda: rng.integers(0, 3, size=2 * n).astype(float),
+             "all-equal": lambda: np.full(n, 2.5),
+             "signed-zeros": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
+             "infinities": lambda: rng.choice([-np.inf, np.inf, 0.5], size=n),
+             "nan-tail": lambda: np.where(rng.random(n) < 0.8, np.nan, rng.normal(size=n)),
+             "nan-middle": lambda: np.where(rng.random(n) < 0.1, np.nan,
+                                            rng.integers(0, 4, size=n).astype(float)),
+             "all-nan": lambda: np.full(n, np.nan),
+             "one": lambda: rng.normal(size=1),
+             "two": lambda: rng.integers(0, 2, size=2).astype(float)}[case]()
+        assert _median_weights(v).tobytes() == argsort_median_weights(v).tobytes(), (case, n)
+
+
+def stacked_ssim_with_grad(a, b, mask=None):
+    """ssim_with_grad with every quantity blurred in one stacked call, on the
+    strided (C, H, W) views of the images."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x = np.atleast_3d(a).transpose(2, 0, 1)
+    y = np.atleast_3d(b).transpose(2, 0, 1)
+    m = np.ones(x.shape[1:], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    n = np.count_nonzero(m) * len(x)
+    mu_x, mu_y, xx, yy, xy = _blur(np.stack([x, y, x * x, y * y, x * y]))
+    A1 = 2.0 * mu_x * mu_y + SSIM_C1
+    A2 = 2.0 * (xy - mu_x * mu_y) + SSIM_C2
+    B1 = mu_x * mu_x + mu_y * mu_y + SSIM_C1
+    B2 = (xx - mu_x * mu_x) + (yy - mu_y * mu_y) + SSIM_C2
+    s_map = (A1 * A2) / (B1 * B2)
+    d_s = m / n
+    dA1 = d_s * A2 / (B1 * B2)
+    dA2 = d_s * A1 / (B1 * B2)
+    dB1 = -d_s * s_map / B1
+    dB2 = -d_s * s_map / B2
+    g_mu_x = dA1 * 2.0 * mu_y + dA2 * (-2.0 * mu_y) + dB1 * 2.0 * mu_x + dB2 * (-2.0 * mu_x)
+    b_mu_x, b_xx, b_xy = _blur(np.stack([g_mu_x, dB2, dA2 * 2.0]))
+    grad = b_mu_x + 2.0 * x * b_xx + y * b_xy
+    return float(np.mean(s_map[:, m])), grad.transpose(1, 2, 0).reshape(a.shape)
+
+
+@pytest.mark.parametrize("shape", [(48, 48, 3), (64, 64, 3), (13, 7, 3), (9, 20)])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_ssim_per_plane_equals_the_stacked_blur(shape, masked):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0] + masked)
+    # the prediction is a strided plane of a wider render, as the trainer's is
+    render = rng.uniform(size=shape[:2] + (18,))
+    a = render[..., :3] if len(shape) == 3 else render[..., 4]
+    b = np.clip(a + 0.2 * rng.normal(size=a.shape), 0.0, 1.0)
+    m = rng.uniform(size=shape[:2]) > 0.3 if masked else None
+    value, grad = ssim_with_grad(a, b, mask=m)
+    want_value, want_grad = stacked_ssim_with_grad(a, b, mask=m)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+    assert ssim(a, b, mask=m) == want_value
+
+
+def boolean_normal_loss(pred_n, gt_n, valid):
+    """normal_loss by boolean indexing and numpy's norms."""
+    pred = np.asarray(pred_n, dtype=np.float64)
+    gt = np.asarray(gt_n, dtype=np.float64)
+    m = np.asarray(valid, dtype=bool)
+    grad = np.zeros_like(pred)
+    nv = np.count_nonzero(m)
+    if nv == 0:
+        return 0.0, grad
+    p = pred[m]
+    g = gt[m]
+    g = g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-12)
+    norms = np.linalg.norm(p, axis=-1, keepdims=True)
+    ok = norms[:, 0] > 1e-8
+    unit = np.where(ok[:, None], p / np.maximum(norms, 1e-12), 0.0)
+    u = 1.0 - np.sum(unit * g, axis=-1)
+    value = float(np.mean(u * u))
+    d_unit = (-2.0 * u[:, None] * g) / nv
+    d_p = np.where(ok[:, None],
+                   (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit)
+                   / np.maximum(norms, 1e-12),
+                   0.0)
+    grad[m] = d_p
+    return value, grad
+
+
+def boolean_flow_loss(pred_vf, pred_vb, gt_vf, gt_vb, mask):
+    """flow_loss by boolean indexing."""
+    m = np.asarray(mask, dtype=bool)
+    n = np.count_nonzero(m)
+    gf = np.zeros_like(np.asarray(pred_vf, dtype=np.float64))
+    gb = np.zeros_like(gf)
+    if n == 0:
+        return 0.0, gf, gb
+    value = 0.0
+    for pred, gt, grad in ((pred_vf, gt_vf, gf), (pred_vb, gt_vb, gb)):
+        diff = np.asarray(pred, dtype=np.float64) - np.asarray(gt, dtype=np.float64)
+        value += float(np.sum(np.abs(diff[m])) / n)
+        grad[m] = np.sign(diff[m]) / n
+    return value, gf, gb
+
+
+@pytest.mark.parametrize("coverage", [0.0, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("size", [(48, 48), (13, 7)])
+def test_masked_losses_equal_the_boolean_index_forms(size, coverage):
+    rng = np.random.default_rng(int(coverage * 100) + size[1])
+    H, W = size
+    # rendered planes are strided views of one (H, W, 18) render
+    render = rng.normal(size=(H, W, 18)) * 10.0 ** rng.integers(-3, 3, size=(H, W, 1))
+    render[rng.random((H, W)) < 0.1, 6:9] = 0.0  # zero normals take the defensive branch
+    render[rng.random((H, W)) < 0.1, 9:12] = -0.0
+    gt_n = rng.normal(size=(H, W, 3))
+    gt_n[rng.random((H, W)) < 0.05] = 0.0
+    gt_vf, gt_vb = rng.normal(size=(2, H, W, 3))
+    gt_vf[rng.random((H, W)) < 0.1] = render[0, 0, 9:12]  # equal values: sign 0
+    mask = rng.random((H, W)) < coverage
+    value, grad = normal_loss(render[..., 6:9], gt_n, mask)
+    want_value, want_grad = boolean_normal_loss(render[..., 6:9], gt_n, mask)
+    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+    got = flow_loss(render[..., 9:12], render[..., 12:15], gt_vf, gt_vb, mask)
+    want = boolean_flow_loss(render[..., 9:12], render[..., 12:15], gt_vf, gt_vb, mask)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("arg", range(3), ids=["pred_n", "gt_n", "valid"])
+def test_normal_loss_refuses_a_mismatched_plane_or_mask(arg):
+    H, W = 6, 8
+    args = [np.ones((H, W, 3)), np.ones((H, W, 3)), np.ones((H, W), dtype=bool)]
+    args[arg] = np.swapaxes(args[arg], 0, 1)  # same pixel count, transposed
+    with pytest.raises(ShapeMismatch):
+        normal_loss(*args)
+
+
+@pytest.mark.parametrize("arg", range(5), ids=["pred_vf", "pred_vb", "gt_vf", "gt_vb", "mask"])
+def test_flow_loss_refuses_a_mismatched_plane_or_mask(arg):
+    H, W = 6, 8
+    args = [np.ones((H, W, 3)) for _ in range(4)] + [np.ones((H, W), dtype=bool)]
+    args[arg] = np.swapaxes(args[arg], 0, 1)  # same pixel count, transposed
+    with pytest.raises(ShapeMismatch):
+        flow_loss(*args)
+
+
+@pytest.mark.parametrize("mask_shape", [(6, 8, 1), (6, 8, 3), (48,)])
+def test_masked_losses_refuse_a_mask_that_is_not_one_plane(mask_shape):
+    mask = np.ones(mask_shape, dtype=bool)
+    with pytest.raises(ShapeMismatch):
+        normal_loss(np.ones((6, 8, 3)), np.ones((6, 8, 3)), mask)
+    with pytest.raises(ShapeMismatch):
+        flow_loss(*[np.ones((6, 8, 3)) for _ in range(4)], mask)
