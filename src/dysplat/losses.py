@@ -154,9 +154,7 @@ def _ssim_planes(a, b, mask):
     B2 = (xx - mu_x * mu_x) + (yy - mu_y * mu_y) + SSIM_C2
     s_map = (A1 * A2) / (B1 * B2)
     weight = m / n  # each pixel's weight in the mean
-    # summed pixel-major, as ``s_map[:, m]`` lays it out, gathered by flat index
-    value = np.mean(s_map.reshape(len(s_map), -1).T.take(np.flatnonzero(m), axis=0))
-    return float(value), (x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, weight)
+    return float(np.mean(s_map[:, m])), (x, y, mu_x, mu_y, A1, A2, B1, B2, s_map, weight)
 
 
 def ssim(a, b, mask=None):
@@ -213,15 +211,13 @@ def _median_weights(values):
     stable argsort, found without the sort. The value at each position comes
     from ``np.partition``; equal values keep index order, so the entry is that
     value's (position - count below)-th occurrence. A NaN equals nothing, so
-    there the argsort decides."""
+    the values must hold none: ``depth_loss`` returns before calling this when
+    they do (their median, and so their spread, is then NaN)."""
     n = values.size
     positions = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
     kth = np.partition(values, positions)[positions]
-    if np.any(np.isnan(kth)):
-        rows = np.argsort(values, kind="stable")[positions]
-    else:
-        rows = [np.flatnonzero(values == v)[k - np.count_nonzero(values < v)]
-                for k, v in zip(positions, kth)]
+    rows = [np.flatnonzero(values == v)[k - np.count_nonzero(values < v)]
+            for k, v in zip(positions, kth)]
     w = np.zeros(n)
     w[rows] = 1.0 / len(positions)
     return w

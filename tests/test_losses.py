@@ -453,8 +453,7 @@ def argsort_median_weights(values):
 
 
 @pytest.mark.parametrize("case", ["odd", "even", "ties-odd", "ties-even", "all-equal",
-                                  "signed-zeros", "infinities", "nan-tail", "nan-middle",
-                                  "all-nan", "one", "two"])
+                                  "signed-zeros", "infinities", "one", "two"])
 def test_median_weights_equal_the_stable_argsort(case):
     rng = np.random.default_rng(sum(map(ord, case)))
     for n in (1, 2, 3, 4, 7, 8, 101, 1900, 1901):
@@ -465,13 +464,21 @@ def test_median_weights_equal_the_stable_argsort(case):
              "all-equal": lambda: np.full(n, 2.5),
              "signed-zeros": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], size=n),
              "infinities": lambda: rng.choice([-np.inf, np.inf, 0.5], size=n),
-             "nan-tail": lambda: np.where(rng.random(n) < 0.8, np.nan, rng.normal(size=n)),
-             "nan-middle": lambda: np.where(rng.random(n) < 0.1, np.nan,
-                                            rng.integers(0, 4, size=n).astype(float)),
-             "all-nan": lambda: np.full(n, np.nan),
              "one": lambda: rng.normal(size=1),
              "two": lambda: rng.integers(0, 2, size=2).astype(float)}[case]()
         assert _median_weights(v).tobytes() == argsort_median_weights(v).tobytes(), (case, n)
+
+
+def test_depth_loss_returns_zero_before_the_median_weights_see_a_nan():
+    # _median_weights has no NaN path: a NaN among the valid predicted depths
+    # must end depth_loss first (NaN median, NaN spread)
+    rng = np.random.default_rng(5)
+    pred = rng.random((8, 8))
+    gt = 2.0 * pred + 1.0
+    pred[3, 3] = np.nan
+    value, grad = depth_loss(pred, gt, np.ones((8, 8), dtype=bool))
+    assert value == 0.0
+    assert not np.any(grad)
 
 
 def stacked_ssim_with_grad(a, b, mask=None):
