@@ -205,29 +205,38 @@ def photometric_loss(pred, gt, pred_mask, gt_mask, valid=None):
     return terms
 
 
-def _median_weights(values):
-    """Subgradient weights of the median under numpy's even/odd convention:
-    weight on the entries at positions n // 2 (and n // 2 - 1 for even n) of a
-    stable argsort, found without the sort. The value at each position comes
-    from ``np.partition``; equal values keep index order, so the entry is that
-    value's (position - count below)-th occurrence. A NaN equals nothing, so
-    the values must hold none: ``depth_loss`` returns before calling this when
-    they do (their median, and so their spread, is then NaN)."""
+def _median(values):
+    """(median, middle) of non-empty values: ``middle`` pairs each middle
+    position of the sorted values (n // 2, and n // 2 - 1 for even n) with
+    the value there. The median makes np.median's partition (those positions
+    and the last) and takes the mean of the middle values, so it has
+    np.median's bytes, -0.0 or 0.0 included, wherever the values hold no
+    NaN. With a NaN, np.median's is NaN and this one need not be; the spread
+    ``depth_loss`` takes from it is NaN either way."""
     n = values.size
     positions = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
-    kth = np.partition(values, positions)[positions]
-    rows = [np.flatnonzero(values == v)[k - np.count_nonzero(values < v)]
-            for k, v in zip(positions, kth)]
-    w = np.zeros(n)
-    w[rows] = 1.0 / len(positions)
+    kth = np.partition(values, positions + [-1])[positions]
+    return float(np.mean(kth)), list(zip(positions, kth))
+
+
+def _median_weights(values, middle):
+    """Subgradient weights of the median under numpy's even/odd convention:
+    weight on the entries at the ``middle`` positions (``_median``) of a
+    stable argsort, found without the sort. Equal values keep index order,
+    so the entry at a position is its value's (position - count below)-th
+    occurrence. A NaN equals nothing, so the values must hold none:
+    ``depth_loss`` returns before calling this when they do (their spread is
+    then NaN)."""
+    rows = [np.flatnonzero(values == v)[k - np.count_nonzero(values < v)] for k, v in middle]
+    w = np.zeros(values.size)
+    w[rows] = 1.0 / len(middle)
     return w
 
 
-def _robust_normalize(values):
-    med = float(np.median(values))
+def _robust_normalize(values, med):
     dev = values - med
     mad = float(np.mean(np.abs(dev)))
-    return (dev / mad if mad >= 1e-12 else None), med, mad
+    return (dev / mad if mad >= 1e-12 else None), mad
 
 
 def depth_loss(pred, gt, valid):
@@ -245,8 +254,9 @@ def depth_loss(pred, gt, valid):
         return 0.0, grad
     p = pred[m]
     g = gt[m]
-    p_norm, p_med, p_mad = _robust_normalize(p)
-    g_norm, _, _ = _robust_normalize(g)
+    p_med, p_middle = _median(p)
+    p_norm, p_mad = _robust_normalize(p, p_med)
+    g_norm, _ = _robust_normalize(g, _median(g)[0])
     if p_norm is None or g_norm is None:
         return 0.0, grad
     nv = p.size
@@ -254,7 +264,7 @@ def depth_loss(pred, gt, valid):
     value = float(np.mean(np.abs(diff)))
 
     s = np.sign(diff) / nv
-    w_med = _median_weights(p)
+    w_med = _median_weights(p, p_middle)
     sgn_dev = np.sign(p - p_med)
     # d mad / d p_i = (sgn_dev_i - w_med_i * sum(sgn_dev)) / nv
     d_mad = (sgn_dev - w_med * np.sum(sgn_dev)) / nv

@@ -22,16 +22,23 @@ depend only on the set's parameters (built once per set by ``evaluate`` and
 the synthetic generator, once per call otherwise) and, on first use, the
 rigids' motion at every frame; the per-frame stage moves, gates, projects
 and culls. A SplatBatch gathers by row only what the
-forward reads; the backward-only arrays stay whole until the chain.
+forward reads; the backward-only arrays stay whole until the chain. Its
+payload is one gather of the set's fixed columns at the kept rows, into
+which the frame's columns (depth, flipped normals, the rigids'
+correspondence and velocities, the transients' correspondence) are written.
 
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
 tiles in a fixed order, so gradient accumulation is bit-reproducible. Each
 SplatBatch builds one tile plan on first use (``SplatBatch.tile_plan``): the
-depth order, every covered tile's splats and, per (tile, splat) pair, the
-offsets, conic and exponent coefficients. The forward, the backward and
-synth's owner pass read slices of it; the oracle does not use it. Each of
+depth order, every covered tile's splats, binned in one pass over a (tile
+rows, tile columns, splats) hit grid, the payload in batch order and, per
+(tile, splat) pair, the batch row, offsets, conic and exponent coefficients.
+The forward, the backward and synth's owner pass read slices of it, and
+the payload at each tile's batch rows; the oracle does not use it. Each of
 those passes allocates one workspace before its loop, sized by the plan's
-busiest tile, and every tile's (splats, pixels) arrays are views of it.
+busiest tile, and every tile's (splats, pixels) arrays are views of it. The
+owner pass keeps each pixel's pair of largest weight per tile and resolves
+the owner rows after the loop.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ C_VFWD = slice(8, 11)
 C_VBWD = slice(11, 14)
 C_CORR = slice(14, 17)
 N_CHANNELS = 17
-# a column of ones after the payload (in _OrderedView) composites to alpha;
+# a column of ones after the payload (``_payload``) composites to alpha;
 # the backward's cotangent array holds the alpha cotangent in the same column
 C_ALPHA = N_CHANNELS
 # payload channel of each rasterize_backward cotangent (besides "alpha")
@@ -298,7 +305,6 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     gate = np.ones(n_all)
     gate[ns:] = gate_value(gset.gate_sharpness, pset.durations, pset.centers, float(t))
     o_eff = pset.base_opacity * gate
-    channels = pset.channels.copy()
     mean_w = np.zeros((n_all, 3))
     mean_w[:ns] = gset.statics.means
     R_w, cov3, n_raw = pset.rotations, pset.cov3, pset.normals
@@ -316,9 +322,6 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
             rigid_ctx, means_at, rotations = _rigid_motion(pset, frames)
             R_t = rotations[0]
         mean_w[rigid_sl] = means_at[0]
-        channels[rigid_sl, C_CORR] = means_at[1]
-        channels[rigid_sl, C_VFWD] = means_at[2] - means_at[3]
-        channels[rigid_sl, C_VBWD] = means_at[4] - means_at[5]
         # the rigids' rows move with the frame; the PreparedSet stays canonical
         R_w, cov3, n_raw = R_w.copy(), cov3.copy(), n_raw.copy()
         R_w[rigid_sl] = R_t
@@ -327,7 +330,6 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
 
     tr = gset.transients
     mean_w[transient_sl] = transient_position_at(tr, float(t))
-    channels[transient_sl, C_CORR] = transient_position_at(tr, float(t_corr))
 
     intr = cam.intrinsics
     mean_cam = cam.world_to_camera(mean_w)
@@ -351,19 +353,33 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     # normals flipped toward the camera
     view = cam.position()[None, :] - mean_w
     nsign = np.where(dot3(n_raw, view) >= 0.0, 1.0, -1.0)
-    channels[:, C_NORMAL] = n_raw * nsign[:, None]
-    channels[:, C_DEPTH] = z
 
     # the forward's arrays are gathered by row (np.take: fancy indexing's
     # rows, about twice as fast); the backward-only ones stay whole
-    sel = np.nonzero(keep)[0]
+    sel = np.flatnonzero(keep)
+    depth = z.take(sel)
+    # the payload: the set's fixed columns, gathered once at the kept rows,
+    # then the columns that move with the frame. Rows ascend, so each
+    # population's kept rows are one slice of the batch.
+    channels = pset.channels.take(sel, axis=0)
+    channels[:, C_DEPTH] = depth
+    channels[:, C_NORMAL] = n_raw.take(sel, axis=0) * nsign.take(sel)[:, None]
+    first_rigid, first_transient = np.searchsorted(sel, [ns, transient_sl.start])
+    if rigid_ctx is not None:
+        rigid = slice(first_rigid, first_transient)
+        means_kept = means_at[:, sel[rigid] - ns]
+        channels[rigid, C_CORR] = means_kept[1]
+        channels[rigid, C_VFWD] = means_kept[2] - means_kept[3]
+        channels[rigid, C_VBWD] = means_kept[4] - means_kept[5]
+    corr = transient_position_at(tr, float(t_corr))
+    channels[first_transient:, C_CORR] = corr.take(sel[first_transient:] - transient_sl.start, axis=0)
     o_sel = o_eff.take(sel)
     # the raw alpha exceeds the floor F only where q < 2 ln(o / F), and
     # q >= |d|^2 / lambda_max, so that disc fits in the box mean +- radius
     radius = np.sqrt(2.0 * np.log(o_sel / CULL_OPACITY) * np.maximum(lam.take(sel), 1e-12))
     return SplatBatch(
-        mean2d=pix.take(sel, axis=0), cov2d=cov2.take(sel, axis=0), depth=z.take(sel),
-        opacity_eff=o_sel, channels=channels.take(sel, axis=0), radii=radius, row=sel,
+        mean2d=pix.take(sel, axis=0), cov2d=cov2.take(sel, axis=0), depth=depth,
+        opacity_eff=o_sel, channels=channels, radii=radius, row=sel,
         width=intr.width, height=intr.height, t=t, t_corr=t_corr, pset=pset,
         rigid_ctx=rigid_ctx, mean_cam=mean_cam, P=P, cov3=cov3, R_world=R_w,
         normal_sign=nsign, gate=gate,
@@ -382,6 +398,14 @@ def _conic(cov2d):
     return c / det, -b / det, a / det  # inverse entries [[A, B], [B, C]]
 
 
+def _payload(channels):
+    """(N, 18): the payload channels, then the C_ALPHA column of ones."""
+    payload = np.empty((len(channels), N_CHANNELS + 1))
+    payload[:, :C_ALPHA] = channels
+    payload[:, C_ALPHA] = 1.0
+    return payload
+
+
 class _OrderedView:
     """Depth-ordered per-splat arrays: what the tile plan is built from and
     what the oracle reads."""
@@ -389,13 +413,17 @@ class _OrderedView:
     def __init__(self, batch):
         self.order = np.argsort(batch.depth, kind="stable")
         o = self.order
-        self.mean = batch.mean2d[o]
-        self.radius = batch.radii[o]
-        self.opacity = batch.opacity_eff[o]
-        self.payload = np.ones((len(o), N_CHANNELS + 1))  # C_ALPHA keeps its ones
-        self.payload[:, :C_ALPHA] = batch.channels[o]
-        A, B, C = _conic(batch.cov2d)
-        self.A, self.B, self.C = A[o], B[o], C[o]
+        self.mean = batch.mean2d.take(o, axis=0)
+        self.radius = batch.radii.take(o)
+        self.opacity = batch.opacity_eff.take(o)
+        self.A, self.B, self.C = (x.take(o) for x in _conic(batch.cov2d))
+        self._channels = batch.channels
+
+    @cached_property
+    def payload(self):
+        """The depth-ordered payload (the oracle's; the tile plan keeps its
+        own in batch order), built on first use."""
+        return _payload(self._channels.take(self.order, axis=0))
 
 
 def _spans(n):
@@ -436,8 +464,9 @@ class _TilePlan:
     relative to the tile center, ``A, B, C`` its conic and ``opacity`` its
     gated opacity. ``coef`` holds the (pairs, 6) coefficients of the exponent
     log(opacity) - q/2, a quadratic in the pixel coordinates, against the
-    tile's monomials [u^2, uv, v^2, u, v, 1]. ``payload`` is the depth-ordered
-    payload with its C_ALPHA column of ones.
+    tile's monomials [u^2, uv, v^2, u, v, 1]. ``payload`` is the batch's
+    payload with its C_ALPHA column of ones, in batch order: a tile reads its
+    rows ``rows[pairs]``.
 
     ``largest`` is the element count (pairs times pixels) of the busiest
     tile. Each pass allocates its one workspace of float64 rows that long
@@ -448,28 +477,29 @@ class _TilePlan:
     def __init__(self, batch):
         view = _OrderedView(batch)
         m, r = view.mean, view.radius
-        # one hit mask per tile column and per tile row give each tile the
-        # same splats as _splats_in_tile, in the same order
-        cols = _spans(batch.width)
-        col_hits = np.stack([_hits(m[:, 0], r, x0, x1) for x0, x1 in cols])
-        self.tiles, local, start = [], [], 0
-        for y0, y1 in _spans(batch.height):
-            in_row = np.nonzero(_hits(m[:, 1], r, y0, y1))[0]
-            col, k = np.nonzero(col_hits[:, in_row])
-            local.append(in_row[k])
-            for (x0, x1), n in zip(cols, np.bincount(col, minlength=len(cols)).tolist()):
-                if n:
-                    self.tiles.append(((y0, y1, x0, x1), slice(start, start + n)))
-                    start += n
+        # one hit mask per tile row and per tile column; the nonzero entries
+        # of their AND over (tile rows, tile columns, splats) list each tile's
+        # splats as _splats_in_tile does, the tiles in the fixed tile order.
+        # The pixel bounds are exact as floats, and a float array compares
+        # with a float array several times faster than with an int array.
+        ys, xs = (np.array(_spans(n), dtype=np.float64) for n in (batch.height, batch.width))
+        row_hits = _hits(m[:, 1], r, ys[:, :1], ys[:, 1:])
+        col_hits = _hits(m[:, 0], r, xs[:, :1], xs[:, 1:])
+        pair = np.flatnonzero(row_hits[:, None] & col_hits)  # tile * N + depth index
+        tile = pair // len(m)
+        local = pair - tile * len(m)
+        bounds = list(_tile_ranges(batch.width, batch.height))
+        # tile ascends, so each tile's pairs are one slice
+        edges = tile.searchsorted(np.arange(len(bounds) + 1)).tolist()
+        self.tiles = [(b, slice(lo, hi)) for b, lo, hi in zip(bounds, edges, edges[1:]) if hi > lo]
         self.largest = max(((p.stop - p.start) * (y1 - y0) * (x1 - x0)
                             for (y0, y1, x0, x1), p in self.tiles), default=0)
-        local = self.local = np.concatenate(local)
+        self.local = local
         self.rows = view.order.take(local)
-        self.payload = view.payload
-        centers = np.repeat(np.array([_tile_center(*b) for b, _ in self.tiles]).reshape(-1, 2),
-                            [p.stop - p.start for _, p in self.tiles], axis=0)
-        a = self.a = m[:, 0].take(local) - centers[:, 0]
-        b = self.b = m[:, 1].take(local) - centers[:, 1]
+        self.payload = _payload(batch.channels)
+        cx, cy = _tile_center(ys[:, 0], ys[:, 1], xs[:, 0], xs[:, 1])  # per tile column, row
+        a = self.a = m[:, 0].take(local) - np.tile(cx, len(ys)).take(tile)
+        b = self.b = m[:, 1].take(local) - np.repeat(cy, len(xs)).take(tile)
         A, B, C = self.A, self.B, self.C = [x.take(local) for x in (view.A, view.B, view.C)]
         self.opacity = view.opacity.take(local)
         # the per-splat terms once, then gathered per pair into the columns
@@ -530,9 +560,9 @@ def _transmittance(alpha, out):
     zeroed where compositing has stopped (below TERMINATE_TRANSMITTANCE)."""
     out[0] = 1.0
     np.subtract(1.0, alpha[:-1], out=out[1:])
-    np.cumprod(out[1:], axis=0, out=out[1:])
+    np.multiply.accumulate(out[1:], axis=0, out=out[1:])  # np.cumprod, without its wrapper
     # T never increases down a column, so the last row holds each pixel's minimum
-    if out[-1].min() < TERMINATE_TRANSMITTANCE:
+    if np.minimum.reduce(out[-1]) < TERMINATE_TRANSMITTANCE:
         out[out < TERMINATE_TRANSMITTANCE] = 0.0
     return out
 
@@ -564,37 +594,43 @@ def _composite(batch: SplatBatch, channels=ALL_CHANNELS, owner=False):
 
     With ``owner`` set, the same pass also yields the per-pixel batch row of
     the largest compositing weight (-1 where nothing composites); otherwise
-    owner is None.
+    owner is None. Each tile keeps its pixels' pair of largest weight (the
+    first, on ties); the weights are >= 0, so the largest is > 0 exactly
+    where the composited alpha, their sum, is, and only there is the pair's
+    row the owner.
     """
     names = _channel_names(channels)
     columns = _layout(names + ("alpha",))[0]
     H, W = batch.height, batch.width
     planes = np.zeros((H, W, len(columns)))
-    owner_rows = np.full((H, W), -1, dtype=np.int64) if owner else None
     plan = batch.tile_plan
+    best = np.empty((H, W), dtype=np.int64) if owner else None  # set in covered tiles
     whole = len(columns) == N_CHANNELS + 1
-    # the composited columns, the C_ALPHA ones among them, in depth order
+    # the composited columns, the C_ALPHA ones among them, in batch order
     payload = plan.payload if whole else plan.payload.take(columns, axis=1)
 
     def run_tile(bounds, pairs):
         y0, y1, x0, x1 = bounds
         w = _tile_weights(plan, bounds, pairs, ws, w_slot=0)[3]
         shape = (y1 - y0, x1 - x0)
-        local = plan.local[pairs]
+        rows = plan.rows[pairs]
         if whole or _narrow(*w.shape):
-            composited = w.T @ payload.take(local, axis=0)
+            composited = w.T @ payload.take(rows, axis=0)
         else:
-            composited = (w.T @ plan.payload.take(local, axis=0))[:, columns]
+            composited = (w.T @ plan.payload.take(rows, axis=0))[:, columns]
         planes[y0:y1, x0:x1] = composited.reshape(shape + (len(columns),))
         if owner:
-            best = np.argmax(w, axis=0)
-            has = w[best, np.arange(w.shape[1])] > 0.0
-            owner_rows[y0:y1, x0:x1] = np.where(has, plan.rows[pairs][best], -1).reshape(shape)
+            best[y0:y1, x0:x1] = (pairs.start + np.argmax(w, axis=0)).reshape(shape)
 
     # the tile body is a function, so that no tile temporary outlives its tile
     ws = np.empty((2, plan.largest))  # rows: alpha (then w), T
     for bounds, pairs in plan.tiles:
         run_tile(bounds, pairs)
+    owner_rows = None
+    if owner:
+        owner_rows = np.full((H, W), -1, dtype=np.int64)
+        has = planes[..., -1] > 0.0
+        owner_rows[has] = plan.rows.take(best[has])
     return RenderOutputs(planes[..., :-1], planes[..., -1], names), owner_rows
 
 
@@ -676,7 +712,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
     k = len(columns)
     k_pay = k - ("alpha" in names)  # the payload columns; alpha's is last
     whole = k == N_CHANNELS + 1
-    # the contracted columns of the depth-ordered payload, the C_ALPHA ones among them
+    # the contracted columns of the payload, the C_ALPHA ones among them
     payload = plan.payload if whole else plan.payload.take(columns, axis=1)
 
     d_payload = np.zeros((n, k_pay))
@@ -691,7 +727,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
         n_loc, P = w.shape
 
         g_ch = gch[y0:y1, x0:x1].reshape(P, k)
-        local, sub = plan.local[pairs], plan.rows[pairs]
+        sub = plan.rows[pairs]
         # a tile holds each splat once, so indexed += accumulates
         if whole or _narrow(n_loc, P, k_pay):
             source = payload
@@ -703,7 +739,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
         # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha
         # cotangent; d_alpha = d_w T - behind / (1 - alpha), where behind sums
         # d_w w over the splats composited after this one
-        d_alpha = np.matmul(source.take(local, axis=0), g_ch.T, out=views[3])
+        d_alpha = np.matmul(source.take(sub, axis=0), g_ch.T, out=views[3])
         w *= d_alpha
         d_alpha *= T
         # suffix sums of d_w w, in place: row i + 1 then holds what lies behind splat i

@@ -31,8 +31,7 @@ def test_modules_import_only_stdlib_and_numpy():
 # Referenced only outside src/: perfbench's seams, which go with the shared run
 # trace (ROADMAP item 5), and the estimator contract's set_params.
 UNREFERENCED_ALLOWED = {
-    ("rasterizer", "_tile_ranges"),      # perfbench's tile loop for its per-tile counts
-    ("rasterizer", "_splats_in_tile"),   # perfbench's tile test for the same counts
+    ("rasterizer", "_splats_in_tile"),   # perfbench's tile test for its per-tile counts
     ("rasterizer", "channel_stack"),     # perfbench's render digests and oracle check
     ("estimators", "set_params"),        # the scikit-learn parameter contract
 }

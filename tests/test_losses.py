@@ -7,6 +7,7 @@ from dysplat.losses import (
     SSIM_C2,
     LossWeights,
     _blur,
+    _median,
     _median_weights,
     bce_loss,
     depth_loss,
@@ -455,6 +456,7 @@ def argsort_median_weights(values):
 @pytest.mark.parametrize("case", ["odd", "even", "ties-odd", "ties-even", "all-equal",
                                   "signed-zeros", "infinities", "one", "two"])
 def test_median_weights_equal_the_stable_argsort(case):
+    # _median gives np.median's bytes, and the weights at its middle positions
     rng = np.random.default_rng(sum(map(ord, case)))
     for n in (1, 2, 3, 4, 7, 8, 101, 1900, 1901):
         v = {"odd": lambda: rng.normal(size=n | 1),
@@ -466,12 +468,14 @@ def test_median_weights_equal_the_stable_argsort(case):
              "infinities": lambda: rng.choice([-np.inf, np.inf, 0.5], size=n),
              "one": lambda: rng.normal(size=1),
              "two": lambda: rng.integers(0, 2, size=2).astype(float)}[case]()
-        assert _median_weights(v).tobytes() == argsort_median_weights(v).tobytes(), (case, n)
+        med, middle = _median(v)
+        assert np.float64(med).tobytes() == np.median(v).tobytes(), (case, n)
+        assert _median_weights(v, middle).tobytes() == argsort_median_weights(v).tobytes(), (case, n)
 
 
 def test_depth_loss_returns_zero_before_the_median_weights_see_a_nan():
     # _median_weights has no NaN path: a NaN among the valid predicted depths
-    # must end depth_loss first (NaN median, NaN spread)
+    # must end depth_loss first (NaN spread)
     rng = np.random.default_rng(5)
     pred = rng.random((8, 8))
     gt = 2.0 * pred + 1.0

@@ -234,9 +234,35 @@ def rotated_camera_random_set():
     return gset, [(cam, t, tc) for t, tc in ((0, 0), (2, 3), (5, 1))]
 
 
+CULLS = ("behind the camera", "below CULL_OPACITY", "off the image")
+
+
+def partly_culled_set():
+    """A random set in which the first three members of each population are
+    culled at every view, one for each reason, and each population keeps
+    some of its other members."""
+    gset = make_random_set(67, 90)
+    cam = edge_tile_cam()
+    views = [(cam, t, tc) for t, tc in ((0, 0), (2, 3), (5, 1))]
+    pops = (gset.statics, gset.rigids, gset.transients)
+    for pop in pops:
+        assert len(pop) > len(CULLS)
+        pop.means[0, 2] = -4.0                      # behind the camera
+        pop.opacity_logits[1] = -20.0               # below CULL_OPACITY
+        pop.means[2, 0] = 40.0 * pop.means[2, 2]    # off the image
+    edges = np.cumsum([0] + [len(pop) for pop in pops])
+    for cam, t, tc in views:
+        row = parent_prepare_splats(gset, cam, t, tc)["row"]
+        for first, end in zip(edges, edges[1:]):
+            kept = row[(row >= first) & (row < end)] - first
+            assert kept.size and kept.min() >= len(CULLS), (t, first, kept)
+    return gset, views
+
+
 SETS = {"initial reconstruction set": initial_reconstruction_set,
         "fitted set with transients": fitted_set_with_transients,
-        "rotated camera, random set": rotated_camera_random_set}
+        "rotated camera, random set": rotated_camera_random_set,
+        "each population partly culled": partly_culled_set}
 
 
 @pytest.mark.parametrize("name", list(SETS))
@@ -277,6 +303,26 @@ def test_both_stages_match_the_one_stage_transcription(name):
                 for field, g in group.items():
                     assert grads[kind][field].tobytes() == g.tobytes(), (name, t, kind, field)
     assert culled, name
+
+
+def test_a_frame_where_every_splat_is_culled():
+    # the camera moves 10 units forward along its axis, past every Gaussian
+    gset, _ = partly_culled_set()
+    cam = make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29,
+                   translation=np.array([0.0, 0.0, -10.0]))
+    want = parent_prepare_splats(gset, cam, 2, 3)
+    grad_outputs = random_grad_outputs(np.random.default_rng(8), 29, 37)
+    for batch in (prepare_splats(gset, cam, 2, 3), prepare_splats(PreparedSet(gset), cam, 2, 3)):
+        assert len(batch) == 0
+        for field in FORWARD_FIELDS:
+            got = getattr(batch, field)
+            assert got.shape == want[field].shape and got.dtype == want[field].dtype, field
+        assert batch.tile_plan.tiles == []
+        out, owner = rasterizer._composite(batch, ("color",), owner=True)
+        assert not np.any(out.channels) and not np.any(out.alpha)
+        assert np.all(owner == -1)
+        grads = rasterize_backward(batch, cam, grad_outputs)
+        assert not any(np.any(g) for group in grads.values() for g in group.values())
 
 
 def one_frame_set():

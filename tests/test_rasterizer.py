@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,7 +580,7 @@ class TestTileKernel:
         # loop's own arrays. The loop's workspace holds two (splats, pixels)
         # tile arrays in the forward and four in the backward; its other
         # per-tile temporaries are (splats, channels)-sized. In units of one
-        # tile array at the busiest tile the part above fixed reads 2.50 and
+        # tile array at the busiest tile the part above fixed reads 2.48 and
         # 4.75 here. One more full-size tile temporary lives alongside the
         # whole workspace, so it adds at least 1 and crosses the bounds. Each
         # pass gets a fresh batch, so it builds, and is charged for, its plan.
@@ -631,6 +632,44 @@ def edge_tile_cam():
 PLAN_ARRAYS = ("local", "rows", "a", "b", "A", "B", "C", "opacity", "coef")
 
 
+def crafted_batch(mean2d, radii, width, height, seed=0):
+    """The fields a tile plan reads, for splats at the given screen means and
+    coverage radii: depths with ties (so the depth order keeps batch order
+    among equals), isotropic 2D covariances and random opacities and payload."""
+    rng = np.random.default_rng(seed)
+    n = len(radii)
+    return SimpleNamespace(
+        mean2d=np.asarray(mean2d, dtype=np.float64).reshape(n, 2),
+        radii=np.asarray(radii, dtype=np.float64), width=width, height=height,
+        depth=rng.integers(0, 3, size=n).astype(np.float64),
+        cov2d=np.tile(np.eye(2), (n, 1, 1)) * rng.uniform(0.5, 2.0, size=(n, 1, 1)),
+        opacity_eff=rng.uniform(0.1, 0.9, size=n), channels=rng.normal(size=(n, N_CHANNELS)))
+
+
+def boundary_splats(width, height):
+    """Splats whose m - r or m + r lands exactly on a tile's first or last
+    pixel center, or one ulp either side of it, on each axis."""
+    tile = rasterizer.TILE
+    edges = sorted({e for lo in range(0, max(width, height), tile) for e in (lo, lo + tile - 1)})
+    means, radii = [], []
+    for r in (0.5, 1.25, 3.0):
+        for e in edges:
+            for m in (e - r, e + r):  # m + r = e, m - r = e
+                for mx in (m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf)):
+                    means.append((mx, edges[len(means) % len(edges)] + r))
+                    radii.append(r)
+    return np.array(means), np.array(radii)
+
+
+BINNING_CASES = {
+    "m +- r on a tile's first or last pixel center": lambda: crafted_batch(
+        *boundary_splats(24, 24), 24, 24),
+    "one splat": lambda: crafted_batch([[9.5, 3.0]], [2.5], 24, 24),
+    "no splats": lambda: crafted_batch(np.zeros((0, 2)), [], 24, 24),
+    "37 x 29 ragged edges": lambda: prepare_splats(make_random_set(61, 60), edge_tile_cam(), 2, 3),
+}
+
+
 class TestTilePlan:
     def test_plan_equals_a_per_tile_transcription(self):
         cam = edge_tile_cam()
@@ -645,6 +684,26 @@ class TestTilePlan:
                     got = getattr(plan, name)[pairs]
                     assert got.shape == expected.shape, (bounds, name)
                     assert got.tobytes() == expected.tobytes(), (bounds, name)
+
+    @pytest.mark.parametrize("case", list(BINNING_CASES))
+    def test_binning_equals_the_per_tile_test(self, case):
+        # the one-pass binning lists, tile by tile, the splats _splats_in_tile
+        # finds (plan_transcription), only the tiles where it finds any, and
+        # each tile's pairs as the next slice of the per-pair arrays
+        batch = BINNING_CASES[case]()
+        plan = rasterizer._TilePlan(batch)
+        want = plan_transcription(batch)
+        assert [bounds for bounds, _ in plan.tiles] == [tile[0] for tile in want]
+        assert (len(want) == 0) == (case == "no splats")
+        edges = [0] + [pairs.stop for _, pairs in plan.tiles]
+        assert [pairs.start for _, pairs in plan.tiles] == edges[:-1]
+        assert edges[-1] == len(plan.local) and plan.largest == max(
+            ((y1 - y0) * (x1 - x0) * local.size for (y0, y1, x0, x1), local, *_ in want), default=0)
+        for (bounds, pairs), (_, *arrays) in zip(plan.tiles, want):
+            for name, expected in zip(PLAN_ARRAYS, arrays):
+                got = getattr(plan, name)[pairs]
+                assert got.shape == expected.shape, (bounds, name)
+                assert got.tobytes() == expected.tobytes(), (bounds, name)
 
     @pytest.mark.parametrize("field", ["radii", "mean2d"])
     def test_a_replaced_copy_builds_its_own_plan(self, field):
@@ -802,6 +861,64 @@ CALLER_CHANNELS = {"evaluate with masks": (("color", "dyn_mask"), False),
                    "predict": (("color",), False),
                    "owner pass": (("color",), True),
                    "stage 1": (STAGE_1_CHANNELS, False)}
+
+
+def per_tile_owner(batch, weights):
+    """The owner rule as each tile applied it inside the tile loop: at each
+    pixel, the batch row of the tile's largest weight (the first, on ties)
+    where that weight is > 0, else -1. ``weights`` holds each covered tile's
+    (bounds, pairs, w)."""
+    owner = np.full((batch.height, batch.width), -1, dtype=np.int64)
+    for (y0, y1, x0, x1), pairs, w in weights:
+        best = np.argmax(w, axis=0)
+        has = w[best, np.arange(w.shape[1])] > 0.0
+        owner[y0:y1, x0:x1] = np.where(has, batch.tile_plan.rows[pairs][best], -1).reshape(
+            y1 - y0, x1 - x0)
+    return owner
+
+
+class TestOwnerMap:
+    @pytest.mark.parametrize("quantum", [None, 0.25, 0.5])
+    @pytest.mark.parametrize("scene", list(SUBSET_SCENES))
+    def test_owner_map_equals_the_per_tile_rule(self, scene, quantum, monkeypatch):
+        # with a quantum, every tile's weights are rounded down to multiples
+        # of it before the pass reads them: at 0.25 many pixels tie for the
+        # largest weight, at 0.5 many composite nothing
+        cam, gs = SUBSET_SCENES[scene]()
+        batch = prepare_splats(gs, cam, 2, 4)
+        seen = []
+        tile_weights = rasterizer._tile_weights
+
+        def recorded(plan, bounds, pairs, ws, w_slot):
+            out = tile_weights(plan, bounds, pairs, ws, w_slot)
+            w = out[3]
+            if quantum:
+                np.floor(w / quantum, out=w)
+                w *= quantum
+            seen.append((bounds, pairs, w.copy()))
+            return out
+
+        monkeypatch.setattr(rasterizer, "_tile_weights", recorded)
+        channels, owner = CALLER_CHANNELS["owner pass"]
+        out, got = rasterizer._composite(batch, channels, owner=owner)
+        assert got.tobytes() == per_tile_owner(batch, seen).tobytes()
+        top = [w.max(axis=0) for _, _, w in seen]
+        ties = sum(int(np.sum((np.sum(w == m, axis=0) > 1) & (m > 0.0)))
+                   for (_, _, w), m in zip(seen, top))
+        nothing = sum(int(np.sum(m == 0.0)) for m in top)
+        assert nothing == np.sum(out.alpha == 0.0) - np.sum(uncovered(batch))
+        if quantum == 0.25:
+            assert ties > 0
+        if quantum == 0.5:
+            assert nothing > 0
+
+
+def uncovered(batch):
+    """(H, W): the pixels of tiles no splat covers."""
+    mask = np.ones((batch.height, batch.width), dtype=bool)
+    for (y0, y1, x0, x1), _ in batch.tile_plan.tiles:
+        mask[y0:y1, x0:x1] = False
+    return mask
 
 
 class TestChannelSubsets:
