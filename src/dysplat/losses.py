@@ -248,12 +248,12 @@ def depth_loss(pred, gt, valid):
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    m = np.asarray(valid, dtype=bool)
-    grad = np.zeros_like(pred)
-    if np.count_nonzero(m) < 2:
+    rows = _mask_rows(valid, (pred, gt), ["valid", "pred", "gt"])
+    grad = np.zeros(pred.shape)
+    if rows.size < 2:
         return 0.0, grad
-    p = pred[m]
-    g = gt[m]
+    p = np.ravel(pred).take(rows)
+    g = np.ravel(gt).take(rows)
     p_med, p_middle = _median(p)
     p_norm, p_mad = _robust_normalize(p, p_med)
     g_norm, _ = _robust_normalize(g, _median(g)[0])
@@ -272,7 +272,7 @@ def depth_loss(pred, gt, valid):
     sum_s = np.sum(s)
     coef = np.sum(s * (p - p_med)) / (p_mad * p_mad)
     g_p = s / p_mad - w_med * (sum_s / p_mad) - d_mad * coef
-    grad[m] = g_p
+    grad.reshape(-1)[rows] = g_p
     return value, grad
 
 

@@ -21,24 +21,26 @@ same rule.
 depend only on the set's parameters (built once per set by ``evaluate`` and
 the synthetic generator, once per call otherwise) and, on first use, the
 rigids' motion at every frame; the per-frame stage moves, gates, projects
-and culls. A SplatBatch gathers by row only what the
-forward reads; the backward-only arrays stay whole until the chain. Its
-payload is one gather of the set's fixed columns at the kept rows, into
-which the frame's columns (depth, flipped normals, the rigids'
-correspondence and velocities, the transients' correspondence) are written.
+and culls. A SplatBatch gathers by row only what the forward reads; the
+backward-only arrays stay whole until the chain. Its (N, 18) payload holds
+one row per splat: the 17 channels, then the C_ALPHA column of ones. It
+is one gather of the set's fixed columns at the kept rows, into which the
+frame's columns (depth, flipped normals, the rigids' correspondence and
+velocities, the transients' correspondence) are written, and the only
+payload a frame builds: the tile passes and the oracle read it.
 
 All heavy math is vectorized per 8x8 tile; one serial loop visits the
 tiles in a fixed order, so gradient accumulation is bit-reproducible. Each
 SplatBatch builds one tile plan on first use (``SplatBatch.tile_plan``): the
 depth order, every covered tile's splats, binned in one pass over a (tile
-rows, tile columns, splats) hit grid, the payload in batch order and, per
-(tile, splat) pair, the batch row, offsets, conic and exponent coefficients.
-The forward, the backward and synth's owner pass read slices of it, and
-the payload at each tile's batch rows; the oracle does not use it. Each of
-those passes allocates one workspace before its loop, sized by the plan's
-busiest tile, and every tile's (splats, pixels) arrays are views of it. The
-owner pass keeps each pixel's pair of largest weight per tile and resolves
-the owner rows after the loop.
+rows, tile columns, splats) hit grid and, per (tile, splat) pair, the batch
+row, offsets, conic and exponent coefficients. The forward, the backward
+and synth's owner pass read slices of it, and the batch's payload at each
+tile's batch rows; the oracle does not use it. Each of those passes
+allocates one workspace before its loop, sized by the plan's busiest tile,
+and every tile's (splats, pixels) arrays are views of it. The owner pass
+keeps each pixel's pair of largest weight per tile and resolves the owner
+rows after the loop.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ C_VFWD = slice(8, 11)
 C_VBWD = slice(11, 14)
 C_CORR = slice(14, 17)
 N_CHANNELS = 17
-# a column of ones after the payload (``_payload``) composites to alpha;
-# the backward's cotangent array holds the alpha cotangent in the same column
+# a column of ones after the channels composites to alpha; the backward's
+# cotangent array holds the alpha cotangent in the same column
 C_ALPHA = N_CHANNELS
 # payload channel of each rasterize_backward cotangent (besides "alpha")
 GRAD_CHANNELS = {"color": C_COLOR, "dyn_mask": C_DYN, "depth": C_DEPTH, "normal": C_NORMAL,
@@ -178,14 +180,15 @@ class SplatBatch:
     at most once and each population is one contiguous slice of the batch.
     The fields the forward reads (``mean2d`` through ``radii``) hold the
     culled splats; the backward-only fields after ``rigid_ctx`` hold every
-    Gaussian of the set, and the backward takes their ``row`` entries.
+    Gaussian of the set, and the backward takes their ``row`` entries. Every
+    pass reads ``payload`` (the channels, then C_ALPHA's ones) itself.
     """
 
     mean2d: np.ndarray       # (N, 2) px
     cov2d: np.ndarray        # (N, 2, 2) px^2, dilated
     depth: np.ndarray        # (N,)
     opacity_eff: np.ndarray  # (N,) post-gating
-    channels: np.ndarray     # (N, 17)
+    payload: np.ndarray      # (N, 18): the channels, then C_ALPHA's ones
     radii: np.ndarray        # (N,) tile coverage radius in px
     row: np.ndarray          # (N,) ascending row in the concatenated populations
     width: int
@@ -204,11 +207,18 @@ class SplatBatch:
     def __len__(self):
         return self.mean2d.shape[0]
 
+    @property
+    def channels(self):
+        """(N, 17) view of the payload without its C_ALPHA column (read by
+        perfbench's ``reference_excess``)."""
+        return self.payload[:, :C_ALPHA]
+
     @cached_property
     def tile_plan(self):
-        """The batch's _TilePlan, built on first use and kept, so the batch's
-        arrays must not change in place after a pass has read it. It is not a
-        field, so a ``dataclasses.replace`` copy builds its own."""
+        """The batch's _TilePlan, built on first use and kept, so the arrays
+        it is built from (all but the payload) must not change in place after
+        a pass has read it. It is not a field, so a ``dataclasses.replace``
+        copy builds its own."""
         return _TilePlan(self)
 
 
@@ -233,9 +243,10 @@ class PreparedSet:
     Rows follow the concatenated populations (statics, then rigids, then
     transients), as ``SplatBatch.row`` does. A rigid's rows hold its
     canonical rotation, covariance and normal axis; ``prepare_splats`` moves
-    them to the frame. The arrays are copies, so a set changed in place needs
-    a new PreparedSet; ``prepare_splats`` given a GaussianSet builds one per
-    call.
+    them to the frame. ``payload`` holds the payload columns that do not
+    move with the frame, C_ALPHA's ones among them. The arrays are copies, so
+    a set changed in place needs a new PreparedSet; ``prepare_splats`` given
+    a GaussianSet builds one per call.
     """
 
     def __init__(self, gset: GaussianSet):
@@ -256,12 +267,13 @@ class PreparedSet:
         self.axis = np.argmin(self.log_scales, axis=1)
         self.normals = _axis_columns(self.rotations, self.axis)
         # the payload columns that do not move with the frame
-        self.channels = np.zeros((n_all, N_CHANNELS))
-        self.channels[:, C_COLOR] = np.concatenate([p.colors for p in pops])
-        self.channels[ns:, C_DYN] = 1.0
-        self.channels[:ns, C_CORR] = gset.statics.means
-        self.channels[self.transient_rows, C_VFWD] = gset.transients.velocities
-        self.channels[self.transient_rows, C_VBWD] = gset.transients.velocities
+        self.payload = np.zeros((n_all, N_CHANNELS + 1))
+        self.payload[:, C_COLOR] = np.concatenate([p.colors for p in pops])
+        self.payload[ns:, C_DYN] = 1.0
+        self.payload[:ns, C_CORR] = gset.statics.means
+        self.payload[self.transient_rows, C_VFWD] = gset.transients.velocities
+        self.payload[self.transient_rows, C_VBWD] = gset.transients.velocities
+        self.payload[:, C_ALPHA] = 1.0
 
     @cached_property
     def motion(self):
@@ -361,25 +373,25 @@ def prepare_splats(gset: GaussianSet | PreparedSet, cam: CameraFrame, t, t_corr=
     # the payload: the set's fixed columns, gathered once at the kept rows,
     # then the columns that move with the frame. Rows ascend, so each
     # population's kept rows are one slice of the batch.
-    channels = pset.channels.take(sel, axis=0)
-    channels[:, C_DEPTH] = depth
-    channels[:, C_NORMAL] = n_raw.take(sel, axis=0) * nsign.take(sel)[:, None]
+    payload = pset.payload.take(sel, axis=0)
+    payload[:, C_DEPTH] = depth
+    payload[:, C_NORMAL] = n_raw.take(sel, axis=0) * nsign.take(sel)[:, None]
     first_rigid, first_transient = np.searchsorted(sel, [ns, transient_sl.start])
     if rigid_ctx is not None:
         rigid = slice(first_rigid, first_transient)
         means_kept = means_at[:, sel[rigid] - ns]
-        channels[rigid, C_CORR] = means_kept[1]
-        channels[rigid, C_VFWD] = means_kept[2] - means_kept[3]
-        channels[rigid, C_VBWD] = means_kept[4] - means_kept[5]
+        payload[rigid, C_CORR] = means_kept[1]
+        payload[rigid, C_VFWD] = means_kept[2] - means_kept[3]
+        payload[rigid, C_VBWD] = means_kept[4] - means_kept[5]
     corr = transient_position_at(tr, float(t_corr))
-    channels[first_transient:, C_CORR] = corr.take(sel[first_transient:] - transient_sl.start, axis=0)
+    payload[first_transient:, C_CORR] = corr.take(sel[first_transient:] - transient_sl.start, axis=0)
     o_sel = o_eff.take(sel)
     # the raw alpha exceeds the floor F only where q < 2 ln(o / F), and
     # q >= |d|^2 / lambda_max, so that disc fits in the box mean +- radius
     radius = np.sqrt(2.0 * np.log(o_sel / CULL_OPACITY) * np.maximum(lam.take(sel), 1e-12))
     return SplatBatch(
         mean2d=pix.take(sel, axis=0), cov2d=cov2.take(sel, axis=0), depth=depth,
-        opacity_eff=o_sel, channels=channels, radii=radius, row=sel,
+        opacity_eff=o_sel, payload=payload, radii=radius, row=sel,
         width=intr.width, height=intr.height, t=t, t_corr=t_corr, pset=pset,
         rigid_ctx=rigid_ctx, mean_cam=mean_cam, P=P, cov3=cov3, R_world=R_w,
         normal_sign=nsign, gate=gate,
@@ -398,14 +410,6 @@ def _conic(cov2d):
     return c / det, -b / det, a / det  # inverse entries [[A, B], [B, C]]
 
 
-def _payload(channels):
-    """(N, 18): the payload channels, then the C_ALPHA column of ones."""
-    payload = np.empty((len(channels), N_CHANNELS + 1))
-    payload[:, :C_ALPHA] = channels
-    payload[:, C_ALPHA] = 1.0
-    return payload
-
-
 class _OrderedView:
     """Depth-ordered per-splat arrays: what the tile plan is built from and
     what the oracle reads."""
@@ -417,13 +421,6 @@ class _OrderedView:
         self.radius = batch.radii.take(o)
         self.opacity = batch.opacity_eff.take(o)
         self.A, self.B, self.C = (x.take(o) for x in _conic(batch.cov2d))
-        self._channels = batch.channels
-
-    @cached_property
-    def payload(self):
-        """The depth-ordered payload (the oracle's; the tile plan keeps its
-        own in batch order), built on first use."""
-        return _payload(self._channels.take(self.order, axis=0))
 
 
 def _spans(n):
@@ -459,14 +456,12 @@ class _TilePlan:
     ``tiles`` lists (bounds, pairs) for every tile a splat covers, in the
     fixed tile order. The slice ``pairs`` addresses the tile's (tile, splat)
     pairs in the per-pair arrays, whose rows follow depth order within a tile:
-    ``local`` is the splat's index in depth order (the tile's list equals
-    ``_splats_in_tile``), ``rows`` its batch index, ``a, b`` its center
-    relative to the tile center, ``A, B, C`` its conic and ``opacity`` its
-    gated opacity. ``coef`` holds the (pairs, 6) coefficients of the exponent
-    log(opacity) - q/2, a quadratic in the pixel coordinates, against the
-    tile's monomials [u^2, uv, v^2, u, v, 1]. ``payload`` is the batch's
-    payload with its C_ALPHA column of ones, in batch order: a tile reads its
-    rows ``rows[pairs]``.
+    ``rows`` is the splat's batch index (the tile's splats are those of
+    ``_splats_in_tile``, and a tile reads the batch's payload at these rows),
+    ``a, b`` its center relative to the tile center, ``A, B, C`` its conic
+    and ``opacity`` its gated opacity. ``coef`` holds the (pairs, 6)
+    coefficients of the exponent log(opacity) - q/2, a quadratic in the pixel
+    coordinates, against the tile's monomials [u^2, uv, v^2, u, v, 1].
 
     ``largest`` is the element count (pairs times pixels) of the busiest
     tile. Each pass allocates its one workspace of float64 rows that long
@@ -494,9 +489,7 @@ class _TilePlan:
         self.tiles = [(b, slice(lo, hi)) for b, lo, hi in zip(bounds, edges, edges[1:]) if hi > lo]
         self.largest = max(((p.stop - p.start) * (y1 - y0) * (x1 - x0)
                             for (y0, y1, x0, x1), p in self.tiles), default=0)
-        self.local = local
         self.rows = view.order.take(local)
-        self.payload = _payload(batch.channels)
         cx, cy = _tile_center(ys[:, 0], ys[:, 1], xs[:, 0], xs[:, 1])  # per tile column, row
         a = self.a = m[:, 0].take(local) - np.tile(cx, len(ys)).take(tile)
         b = self.b = m[:, 1].take(local) - np.repeat(cy, len(xs)).take(tile)
@@ -606,8 +599,8 @@ def _composite(batch: SplatBatch, channels=ALL_CHANNELS, owner=False):
     plan = batch.tile_plan
     best = np.empty((H, W), dtype=np.int64) if owner else None  # set in covered tiles
     whole = len(columns) == N_CHANNELS + 1
-    # the composited columns, the C_ALPHA ones among them, in batch order
-    payload = plan.payload if whole else plan.payload.take(columns, axis=1)
+    # the composited columns, the C_ALPHA ones among them
+    payload = batch.payload if whole else batch.payload.take(columns, axis=1)
 
     def run_tile(bounds, pairs):
         y0, y1, x0, x1 = bounds
@@ -617,7 +610,7 @@ def _composite(batch: SplatBatch, channels=ALL_CHANNELS, owner=False):
         if whole or _narrow(*w.shape):
             composited = w.T @ payload.take(rows, axis=0)
         else:
-            composited = (w.T @ plan.payload.take(rows, axis=0))[:, columns]
+            composited = (w.T @ batch.payload.take(rows, axis=0))[:, columns]
         planes[y0:y1, x0:x1] = composited.reshape(shape + (len(columns),))
         if owner:
             best[y0:y1, x0:x1] = (pairs.start + np.argmax(w, axis=0)).reshape(shape)
@@ -666,7 +659,8 @@ def rasterize_reference(batch: SplatBatch, cam: CameraFrame) -> RenderOutputs:
     T = np.cumprod(1.0 - alpha, axis=0)
     T = np.roll(T, 1, axis=0)
     T[0] = 1.0
-    planes = ((alpha * T).T @ view.payload).reshape(H, W, N_CHANNELS + 1)
+    ordered = batch.payload.take(view.order, axis=0)  # the batch's payload in depth order
+    planes = ((alpha * T).T @ ordered).reshape(H, W, N_CHANNELS + 1)
     return RenderOutputs(planes[..., :C_ALPHA], planes[..., C_ALPHA])
 
 
@@ -713,7 +707,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
     k_pay = k - ("alpha" in names)  # the payload columns; alpha's is last
     whole = k == N_CHANNELS + 1
     # the contracted columns of the payload, the C_ALPHA ones among them
-    payload = plan.payload if whole else plan.payload.take(columns, axis=1)
+    payload = batch.payload if whole else batch.payload.take(columns, axis=1)
 
     d_payload = np.zeros((n, k_pay))
     # the other screen-space adjoints, one row per splat so that a tile adds
@@ -733,7 +727,7 @@ def rasterize_backward(batch: SplatBatch, cam: CameraFrame, grad_outputs: dict):
             source = payload
             d_payload[sub] += w @ g_ch[:, :k_pay]
         else:  # every column, the absent cotangents 0
-            source, given, g_ch = plan.payload, g_ch, np.zeros((P, N_CHANNELS + 1))
+            source, given, g_ch = batch.payload, g_ch, np.zeros((P, N_CHANNELS + 1))
             g_ch[:, columns] = given
             d_payload[sub] += (w @ g_ch[:, :C_ALPHA])[:, columns[:k_pay]]
         # d_w = payload . g_ch, where the C_ALPHA ones pick up the alpha

@@ -564,6 +564,9 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
     """Run the staged optimization; returns (GaussianSet, log records)."""
     rng = np.random.default_rng(config.seed)
     T = ds.n_frames
+    if init_set is not None:  # refused before any work
+        require_finite(init_set, "init_set")
+        require(init_set.n_frames == T, f"init_set has {init_set.n_frames} frames, the dataset {T}")
     sup = build_supervision(ds)
 
     train_frames = [t for t in range(T)
@@ -572,7 +575,6 @@ def train(ds: SceneDataset, config: TrainConfig, out_dir=None, init_set=None):
         train_frames = list(range(T))
 
     if init_set is not None:
-        require_finite(init_set, "init_set")
         gset = init_set.copy()
         gset.gate_sharpness = config.gate_sharpness
     else:

@@ -8,7 +8,7 @@ import pytest
 from dysplat import cli
 from dysplat.cli import main
 from dysplat.dataset import load_dataset, read_ppm, read_raw, save_dataset, write_raw
-from dysplat.primitives import load_checkpoint, save_checkpoint
+from dysplat.primitives import MotionBases, load_checkpoint, save_checkpoint
 from dysplat.synth import generate_synthetic
 
 from test_dataset import CAMERA_DEFECTS, EMPTY_FRAME_CENTERS, empty_frame_spec, tiny_spec
@@ -186,6 +186,16 @@ class TestTrainCommand:
         assert not any(r.get("event") == "rigid_init" for r in log)
         gt = load_checkpoint(scene_dir / "gt.rigs")
         assert log[0]["counts"] == [len(gt.statics), len(gt.rigids), len(gt.transients)]
+
+    def test_init_ckpt_of_another_frame_count_exits_2(self, scene_dir, tmp_path, capsys):
+        gt = load_checkpoint(scene_dir / "gt.rigs")
+        ckpt = tmp_path / "long.rigs"
+        save_checkpoint(replace(gt, bases=MotionBases.identity(gt.bases.n_bases, 7)), ckpt)
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(scene_dir / "data"),
+                     "--init-ckpt", str(ckpt), "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()  # refused before any work
 
     def test_training_aborted_exit_1(self, scene_dir, tmp_path, capsys, monkeypatch):
         # NaN images make every loss non-finite; no dataset file can hold a NaN pixel

@@ -56,6 +56,32 @@ def test_every_helper_is_referenced():
     assert unreferenced == UNREFERENCED_ALLOWED
 
 
+# Instance attributes that src/ stores but never loads: fitted results the
+# estimators publish, and what an error carries for its handler.
+UNLOADED_ATTRIBUTES_ALLOWED = {
+    ("estimators", "SceneReconstructor", "log_"),  # the fit's log records
+    ("estimators", "MotionMaskEstimator", "object_scores_"),  # per-object motion scores
+    ("estimators", "MotionMaskEstimator", "eps_dyn_"),  # the dynamic threshold used
+    ("errors", "MissingChannel", "channel"),  # the dataset channel that was missing
+}
+
+
+def test_every_attribute_is_loaded():
+    # state that nothing reads is not kept: each ``self.X = ...`` in a class
+    # in src/ is loaded as ``.X`` (on any object) somewhere in src/
+    stored, loaded = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                stored.update((path.stem, cls.name, node.attr) for node in ast.walk(cls)
+                              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                              and isinstance(node.value, ast.Name) and node.value.id == "self")
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert {key for key in stored if key[2] not in loaded} == UNLOADED_ATTRIBUTES_ALLOWED
+
+
 # Parameters that no body reads, kept because a caller outside src/ passes them
 # or a contract names them; one entry per seam.
 UNREAD_PARAMETERS_ALLOWED = {

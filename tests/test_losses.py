@@ -609,6 +609,16 @@ def test_flow_loss_refuses_a_mismatched_plane_or_mask(arg):
         flow_loss(*args)
 
 
+@pytest.mark.parametrize("arg", range(3), ids=["pred", "gt", "valid"])
+def test_depth_loss_refuses_a_mismatched_map_or_mask(arg):
+    H, W = 6, 8
+    depth = np.arange(H * W, dtype=np.float64).reshape(H, W)
+    args = [depth, 2.0 * depth + 1.0, np.ones((H, W), dtype=bool)]
+    args[arg] = np.swapaxes(args[arg], 0, 1)  # same pixel count, transposed
+    with pytest.raises(ShapeMismatch):
+        depth_loss(*args)
+
+
 @pytest.mark.parametrize("mask_shape", [(6, 8, 1), (6, 8, 3), (48,)])
 def test_masked_losses_refuse_a_mask_that_is_not_one_plane(mask_shape):
     mask = np.ones(mask_shape, dtype=bool)

@@ -193,8 +193,9 @@ def as_batch(fields, gset):
         arr = fields[name]
         whole[name] = poisoned((pset.transient_rows.stop,) + arr.shape[1:], arr.dtype)
         whole[name][row] = arr
-    kept = {k: v for k, v in fields.items() if k not in PSET_FIELDS + ("rigid_Rq",)}
-    return SplatBatch(**{**kept, **whole}, pset=pset)
+    kept = {k: v for k, v in fields.items() if k not in PSET_FIELDS + ("rigid_Rq", "channels")}
+    payload = np.column_stack([fields["channels"], np.ones(len(row))])  # then C_ALPHA's ones
+    return SplatBatch(**{**kept, **whole}, payload=payload, pset=pset)
 
 
 def initial_reconstruction_set():

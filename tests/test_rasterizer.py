@@ -19,6 +19,7 @@ from dysplat.primitives import (
     zeros_like_tree,
 )
 from dysplat.rasterizer import (
+    C_ALPHA,
     CULL_OPACITY,
     GRAD_CHANNELS,
     N_CHANNELS,
@@ -418,6 +419,7 @@ def seed_screen_adjoints(batch, grad_outputs):
     gch = np.zeros((H, W, N_CHANNELS + 1))  # every payload column, then alpha's
     gch[..., rasterizer._layout(names)[0]] = given
     view = rasterizer._OrderedView(batch)
+    channels = batch.channels.take(view.order, axis=0)  # the payload in depth order
     n = len(batch)
     d_payload = np.zeros((n, N_CHANNELS))
     d_opacity = np.zeros(n)
@@ -439,7 +441,7 @@ def seed_screen_adjoints(batch, grad_outputs):
                     alpha = floored(view.opacity[i] * g)
                     live = T >= TERMINATE_TRANSMITTANCE
                     w = alpha * T if live else 0.0
-                    d_w = float(view.payload[i, :N_CHANNELS] @ g_ch[:N_CHANNELS]) + g_ch[N_CHANNELS]
+                    d_w = float(channels[i] @ g_ch[:N_CHANNELS]) + g_ch[N_CHANNELS]
                     front_to_back.append((i, dx, dy, g, alpha, T, live, w, d_w))
                     T *= 1.0 - alpha
                 behind = 0.0
@@ -533,12 +535,13 @@ class TestTileKernel:
         tiles = list(rasterizer._tile_ranges(W, H))
 
         plan = batch.tile_plan
-        visited = [(bounds, plan.local[pairs]) for bounds, pairs in plan.tiles]
-        expected = [(b, rasterizer._splats_in_tile(view, *b)) for b in tiles]
-        expected = [(b, local) for b, local in expected if local.size]
+        # order is a permutation, so equal batch rows are equal depth indices
+        visited = [(bounds, plan.rows[pairs]) for bounds, pairs in plan.tiles]
+        expected = [(b, view.order[rasterizer._splats_in_tile(view, *b)]) for b in tiles]
+        expected = [(b, rows) for b, rows in expected if rows.size]
         assert [b for b, _ in visited] == [b for b, _ in expected]
-        for (bounds, local), (_, want) in zip(visited, expected):
-            assert np.array_equal(local, want), bounds
+        for (bounds, rows), (_, want) in zip(visited, expected):
+            assert np.array_equal(rows, want), bounds
         shapes = {(y1 - y0, x1 - x0) for (y0, y1, x0, x1), _ in visited}
         tile = rasterizer.TILE
         h, w = H % tile, W % tile
@@ -604,9 +607,10 @@ class TestTileKernel:
 
 def plan_transcription(batch):
     """Per covered tile, what the tile loop computed for itself before the
-    plan: its bounds, then the splats of ``_splats_in_tile`` (depth-ordered
-    index and batch row), their offsets a, b from the tile center, conic
-    A, B, C, opacity and exponent coefficients."""
+    plan: its bounds, then the splats of ``_splats_in_tile`` (as batch rows:
+    the depth order is a permutation, so they name the same splats), their
+    offsets a, b from the tile center, conic A, B, C, opacity and exponent
+    coefficients."""
     view = rasterizer._OrderedView(batch)
     tiles = []
     for y0, y1, x0, x1 in rasterizer._tile_ranges(batch.width, batch.height):
@@ -619,7 +623,7 @@ def plan_transcription(batch):
         coef = np.stack([-0.5 * A, -B, -0.5 * C, A * a + B * b, B * a + C * b,
                          np.log(view.opacity[local])
                          - 0.5 * (A * a * a + 2.0 * B * a * b + C * b * b)], axis=1)
-        tiles.append(((y0, y1, x0, x1), local, view.order[local], a, b, A, B, C,
+        tiles.append(((y0, y1, x0, x1), view.order[local], a, b, A, B, C,
                       view.opacity[local], coef))
     return tiles
 
@@ -629,13 +633,13 @@ def edge_tile_cam():
     return make_cam(fx=40.0, fy=40.0, cx=18.0, cy=14.0, width=37, height=29)
 
 
-PLAN_ARRAYS = ("local", "rows", "a", "b", "A", "B", "C", "opacity", "coef")
+PLAN_ARRAYS = ("rows", "a", "b", "A", "B", "C", "opacity", "coef")
 
 
 def crafted_batch(mean2d, radii, width, height, seed=0):
     """The fields a tile plan reads, for splats at the given screen means and
     coverage radii: depths with ties (so the depth order keeps batch order
-    among equals), isotropic 2D covariances and random opacities and payload."""
+    among equals), isotropic 2D covariances and random opacities."""
     rng = np.random.default_rng(seed)
     n = len(radii)
     return SimpleNamespace(
@@ -643,7 +647,7 @@ def crafted_batch(mean2d, radii, width, height, seed=0):
         radii=np.asarray(radii, dtype=np.float64), width=width, height=height,
         depth=rng.integers(0, 3, size=n).astype(np.float64),
         cov2d=np.tile(np.eye(2), (n, 1, 1)) * rng.uniform(0.5, 2.0, size=(n, 1, 1)),
-        opacity_eff=rng.uniform(0.1, 0.9, size=n), channels=rng.normal(size=(n, N_CHANNELS)))
+        opacity_eff=rng.uniform(0.1, 0.9, size=n))
 
 
 def boundary_splats(width, height):
@@ -697,8 +701,8 @@ class TestTilePlan:
         assert (len(want) == 0) == (case == "no splats")
         edges = [0] + [pairs.stop for _, pairs in plan.tiles]
         assert [pairs.start for _, pairs in plan.tiles] == edges[:-1]
-        assert edges[-1] == len(plan.local) and plan.largest == max(
-            ((y1 - y0) * (x1 - x0) * local.size for (y0, y1, x0, x1), local, *_ in want), default=0)
+        assert edges[-1] == len(plan.rows) and plan.largest == max(
+            ((y1 - y0) * (x1 - x0) * rows.size for (y0, y1, x0, x1), rows, *_ in want), default=0)
         for (bounds, pairs), (_, *arrays) in zip(plan.tiles, want):
             for name, expected in zip(PLAN_ARRAYS, arrays):
                 got = getattr(plan, name)[pairs]
@@ -747,6 +751,53 @@ class TestTilePlan:
         assert "tile_plan" not in vars(batch)
         with pytest.raises(AssertionError, match="tile plan"):
             rasterize_forward(batch, cam)
+
+
+class TestPayload:
+    @pytest.mark.parametrize("case", ["mixed set", "every splat culled"])
+    def test_channels_are_the_payload_before_its_ones(self, case):
+        # one (N, 18) payload per batch: the 17 channels, then C_ALPHA's ones
+        cam = cam32()
+        gs = make_random_set(64, 60)
+        if case == "every splat culled":
+            for pop in (gs.statics, gs.rigids, gs.transients):
+                pop.opacity_logits[:] = -20.0
+        batch = prepare_splats(gs, cam, 2, 3)
+        assert (len(batch) == 0) == (case == "every splat culled")
+        assert batch.payload.shape == (len(batch), N_CHANNELS + 1)
+        assert batch.channels.shape == (len(batch), N_CHANNELS)
+        assert batch.channels.tobytes() == batch.payload[:, :C_ALPHA].tobytes()
+        assert np.shares_memory(batch.channels, batch.payload) or len(batch) == 0
+        assert np.all(batch.payload[:, C_ALPHA] == 1.0)
+        assert np.all(batch.pset.payload[:, C_ALPHA] == 1.0)
+
+    @pytest.mark.parametrize("channels", [rasterizer.ALL_CHANNELS, ("color", "depth")])
+    def test_a_render_reads_the_batch_payload(self, channels):
+        # no pass keeps a payload of its own: the tile plan holds none, so a
+        # payload changed after the plan is built renders, and differentiates,
+        # as a fresh batch holding that payload does
+        cam = cam32()
+        gs = make_random_set(65, 60)
+        batch = prepare_splats(gs, cam, 2, 3)
+        before = rasterize_forward(batch, cam, channels=channels)  # builds the plan
+        plan = batch.tile_plan
+        assert not any(isinstance(a, np.ndarray) and a.shape[-1] == N_CHANNELS + 1
+                       for a in vars(plan).values())
+        batch.payload[:, :C_ALPHA] *= np.linspace(0.5, 1.5, N_CHANNELS)
+        fresh = replace(prepare_splats(gs, cam, 2, 3), payload=batch.payload.copy())
+        got = rasterize_forward(batch, cam, channels=channels)
+        want = rasterize_forward(fresh, cam, channels=channels)
+        assert batch.tile_plan is plan
+        assert got.channels.tobytes() == want.channels.tobytes()
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.channels.tobytes() != before.channels.tobytes()
+        grad_outputs = random_grad_outputs(np.random.default_rng(5), 32, 32)
+        grad_outputs = {k: v for k, v in grad_outputs.items() if k in channels + ("alpha",)}
+        got_grads = rasterize_backward(batch, cam, grad_outputs)
+        want_grads = rasterize_backward(fresh, cam, grad_outputs)
+        for kind, grp in want_grads.items():
+            for name, arr in grp.items():
+                assert got_grads[kind][name].tobytes() == arr.tobytes(), (kind, name)
 
 
 def floor_of(a):
@@ -800,7 +851,7 @@ def one_splat(batch, i):
     keep = slice(i, i + 1)
     return replace(batch, mean2d=batch.mean2d[keep], cov2d=batch.cov2d[keep],
                    depth=batch.depth[keep], opacity_eff=batch.opacity_eff[keep],
-                   channels=batch.channels[keep], radii=batch.radii[keep], row=batch.row[keep])
+                   payload=batch.payload[keep], radii=batch.radii[keep], row=batch.row[keep])
 
 
 class TestCoverageRadius:

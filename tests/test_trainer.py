@@ -1008,6 +1008,23 @@ class TestTrainLoop:
                 SceneReconstructor(iters_total=6, iters_static_warmup=2,
                                    iters_rigid_warmup=2).fit(ds, init_set=init)
 
+    @pytest.mark.parametrize("set_frames", [9, 4])
+    def test_init_set_of_another_frame_count_is_refused(self, set_frames, monkeypatch):
+        # a longer set would render velocity pairs the dataset does not
+        # supervise, a shorter one fail mid-fit: both are refused before any work
+        ds = generate_synthetic(tiny_spec(
+            actor_motion={"kind": "linear", "velocity": [0.02, 0.0, 0.0]}, frames=6))
+        init = replace(ds.gt_set, bases=MotionBases.identity(ds.gt_set.bases.n_bases, set_frames))
+
+        def refuse(dataset):
+            raise AssertionError("supervision was built")
+
+        monkeypatch.setattr(trainer, "build_supervision", refuse)
+        message = f"init_set has {set_frames} frames, the dataset 6"
+        with pytest.raises(ValidationError, match=message):
+            train(ds, TrainConfig(iters_total=6, iters_static_warmup=2, iters_rigid_warmup=2),
+                  init_set=init)
+
     @pytest.mark.parametrize("damage", [
         "nan-pixels",
         "inf-pixels",
